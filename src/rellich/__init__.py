@@ -55,7 +55,7 @@ from .profiles import (
     plateau_profile,
     radial_power_bump,
 )
-from .quadrature import QuadratureSpec, integrate, lp_norm_1d, sup_norm
+from .quadrature import QuadratureSpec, integrate, lp_norm
 from .radial import (
     BoundaryReport,
     RatioReport,

@@ -1,10 +1,29 @@
-"""Adaptive composite Gauss-Legendre quadrature and L^p norms on an interval.
+"""Adaptive Gauss-Legendre integrals and L^p norms on an interval.
 
-The integrands here are smooth except for |.|^p kinks at sign changes,
-so panel doubling with a 64-node rule converges fast; refinement stops
-when the relative change between successive panel counts drops below
-``rel_tol``.  For p = inf the norm is a dense-grid supremum polished by
-golden-section search.
+``integrate(f, a, b)`` is the signed integral of f and ``lp_norm(f,
+support, p)`` the norm ||f||_{L^p(support)}, 1 <= p <= inf, computed from
+the signed f.  Both return (value, err).
+
+Integrals use composite ``spec.nodes``-point Gauss-Legendre rules and
+double the panel count until the change between two successive sums is
+at most ``rel_tol`` times the integral of |integrand| from the same
+nodes, so an integral that cancels to zero stops as early as one that
+does not.
+
+For finite p, |f|^p has kinks at the sign changes of f, where panel
+doubling converges only algebraically.  ``lp_norm`` runs the 1- and
+2-panel passes first and returns when they agree, which covers smooth
+integrands.  Otherwise it brackets the sign changes of f between
+consecutive nodes of the 2-panel pass, narrows all brackets together by
+Illinois steps until each holds a negligible share of the |f|^p mass,
+and integrates the pieces between the split points under one tolerance
+for the whole norm: the panels of a piece double only while its change
+exceeds its share of ``rel_tol * integral``.
+
+For p = inf the norm is the largest local maximum of |f| on a grid of
+``spec.sup_grid`` intervals.  Every local maximum is polished at once:
+each step samples a finer grid around all of them in one call of f, and a
+maximum stops when its bracket is narrow enough or cannot hold the sup.
 """
 
 from __future__ import annotations
@@ -23,13 +42,20 @@ class QuadratureSpec:
     nodes: int = 64  # Gauss-Legendre points per panel
     rel_tol: float = 1e-10  # stop when successive estimates agree to this
     max_refinements: int = 12  # panel counts 1, 2, 4, ..., 2^max
-    sup_grid: int = 100_000  # dense samples for the p = inf norm
-    sup_iters: int = 80  # golden-section polish iterations
+    sup_grid: int = 2_000  # grid intervals searched for the p = inf norm
 
 
 DEFAULT_QUAD = QuadratureSpec()
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: share of the tolerance that the split points of lp_norm may cost
+_SPLIT_SHARE = 0.1
+
+#: points sampled on each side of a maximum per polish step of the sup
+_ZOOM = 8
+
+#: Illinois steps per bracket and polish steps per maximum; both loops
+#: end long before on their own tests, this only bounds them
+_MAX_STEPS = 100
 
 
 @lru_cache(maxsize=8)
@@ -38,101 +64,220 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _vectorized(f):
-    """Return a callable guaranteed to map ndarray -> ndarray."""
-    probe = np.array([0.25, 0.75])
-    try:
-        out = f(probe)
-        if np.shape(out) == probe.shape:
-            return f
-    except Exception:
-        pass
-    return np.vectorize(f, otypes=[float])
+def _sampler(f):
+    """pts -> f(pts) as an array of finite floats.
+
+    The first call decides how f is called: as it is, unless it raises or
+    returns the wrong shape on an array, in which case f is taken for a
+    scalar-only callable and wrapped in np.vectorize.
+    """
+    call = None
+
+    def sample(pts: np.ndarray) -> np.ndarray:
+        nonlocal call
+        if call is None:
+            call = f
+            try:
+                vals = np.asarray(f(pts), dtype=float)
+            except (TypeError, ValueError):
+                vals = None
+            if vals is None or vals.shape != pts.shape:
+                call = np.vectorize(f, otypes=[float])
+                vals = call(pts)
+        else:
+            vals = np.asarray(call(pts), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteIntegrand("integrand returned non-finite values")
+        return vals
+
+    return sample
 
 
-def _panel_sum(f, a: float, b: float, panels: int, spec: QuadratureSpec) -> float:
+def _rule(jobs, spec: QuadratureSpec):
+    """Composite rules for (a, b, panels) jobs, concatenated.
+
+    Returns (nodes, weights, offsets), offsets[i] being where the nodes
+    of job i start.
+    """
     x, w = _gl_rule(spec.nodes)
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = np.asarray(f(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteIntegrand("integrand returned non-finite values")
-    return float(np.sum(vals.reshape(panels, -1) * w[None, :] * half[:, None]))
+    a, b, k = (np.array(col, dtype=float) for col in zip(*jobs))
+    counts = k.astype(int)
+    starts = np.cumsum(counts) - counts
+    h = np.repeat((b - a) / k, counts)
+    mid = np.repeat(a, counts) + (np.arange(counts.sum()) - np.repeat(starts, counts) + 0.5) * h
+    half = 0.5 * h
+    return ((mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel(),
+            starts * spec.nodes)
+
+
+def _sums(sample, jobs, g, spec: QuadratureSpec):
+    """(sum, sum of |.|) of the rule for g(f) on each (a, b, panels) job.
+
+    f is sampled once for all jobs together.
+    """
+    pts, wts, offsets = _rule(jobs, spec)
+    terms = g(sample(pts)) * wts
+    return list(zip(np.add.reduceat(terms, offsets).tolist(),
+                    np.add.reduceat(np.abs(terms), offsets).tolist()))
+
+
+def _converge(sample, edges, g, spec: QuadratureSpec, first=None):
+    """Integral of g(f) over [edges[0], edges[-1]], piece by piece.
+
+    Each piece between consecutive edges starts from its 1- and 2-panel
+    sums (``first`` holds them when there is one piece and they are
+    known).  While the total change exceeds rel_tol times the integral of
+    |g(f)|, each piece whose change exceeds its share of that tolerance
+    doubles its panels, up to 2^max_refinements.  Returns (value, err).
+    """
+    pieces = list(zip(edges[:-1], edges[1:]))
+    if first is None:
+        first = _sums(sample, [(a, b, k) for a, b in pieces for k in (1, 2)], g, spec)
+    prev, cur = first[0::2], first[1::2]
+    panels = [2] * len(pieces)
+    limit = 2 ** spec.max_refinements
+    while True:
+        errs = [abs(c[0] - q[0]) for c, q in zip(cur, prev)]
+        tol = spec.rel_tol * sum(c[1] for c in cur)
+        if sum(errs) <= tol:
+            break
+        todo = [i for i, e in enumerate(errs)
+                if e > tol / len(pieces) and panels[i] < limit]
+        if not todo:
+            break
+        for i in todo:
+            panels[i] *= 2
+        new = _sums(sample, [(*pieces[i], panels[i]) for i in todo], g, spec)
+        for i, s in zip(todo, new):
+            prev[i], cur[i] = cur[i], s
+    return sum(c[0] for c in cur), sum(errs)
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD
               ) -> tuple[float, float]:
     """Integral of f over [a, b] with an error estimate.
 
-    Returns (value, err) where err is the change at the last refinement.
+    Returns (value, err) where err is the change at the last refinement;
+    refinement stops once err is at most rel_tol times the integral of
+    |f| from the same nodes.
     """
     if b <= a:
         return 0.0, 0.0
-    g = _vectorized(f)
-    panels = 1
-    prev = _panel_sum(g, a, b, panels, spec)
-    err = abs(prev)
-    for _ in range(spec.max_refinements):
-        panels *= 2
-        cur = _panel_sum(g, a, b, panels, spec)
-        err = abs(cur - prev)
-        if err <= spec.rel_tol * (abs(cur) + 1e-300):
-            return cur, err
-        prev = cur
-    return prev, err
+    return _converge(_sampler(f), [a, b], lambda v: v, spec)
 
 
-def sup_norm(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """sup |f| on [a, b]: dense grid plus golden-section polish."""
-    if b <= a:
-        return 0.0
-    g = _vectorized(f)
+def _split_points(sample, xs, vs, p: float, tol: float):
+    """Sign changes of f between consecutive points xs (values vs).
+
+    All brackets are narrowed together by Illinois steps until the |f|^p
+    mass of each (its width times the larger end value to the p) is at
+    most its share of tol, or an end value is exactly zero.  Returns
+    (false-position split points, summed bracket masses).
+    """
+    i = np.flatnonzero((vs[:-1] >= 0) != (vs[1:] >= 0))
+    lo, hi, f_lo, f_hi = xs[i], xs[i + 1], vs[i], vs[i + 1]
+    w_lo, w_hi = f_lo.copy(), f_hi.copy()  # Illinois-weighted end values
+    last = np.zeros(len(i), dtype=int)  # end moved last: -1 lo, +1 hi
+    cap = tol / max(len(i), 1)
+
+    def masses():
+        m = (hi - lo) * np.maximum(np.abs(f_lo), np.abs(f_hi)) ** p
+        return np.where(f_lo * f_hi == 0.0, 0.0, m)
+
+    for _ in range(_MAX_STEPS):
+        # a bracket two ulps wide cannot be narrowed further
+        act = np.flatnonzero((masses() > cap)
+                             & (hi - lo > 4e-16 * np.maximum(np.abs(lo), np.abs(hi))))
+        if not len(act):
+            break
+        x = hi[act] - w_hi[act] * (hi[act] - lo[act]) / (w_hi[act] - w_lo[act])
+        x = np.clip(x, lo[act], hi[act])
+        fx = sample(x)
+        left = (fx >= 0) == (f_lo[act] >= 0)  # the sign change lies right of x
+        a, b = act[left], act[~left]
+        lo[a], f_lo[a], w_lo[a] = x[left], fx[left], fx[left]
+        hi[b], f_hi[b], w_hi[b] = x[~left], fx[~left], fx[~left]
+        w_hi[a[last[a] == -1]] *= 0.5
+        w_lo[b[last[b] == 1]] *= 0.5
+        last[a], last[b] = -1, 1
+    roots = np.clip(lo - f_lo * (hi - lo) / (f_hi - f_lo), lo, hi)
+    return roots.tolist(), float(np.sum(masses()))
+
+
+def _sup_norm(sample, a: float, b: float, spec: QuadratureSpec):
+    """(sup |f| on [a, b], err): every local maximum of a grid, polished.
+
+    Each maximum is a centre c with half-width d and values at c - d, c,
+    c + d, the centre being the largest.  A step samples _ZOOM points on
+    each side of c at spacing d / (_ZOOM + 1) and recentres on the best,
+    all maxima in one call of f.  If the centre is within d/2 of a smooth
+    maximum, its value is short of it by at most a quarter of the spread
+    (centre minus lower neighbour), so best + spread bounds the sup.  A
+    maximum stops when it cannot hold the sup or when d is at most
+    sqrt(rel_tol) grid steps: its shortfall is then about rel_tol times the
+    change of |f| over one grid step.
+    """
     s = np.linspace(a, b, spec.sup_grid + 1)
-    vals = np.abs(np.asarray(g(s), dtype=float))
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteIntegrand("integrand returned non-finite values")
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    lo = s[max(i - 1, 0)]
-    hi = s[min(i + 1, len(s) - 1)]
-
-    def h(x):
-        return abs(float(g(np.array([x]))[0]))
-
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = h(x1), h(x2)
-    for _ in range(spec.sup_iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = h(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = h(x1)
-    return max(best, f1, f2)
-
-
-def lp_norm_1d(f, support: tuple[float, float], p: float,
-               spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """||f||_{L^p(support)} for 1 <= p <= inf."""
-    val, _ = lp_norm_report(f, support, p, spec)
-    return val
+    v = np.abs(sample(s))
+    pad = np.array([-1.0])
+    i = np.flatnonzero((v >= np.concatenate((pad, v[:-1])))
+                       & (v >= np.concatenate((v[1:], pad))))
+    c, f_c = s[i], v[i]
+    f_lo, f_hi = v[np.maximum(i - 1, 0)], v[np.minimum(i + 1, len(s) - 1)]
+    d = np.full(len(i), (b - a) / spec.sup_grid)
+    width = math.sqrt(spec.rel_tol) * (b - a) / spec.sup_grid
+    steps = np.arange(-_ZOOM, _ZOOM + 1) / (_ZOOM + 1)
+    for _ in range(_MAX_STEPS):
+        spread = f_c - np.minimum(f_lo, f_hi)
+        act = np.flatnonzero((d > width) & (f_c + spread >= np.max(f_c)))
+        if not len(act):
+            break
+        x = np.clip(c[act, None] + d[act, None] * steps, a, b)
+        fx = np.abs(sample(x.ravel())).reshape(x.shape)
+        row = np.arange(len(act))
+        k = np.argmax(fx, axis=1)
+        left = np.where(k > 0, fx[row, k - 1], f_lo[act])
+        right = np.where(k < 2 * _ZOOM, fx[row, np.minimum(k + 1, 2 * _ZOOM)], f_hi[act])
+        c[act], f_c[act], f_lo[act], f_hi[act] = x[row, k], fx[row, k], left, right
+        d[act] /= _ZOOM + 1
+    top = float(np.max(f_c))
+    spread = f_c - np.minimum(f_lo, f_hi)
+    return top, max(float(np.max(f_c + spread)) - top, math.ulp(top))
 
 
-def lp_norm_report(f, support: tuple[float, float], p: float,
-                   spec: QuadratureSpec = DEFAULT_QUAD) -> tuple[float, float]:
-    """(norm, error estimate on the underlying integral or supremum)."""
+def lp_norm(f, support: tuple[float, float], p: float,
+            spec: QuadratureSpec = DEFAULT_QUAD) -> tuple[float, float]:
+    """(||f||_{L^p(support)}, error estimate of the norm) for 1 <= p <= inf.
+
+    f is the signed function; lp_norm finds its sign changes itself.  For
+    finite p the estimate covers the last refinement change and the split
+    points, for p = inf the brackets of the polished maxima.
+    """
     a, b = support
-    if math.isinf(p):
-        return sup_norm(f, a, b, spec), 0.0
-    if p < 1:
+    if not math.isinf(p) and p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    g = _vectorized(f)
-    ip, err = integrate(lambda s: np.abs(g(s)) ** p, a, b, spec)
-    if ip < 0:
-        ip = 0.0
-    return ip ** (1.0 / p), err
+    if b <= a:
+        return 0.0, 0.0
+    sample = _sampler(f)
+    if math.isinf(p):
+        return _sup_norm(sample, a, b, spec)
+
+    def g(v):
+        return np.abs(v) ** p
+
+    pts, wts, offsets = _rule([(a, b, 1), (a, b, 2)], spec)
+    vals = sample(pts)
+    n = offsets[1]
+    i1, i2 = np.add.reduceat(g(vals) * wts, offsets).tolist()
+    split_err = 0.0
+    if abs(i2 - i1) <= spec.rel_tol * i2:
+        total, err = i2, abs(i2 - i1)
+    else:
+        roots, split_err = _split_points(sample, pts[n:], vals[n:], p,
+                                         _SPLIT_SHARE * spec.rel_tol * i2)
+        first = None if roots else [(i1, i1), (i2, i2)]
+        total, err = _converge(sample, [a, *roots, b], g, spec, first)
+    norm = total ** (1.0 / p)
+    if total <= 0:
+        return norm, (err + split_err) ** (1.0 / p)
+    return norm, norm * (err + split_err) / (p * total)

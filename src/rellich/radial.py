@@ -32,7 +32,7 @@ from .params import (
     sqrt_nonneg_re,
 )
 from .profiles import Profile1D, bump
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, lp_norm_report, sup_norm
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, lp_norm
 
 #: Support required of the counterexample cutoff phi; the reduced-norm
 #: identity below is derived for this window.
@@ -52,7 +52,7 @@ class RatioReport:
     numerator: float
     denominator: float
     ratio: float
-    quad_error_estimate: float
+    quad_error_estimate: float  # estimated error of ratio, from both norms
 
     def __post_init__(self):
         assert self.denominator > 0
@@ -72,12 +72,12 @@ def reduced_coefficients(
     return ReducedCoefficients(beta, lam_red, n, alpha)
 
 
-def _ratio(num_fn, den_fn, support, p, spec) -> RatioReport:
-    num, err_n = lp_norm_report(num_fn, support, p, spec)
-    den, err_d = lp_norm_report(den_fn, support, p, spec)
-    if den <= 0:
+def _ratio(num: tuple[float, float], den: tuple[float, float]) -> RatioReport:
+    """Report of num / den from two (norm, err) pairs, with the ratio's estimated error."""
+    (n, err_n), (d, err_d) = num, den
+    if d <= 0:
         raise ValueError("denominator norm vanished")
-    return RatioReport(num, den, num / den, err_n + err_d)
+    return RatioReport(n, d, n / d, (err_n + n * err_d / d) / d)
 
 
 def rellich_ratio_separable(
@@ -94,7 +94,7 @@ def rellich_ratio_separable(
     def top(s):
         return v.d2(s) + rc.beta * v.d1(s) - rc.lambda_red * v.value(s)
 
-    return _ratio(top, v.value, v.support, p, spec)
+    return _ratio(lp_norm(top, v.support, p, spec), lp_norm(v.value, v.support, p, spec))
 
 
 def counterexample_gamma(params: OperatorParams, n: int, branch: str) -> float:
@@ -126,6 +126,8 @@ def counterexample_ratio(
     for finite p, and for p = inf to
     eps * sup |eps s^2 phi'' + (2 gamma + N - 2 + c + eps) s phi'| / sup |phi|.
     It tends to zero linearly in eps, witnessing failure of the inequality.
+    Both cases are the L^p norms of s^{1-1/p} (eps s phi'' + (...) phi') and
+    s^{-1/p} phi.
 
     Requires D + lambda_n >= 0: the display presumes real indicial roots.
     """
@@ -143,30 +145,18 @@ def counterexample_ratio(
     if lo < PHI_SUPPORT[0] - 1e-12 or hi > PHI_SUPPORT[1] + 1e-12:
         raise ValueError(f"phi must be supported in {PHI_SUPPORT}, got {phi.support}")
     g = 2.0 * counterexample_gamma(params, n, branch) + params.N - 2.0 + params.c
+    q = inv_p(p)
 
-    if math.isinf(p):
-        def top(s):
-            s = np.asarray(s, dtype=float)
-            return epsilon * s**2 * phi.d2(s) + (g + epsilon) * s * phi.d1(s)
-
-        num = epsilon * sup_norm(top, lo, hi, spec)
-        den = sup_norm(phi.value, lo, hi, spec)
-        return RatioReport(num, den, num / den, 0.0)
-
-    def top_p(s):
+    def top(s):
         s = np.asarray(s, dtype=float)
-        core = epsilon * s * phi.d2(s) + (g + epsilon) * phi.d1(s)
-        return s ** (p - 1.0) * np.abs(core) ** p
+        return s ** (1.0 - q) * (epsilon * s * phi.d2(s) + (g + epsilon) * phi.d1(s))
 
-    def bot_p(s):
+    def bot(s):
         s = np.asarray(s, dtype=float)
-        return np.abs(phi.value(s)) ** p / s
+        return phi.value(s) * s ** -q
 
-    i1, e1 = integrate(top_p, lo, hi, spec)
-    i0, e0 = integrate(bot_p, lo, hi, spec)
-    num = epsilon * i1 ** (1.0 / p)
-    den = i0 ** (1.0 / p)
-    return RatioReport(num, den, num / den, e1 + e0)
+    num, err_n = lp_norm(top, (lo, hi), p, spec)
+    return _ratio((epsilon * num, epsilon * err_n), lp_norm(bot, (lo, hi), p, spec))
 
 
 @dataclass(frozen=True)

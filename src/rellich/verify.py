@@ -37,7 +37,7 @@ from .params import (
     kelvin_transform,
 )
 from .profiles import Profile1D, bump, log_squeezed
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, lp_norm_1d
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, lp_norm
 from .radial import counterexample_ratio, fit_loglog_slope, rellich_ratio_separable
 from .validity import Branch, DomainKind, HarmonicSet, decide
 
@@ -251,10 +251,9 @@ def oned_green_reconstruct(
     i_plain, _ = integrate(f, a, b, spec)
     i_exp, _ = integrate(lambda s: np.exp(beta * np.asarray(s, dtype=float)) * f(s),
                          a, b, spec)
-    scale_plain, _ = integrate(lambda s: np.abs(f(s)), a, b, spec)
-    scale_exp, _ = integrate(
-        lambda s: np.exp(beta * np.asarray(s, dtype=float)) * np.abs(f(s)), a, b, spec
-    )
+    scale_plain, _ = lp_norm(f, (a, b), 1, spec)
+    scale_exp, _ = lp_norm(lambda s: np.exp(beta * np.asarray(s, dtype=float)) * f(s),
+                           (a, b), 1, spec)
     if abs(i_plain) > 1e-8 * max(scale_plain, 1e-300):
         raise AssertionError(f"orthogonality integral f = {i_plain} not ~ 0")
     if abs(i_exp) > 1e-8 * max(scale_exp, 1e-300):
@@ -310,19 +309,22 @@ def verify_oned_inequality(
     for v in corpus:
         if v.support[0] <= 0:
             raise PreconditionViolated("corpus must be supported in (0, inf)")
-        num = lp_norm_1d(lambda s: v.d2(s) + beta * v.d1(s), v.support, p, spec)
-        lo = max(a, v.support[0])
-        den = 0.0
-        if lo < v.support[1]:
-            den = lp_norm_1d(
-                lambda s: v.value(s) / np.asarray(s, dtype=float) ** kappa,
-                (lo, v.support[1]), p, spec,
-            )
+        num, _ = lp_norm(lambda s: v.d2(s) + beta * v.d1(s), v.support, p, spec)
+        den, _ = lp_norm(lambda s: v.value(s) / np.asarray(s, dtype=float) ** kappa,
+                         (max(a, v.support[0]), v.support[1]), p, spec)
         ratio = den / num if num > 0 else math.inf
         report.add(v.label or "profile", ratio, 0.0,
                    1.0 if math.isfinite(ratio) else -1.0)
     report.notes = f"empirical C = {max(s[1] for s in report.samples):.6g}"
     return report.finalize()
+
+
+def _remainder_terms(gam, v: Profile1D, p: float, spec: QuadratureSpec):
+    """||gam||_p^p, ||v||_p^p and integral |v|^p / s^2 over the support of v."""
+    def weighted(s):
+        return v.value(s) * np.asarray(s, dtype=float) ** (-2.0 / p)
+
+    return tuple(lp_norm(fn, v.support, p, spec)[0] ** p for fn in (gam, v.value, weighted))
 
 
 def verify_aux_remainder(
@@ -347,12 +349,7 @@ def verify_aux_remainder(
     def gam(s):
         return v.d2(s) + beta * v.d1(s) - lam * v.value(s)
 
-    a, b = v.support
-    gnorm_p, _ = integrate(lambda s: np.abs(gam(s)) ** p, a, b, spec)
-    vnorm_p, _ = integrate(lambda s: np.abs(v.value(s)) ** p, a, b, spec)
-    weighted, _ = integrate(
-        lambda s: np.abs(v.value(s)) ** p / np.asarray(s, dtype=float) ** 2, a, b, spec
-    )
+    gnorm_p, vnorm_p, weighted = _remainder_terms(gam, v, p, spec)
     lhs = gnorm_p - lam**p * vnorm_p
     rhs = lam ** (p - 1.0) * (p - 1.0) / p**2 * weighted
     report = VerificationReport(
@@ -400,17 +397,11 @@ def verify_remainder(
             raise PreconditionViolated(
                 "corpus must be supported in s > log 2 (u supported in B_{1/2})"
             )
-        a, b = v.support
 
         def gam(s):
             return v.d2(s) + rc.beta * v.d1(s) - C * v.value(s)
 
-        gnorm_p, _ = integrate(lambda s: np.abs(gam(s)) ** p, a, b, spec)
-        vnorm_p, _ = integrate(lambda s: np.abs(v.value(s)) ** p, a, b, spec)
-        weighted, _ = integrate(
-            lambda s: np.abs(v.value(s)) ** p / np.asarray(s, dtype=float) ** 2,
-            a, b, spec,
-        )
+        gnorm_p, vnorm_p, weighted = _remainder_terms(gam, v, p, spec)
         lhs = gnorm_p - C**p * vnorm_p
         rhs = c_rem * weighted
         report.add(v.label or "profile", lhs, rhs, lhs - rhs)
@@ -469,12 +460,10 @@ def verify_critical_log(
         def top(s):
             return v.d2(s) + rc.beta * v.d1(s) - rc.lambda_red * v.value(s)
 
-        num = lp_norm_1d(top, v.support, p, spec)
-        den_w = lp_norm_1d(
-            lambda s: v.value(s) / np.asarray(s, dtype=float) ** kappa,
-            v.support, p, spec,
-        )
-        den_u = lp_norm_1d(v.value, v.support, p, spec)
+        num, _ = lp_norm(top, v.support, p, spec)
+        den_w, _ = lp_norm(lambda s: v.value(s) / np.asarray(s, dtype=float) ** kappa,
+                           v.support, p, spec)
+        den_u, _ = lp_norm(v.value, v.support, p, spec)
         rw, ru = num / den_w, num / den_u
         weighted.append(rw)
         unweighted.append(ru)
@@ -519,8 +508,8 @@ def verify_dissipativity(
         def resid(s):
             return (lam + lam_n) * w.value(s) - w.d2(s) - k * w.d1(s)
 
-        rhs = lp_norm_1d(resid, w.support, p, spec)
-        lhs = lam * lp_norm_1d(w.value, w.support, p, spec)
+        rhs, _ = lp_norm(resid, w.support, p, spec)
+        lhs = lam * lp_norm(w.value, w.support, p, spec)[0]
         report.add(f"n={n} {w.label}", rhs, lhs, rhs - lhs)
         worst = max(worst, rhs)
     report.tolerance = SLACK_EXACT * worst

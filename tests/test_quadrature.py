@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rellich import NonFiniteIntegrand, QuadratureSpec, integrate, lp_norm_1d, sup_norm
+from rellich import NonFiniteIntegrand, QuadratureSpec, integrate, lp_norm
 
 # ten closed-form integrals: (integrand, interval, exact value)
 CLOSED_FORMS = [
@@ -31,22 +31,22 @@ def test_closed_forms(case):
 
 
 def test_lp_norm_examples():
-    assert abs(lp_norm_1d(lambda s: np.ones_like(s), (0, 1), 2) - 1.0) < 1e-12
-    assert abs(lp_norm_1d(lambda s: s, (0, 1), 2) - 1 / math.sqrt(3)) < 1e-12
-    val = lp_norm_1d(lambda s: (1 - s**2) ** 3, (-1, 1), math.inf)
+    assert abs(lp_norm(lambda s: np.ones_like(s), (0, 1), 2)[0] - 1.0) < 1e-12
+    assert abs(lp_norm(lambda s: s, (0, 1), 2)[0] - 1 / math.sqrt(3)) < 1e-12
+    val = lp_norm(lambda s: (1 - s**2) ** 3, (-1, 1), math.inf)[0]
     assert abs(val - 1.0) < 1e-12
 
 
 def test_lp_norm_kinked_absolute_value():
     # |s - 1/3| has a kink; adaptivity must still deliver ~1e-9
-    val = lp_norm_1d(lambda s: s - 1.0 / 3.0, (0, 1), 1)
+    val = lp_norm(lambda s: s - 1.0 / 3.0, (0, 1), 1)[0]
     exact = (1.0 / 3.0) ** 2 / 2 + (2.0 / 3.0) ** 2 / 2
     assert abs(val - exact) < 1e-9
 
 
 def test_fractional_p():
     # ||s||_{L^{2.5}(0,1)} = (1/3.5)^{1/2.5}
-    val = lp_norm_1d(lambda s: s, (0, 1), 2.5)
+    val = lp_norm(lambda s: s, (0, 1), 2.5)[0]
     assert abs(val - (1 / 3.5) ** (1 / 2.5)) < 1e-10
 
 
@@ -54,22 +54,22 @@ def test_non_finite_detection():
     with pytest.raises(NonFiniteIntegrand), np.errstate(invalid="ignore"):
         integrate(lambda s: np.log(s - 0.5), 0, 1)  # nan left of the kink
     with pytest.raises(NonFiniteIntegrand):
-        lp_norm_1d(lambda s: np.where(s > 0.5, np.nan, 1.0), (0, 1), 2)
+        lp_norm(lambda s: np.where(s > 0.5, np.nan, 1.0), (0, 1), 2)[0]
 
 
 def test_sup_norm_refinement():
     # max of sin on [0, pi] is 1 at pi/2, strictly between grid points
     spec = QuadratureSpec(sup_grid=997)
-    assert abs(sup_norm(np.sin, 0, math.pi, spec) - 1.0) < 1e-12
+    assert abs(lp_norm(np.sin, (0, math.pi), math.inf, spec)[0] - 1.0) < 1e-12
 
 
 def test_sup_norm_negative_peak():
-    assert abs(sup_norm(lambda s: -np.exp(-((s - 2.0) ** 2)), 0, 4) - 1.0) < 1e-12
+    assert abs(lp_norm(lambda s: -np.exp(-((s - 2.0) ** 2)), (0, 4), math.inf)[0] - 1.0) < 1e-12
 
 
 def test_empty_interval():
     assert integrate(lambda s: s, 1.0, 1.0) == (0.0, 0.0)
-    assert lp_norm_1d(lambda s: s, (2.0, 1.0), 2) == 0.0
+    assert lp_norm(lambda s: s, (2.0, 1.0), 2)[0] == 0.0
 
 
 def test_scalar_callable_fallback():
@@ -79,3 +79,51 @@ def test_scalar_callable_fallback():
 
     val, _ = integrate(scalar_only, 0, 1)
     assert abs(val - (math.e - 1)) < 1e-9
+
+
+def _counted(f, tally):
+    def g(s):
+        tally.append(np.size(s))
+        return f(s)
+
+    return g
+
+
+def test_cancelling_integral_stops_early():
+    # the sum over a period rounds to noise; the stop is relative to the
+    # integral of |sin| = 4, so the 1- and 2-panel passes (64 + 128) decide
+    tally = []
+    val, err = integrate(_counted(np.sin, tally), 0.0, 2.0 * math.pi)
+    assert abs(val) < 1e-14 and err <= 1e-10 * 4.0
+    assert sum(tally) == 192
+
+
+def test_kink_split_point_count():
+    # |s - 1/3|: one sign change, found between Gauss nodes and split at
+    tally = []
+    val, err = lp_norm(_counted(lambda s: s - 1.0 / 3.0, tally), (0, 1), 1)
+    assert abs(val - 5.0 / 18.0) < 1e-15 and err <= 1e-10 * val
+    assert sum(tally) < 1000
+
+
+def test_sup_polishes_every_local_maximum():
+    # two bumps, heights 1 and 1.2; with 20 grid intervals the grid hits the
+    # lower peak's centre 0.25 and misses the higher one at 0.7125, so the
+    # grid argmax sits on the lower peak
+    def two_peaks(s):
+        t1 = np.clip((s - 0.25) / 0.1, -1.0, 1.0)
+        t2 = np.clip((s - 0.7125) / 0.03, -1.0, 1.0)
+        return (1 - t1**2) ** 3 + 1.2 * (1 - t2**2) ** 3
+
+    spec = QuadratureSpec(sup_grid=20)
+    grid = np.linspace(0, 1, 21)
+    assert np.argmax(two_peaks(grid)) == 5
+    val, err = lp_norm(two_peaks, (0, 1), math.inf, spec)
+    assert 0.0 < err <= 1e-10
+    assert abs(val - 1.2) <= err
+
+
+def test_sup_error_estimate_of_a_boundary_maximum():
+    # |f| is largest at the end b: the estimate is honest, not zero
+    val, err = lp_norm(lambda s: s, (0, 1), math.inf)
+    assert val == 1.0 and 0.0 < err < 1e-8

@@ -21,7 +21,9 @@ from rellich import (
     sqrt_nonneg_re,
 )
 from rellich.profiles import arg_scaled
-from rellich.radial import counterexample_gamma
+from rellich.quadrature import DEFAULT_QUAD, QuadratureSpec, lp_norm
+from rellich.radial import PHI_SUPPORT, counterexample_gamma
+from rellich.verify import EPS_LADDER
 
 P5 = OperatorParams(5, 0, 0)
 INF = math.inf
@@ -64,10 +66,10 @@ class TestSeparableRatio:
         # at lambda_red = 0 the ratio equals ||v'' + beta v'|| / ||v||
         v = bump(1.0, 3.0)
         r = rellich_ratio_separable(P5, 2, -0.5, 0, v)
-        from rellich import lp_norm_1d
+        from rellich import lp_norm
 
-        manual = lp_norm_1d(lambda s: v.d2(s) - 3.0 * v.d1(s), v.support, 2) \
-            / lp_norm_1d(v.value, v.support, 2)
+        manual = lp_norm(lambda s: v.d2(s) - 3.0 * v.d1(s), v.support, 2)[0] \
+            / lp_norm(v.value, v.support, 2)[0]
         assert abs(r.ratio - manual) < 1e-12
 
     def test_trapezoid_oracle_cross_check(self):
@@ -169,3 +171,100 @@ class TestBoundaryCounterexample:
         thr = 4 * 0 + 1 + 0.75 + math.sqrt(discriminant(P))
         rep = boundary_counterexample(P, thr + 0.5, 2)
         assert rep.residual_sup < 1e-8 and rep.active
+
+
+def _reference_integral(f, a, b):
+    """integral of f over [a, b] by scipy quad, split at the brentq roots of f."""
+    from scipy import integrate, optimize
+
+    def scalar(t):
+        return float(f(np.array([t]))[0])
+
+    x = np.linspace(a, b, 4001)
+    y = f(x)
+    roots = [optimize.brentq(scalar, x[i], x[i + 1], xtol=1e-300, rtol=1e-15)
+             for i in np.flatnonzero(y[:-1] * y[1:] < 0)]
+    edges = [a, *roots, b]
+    return sum(integrate.quad(lambda t: abs(scalar(t)), lo, hi, epsabs=0.0,
+                              epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+def _sweep_critical_cases(count, seed=1):
+    """Exactly critical (N, c, b, n, branch) as drawn by the verify sweep."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        N = int(rng.integers(3, 9))
+        c = float(rng.uniform(-2, 2))
+        D = float(rng.uniform(2.25, 6.0))
+        yield (OperatorParams(N, c, D - ((N - 2 + c) / 2) ** 2), int(rng.integers(0, 3)),
+               ("minus", "plus")[int(rng.integers(2))])
+
+
+class TestLpNormAccuracy:
+    def test_p1_counterexample_matches_split_quad_reference(self):
+        # at p = 1 the numerator |eps s phi'' + g phi'| has kinks; the ratio
+        # must match scipy quad split at the roots to 1e-12
+        phi = bump(*PHI_SUPPORT)
+        worst = 0.0
+        for P, n, branch in _sweep_critical_cases(10):
+            g = 2.0 * counterexample_gamma(P, n, branch) + P.N - 2.0 + P.c
+            den = _reference_integral(lambda s: phi.value(s) / s, *PHI_SUPPORT)
+            for e in EPS_LADDER:
+                num = _reference_integral(
+                    lambda s: e * s * phi.d2(s) + (g + e) * phi.d1(s), *PHI_SUPPORT)
+                ref = e * num / den
+                got = counterexample_ratio(P, 1.0, n, branch, e).ratio
+                worst = max(worst, abs(got - ref) / ref)
+        assert worst < 1e-12, worst
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_error_estimate_within_tolerance(self, p):
+        # c12's corpus on holding cases: err <= rel_tol * norm for both norms
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            N = int(rng.integers(3, 9))
+            c = float(rng.uniform(-2, 2))
+            D = float(rng.uniform(0.8, 9.0))
+            P = OperatorParams(N, c, D - ((N - 2 + c) / 2) ** 2)
+            alpha = critical_alphas(P, p, 0)[0] + float(rng.uniform(0.3, 1.7)) * math.sqrt(D)
+            for n, v in ((0, bump(1.0, 3.0)), (1, bump(2.0, 6.0))):
+                rc = reduced_coefficients(P, p, alpha, n)
+
+                def top(s, v=v, rc=rc):
+                    return v.d2(s) + rc.beta * v.d1(s) - rc.lambda_red * v.value(s)
+
+                for f in (top, v.value):
+                    norm, err = lp_norm(f, v.support, p)
+                    assert err <= DEFAULT_QUAD.rel_tol * norm, (P, alpha, n, norm, err)
+
+
+class TestSupErrorEstimate:
+    def test_counterexample_p_inf_estimate_bounds_the_gap(self):
+        # phi and the p = inf numerator s (eps s phi'' + g phi') are
+        # polynomials on the support, so their sups are at the ends or at
+        # roots of the derivative; the expanded polynomial only locates
+        # them, the factored profile gives the values
+        from numpy.polynomial import Polynomial as Poly
+
+        eps, n, branch = 0.1, 0, "minus"
+        g = 2.0 * counterexample_gamma(P5, n, branch) + P5.N - 2.0 + P5.c
+        lo, hi = PHI_SUPPORT
+        phi = bump(lo, hi)
+        t = Poly([-(lo + hi) / (hi - lo), 2.0 / (hi - lo)])  # support -> [-1, 1]
+        s = Poly([0.0, 1.0])
+        phi_poly = (1 - t**2) ** 3
+        top_poly = s * (eps * s * phi_poly.deriv(2) + (g + eps) * phi_poly.deriv())
+
+        def top(x):
+            return x * (eps * x * phi.d2(x) + (g + eps) * phi.d1(x))
+
+        def exact_sup(poly, fn):
+            xs = [lo, hi] + [r.real for r in poly.deriv().roots()
+                             if abs(r.imag) < 1e-12 and lo <= r.real <= hi]
+            return float(np.max(np.abs(fn(np.array(xs)))))
+
+        exact = eps * exact_sup(top_poly, top) / exact_sup(phi_poly, phi.value)
+        rep = counterexample_ratio(P5, INF, n, branch, eps, spec=QuadratureSpec(sup_grid=50))
+        assert rep.quad_error_estimate > 0.0
+        assert abs(rep.ratio - exact) <= rep.quad_error_estimate

@@ -114,6 +114,29 @@ class TestGreenReconstruct:
         with pytest.raises(PreconditionViolated):
             oned_green_reconstruct(1.0, bump(-1.0, 2.0))
 
+    def test_orthogonality_integrals_converge_at_once(self, monkeypatch):
+        # integrals of f = v'' + beta v' over partial ranges cancel to ~0;
+        # each stops after its 1- and 2-panel passes (64 + 128 points)
+        import rellich.verify as verify_mod
+
+        points = []
+        real = verify_mod.integrate
+
+        def counted(f, a, b, spec=verify_mod.DEFAULT_QUAD):
+            n = [0]
+
+            def g(s):
+                n[0] += np.size(s)
+                return f(s)
+
+            out = real(g, a, b, spec)
+            points.append(n[0])
+            return out
+
+        monkeypatch.setattr(verify_mod, "integrate", counted)
+        assert oned_green_reconstruct(0.7, bump(1.0, 3.0)) < 1e-6
+        assert len(points) == 370 and set(points) == {192}
+
 
 class TestOned:
     def test_bounded_family(self):
