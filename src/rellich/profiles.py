@@ -1,28 +1,41 @@
-"""Compactly supported C^2 test profiles with analytic derivatives.
+"""Compactly supported C^2 test profiles, evaluated as jets.
 
-A Profile1D carries value, first and second derivative callables on a
-compact support interval; all quadrature-based verification is built on
-these.  The workhorse is the polynomial bump psi(t) = (1 - t^2)^3 on
-[-1, 1], which vanishes to second order at the endpoints and integrates
-exactly under Gauss rules.
+A Profile1D carries one callable, ``jet(s) -> (v, v', v'')``, evaluated
+in one pass, on a compact support interval; all quadrature-based
+verification is built on these.  ``Profile1D.integrand`` builds the
+linear combinations a2 v'' + a1 v' + a0 v that the reductions integrate.
+
+The workhorse is the polynomial bump psi(t) = (1 - t^2)^3 on [-1, 1],
+which vanishes to second order at the endpoints.  A polynomial profile
+keeps the power-series coefficients of its affine variable t, which maps
+the support onto [-1, 1]; its jet and the polynomial shapes of its
+integrands both come from those coefficients, and an affine
+reparametrisation keeps them.  The shapes give ``lp_norm`` the exact
+sign changes and critical points of an integrand.  ``log_squeezed`` and
+``radial_power_bump`` are not polynomial and have no shapes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+#: psi(t) = (1 - t^2)^3 by increasing powers of t
+PSI = (1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0)
 
 
 @dataclass(frozen=True)
 class Profile1D:
-    value: object  # ndarray -> ndarray
-    d1: object
-    d2: object
+    jet: object  # ndarray -> (v, v', v''), ndarrays of its shape
     support: tuple[float, float]
-    smoothness: str = "C2"
     label: str = ""
+    # power-series coefficients in t = (2s - a - b)/(b - a) of a polynomial
+    # profile on its support [a, b] (zero outside); None for other profiles.
+    # Not a callable: tracers (bench/trace.py) wrap every callable field
+    coefficients: tuple[float, ...] | None = None
 
     def __post_init__(self):
         a, b = self.support
@@ -30,44 +43,119 @@ class Profile1D:
             raise ValueError(f"empty support {self.support}")
 
     def __call__(self, s):
-        return self.value(s)
+        return self.jet(s)[0]
+
+    def integrand(self, a2=0.0, a1=0.0, a0=0.0, power: float = 0.0):
+        """(f, shape) for f(s) = s^power (a2 v''(s) + a1 v'(s) + a0 v(s)).
+
+        Each coefficient is a number or a tuple of power-series
+        coefficients in s.  shape is None unless the profile is
+        polynomial; then shape() is the polynomial P with f = w P on the
+        support and w > 0, as (coefficients in t, support), the form that
+        ``lp_norm`` takes.  When power is a whole number >= 0, P includes
+        s^power and w = 1; otherwise w = s^power is not constant, and the
+        shape serves finite p only.
+        """
+        terms = [(a, k) for k, a in enumerate((a0, a1, a2)) if a != 0.0]
+
+        def f(s):
+            s = np.asarray(s, dtype=float)
+            jet = self.jet(s)
+            out = sum(_at(a, s) * jet[k] for a, k in terms) if terms else np.zeros_like(s)
+            return out * s**power if power else out
+
+        if self.coefficients is None:
+            return f, None
+
+        def shape():
+            a, b = self.support
+            s = np.array([0.5 * (a + b), 0.5 * (b - a)])  # s as a series in t
+            rows = _jet_rows(self.coefficients, s[1])
+            parts = [np.convolve(_series(a_k, s), rows[k]) for a_k, k in terms]
+            P = np.zeros(max(map(len, parts), default=1))
+            for part in parts:
+                P[:len(part)] += part
+            if power >= 0 and float(power).is_integer():
+                for _ in range(int(power)):
+                    P = np.convolve(P, s)
+            return P, self.support
+
+        return f, shape
 
 
-def _psi(t):
-    t = np.asarray(t, dtype=float)
-    inside = np.abs(t) < 1.0
-    u = np.where(inside, 1.0 - t * t, 0.0)
-    return np.where(inside, u**3, 0.0)
+def _at(a, s):
+    """The coefficient a (a number, or power-series coefficients in s) at s."""
+    if not isinstance(a, tuple):
+        return a
+    out = 0.0
+    for c in reversed(a):
+        out = out * s + c
+    return out
 
 
-def _psi_d1(t):
-    t = np.asarray(t, dtype=float)
-    inside = np.abs(t) < 1.0
-    u = np.where(inside, 1.0 - t * t, 0.0)
-    return np.where(inside, -6.0 * t * u**2, 0.0)
+def _series(a, s):
+    """The coefficient a as a power series in t, given s as one."""
+    out = np.array([0.0])
+    for c in reversed(a if isinstance(a, tuple) else (a,)):
+        out = np.convolve(out, s)
+        out[0] += c
+    return out
 
 
-def _psi_d2(t):
-    t = np.asarray(t, dtype=float)
-    inside = np.abs(t) < 1.0
-    u = np.where(inside, 1.0 - t * t, 0.0)
-    return np.where(inside, u * (30.0 * t * t - 6.0), 0.0)
+@lru_cache(maxsize=8)
+def _t_derivatives(coefficients: tuple[float, ...]) -> np.ndarray:
+    """Power series in t of v and its first two t-derivatives, as rows."""
+    c = np.array(coefficients)
+    k = np.arange(len(c))
+    rows = np.zeros((3, len(c)))
+    rows[0] = c
+    rows[1, :-1] = k[1:] * c[1:]
+    rows[2, :-2] = k[2:] * k[1:-1] * c[2:]
+    rows.setflags(write=False)  # shared by every caller of the cache
+    return rows
+
+
+def _jet_rows(coefficients: tuple[float, ...], half: float) -> np.ndarray:
+    """Power series in t of v, v' and v'' (derivatives in s = mid + half t), as rows."""
+    return _t_derivatives(coefficients) / np.array([[1.0], [half], [half * half]])
+
+
+def polynomial_profile(coefficients, support: tuple[float, float],
+                       label: str = "") -> Profile1D:
+    """The profile with power-series coefficients ``coefficients`` in the
+    affine variable t that maps ``support`` onto [-1, 1]; zero outside.
+
+    The jet is one product of the powers of t with the coefficients of v,
+    v' and v'' as three rows, made at its first call so that building a
+    profile stays cheap.
+    """
+    a, b = support
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    coefficients = tuple(map(float, coefficients))
+    rows = None
+
+    def jet(s):
+        nonlocal rows
+        if rows is None:
+            rows = _jet_rows(coefficients, half)
+        t = (np.asarray(s, dtype=float) - mid) / half
+        flat = t.ravel()
+        powers = np.empty((rows.shape[1], flat.size))
+        powers[0] = 1.0
+        for k in range(1, len(powers)):
+            np.multiply(powers[k - 1], flat, out=powers[k])
+        out = rows @ powers
+        out[:, np.abs(flat) >= 1.0] = 0.0
+        return tuple(out.reshape((3, *t.shape)))
+
+    return Profile1D(jet, (a, b), label, coefficients)
 
 
 def bump(a: float, b: float, label: str = "") -> Profile1D:
     """Polynomial bump (1 - t^2)^3 mapped onto [a, b]; peak value 1 at the center."""
     if not b > a:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return Profile1D(
-        value=lambda s: _psi((np.asarray(s, dtype=float) - mid) / half),
-        d1=lambda s: _psi_d1((np.asarray(s, dtype=float) - mid) / half) / half,
-        d2=lambda s: _psi_d2((np.asarray(s, dtype=float) - mid) / half) / half**2,
-        support=(a, b),
-        smoothness="C2-polynomial",
-        label=label or f"bump[{a:g},{b:g}]",
-    )
+    return polynomial_profile(PSI, (a, b), label or f"bump[{a:g},{b:g}]")
 
 
 def plateau_profile(T: float) -> Profile1D:
@@ -81,31 +169,25 @@ def plateau_profile(T: float) -> Profile1D:
     return bump(-T, T, label=f"plateau[T={T:g}]")
 
 
-def arg_scaled(v: Profile1D, c: float) -> Profile1D:
-    """Profile s -> v(s/c); support scales by c (c > 0)."""
-    if c <= 0:
+def reparametrised(v: Profile1D, scale: float = 1.0, shift: float = 0.0) -> Profile1D:
+    """Profile s -> v((s - shift) / scale) (scale > 0) on the mapped support.
+
+    A polynomial profile keeps its coefficients: its affine variable
+    follows the support.
+    """
+    if scale <= 0:
         raise ValueError("scale must be positive")
     a, b = v.support
-    return Profile1D(
-        value=lambda s: v.value(np.asarray(s, dtype=float) / c),
-        d1=lambda s: v.d1(np.asarray(s, dtype=float) / c) / c,
-        d2=lambda s: v.d2(np.asarray(s, dtype=float) / c) / c**2,
-        support=(a * c, b * c) if c > 0 else (b * c, a * c),
-        smoothness=v.smoothness,
-        label=f"{v.label}/arg_scaled[{c:g}]",
-    )
+    support = (a * scale + shift, b * scale + shift)
+    label = f"{v.label}((s-{shift:g})/{scale:g})"
+    if v.coefficients is not None:
+        return polynomial_profile(v.coefficients, support, label)
 
+    def jet(s):
+        v0, v1, v2 = v.jet((np.asarray(s, dtype=float) - shift) / scale)
+        return v0, v1 / scale, v2 / scale**2
 
-def translated(v: Profile1D, shift: float) -> Profile1D:
-    a, b = v.support
-    return Profile1D(
-        value=lambda s: v.value(np.asarray(s, dtype=float) - shift),
-        d1=lambda s: v.d1(np.asarray(s, dtype=float) - shift),
-        d2=lambda s: v.d2(np.asarray(s, dtype=float) - shift),
-        support=(a + shift, b + shift),
-        smoothness=v.smoothness,
-        label=f"{v.label}+{shift:g}",
-    )
+    return Profile1D(jet, support, label)
 
 
 def log_squeezed(phi: Profile1D, eps: float) -> Profile1D:
@@ -120,25 +202,13 @@ def log_squeezed(phi: Profile1D, eps: float) -> Profile1D:
     if not (0.0 < a0 < b0 < 1.0):
         raise ValueError("phi must be supported inside (0, 1)")
 
-    def val(s):
-        return phi.value(np.exp(-eps * np.asarray(s, dtype=float)))
-
-    def d1(s):
+    def jet(s):
         x = np.exp(-eps * np.asarray(s, dtype=float))
-        return -eps * x * phi.d1(x)
+        v0, v1, v2 = phi.jet(x)
+        return v0, -eps * x * v1, eps**2 * (x**2 * v2 + x * v1)
 
-    def d2(s):
-        x = np.exp(-eps * np.asarray(s, dtype=float))
-        return eps**2 * (x**2 * phi.d2(x) + x * phi.d1(x))
-
-    return Profile1D(
-        value=val,
-        d1=d1,
-        d2=d2,
-        support=(-math.log(b0) / eps, -math.log(a0) / eps),
-        smoothness=phi.smoothness,
-        label=f"{phi.label}(r^eps), eps={eps:g}",
-    )
+    return Profile1D(jet, (-math.log(b0) / eps, -math.log(a0) / eps),
+                     f"{phi.label}(r^eps), eps={eps:g}")
 
 
 def radial_power_bump(q: float, T: float, center: float = 0.0) -> Profile1D:
@@ -149,35 +219,23 @@ def radial_power_bump(q: float, T: float, center: float = 0.0) -> Profile1D:
     """
     h = bump(center - T, center + T)
 
-    def _s(r):
-        return -np.log(np.asarray(r, dtype=float))
-
-    def val(r):
+    def jet(r):
         r = np.asarray(r, dtype=float)
-        return r ** (-q) * h.value(_s(r))
-
-    def d1(r):
-        r = np.asarray(r, dtype=float)
-        s = _s(r)
-        return r ** (-q - 1) * (-q * h.value(s) - h.d1(s))
-
-    def d2(r):
-        r = np.asarray(r, dtype=float)
-        s = _s(r)
-        return r ** (-q - 2) * (
-            q * (q + 1) * h.value(s) + (2 * q + 1) * h.d1(s) + h.d2(s)
-        )
+        h0, h1, h2 = h.jet(-np.log(r))
+        return (r ** (-q) * h0,
+                r ** (-q - 1) * (-q * h0 - h1),
+                r ** (-q - 2) * (q * (q + 1) * h0 + (2 * q + 1) * h1 + h2))
 
     r_lo = math.exp(-(center + T))
     r_hi = math.exp(-(center - T))
-    return Profile1D(val, d1, d2, (r_lo, r_hi),
-                     label=f"r^-{q:g}*bump(T={T:g})")
+    return Profile1D(jet, (r_lo, r_hi), f"r^-{q:g}*bump(T={T:g})")
 
 
 def check_derivatives(v: Profile1D, points: int = 100, rel_tol: float = 1e-6) -> float:
-    """Spot-check d1, d2 against central finite differences at interior points.
+    """Spot-check v', v'' against central finite differences at interior points.
 
-    Returns the worst relative error; raises AssertionError beyond rel_tol.
+    A test oracle for the profiles without coefficients.  Returns the
+    worst relative error; raises AssertionError beyond rel_tol.
     """
     a, b = v.support
     # per-point steps proportional to |s| handle multiscale profiles
@@ -185,15 +243,15 @@ def check_derivatives(v: Profile1D, points: int = 100, rel_tol: float = 1e-6) ->
     # brackets the truncation/roundoff sweet spot
     pad = (b - a) * 1e-3
     s = np.linspace(a + pad, b - pad, points)
+    v0, v1, v2 = v.jet(s)
+    scale1 = float(np.max(np.abs(v1))) + 1e-30
+    scale2 = float(np.max(np.abs(v2))) + 1e-30
     worst = math.inf
     for factor in (2e-4, 5e-5, 1.25e-5, 3e-6):
         h = factor * (np.abs(s) + (b - a) * 0.05)
-        scale1 = float(np.max(np.abs(v.d1(s)))) + 1e-30
-        scale2 = float(np.max(np.abs(v.d2(s)))) + 1e-30
-        fd1 = (v.value(s + h) - v.value(s - h)) / (2 * h)
-        fd2 = (v.value(s + h) - 2 * v.value(s) + v.value(s - h)) / h**2
-        err1 = float(np.max(np.abs(fd1 - v.d1(s)))) / scale1
-        err2 = float(np.max(np.abs(fd2 - v.d2(s)))) / scale2
+        up, down = v(s + h), v(s - h)
+        err1 = float(np.max(np.abs((up - down) / (2 * h) - v1))) / scale1
+        err2 = float(np.max(np.abs((up - 2 * v0 + down) / h**2 - v2))) / scale2
         worst = min(worst, max(err1, err2))
     if worst > rel_tol:
         raise AssertionError(

@@ -24,6 +24,13 @@ For p = inf the norm is the largest local maximum of |f| on a grid of
 ``spec.sup_grid`` intervals.  Every local maximum is polished at once:
 each step samples a finer grid around all of them in one call of f, and a
 maximum stops when its bracket is narrow enough or cannot hold the sup.
+
+An optional ``shape`` builds, when first needed, a polynomial P with
+f = w P, w > 0 (constant for p = inf), as ``Profile1D.integrand`` does
+for polynomial profiles.  The points then come from P, the values still
+from f: the split points are the real roots of P, and the sup is the
+largest |f| at the ends and at the real roots of P' (as in chebfun,
+Battles & Trefethen, SISC 2004).
 """
 
 from __future__ import annotations
@@ -52,6 +59,9 @@ _SPLIT_SHARE = 0.1
 
 #: points sampled on each side of a maximum per polish step of the sup
 _ZOOM = 8
+
+#: largest imaginary part, relative to the support, of a root taken as real
+_NEAR_REAL = 1e-6
 
 #: Illinois steps per bracket and polish steps per maximum; both loops
 #: end long before on their own tests, this only bounds them
@@ -245,13 +255,54 @@ def _sup_norm(sample, a: float, b: float, spec: QuadratureSpec):
     return top, max(float(np.max(f_c + spread)) - top, math.ulp(top))
 
 
+def _real_roots(coefficients, domain, a: float, b: float) -> np.ndarray:
+    """Sorted real roots inside (a, b) of sum c_k t^k, t mapping domain onto [-1, 1].
+
+    They are companion-matrix eigenvalues.  Rounding can split a double
+    root into a near-real pair, so a root counts as real up to _NEAR_REAL;
+    a spare split point or sup candidate costs only a few evaluations.
+    """
+    c = np.asarray(coefficients, dtype=float)
+    n = int(np.flatnonzero(c)[-1]) if c.any() else 0  # the degree
+    if n < 1:
+        return np.empty(0)
+    companion = np.eye(n, k=-1)
+    companion[:, -1] = -c[:n] / c[n]
+    t = np.linalg.eigvals(companion)
+    lo, hi = domain
+    half = 0.5 * (hi - lo)
+    x = np.sort(0.5 * (lo + hi) + half * t.real[half * np.abs(t.imag) <= _NEAR_REAL * (b - a)])
+    return x[(x > a) & (x < b)]
+
+
+def _sup_at(sample, a: float, b: float, xs: np.ndarray):
+    """(max |f| over a, b and the critical points xs of f, err).
+
+    Each critical point also gets neighbours at +-h = sqrt(eps) (b - a).
+    The computed point lies far within h/2 of the exact one, so, as in
+    _sup_norm, the best of the three plus their spread bounds |f| there;
+    the spread also shows the rounding of f.
+    """
+    h = math.sqrt(np.finfo(float).eps) * (b - a)
+    pts = np.clip(np.concatenate(([a, b], xs - h, xs, xs + h)), a, b)
+    v = np.abs(sample(pts))
+    top = float(np.max(v))
+    trio = v[2:].reshape(3, -1)
+    bound = np.max(2.0 * trio.max(axis=0) - trio.min(axis=0), initial=top)
+    return top, max(float(bound) - top, math.ulp(top))
+
+
 def lp_norm(f, support: tuple[float, float], p: float,
-            spec: QuadratureSpec = DEFAULT_QUAD) -> tuple[float, float]:
+            spec: QuadratureSpec = DEFAULT_QUAD, shape=None) -> tuple[float, float]:
     """(||f||_{L^p(support)}, error estimate of the norm) for 1 <= p <= inf.
 
-    f is the signed function; lp_norm finds its sign changes itself.  For
-    finite p the estimate covers the last refinement change and the split
-    points, for p = inf the brackets of the polished maxima.
+    f is the signed function.  shape, if given, builds a polynomial P
+    with f = w P on the support for some w > 0, constant when p = inf, as
+    (c, (lo, hi)): P(s) = sum c[k] t^k with t = (2 s - lo - hi) / (hi - lo).
+    It is called once, and only when the points it locates are needed.
+    Without it lp_norm finds the sign changes and maxima of f itself.
+    For finite p the estimate covers the last refinement change and the
+    split points, for p = inf the brackets of the maxima.
     """
     a, b = support
     if not math.isinf(p) and p < 1:
@@ -260,7 +311,11 @@ def lp_norm(f, support: tuple[float, float], p: float,
         return 0.0, 0.0
     sample = _sampler(f)
     if math.isinf(p):
-        return _sup_norm(sample, a, b, spec)
+        if shape is None:
+            return _sup_norm(sample, a, b, spec)
+        c, domain = shape()
+        dc = np.arange(1, len(c)) * np.asarray(c)[1:]  # P' in t, times (hi - lo) / 2
+        return _sup_at(sample, a, b, _real_roots(dc, domain, a, b))
 
     def g(v):
         return np.abs(v) ** p
@@ -273,8 +328,11 @@ def lp_norm(f, support: tuple[float, float], p: float,
     if abs(i2 - i1) <= spec.rel_tol * i2:
         total, err = i2, abs(i2 - i1)
     else:
-        roots, split_err = _split_points(sample, pts[n:], vals[n:], p,
-                                         _SPLIT_SHARE * spec.rel_tol * i2)
+        if shape is None:
+            roots, split_err = _split_points(sample, pts[n:], vals[n:], p,
+                                             _SPLIT_SHARE * spec.rel_tol * i2)
+        else:
+            roots = _real_roots(*shape(), a, b).tolist()
         first = None if roots else [(i1, i1), (i2, i2)]
         total, err = _converge(sample, [a, *roots, b], g, spec, first)
     norm = total ** (1.0 / p)

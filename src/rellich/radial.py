@@ -90,11 +90,10 @@ def rellich_ratio_separable(
 ) -> RatioReport:
     """|| v'' + beta v' - lambda_red v ||_p / || v ||_p on the support of v."""
     rc = reduced_coefficients(params, p, alpha, n)
-
-    def top(s):
-        return v.d2(s) + rc.beta * v.d1(s) - rc.lambda_red * v.value(s)
-
-    return _ratio(lp_norm(top, v.support, p, spec), lp_norm(v.value, v.support, p, spec))
+    top, top_shape = v.integrand(1.0, rc.beta, -rc.lambda_red)
+    bot, bot_shape = v.integrand(a0=1.0)
+    return _ratio(lp_norm(top, v.support, p, spec, top_shape),
+                  lp_norm(bot, v.support, p, spec, bot_shape))
 
 
 def counterexample_gamma(params: OperatorParams, n: int, branch: str) -> float:
@@ -146,17 +145,10 @@ def counterexample_ratio(
         raise ValueError(f"phi must be supported in {PHI_SUPPORT}, got {phi.support}")
     g = 2.0 * counterexample_gamma(params, n, branch) + params.N - 2.0 + params.c
     q = inv_p(p)
-
-    def top(s):
-        s = np.asarray(s, dtype=float)
-        return s ** (1.0 - q) * (epsilon * s * phi.d2(s) + (g + epsilon) * phi.d1(s))
-
-    def bot(s):
-        s = np.asarray(s, dtype=float)
-        return phi.value(s) * s ** -q
-
-    num, err_n = lp_norm(top, (lo, hi), p, spec)
-    return _ratio((epsilon * num, epsilon * err_n), lp_norm(bot, (lo, hi), p, spec))
+    top, top_shape = phi.integrand((0.0, epsilon), g + epsilon, power=1.0 - q)
+    bot, bot_shape = phi.integrand(a0=1.0, power=-q)
+    num, err_n = lp_norm(top, (lo, hi), p, spec, top_shape)
+    return _ratio((epsilon * num, epsilon * err_n), lp_norm(bot, (lo, hi), p, spec, bot_shape))
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,9 @@ class VerificationReport:
     min_margin: float = math.inf
     tolerance: float = 0.0
     notes: str = ""
+    # the raw ratios of the epsilon family, set by verify_critical_log
+    weighted_ratios: list[float] = field(default_factory=list)
+    unweighted_ratios: list[float] = field(default_factory=list)
 
     def add(self, descriptor: str, lhs: float, rhs: float, margin: float):
         self.samples.append((descriptor, float(lhs), float(rhs), float(margin)))
@@ -207,13 +210,13 @@ def verify_hardy(
     K = ((N - 2 + beta) / p) ** 2
 
     def lhs_fn(r):
-        vv = np.abs(u.value(r))
-        grad2 = u.d1(r) ** 2
+        u0, u1, _ = u.jet(r)
+        vv = np.abs(u0)
         w = np.where(vv > 0, vv ** (p - 2.0), 0.0)
-        return r ** (beta + N - 1.0) * grad2 * w
+        return r ** (beta + N - 1.0) * u1**2 * w
 
     def rhs_fn(r):
-        return r ** (beta - 2.0 + N - 1.0) * np.abs(u.value(r)) ** p
+        return r ** (beta - 2.0 + N - 1.0) * np.abs(u(r)) ** p
 
     lhs = _radial_integral(lhs_fn, u.support, spec)
     rhs = K * _radial_integral(rhs_fn, u.support, spec)
@@ -245,15 +248,16 @@ def oned_green_reconstruct(
     if a <= 0:
         raise PreconditionViolated("v must be supported in (0, inf)")
 
-    def f(s):
-        return v.d2(s) + beta * v.d1(s)
+    f, shape = v.integrand(1.0, beta)
+
+    def f_exp(s):
+        return np.exp(beta * np.asarray(s, dtype=float)) * f(s)
 
     i_plain, _ = integrate(f, a, b, spec)
-    i_exp, _ = integrate(lambda s: np.exp(beta * np.asarray(s, dtype=float)) * f(s),
-                         a, b, spec)
-    scale_plain, _ = lp_norm(f, (a, b), 1, spec)
-    scale_exp, _ = lp_norm(lambda s: np.exp(beta * np.asarray(s, dtype=float)) * f(s),
-                           (a, b), 1, spec)
+    i_exp, _ = integrate(f_exp, a, b, spec)
+    # e^{beta s} f has the sign changes of f, so the shape of f serves both
+    scale_plain, _ = lp_norm(f, (a, b), 1, spec, shape)
+    scale_exp, _ = lp_norm(f_exp, (a, b), 1, spec, shape)
     if abs(i_plain) > 1e-8 * max(scale_plain, 1e-300):
         raise AssertionError(f"orthogonality integral f = {i_plain} not ~ 0")
     if abs(i_exp) > 1e-8 * max(scale_exp, 1e-300):
@@ -275,7 +279,7 @@ def oned_green_reconstruct(
         if s < b:
             second, _ = integrate(f, max(s, a), b, spec)
         v_rec = -(first + second) / beta
-        worst = max(worst, abs(v_rec - float(v.value(np.array([s]))[0])))
+        worst = max(worst, abs(v_rec - float(v(np.array([s]))[0])))
     return worst
 
 
@@ -309,9 +313,12 @@ def verify_oned_inequality(
     for v in corpus:
         if v.support[0] <= 0:
             raise PreconditionViolated("corpus must be supported in (0, inf)")
-        num, _ = lp_norm(lambda s: v.d2(s) + beta * v.d1(s), v.support, p, spec)
-        den, _ = lp_norm(lambda s: v.value(s) / np.asarray(s, dtype=float) ** kappa,
-                         (max(a, v.support[0]), v.support[1]), p, spec)
+        top, top_shape = v.integrand(1.0, beta)
+        bot, bot_shape = v.integrand(a0=1.0, power=-kappa)
+        num, _ = lp_norm(top, v.support, p, spec, top_shape)
+        # the weight s^-kappa is not constant: no shape for the sup
+        den, _ = lp_norm(bot, (max(a, v.support[0]), v.support[1]), p, spec,
+                         bot_shape if math.isfinite(p) else None)
         ratio = den / num if num > 0 else math.inf
         report.add(v.label or "profile", ratio, 0.0,
                    1.0 if math.isfinite(ratio) else -1.0)
@@ -319,12 +326,13 @@ def verify_oned_inequality(
     return report.finalize()
 
 
-def _remainder_terms(gam, v: Profile1D, p: float, spec: QuadratureSpec):
-    """||gam||_p^p, ||v||_p^p and integral |v|^p / s^2 over the support of v."""
-    def weighted(s):
-        return v.value(s) * np.asarray(s, dtype=float) ** (-2.0 / p)
-
-    return tuple(lp_norm(fn, v.support, p, spec)[0] ** p for fn in (gam, v.value, weighted))
+def _remainder_terms(v: Profile1D, beta: float, lam: float, p: float,
+                     spec: QuadratureSpec):
+    """||v'' + beta v' - lam v||_p^p, ||v||_p^p and integral |v|^p / s^2
+    over the support of v."""
+    terms = (v.integrand(1.0, beta, -lam), v.integrand(a0=1.0),
+             v.integrand(a0=1.0, power=-2.0 / p))
+    return tuple(lp_norm(fn, v.support, p, spec, shape)[0] ** p for fn, shape in terms)
 
 
 def verify_aux_remainder(
@@ -346,10 +354,7 @@ def verify_aux_remainder(
     if v.support[0] <= 0:
         raise PreconditionViolated("v must be supported in (0, inf)")
 
-    def gam(s):
-        return v.d2(s) + beta * v.d1(s) - lam * v.value(s)
-
-    gnorm_p, vnorm_p, weighted = _remainder_terms(gam, v, p, spec)
+    gnorm_p, vnorm_p, weighted = _remainder_terms(v, beta, lam, p, spec)
     lhs = gnorm_p - lam**p * vnorm_p
     rhs = lam ** (p - 1.0) * (p - 1.0) / p**2 * weighted
     report = VerificationReport(
@@ -397,11 +402,7 @@ def verify_remainder(
             raise PreconditionViolated(
                 "corpus must be supported in s > log 2 (u supported in B_{1/2})"
             )
-
-        def gam(s):
-            return v.d2(s) + rc.beta * v.d1(s) - C * v.value(s)
-
-        gnorm_p, vnorm_p, weighted = _remainder_terms(gam, v, p, spec)
+        gnorm_p, vnorm_p, weighted = _remainder_terms(v, rc.beta, C, p, spec)
         lhs = gnorm_p - C**p * vnorm_p
         rhs = c_rem * weighted
         report.add(v.label or "profile", lhs, rhs, lhs - rhs)
@@ -453,17 +454,14 @@ def verify_critical_log(
         f"n={n} branch={branch} kappa={kappa}",
         tolerance=0.0,
     )
-    weighted, unweighted = [], []
+    weighted, unweighted = report.weighted_ratios, report.unweighted_ratios
     for e in eps_family:
         v = log_squeezed(phi, e)
-
-        def top(s):
-            return v.d2(s) + rc.beta * v.d1(s) - rc.lambda_red * v.value(s)
-
-        num, _ = lp_norm(top, v.support, p, spec)
-        den_w, _ = lp_norm(lambda s: v.value(s) / np.asarray(s, dtype=float) ** kappa,
-                           v.support, p, spec)
-        den_u, _ = lp_norm(v.value, v.support, p, spec)
+        num, den_w, den_u = (
+            lp_norm(fn, v.support, p, spec, shape)[0]
+            for fn, shape in (v.integrand(1.0, rc.beta, -rc.lambda_red),
+                              v.integrand(a0=1.0, power=-kappa),
+                              v.integrand(a0=1.0)))
         rw, ru = num / den_w, num / den_u
         weighted.append(rw)
         unweighted.append(ru)
@@ -472,9 +470,6 @@ def verify_critical_log(
         f"empirical inf of weighted ratio = {min(weighted):.6g}; "
         f"unweighted ratios {['%.4g' % r for r in unweighted]}"
     )
-    # stash the raw family for property-style assertions by callers
-    report.weighted_ratios = list(weighted)  # type: ignore[attr-defined]
-    report.unweighted_ratios = list(unweighted)  # type: ignore[attr-defined]
     return report.finalize()
 
 
@@ -504,12 +499,10 @@ def verify_dissipativity(
     worst = 1.0
     for n, w in corpus:
         lam_n = eigen_lambda(params.N, n)
-
-        def resid(s):
-            return (lam + lam_n) * w.value(s) - w.d2(s) - k * w.d1(s)
-
-        rhs, _ = lp_norm(resid, w.support, p, spec)
-        lhs = lam * lp_norm(w.value, w.support, p, spec)[0]
+        resid, resid_shape = w.integrand(-1.0, -k, lam + lam_n)
+        value, value_shape = w.integrand(a0=1.0)
+        rhs, _ = lp_norm(resid, w.support, p, spec, resid_shape)
+        lhs = lam * lp_norm(value, w.support, p, spec, value_shape)[0]
         report.add(f"n={n} {w.label}", rhs, lhs, rhs - lhs)
         worst = max(worst, rhs)
     report.tolerance = SLACK_EXACT * worst

@@ -1,8 +1,17 @@
 """CLI contract: JSON shape, exit codes, CSV row counts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
+import rellich
 from rellich.cli import main
+
+# children import the package from where this process found it
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(rellich.__file__)))
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):
@@ -212,13 +221,22 @@ class TestContract:
         assert out1 == out2
 
     def test_console_entry_point(self):
-        import subprocess
-        import sys
-
         r = subprocess.run(
             [sys.executable, "-m", "rellich.cli", "check", "--N", "5",
              "--p", "2", "--alpha", "0", "--domain", "rn"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert r.returncode == 0
         assert json.loads(r.stdout)["holds"] is True
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # numpy.polynomial costs about 5 ms of the CLI's import; the library
+    # reaches for it only when it first integrates
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rellich.cli; print('numpy.polynomial' in sys.modules)"],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

@@ -127,3 +127,73 @@ def test_sup_error_estimate_of_a_boundary_maximum():
     # |f| is largest at the end b: the estimate is honest, not zero
     val, err = lp_norm(lambda s: s, (0, 1), math.inf)
     assert val == 1.0 and 0.0 < err < 1e-8
+
+
+def _knot_profiles():
+    from rellich import bump
+    from rellich.profiles import reparametrised
+
+    c12 = [bump(1.0, 3.0), bump(2.0, 6.0)]
+    return c12 + [reparametrised(c12[0], scale=2.5), reparametrised(c12[1], shift=-1.5),
+                  reparametrised(bump(0.25, 0.5), scale=3.0, shift=0.7)]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+def test_knot_path_agrees_with_generic_path(p):
+    # the same integrand with its polynomial shape (exact split points and
+    # critical points) and without it (bracketing, grid polish)
+    rng = np.random.default_rng(3)
+    for v in _knot_profiles():
+        for _ in range(6):
+            beta, lam = float(rng.uniform(-4, 4)), float(rng.uniform(-2, 6))
+            for f, shape in (v.integrand(1.0, beta, -lam), v.integrand(a0=1.0),
+                             v.integrand((0.0, 0.1), beta, power=1.0)):
+                norm, err = lp_norm(f, v.support, p, shape=shape)
+                generic, _ = lp_norm(f, v.support, p)
+                assert abs(norm - generic) <= 1e-10 * generic, (v.label, beta, lam)
+                assert err <= 1e-10 * norm, (v.label, beta, lam, err)
+
+
+def test_shape_is_built_only_when_needed():
+    from rellich import plateau_profile
+
+    calls = []
+
+    def counted(shape):
+        def build():
+            calls.append(1)
+            return shape()
+
+        return build
+
+    # a smooth plateau integrand: the 1- and 2-panel passes agree at once
+    f, shape = plateau_profile(100.0).integrand(1.0, -2.0, -1.25)
+    lp_norm(f, (-100.0, 100.0), 2, shape=counted(shape))
+    assert calls == []
+    # the sup always takes the critical points from the shape, once
+    lp_norm(f, (-100.0, 100.0), math.inf, shape=counted(shape))
+    assert calls == [1]
+
+
+def test_knots_split_two_sign_changes_between_nodes():
+    # a cubic with one sign change at -1/2 and two between a pair of
+    # consecutive nodes of the 2-panel pass, where sampling cannot see them;
+    # the knot path splits at all three, so each of the four pieces
+    # converges on its first two passes
+    from numpy.polynomial import Polynomial
+
+    from rellich.profiles import polynomial_profile
+
+    x, _ = np.polynomial.legendre.leggauss(64)
+    nodes = np.concatenate(((x - 1) / 2, (x + 1) / 2))
+    i = np.searchsorted(nodes, 0.3)
+    mid, gap = 0.5 * (nodes[i - 1] + nodes[i]), nodes[i] - nodes[i - 1]
+    roots = [-0.5, mid - 0.25 * gap, mid + 0.25 * gap]
+    poly = Polynomial.fromroots(roots)
+    f, shape = polynomial_profile(poly.coef, (-1.0, 1.0)).integrand(a0=1.0)
+    tally = []
+    val, err = lp_norm(_counted(f, tally), (-1.0, 1.0), 1, shape=shape)
+    edges = [-1.0, *roots, 1.0]
+    exact = sum(abs(poly.integ()(hi) - poly.integ()(lo)) for lo, hi in zip(edges[:-1], edges[1:]))
+    assert abs(val - exact) <= 1e-14 * exact and err <= 1e-10 * val
+    assert sum(tally) == 192 * 5

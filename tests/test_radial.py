@@ -20,7 +20,7 @@ from rellich import (
     rellich_ratio_separable,
     sqrt_nonneg_re,
 )
-from rellich.profiles import arg_scaled
+from rellich.profiles import reparametrised
 from rellich.quadrature import DEFAULT_QUAD, QuadratureSpec, lp_norm
 from rellich.radial import PHI_SUPPORT, counterexample_gamma
 from rellich.verify import EPS_LADDER
@@ -68,19 +68,20 @@ class TestSeparableRatio:
         r = rellich_ratio_separable(P5, 2, -0.5, 0, v)
         from rellich import lp_norm
 
-        manual = lp_norm(lambda s: v.d2(s) - 3.0 * v.d1(s), v.support, 2)[0] \
-            / lp_norm(v.value, v.support, 2)[0]
+        manual = lp_norm(lambda s: v.jet(s)[2] - 3.0 * v.jet(s)[1], v.support, 2)[0] \
+            / lp_norm(v, v.support, 2)[0]
         assert abs(r.ratio - manual) < 1e-12
 
     def test_trapezoid_oracle_cross_check(self):
         # same ratio from an independent trapezoid rule, and consistency
         # under argument rescaling v -> v(./2)
-        for v in (bump(1.0, 3.0), arg_scaled(bump(1.0, 3.0), 2.0)):
+        for v in (bump(1.0, 3.0), reparametrised(bump(1.0, 3.0), scale=2.0)):
             rc = reduced_coefficients(P5, 2, 0.0, 0)
             r = rellich_ratio_separable(P5, 2, 0.0, 0, v)
             s = np.linspace(v.support[0], v.support[1], 200_001)
-            top = np.abs(v.d2(s) + rc.beta * v.d1(s) - rc.lambda_red * v.value(s)) ** 2
-            bot = np.abs(v.value(s)) ** 2
+            v0, v1, v2 = v.jet(s)
+            top = np.abs(v2 + rc.beta * v1 - rc.lambda_red * v0) ** 2
+            bot = np.abs(v0) ** 2
             oracle = math.sqrt(np.trapezoid(top, s) / np.trapezoid(bot, s))
             assert abs(r.ratio - oracle) < 1e-6 * (1 + oracle)
 
@@ -209,14 +210,35 @@ class TestLpNormAccuracy:
         worst = 0.0
         for P, n, branch in _sweep_critical_cases(10):
             g = 2.0 * counterexample_gamma(P, n, branch) + P.N - 2.0 + P.c
-            den = _reference_integral(lambda s: phi.value(s) / s, *PHI_SUPPORT)
+            den = _reference_integral(lambda s: phi(s) / s, *PHI_SUPPORT)
             for e in EPS_LADDER:
                 num = _reference_integral(
-                    lambda s: e * s * phi.d2(s) + (g + e) * phi.d1(s), *PHI_SUPPORT)
+                    lambda s: e * s * phi.jet(s)[2] + (g + e) * phi.jet(s)[1], *PHI_SUPPORT)
                 ref = e * num / den
                 got = counterexample_ratio(P, 1.0, n, branch, e).ratio
                 worst = max(worst, abs(got - ref) / ref)
         assert worst < 1e-12, worst
+
+    def test_near_endpoint_root(self):
+        # sweep case N=7, c=0.1526, b=-3.1508, n=1, plus at eps = 0.025: the
+        # numerator changes sign about 0.002 from the end of the support
+        P, n, branch = list(_sweep_critical_cases(4))[3]
+        assert (P.N, round(P.c, 4), round(P.b, 4), n, branch) == (7, 0.1526, -3.1508, 1, "plus")
+        e, phi = 0.025, bump(*PHI_SUPPORT)
+        g = 2.0 * counterexample_gamma(P, n, branch) + P.N - 2.0 + P.c
+
+        def num(s):
+            _, d1, d2 = phi.jet(s)
+            return e * s * d2 + (g + e) * d1
+
+        x = np.linspace(*PHI_SUPPORT, 4001)
+        y = num(x)
+        changes = x[np.flatnonzero(y[:-1] * y[1:] < 0)]
+        assert np.min(np.minimum(changes - PHI_SUPPORT[0], PHI_SUPPORT[1] - changes)) < 0.003
+        ref = e * _reference_integral(num, *PHI_SUPPORT) \
+            / _reference_integral(lambda s: phi(s) / s, *PHI_SUPPORT)
+        got = counterexample_ratio(P, 1.0, n, branch, e).ratio
+        assert abs(got - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
     def test_error_estimate_within_tolerance(self, p):
@@ -232,9 +254,10 @@ class TestLpNormAccuracy:
                 rc = reduced_coefficients(P, p, alpha, n)
 
                 def top(s, v=v, rc=rc):
-                    return v.d2(s) + rc.beta * v.d1(s) - rc.lambda_red * v.value(s)
+                    v0, v1, v2 = v.jet(s)
+                    return v2 + rc.beta * v1 - rc.lambda_red * v0
 
-                for f in (top, v.value):
+                for f in (top, v):
                     norm, err = lp_norm(f, v.support, p)
                     assert err <= DEFAULT_QUAD.rel_tol * norm, (P, alpha, n, norm, err)
 
@@ -257,14 +280,15 @@ class TestSupErrorEstimate:
         top_poly = s * (eps * s * phi_poly.deriv(2) + (g + eps) * phi_poly.deriv())
 
         def top(x):
-            return x * (eps * x * phi.d2(x) + (g + eps) * phi.d1(x))
+            _, d1, d2 = phi.jet(x)
+            return x * (eps * x * d2 + (g + eps) * d1)
 
         def exact_sup(poly, fn):
             xs = [lo, hi] + [r.real for r in poly.deriv().roots()
                              if abs(r.imag) < 1e-12 and lo <= r.real <= hi]
             return float(np.max(np.abs(fn(np.array(xs)))))
 
-        exact = eps * exact_sup(top_poly, top) / exact_sup(phi_poly, phi.value)
+        exact = eps * exact_sup(top_poly, top) / exact_sup(phi_poly, phi)
         rep = counterexample_ratio(P5, INF, n, branch, eps, spec=QuadratureSpec(sup_grid=50))
         assert rep.quad_error_estimate > 0.0
         assert abs(rep.ratio - exact) <= rep.quad_error_estimate

@@ -177,9 +177,7 @@ class TestAux:
         # scaling v by 10 scales both sides by 10^p; margin sign unchanged
         v = bump(1.0, 3.0)
         v10 = type(v)(
-            value=lambda s: 10 * v.value(s),
-            d1=lambda s: 10 * v.d1(s),
-            d2=lambda s: 10 * v.d2(s),
+            jet=lambda s: tuple(10 * x for x in v.jet(s)),
             support=v.support,
         )
         r1 = verify_aux_remainder(-2.0, 1.25, 2, v)
