@@ -9,8 +9,10 @@ Subcommands
     verify          quadrature-backed verification targets
 
 Output is JSON on stdout (schema_version 1); CSV goes to --output when
-given.  Exit codes: 0 pass/holds, 1 precondition, 2 fail, 3 unsupported
-regime, 64 usage.  RELLICH_TOL overrides the default tolerance.
+given.  Exit codes: 0 pass/holds, 1 precondition (also a non-finite
+alpha, lambda or tolerance, or a degree beyond float range), 2 fail,
+3 unsupported regime, 64 usage.  RELLICH_TOL overrides the default
+tolerance.
 """
 
 from __future__ import annotations
@@ -24,7 +26,14 @@ import sys
 import numpy as np
 
 from .errors import PreconditionViolated, RellichError, UnsupportedRegime
-from .params import DEFAULT_TOL, OperatorParams, critical_alphas, parse_p
+from .params import (
+    DEFAULT_TOL,
+    OperatorParams,
+    check_finite,
+    check_tol,
+    critical_alphas,
+    parse_p,
+)
 from .profiles import bump_corpus
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .radial import boundary_counterexample, counterexample_ratio, fit_loglog_slope
@@ -80,9 +89,9 @@ def _emit(obj) -> None:
 
 def _tol(args) -> float:
     if args.tol is not None:
-        return args.tol
+        return check_tol(args.tol)
     env = os.environ.get("RELLICH_TOL")
-    return float(env) if env else DEFAULT_TOL
+    return check_tol(float(env)) if env else DEFAULT_TOL
 
 
 def _params(args) -> OperatorParams:
@@ -176,7 +185,7 @@ def cmd_spectrum(args) -> int:
     if args.lam is None:
         raise PreconditionViolated("--lambda is required unless --sample is given")
     parts = [float(x) for x in args.lam.split(",")]
-    lam = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
+    lam = check_finite("lambda", complex(parts[0], parts[1] if len(parts) > 1 else 0.0))
     if args.interval is not None:
         interval = GammaInterval.HALF_LINE if args.interval == "half" \
             else GammaInterval.UNIT_INTERVAL
@@ -389,6 +398,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify" and args.alpha is None:
             args.alpha = 0.0
+        if args.alpha is not None:
+            check_finite("alpha", args.alpha)
         return args.func(args)
     except UnsupportedRegime as exc:
         _emit({"error": str(exc), "kind": "unsupported_regime"})

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
+
+from .errors import OutOfRange, PreconditionViolated
 
 #: Default tolerance for equality detection in decision logic.
 DEFAULT_TOL = 1e-9
@@ -25,8 +28,8 @@ INF = math.inf
 class OperatorParams:
     """The triple (N, c, b) defining L.
 
-    N is the space dimension (N >= 2), c the drift coefficient and b the
-    inverse-square potential coefficient.
+    N is the space dimension (an integer N >= 2), c the drift coefficient
+    and b the inverse-square potential coefficient; c, b and D are finite.
     """
 
     N: int
@@ -34,8 +37,11 @@ class OperatorParams:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError(f"dimension must satisfy N >= 2, got {self.N}")
+        if not isinstance(self.N, numbers.Integral) or self.N < 2:
+            raise ValueError(f"dimension must be an integer N >= 2, got {self.N!r}")
+        half = (self.N - 2 + self.c) / 2.0
+        if not all(map(math.isfinite, (self.c, self.b, self.b + half * half))):
+            raise ValueError(f"c, b and D must be finite, got c={self.c}, b={self.b}")
 
     @property
     def D(self) -> float:
@@ -63,6 +69,24 @@ def conjugate_exponent(p: float) -> float:
     if p == 1.0:
         return INF
     return p / (p - 1.0)
+
+
+def check_finite(name: str, x: complex) -> complex:
+    """Reject a NaN or infinite alpha or lambda; returns it unchanged."""
+    if not cmath.isfinite(x):
+        raise PreconditionViolated(f"{name} must be finite, got {x}")
+    return x
+
+
+def check_tol(tol: float) -> float:
+    """Validate a decision tolerance, which must lie in [0, 1); returns it unchanged.
+
+    A tolerance of 1 or more lets the relative on-parabola test admit every
+    point far enough out, so no finite set of degrees decides it.
+    """
+    if not 0.0 <= tol < 1.0:
+        raise PreconditionViolated(f"tolerance must lie in [0, 1), got {tol}")
+    return tol
 
 
 def parse_p(text: str) -> float:
@@ -99,6 +123,13 @@ def eigen_lambda(N: int, n: int) -> float:
     if n < 0:
         raise ValueError(f"harmonic degree must be >= 0, got {n}")
     return float(n * (N + n - 2))
+
+
+def degree_at_most(N: int, x: float) -> int:
+    """Largest j with lambda_j <= x, or -1: exact, as (2j+N-2)^2 <= 4 floor(x) + (N-2)^2."""
+    if not x <= 1e300:  # leaves lambda_{j+1} a float
+        raise OutOfRange(f"harmonic eigenvalue bound {x} is beyond float range")
+    return -1 if x < 0.0 else (math.isqrt(4 * math.floor(x) + (int(N) - 2) ** 2) - int(N) + 2) // 2
 
 
 def indicial_roots(params: OperatorParams, n: int) -> tuple[complex, complex]:

@@ -24,7 +24,9 @@ from .errors import OutOfRange
 from .params import (
     DEFAULT_TOL,
     OperatorParams,
+    check_finite,
     check_p,
+    check_tol,
     eigen_lambda,
     inv_p,
     omega_p,
@@ -72,7 +74,8 @@ def in_region(region: ParabolicRegion, lam: complex, tol: float = DEFAULT_TOL) -
     slack = tol * (1.0 + abs(lam))
     if region.k == 0.0:
         return abs(lam.imag) <= slack and lam.real <= -region.omega + slack
-    return lam.real <= -((lam.imag / region.k) ** 2) - region.omega + slack
+    s = lam.imag / region.k
+    return lam.real <= -(s * s) - region.omega + slack
 
 
 def on_parabola(region: ParabolicRegion, lam: complex, tol: float = DEFAULT_TOL) -> bool:
@@ -81,7 +84,9 @@ def on_parabola(region: ParabolicRegion, lam: complex, tol: float = DEFAULT_TOL)
     slack = tol * (1.0 + abs(lam))
     if region.k == 0.0:
         return abs(lam.imag) <= slack and lam.real <= -region.omega + slack
-    residual = lam.real + (lam.imag / region.k) ** 2 + region.omega
+    s = lam.imag / region.k
+    # s * s overflows to inf where s ** 2 raises OverflowError
+    residual = lam.real + s * s + region.omega
     return abs(residual) <= slack
 
 
@@ -229,19 +234,23 @@ def classify_A(
 
     if not isinstance(J, HarmonicSet):
         J = HarmonicSet.parse(str(J))
+    lam = check_finite("lambda", complex(lam))
+    check_tol(tol)
     region = region_section3(params, p)
-    lam = complex(lam)
-
-    def stop(j):
-        # vertex of P_p - lambda_j is -omega_p - lambda_j; once it is well
-        # left of Re(lam), larger j cannot contain lam
-        return -region.omega - eigen_lambda(params.N, j) < lam.real - 1.0
 
     def on_union() -> bool:
-        return any(
-            on_parabola(region, lam + eigen_lambda(params.N, j), tol)
-            for j in J.members_up_to(stop)
-        )
+        # with m = Re lam + lambda_j and a = q + omega, |m + a| <= tol (1 + |mu|) needs
+        # lo <= lambda_j <= hi, as |mu| <= |m| + |Im lam|.  At k = 0 a member below lo has
+        # m < 0 and passes iff |m| is large enough, so the smallest member decides them
+        s = lam.imag / region.k if region.k != 0.0 else 0.0
+        a, t = s * s + region.omega, tol * (1.0 + abs(lam.imag))
+        if math.isinf(a):  # the parabola reaches this height only at Re = -inf
+            return False
+        lo = min(-(a + t) / (1.0 - tol), -(a + t) / (1.0 + tol)) - lam.real
+        hi = max((t - a) / (1.0 - tol), (t - a) / (1.0 + tol)) - lam.real
+        pad = 4e-15 * (abs(lam.real) + (abs(a) + t) / (1.0 - tol))
+        js = [J.min_index] + J.members_with_lambda_between(params.N, lo, hi, pad)
+        return any(on_parabola(region, lam + eigen_lambda(params.N, j), tol) for j in js)
 
     if domain == ADomain.WHOLE_SPACE:
         if on_union():

@@ -8,7 +8,9 @@ counterexamples at the origin) and, in domains with a boundary, for all
 alpha at or above base + Re sqrt(D + lambda_{j0}) (boundary obstruction).
 
 All comparisons against critical values use an explicit tolerance since
-exact-real input is impossible.
+exact-real input is impossible.  Inverting lambda_j = j(N+j-2) finds the degrees
+that can hit: O(1) per decision, or O(|J|) for finite J, O(failing modes) on a D < 0
+plateau, and up to 10^4 degrees where rounding blurs neighbouring ones.
 """
 
 from __future__ import annotations
@@ -17,12 +19,15 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import PreconditionViolated
+from .errors import OutOfRange, PreconditionViolated
 from .params import (
     DEFAULT_TOL,
     OperatorParams,
     base_alpha,
+    check_finite,
     check_p,
+    check_tol,
+    degree_at_most,
     discriminant,
     eigen_lambda,
     gamma_p,
@@ -120,25 +125,17 @@ class HarmonicSet:
             j += 1
         return j
 
-    def members_up_to(self, horizon_stop) -> "list[int]":
-        """Members in increasing order until horizon_stop(j) is true.
-
-        For the finite variant the horizon is ignored and all members are
-        returned.  horizon_stop is evaluated on members only.
-        """
+    def members_with_lambda_between(self, N: int, lo: float, hi: float, pad: float) -> "list[int]":
+        """Members j with lambda_j in [lo - pad, hi + pad], widened by one degree below;
+        pad is the caller's rounding slack.  OutOfRange where pad spans over 10^4 degrees
+        (floats cannot tell them apart) or the window over 10^7 (too many to list)."""
+        first, last = degree_at_most(N, lo - pad), degree_at_most(N, hi + pad)
+        blur = max(degree_at_most(N, lo + pad) - first, last - degree_at_most(N, hi - pad))
+        if blur > 10**4 or last - first > 10**7:
+            raise OutOfRange(f"cannot resolve or list degrees up to j = {float(last):.6g}")
         if self.kind == "finite":
-            return list(self.data)
-        out = []
-        j = self.min_index
-        while True:
-            if self.contains(j):
-                if horizon_stop(j):
-                    break
-                out.append(j)
-            j += 1
-            if j > 10_000_000:  # defensive; horizons terminate long before
-                raise RuntimeError("harmonic scan failed to terminate")
-        return out
+            return [j for j in self.data if first <= j <= last]
+        return [j for j in range(max(first, self.min_index), last + 1) if self.contains(j)]
 
     def __str__(self) -> str:
         if self.kind == "all":
@@ -191,14 +188,15 @@ def decide_whole_space(
 ) -> Verdict:
     """Whole-space decision: holds iff alpha avoids every alpha_j^+-, j in J."""
     check_p(p)
+    check_finite("alpha", alpha)
+    check_tol(tol)
     base = base_alpha(params, p)
-
-    def stop(j):
-        r = _re_root(params, j)
-        return (base - r < alpha - 1.0) and (base + r > alpha + 1.0)
-
+    # a hit needs r = Re sqrt(D + lambda_j) within tol of gap; pad covers rounding
+    gap, D, size = abs(alpha - base), discriminant(params), abs(alpha) + abs(base) + 1.0
+    pad = 4e-15 * (size * (gap + tol + 1.0) + abs(D))
+    lo = (gap - tol) * (gap - tol) - D if gap > tol else -math.inf
     modes: list[tuple[int, Branch]] = []
-    for j in J.members_up_to(stop):
+    for j in J.members_with_lambda_between(params.N, lo, (gap + tol) * (gap + tol) - D, pad):
         r = _re_root(params, j)
         minus_hit = abs(alpha - (base - r)) <= tol
         plus_hit = abs(alpha - (base + r)) <= tol
@@ -227,20 +225,17 @@ def decide_unit_ball(
     as a boundary obstruction on the lowest mode j0.
     """
     check_p(p)
+    check_finite("alpha", alpha)
+    check_tol(tol)
     base = base_alpha(params, p)
     j0 = J.min_index
     modes: list[tuple[int, Branch]] = []
     upper = base + _re_root(params, j0)
     if alpha >= upper - tol:
         modes.append((j0, Branch.BOUNDARY))
-
-    def stop(j):
-        # alpha_j^- is nonincreasing in j; once well below alpha, no more hits
-        return base - _re_root(params, j) < alpha - 1.0
-
-    for j in J.members_up_to(stop):
-        if abs(alpha - (base - _re_root(params, j))) <= tol:
-            modes.append((j, Branch.MINUS))
+    if alpha - base <= tol:  # alpha_j^- <= base: the whole space's minus exclusions
+        modes += [m for m in decide_whole_space(params, p, alpha, J, tol).failing_modes
+                  if m[1] == Branch.MINUS]
     verdict = Verdict(holds=not modes, failing_modes=modes)
     if verdict.holds and J.kind == "all":
         verdict.best_constant = best_constant(params, p, alpha)
@@ -354,6 +349,6 @@ def lemma_parameters_flags(
     flag_ii = params.b + gamma_p(params.N, p, alpha, params.c) + lam > 0.0
     D_lam = discriminant(params) + lam
     gap = abs(base_alpha(params, p) - alpha)
-    flag_iii = D_lam > 0.0 and gap < math.sqrt(D_lam) if D_lam > 0 else False
+    flag_iii = D_lam > 0.0 and gap < math.sqrt(D_lam)
     flag_iv = gap < sqrt_nonneg_re(D_lam).real
     return flag_i, flag_ii, flag_iii, flag_iv

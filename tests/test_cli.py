@@ -4,6 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import time
+
+import pytest
 
 import rellich
 from rellich.cli import main
@@ -228,6 +231,35 @@ class TestContract:
         )
         assert r.returncode == 0
         assert json.loads(r.stdout)["holds"] is True
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["check", "--alpha", "nan"], {}),
+    (["check", "--alpha", "0", "--b", "nan"], {}),
+    (["check", "--alpha", "1e300"], {}),
+    (["spectrum", "--lambda", "nan"], {}),
+    (["check", "--alpha=-0.5"], {"RELLICH_TOL": "nan"}),
+], ids=["alpha-nan", "b-nan", "alpha-1e300", "lambda-nan", "tol-nan"])
+def test_non_finite_input_exit1(argv, env):
+    # a typed error as one JSON line, in bounded time, never a traceback
+    start = time.perf_counter()
+    r = subprocess.run(
+        [sys.executable, "-m", "rellich.cli", argv[0], "--N", "5", "--p", "2", *argv[1:]],
+        capture_output=True, text=True, env={**CHILD_ENV, **env}, timeout=30,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert r.returncode == 1, (r.stdout, r.stderr)
+    lines = r.stdout.splitlines()
+    assert len(lines) == 1
+    assert "error" in _strict_json(lines[0])
+    assert "Traceback" not in r.stderr
 
 
 def test_import_leaves_numpy_polynomial_unloaded():

@@ -1,18 +1,26 @@
 """Decision procedures: frozen spec cases, cross-forms, Kelvin equivalence."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from rellich import (
+    DEFAULT_TOL,
+    ADomain,
     Branch,
     DomainKind,
     HarmonicSet,
     OperatorParams,
+    OutOfRange,
     PreconditionViolated,
     base_alpha,
     best_constant,
+    classify_A,
+    critical_alphas,
     decide,
     decide_bounded_domain,
     decide_exterior,
@@ -21,8 +29,12 @@ from rellich import (
     discriminant,
     eigen_lambda,
     gamma_p,
+    in_region,
     kelvin_transform,
     lemma_parameters_flags,
+    on_parabola,
+    region_section3,
+    sqrt_nonneg_re,
 )
 
 P5 = OperatorParams(5, 0, 0)
@@ -288,3 +300,269 @@ def test_decide_dispatch():
     with pytest.raises(PreconditionViolated):
         decide(P5, 2, 0, DomainKind.BOUNDED_SMOOTH, HarmonicSet.at_least(1))
     assert decide(P5, 2, 2, DomainKind.EXTERIOR_BALL, HarmonicSet.all()).holds
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha(self, alpha):
+        for domain in DomainKind:
+            with pytest.raises(PreconditionViolated):
+                decide(P5, 2, alpha, domain)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, 1.0])
+    def test_bad_tolerance(self, tol):
+        with pytest.raises(PreconditionViolated):
+            decide_whole_space(P5, 2, -0.5, tol=tol)
+        with pytest.raises(PreconditionViolated):
+            decide_unit_ball(P5, 2, -0.5, tol=tol)
+
+    def test_degree_beyond_float_range(self):
+        # alpha_j^+ = 1e300 needs lambda_j near 1e600
+        with pytest.raises(OutOfRange):
+            decide_whole_space(P5, 2, 1e300)
+        with pytest.raises(OutOfRange):
+            decide_unit_ball(P5, 2, -1e300)
+        # no degree can hit on this side, so the decision stands
+        assert not decide_unit_ball(P5, 2, 1e300).holds
+
+    def test_operator_params_rejects(self):
+        for args in [(5.5,), (5, math.nan), (5, 0, math.inf), (5, 1e200, 1e300)]:
+            with pytest.raises(ValueError):
+                OperatorParams(*args)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the harmonic scan that the closed form replaced.  It walks the
+# members of J upwards until a horizon closure fires, and applies the same
+# hit predicates as the library.
+
+
+def scan_members(J, stop):
+    if J.kind == "finite":
+        return list(J.data)
+    out = []
+    j = J.min_index
+    while True:
+        if J.contains(j):
+            if stop(j):
+                break
+            out.append(j)
+        j += 1
+        assert j <= 10**7, "scan failed to terminate"
+    return out
+
+
+def re_root(P, j):
+    return sqrt_nonneg_re(discriminant(P) + eigen_lambda(P.N, j)).real
+
+
+def scan_whole_space(P, p, alpha, J, tol):
+    base = base_alpha(P, p)
+
+    def stop(j):
+        r = re_root(P, j)
+        return (base - r < alpha - 1.0) and (base + r > alpha + 1.0)
+
+    modes = []
+    for j in scan_members(J, stop):
+        r = re_root(P, j)
+        minus_hit = abs(alpha - (base - r)) <= tol
+        plus_hit = abs(alpha - (base + r)) <= tol
+        if minus_hit:
+            modes.append((j, Branch.MINUS))
+        if plus_hit and not (minus_hit and r <= tol):
+            modes.append((j, Branch.PLUS))
+    return modes
+
+
+def scan_unit_ball(P, p, alpha, J, tol):
+    base = base_alpha(P, p)
+    j0 = J.min_index
+    modes = []
+    if alpha >= base + re_root(P, j0) - tol:
+        modes.append((j0, Branch.BOUNDARY))
+
+    def stop(j):
+        return base - re_root(P, j) < alpha - 1.0
+
+    for j in scan_members(J, stop):
+        if abs(alpha - (base - re_root(P, j))) <= tol:
+            modes.append((j, Branch.MINUS))
+    return modes
+
+
+def scan_exterior(P, p, alpha, tol):
+    tp, ta = kelvin_transform(P, p, alpha)
+    return [(j, Branch.PLUS if b == Branch.MINUS else b)
+            for j, b in scan_unit_ball(tp, p, ta, HarmonicSet.all(), tol)]
+
+
+def scan_on_union(P, p, J, lam, tol):
+    region = region_section3(P, p)
+
+    def stop(j):
+        return -region.omega - eigen_lambda(P.N, j) < lam.real - 1.0
+
+    return any(on_parabola(region, lam + eigen_lambda(P.N, j), tol)
+               for j in scan_members(J, stop))
+
+
+def union_reference(P, p, J, lam, tol):
+    if tol <= 1e-3:
+        return scan_on_union(P, p, J, lam, tol)
+    # the scan's horizon Re lam + lambda_j > 1 - omega comes too early once
+    # tol (1 + |mu|) can pass 1 (already at tol = 0.2).  A hit needs Re lam +
+    # lambda_j below (tol (1 + |Im lam|) + |omega|) / (1 - tol), so for these
+    # inputs and tol <= 0.99 every hit lies below degree 1000
+    region = region_section3(P, p)
+    return any(on_parabola(region, lam + eigen_lambda(P.N, j), tol)
+               for j in range(1000) if J.contains(j))
+
+
+P_CHOICES = [1.0, 1.5, 2.0, 3.0, INF]
+
+# quarter-integer drifts keep D exact, so D + lambda_j = 0 can be hit exactly
+drifts = st.one_of(st.integers(-16, 16).map(lambda k: k / 4.0),
+                   st.floats(-4.0, 4.0, allow_nan=False))
+harmonic_sets = st.one_of(
+    st.just(HarmonicSet.all()),
+    st.integers(0, 4).map(HarmonicSet.at_least),
+    st.lists(st.integers(0, 9), min_size=1, max_size=4).map(HarmonicSet.finite),
+    st.lists(st.integers(0, 5), max_size=3).map(HarmonicSet.excluding),
+)
+tolerances = st.one_of(st.sampled_from([DEFAULT_TOL, 0.0, 1e-6, 1e-3]),
+                       st.floats(0.25, 0.99))
+
+
+@st.composite
+def operators(draw):
+    """(N, c, b) with D in [-10, 10], on -lambda_j (D + lambda_j = 0) or plain."""
+    N = draw(st.integers(2, 12))
+    c = draw(drifts)
+    D = draw(st.one_of(
+        st.floats(-10.0, 10.0, allow_nan=False),
+        st.integers(0, 3).map(lambda j: -eigen_lambda(N, j)),
+    ))
+    return OperatorParams(N, c, D - ((N - 2 + c) / 2.0) ** 2)
+
+
+@st.composite
+def decision_inputs(draw):
+    P = draw(operators())
+    p = draw(st.sampled_from(P_CHOICES))
+    J = draw(harmonic_sets)
+    how = draw(st.sampled_from(["free", "critical", "base"]))
+    if how == "critical":
+        alpha = critical_alphas(P, p, draw(st.integers(0, 10)))[draw(st.integers(0, 1))]
+    elif how == "base":
+        alpha = base_alpha(P, p)
+    else:
+        alpha = draw(st.floats(-12.0, 12.0, allow_nan=False))
+    return P, p, alpha, J, draw(tolerances)
+
+
+@given(decision_inputs())
+@settings(max_examples=400, deadline=None)
+def test_decisions_match_scan(args):
+    P, p, alpha, J, tol = args
+    assert decide_whole_space(P, p, alpha, J, tol).failing_modes == \
+        scan_whole_space(P, p, alpha, J, tol)
+    assert decide_unit_ball(P, p, alpha, J, tol).failing_modes == \
+        scan_unit_ball(P, p, alpha, J, tol)
+    assert decide_exterior(P, p, alpha, DomainKind.EXTERIOR_BALL, tol).failing_modes \
+        == scan_exterior(P, p, alpha, tol)
+    if 1.0 < p < INF and discriminant(P) >= 0:
+        v = decide_exterior(P, p, alpha, DomainKind.EXTERIOR_SMOOTH, tol)
+        assert v.failing_modes == scan_exterior(P, p, alpha, tol)
+
+
+@st.composite
+def spectral_inputs(draw):
+    N = draw(st.integers(2, 10))
+    p = draw(st.sampled_from(P_CHOICES))
+    sign = draw(st.sampled_from(["neg", "zero", "pos"]))
+    # k = N(1 - 2/p) - 2 + c; k = 0 exactly for p in {1, 2, inf}
+    flat = {1.0: N + 2.0, 2.0: 2.0, INF: 2.0 - N}
+    if sign == "zero":
+        p = draw(st.sampled_from(sorted(flat)))
+        c = flat[p]
+    else:
+        c = draw(drifts)
+    P = OperatorParams(N, c)
+    region = region_section3(P, p)
+    assume(sign == "zero" or (region.k < 0) == (sign == "neg") and region.k != 0)
+    J = draw(harmonic_sets)
+    if draw(st.booleans()):
+        # exactly on a shifted parabola P_p - lambda_j
+        xi = draw(st.floats(-4.0, 4.0, allow_nan=False))
+        lam = region.parabola_point(xi) - eigen_lambda(N, draw(st.integers(0, 12)))
+    else:
+        lam = complex(draw(st.floats(-60.0, 10.0, allow_nan=False)),
+                      draw(st.floats(-20.0, 20.0, allow_nan=False)))
+    return P, p, J, lam, draw(tolerances)
+
+
+@given(spectral_inputs())
+# k = c tiny: (Im lam / k)^2 overflows, and no parabola point has this height
+@example((OperatorParams(2, 6.877229847592619e-281), INF, HarmonicSet.all(), 1j, DEFAULT_TOL))
+# k = 0, omega = 0: j = 0 misses (|Im| > slack) and j = 1 hits, since |mu| grows
+@example((OperatorParams(2), INF, HarmonicSet.all(), -0.3 + 1.1j, 0.5))
+# k = 0: j = 0 hits with Re lam = 1.5, where the old scan had already stopped
+@example((OperatorParams(2), INF, HarmonicSet.all(), 1.5 + 1.5j, 0.5))
+@settings(max_examples=400, deadline=None)
+def test_classify_A_matches_scan(args):
+    P, p, J, lam, tol = args
+    on_union = union_reference(P, p, J, lam, tol)
+    assert classify_A(P, p, J, ADomain.WHOLE_SPACE, lam, tol).in_spectrum == on_union
+    region = region_section3(P, p)
+    if region.k > 0:
+        # on the ball the union separates approximate from residual spectrum
+        shifted = lam + eigen_lambda(P.N, J.min_index)
+        inside = in_region(region, shifted, tol)
+        interior = inside and not on_parabola(region, shifted, tol)
+        ball = classify_A(P, p, J, ADomain.UNIT_BALL, lam, tol)
+        assert ball.in_approx == (inside and (on_union or not interior))
+
+
+def test_large_offset_matches_scan():
+    # |alpha - base| = 1e5: the scan walks ~1e5 degrees, the closed form two
+    alpha = base_alpha(P5, 2) + 1e5
+    start = time.perf_counter()
+    v = decide_whole_space(P5, 2, alpha)
+    assert time.perf_counter() - start < 0.05
+    assert v.failing_modes == scan_whole_space(P5, 2, alpha, HarmonicSet.all(), DEFAULT_TOL)
+    # and exactly on a critical exponent that far out
+    j = 316
+    alpha = critical_alphas(P5, 2, j)[1]
+    assert decide_whole_space(P5, 2, alpha).failing_modes == [(j, Branch.PLUS)]
+
+
+def test_large_base_small_gap_matches_scan():
+    # D = 0 and base = 1 + 1e12: the rounding pad grows with base times the gap,
+    # not with base^2, so the window stays a few degrees wide
+    P = OperatorParams(5, 2e12, -((3 + 2e12) / 2) ** 2)
+    alpha = base_alpha(P, 2) + 1.0
+    start = time.perf_counter()
+    v = decide_whole_space(P, 2, alpha)
+    assert time.perf_counter() - start < 0.05
+    assert v.failing_modes == scan_whole_space(P, 2, alpha, HarmonicSet.all(), DEFAULT_TOL)
+
+
+def test_plateau_lists_every_mode():
+    # D = -4e10 and alpha = base: all ~2e5 degrees with D + lambda_j <= 0 fail
+    P = OperatorParams(5, 0, -4e10 - 2.25)
+    alpha = base_alpha(P, 2)
+    modes = decide_whole_space(P, 2, alpha).failing_modes
+    assert len(modes) > 10**5
+    assert modes == scan_whole_space(P, 2, alpha, HarmonicSet.all(), DEFAULT_TOL)
+
+
+def test_unresolvable_windows_raise():
+    # |alpha - base| = 1e20: the rounding pad spans ~10^5 degrees
+    start = time.perf_counter()
+    with pytest.raises(OutOfRange):
+        decide_whole_space(P5, 2, 1e20)
+    # a plateau at D = -1e16 would list ~10^8 failing modes
+    with pytest.raises(OutOfRange):
+        decide_whole_space(OperatorParams(5, 0, -1e16), 2, base_alpha(P5, 2))
+    assert time.perf_counter() - start < 0.05
