@@ -10,9 +10,9 @@ Subcommands
 
 Output is JSON on stdout (schema_version 1); CSV goes to --output when
 given.  Exit codes: 0 pass/holds, 1 precondition (also a non-finite
-alpha, lambda or tolerance, or a degree beyond float range), 2 fail,
-3 unsupported regime, 64 usage.  RELLICH_TOL overrides the default
-tolerance.
+alpha, lambda or tolerance, an --xi-max whose square is not finite, or a
+degree beyond float range), 2 fail, 3 unsupported regime, 64 usage.
+RELLICH_TOL overrides the default tolerance.
 """
 
 from __future__ import annotations
@@ -167,14 +167,18 @@ def cmd_spectrum(args) -> int:
         region = region_section3(params, p)
 
     if args.sample:
-        xi = np.linspace(-args.xi_max, args.xi_max, 1000)
+        xi_max = args.xi_max
+        top = xi_max * xi_max  # the deepest Q sample; x * x overflows to inf, x**2 raises
+        if not math.isfinite(top):
+            raise PreconditionViolated(f"--xi-max and its square must be finite, got {xi_max}")
+        xi = np.linspace(-xi_max, xi_max, 1000)
         rows = [(float(-x * x - region.omega), float(x * region.k), "P") for x in xi]
         if args.sample_q:
             # interior points of Q: push parabola points further left
             rng = np.random.default_rng(args.seed_q)
             for _ in range(args.sample_q):
-                x = float(rng.uniform(-args.xi_max, args.xi_max))
-                depth = float(rng.uniform(0.05, args.xi_max**2))
+                x = float(rng.uniform(-xi_max, xi_max))
+                depth = float(rng.uniform(0.05, top))
                 rows.append((float(-x * x - region.omega - depth),
                              float(x * region.k), "Q"))
         _write_csv(args.output, ["re", "im", "tag"], rows)

@@ -21,7 +21,7 @@ for the whole norm: the panels of a piece double only while its change
 exceeds its share of ``rel_tol * integral``.
 
 For p = inf the norm is the largest local maximum of |f| on a grid of
-``spec.sup_grid`` intervals.  Every local maximum is polished at once:
+``SUP_GRID`` intervals.  Every local maximum is polished at once:
 each step samples a finer grid around all of them in one call of f, and a
 maximum stops when its bracket is narrow enough or cannot hold the sup.
 
@@ -48,11 +48,15 @@ from .errors import NonFiniteIntegrand
 class QuadratureSpec:
     nodes: int = 64  # Gauss-Legendre points per panel
     rel_tol: float = 1e-10  # stop when successive estimates agree to this
-    max_refinements: int = 12  # panel counts 1, 2, 4, ..., 2^max
-    sup_grid: int = 2_000  # grid intervals searched for the p = inf norm
 
 
 DEFAULT_QUAD = QuadratureSpec()
+
+#: panel counts 1, 2, 4, ..., 2^MAX_REFINEMENTS
+MAX_REFINEMENTS = 12
+
+#: grid intervals searched for the p = inf norm when f has no shape
+SUP_GRID = 2_000
 
 #: share of the tolerance that the split points of lp_norm may cost
 _SPLIT_SHARE = 0.1
@@ -138,14 +142,14 @@ def _converge(sample, edges, g, spec: QuadratureSpec, first=None):
     sums (``first`` holds them when there is one piece and they are
     known).  While the total change exceeds rel_tol times the integral of
     |g(f)|, each piece whose change exceeds its share of that tolerance
-    doubles its panels, up to 2^max_refinements.  Returns (value, err).
+    doubles its panels, up to 2^MAX_REFINEMENTS.  Returns (value, err).
     """
     pieces = list(zip(edges[:-1], edges[1:]))
     if first is None:
         first = _sums(sample, [(a, b, k) for a, b in pieces for k in (1, 2)], g, spec)
     prev, cur = first[0::2], first[1::2]
     panels = [2] * len(pieces)
-    limit = 2 ** spec.max_refinements
+    limit = 2 ** MAX_REFINEMENTS
     while True:
         errs = [abs(c[0] - q[0]) for c, q in zip(cur, prev)]
         tol = spec.rel_tol * sum(c[1] for c in cur)
@@ -227,15 +231,15 @@ def _sup_norm(sample, a: float, b: float, spec: QuadratureSpec):
     sqrt(rel_tol) grid steps: its shortfall is then about rel_tol times the
     change of |f| over one grid step.
     """
-    s = np.linspace(a, b, spec.sup_grid + 1)
+    s = np.linspace(a, b, SUP_GRID + 1)
     v = np.abs(sample(s))
     pad = np.array([-1.0])
     i = np.flatnonzero((v >= np.concatenate((pad, v[:-1])))
                        & (v >= np.concatenate((v[1:], pad))))
     c, f_c = s[i], v[i]
     f_lo, f_hi = v[np.maximum(i - 1, 0)], v[np.minimum(i + 1, len(s) - 1)]
-    d = np.full(len(i), (b - a) / spec.sup_grid)
-    width = math.sqrt(spec.rel_tol) * (b - a) / spec.sup_grid
+    d = np.full(len(i), (b - a) / SUP_GRID)
+    width = math.sqrt(spec.rel_tol) * (b - a) / SUP_GRID
     steps = np.arange(-_ZOOM, _ZOOM + 1) / (_ZOOM + 1)
     for _ in range(_MAX_STEPS):
         spread = f_c - np.minimum(f_lo, f_hi)

@@ -10,6 +10,7 @@ logarithmic variable s = -log rho:
 with beta = 2 alpha - 2 - N + 2N/p - c and
 lambda_red = gamma_p(alpha, c) + b + lambda_n.  The spherical factor
 S_P = integral |P|^p cancels in every ratio and is never computed.
+Every reduced norm, here and in ``verify``, is one ``reduced_norm`` call.
 """
 
 from __future__ import annotations
@@ -72,6 +73,22 @@ def reduced_coefficients(
     return ReducedCoefficients(beta, lam_red, n, alpha)
 
 
+def reduced_norm(v: Profile1D, p: float, a2=0.0, a1=0.0, a0=0.0, power: float = 0.0,
+                 support: tuple[float, float] | None = None,
+                 spec: QuadratureSpec = DEFAULT_QUAD) -> tuple[float, float]:
+    """(||s^power (a2 v'' + a1 v' + a0 v)||_{L^p(support)}, err) for a profile v.
+
+    support defaults to the support of v.  The integrand's polynomial
+    shape, when v has one, serves every finite p; at p = inf only a whole
+    power >= 0, which the shape then includes, since a weight s^power that
+    is not constant moves the sup.
+    """
+    f, shape = v.integrand(a2, a1, a0, power)
+    if math.isinf(p) and not (power >= 0 and float(power).is_integer()):
+        shape = None
+    return lp_norm(f, v.support if support is None else support, p, spec, shape)
+
+
 def _ratio(num: tuple[float, float], den: tuple[float, float]) -> RatioReport:
     """Report of num / den from two (norm, err) pairs, with the ratio's estimated error."""
     (n, err_n), (d, err_d) = num, den
@@ -90,10 +107,8 @@ def rellich_ratio_separable(
 ) -> RatioReport:
     """|| v'' + beta v' - lambda_red v ||_p / || v ||_p on the support of v."""
     rc = reduced_coefficients(params, p, alpha, n)
-    top, top_shape = v.integrand(1.0, rc.beta, -rc.lambda_red)
-    bot, bot_shape = v.integrand(a0=1.0)
-    return _ratio(lp_norm(top, v.support, p, spec, top_shape),
-                  lp_norm(bot, v.support, p, spec, bot_shape))
+    return _ratio(reduced_norm(v, p, 1.0, rc.beta, -rc.lambda_red, spec=spec),
+                  reduced_norm(v, p, a0=1.0, spec=spec))
 
 
 def counterexample_gamma(params: OperatorParams, n: int, branch: str) -> float:
@@ -145,10 +160,9 @@ def counterexample_ratio(
         raise ValueError(f"phi must be supported in {PHI_SUPPORT}, got {phi.support}")
     g = 2.0 * counterexample_gamma(params, n, branch) + params.N - 2.0 + params.c
     q = inv_p(p)
-    top, top_shape = phi.integrand((0.0, epsilon), g + epsilon, power=1.0 - q)
-    bot, bot_shape = phi.integrand(a0=1.0, power=-q)
-    num, err_n = lp_norm(top, (lo, hi), p, spec, top_shape)
-    return _ratio((epsilon * num, epsilon * err_n), lp_norm(bot, (lo, hi), p, spec, bot_shape))
+    num, err_n = reduced_norm(phi, p, (0.0, epsilon), g + epsilon, power=1.0 - q, spec=spec)
+    return _ratio((epsilon * num, epsilon * err_n),
+                  reduced_norm(phi, p, a0=1.0, power=-q, spec=spec))
 
 
 @dataclass(frozen=True)

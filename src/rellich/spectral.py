@@ -90,10 +90,6 @@ def on_parabola(region: ParabolicRegion, lam: complex, tol: float = DEFAULT_TOL)
     return abs(residual) <= slack
 
 
-def _interior(region: ParabolicRegion, lam: complex, tol: float = DEFAULT_TOL) -> bool:
-    return in_region(region, lam, tol) and not on_parabola(region, lam, tol)
-
-
 def region_section3(params: OperatorParams, p: float) -> ParabolicRegion:
     """Region for Gamma = r^2 D_rr + (N-1+c) r D_r: k = N(1-2/p)-2+c, omega = omega_p."""
     check_p(p)
@@ -257,21 +253,12 @@ def classify_A(
             return SpectralClassification(True, True, False, False)
         return _NOT_IN_SPECTRUM
 
-    lam0 = eigen_lambda(params.N, J.min_index)
-    shifted = lam + lam0
-    if not in_region(region, shifted, tol):
-        return _NOT_IN_SPECTRUM
-    if region.k < 0.0:
-        boundary = on_parabola(region, shifted, tol)
-        return SpectralClassification(True, True, not boundary, False)
-    if region.k == 0.0:
+    cls = _classify_in_Q(region, lam + eigen_lambda(params.N, J.min_index), region.k, tol)
+    # for k > 0 every shifted parabola is approximate spectrum, not only the
+    # boundary P_p - lambda_{j0} of Q - lambda_{j0}
+    if region.k > 0.0 and cls.in_spectrum and on_union():
         return SpectralClassification(True, True, False, False)
-    if on_union():
-        return SpectralClassification(True, True, False, False)
-    if _interior(region, shifted, tol):
-        return SpectralClassification(True, False, False, True)
-    # boundary of Q - lambda_{j0} is P_p - lambda_{j0}, already in the union
-    return SpectralClassification(True, True, False, False)
+    return cls
 
 
 def resolvent_bound(params: OperatorParams, p: float, lam: float) -> float:

@@ -7,7 +7,8 @@ norms equal 1-D integrals in log coordinates, with the spherical factor
 cancelling from every two-sided comparison.
 
 Margin conventions: each report carries per-sample (lhs, rhs, margin)
-rows and passes iff every margin is >= -tolerance for the claim.
+rows and passes iff every margin is >= -tolerance for the claim; the
+verdict and the smallest margin are read off the rows.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from .params import (
 )
 from .profiles import Profile1D, bump, log_squeezed
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, lp_norm
-from .radial import counterexample_ratio, fit_loglog_slope, rellich_ratio_separable
+from .radial import (boundary_counterexample, counterexample_gamma, counterexample_ratio,
+                     fit_loglog_slope, reduced_coefficients, reduced_norm,
+                     rellich_ratio_separable)
 from .validity import Branch, DomainKind, HarmonicSet, decide
 
 #: epsilon ladder used for counterexample families
@@ -53,8 +56,6 @@ SLACK_LIMIT = 1e-3
 class VerificationReport:
     claim: str
     samples: list[tuple[str, float, float, float]] = field(default_factory=list)
-    passed: bool = True
-    min_margin: float = math.inf
     tolerance: float = 0.0
     notes: str = ""
     # the raw ratios of the epsilon family, set by verify_critical_log
@@ -63,13 +64,15 @@ class VerificationReport:
 
     def add(self, descriptor: str, lhs: float, rhs: float, margin: float):
         self.samples.append((descriptor, float(lhs), float(rhs), float(margin)))
-        self.min_margin = min(self.min_margin, float(margin))
 
-    def finalize(self) -> "VerificationReport":
-        self.passed = all(m >= -self.tolerance for *_ignore, m in self.samples)
-        if not self.samples:
-            self.min_margin = 0.0
-        return self
+    @property
+    def passed(self) -> bool:
+        return all(m >= -self.tolerance for *_ignore, m in self.samples)
+
+    @property
+    def min_margin(self) -> float:
+        """The smallest margin, folded from inf so NaN is skipped; 0.0 without samples."""
+        return min([math.inf] + [m for *_ignore, m in self.samples]) if self.samples else 0.0
 
 
 def verify_rellich(
@@ -106,19 +109,16 @@ def verify_rellich(
     )
     if verdict.holds:
         C = verdict.best_constant
-        if C is None:
-            report.tolerance = 0.0
+        if C is None:  # the ratios are compared with 0 at tolerance 0
+            C = 0.0
             report.notes = "verdict holds; no certified constant, ratios reported"
-            for n, v in corpus:
-                r = rellich_ratio_separable(work_params, p, work_alpha, n, v, spec)
-                report.add(f"n={n} {v.label}", r.ratio, 0.0, r.ratio)
-            return report.finalize()
-        report.tolerance = SLACK_LIMIT
-        report.notes = f"verdict holds with certified constant C={C}"
+        else:
+            report.tolerance = SLACK_LIMIT
+            report.notes = f"verdict holds with certified constant C={C}"
         for n, v in corpus:
             r = rellich_ratio_separable(work_params, p, work_alpha, n, v, spec)
             report.add(f"n={n} {v.label}", r.ratio, C, r.ratio - C)
-        return report.finalize()
+        return report
 
     n_fail, branch = verdict.failing_modes[0]
     if domain in (DomainKind.EXTERIOR_BALL, DomainKind.EXTERIOR_SMOOTH):
@@ -133,15 +133,12 @@ def verify_rellich(
                 raise UnsupportedRegime(
                     "no explicit witness for a subspace boundary obstruction"
                 )
-            from .radial import boundary_counterexample
-
             rep = boundary_counterexample(work_params, work_alpha, p)
-            report.tolerance = 0.0
             report.notes = "boundary obstruction: harmonic witness checked"
             report.add("residual_rel", rep.residual_sup, 1e-8, 1e-8 - rep.residual_sup)
             report.add("active", 1.0 if rep.active else 0.0, 1.0,
                        0.0 if rep.active else -1.0)
-            return report.finalize()
+            return report
         # at the threshold itself the failure is the free plus-branch
         # counterexample; fall through to the decay verification
         branch = Branch.PLUS
@@ -156,25 +153,20 @@ def verify_rellich(
     ]
     # generic decay is linear in eps; when the indicial roots collide
     # (D + lambda_n = 0) the drift term vanishes and the rate doubles
-    from .radial import counterexample_gamma
-
     g = 2.0 * counterexample_gamma(work_params, n_fail, branch.value) \
         + work_params.N - 2.0 + work_params.c
     slope_target = 1.0 if abs(g) > 1e-8 else 2.0
-    report.tolerance = 0.0
     report.notes = (
         f"verdict fails at mode (n={n_fail}, {branch.value}); "
         f"family must decay with slope ~ {slope_target:g}"
     )
-    for (e1, r1), (e2, r2) in zip(
-        zip(EPS_LADDER, ratios), zip(EPS_LADDER[1:], ratios[1:])
-    ):
+    for e1, e2, r1, r2 in zip(EPS_LADDER, EPS_LADDER[1:], ratios, ratios[1:]):
         report.add(f"decay eps {e1}->{e2}", r2, r1, r1 - r2)
     # fit on the asymptotic tail; the largest eps is pre-asymptotic and
     # the finite-eps bias scales like eps / sqrt(D + lambda_n)
     slope = fit_loglog_slope(EPS_LADDER[1:], ratios[1:])
     report.add("loglog slope", slope, slope_target, 0.15 - abs(slope - slope_target))
-    return report.finalize()
+    return report
 
 
 def _radial_integral(fn, r_support, spec) -> float:
@@ -225,7 +217,7 @@ def verify_hardy(
         tolerance=SLACK_EXACT * max(abs(rhs), 1e-300),
     )
     report.add(u.label or "profile", lhs, rhs, lhs - rhs)
-    return report.finalize()
+    return report
 
 
 def oned_green_reconstruct(
@@ -303,36 +295,19 @@ def verify_oned_inequality(
     if a <= 0:
         raise ValueError("a must be positive")
     if kappa is None:
-        if beta != 0:
-            kappa = 1.0 if p > 1 else 1.0 + eps
-        else:
-            kappa = 2.0 if p > 1 else 2.0 + eps
-    report = VerificationReport(
-        claim=f"oned beta={beta} p={p} a={a} kappa={kappa}", tolerance=0.0
-    )
+        kappa = (1.0 if beta != 0 else 2.0) + (0.0 if p > 1 else eps)
+    report = VerificationReport(claim=f"oned beta={beta} p={p} a={a} kappa={kappa}")
     for v in corpus:
         if v.support[0] <= 0:
             raise PreconditionViolated("corpus must be supported in (0, inf)")
-        top, top_shape = v.integrand(1.0, beta)
-        bot, bot_shape = v.integrand(a0=1.0, power=-kappa)
-        num, _ = lp_norm(top, v.support, p, spec, top_shape)
-        # the weight s^-kappa is not constant: no shape for the sup
-        den, _ = lp_norm(bot, (max(a, v.support[0]), v.support[1]), p, spec,
-                         bot_shape if math.isfinite(p) else None)
+        num, _ = reduced_norm(v, p, 1.0, beta, spec=spec)
+        den, _ = reduced_norm(v, p, a0=1.0, power=-kappa,
+                              support=(max(a, v.support[0]), v.support[1]), spec=spec)
         ratio = den / num if num > 0 else math.inf
         report.add(v.label or "profile", ratio, 0.0,
                    1.0 if math.isfinite(ratio) else -1.0)
     report.notes = f"empirical C = {max(s[1] for s in report.samples):.6g}"
-    return report.finalize()
-
-
-def _remainder_terms(v: Profile1D, beta: float, lam: float, p: float,
-                     spec: QuadratureSpec):
-    """||v'' + beta v' - lam v||_p^p, ||v||_p^p and integral |v|^p / s^2
-    over the support of v."""
-    terms = (v.integrand(1.0, beta, -lam), v.integrand(a0=1.0),
-             v.integrand(a0=1.0, power=-2.0 / p))
-    return tuple(lp_norm(fn, v.support, p, spec, shape)[0] ** p for fn, shape in terms)
+    return report
 
 
 def verify_aux_remainder(
@@ -354,7 +329,9 @@ def verify_aux_remainder(
     if v.support[0] <= 0:
         raise PreconditionViolated("v must be supported in (0, inf)")
 
-    gnorm_p, vnorm_p, weighted = _remainder_terms(v, beta, lam, p, spec)
+    gnorm_p = reduced_norm(v, p, 1.0, beta, -lam, spec=spec)[0] ** p
+    vnorm_p = reduced_norm(v, p, a0=1.0, spec=spec)[0] ** p
+    weighted = reduced_norm(v, p, a0=1.0, power=-2.0 / p, spec=spec)[0] ** p
     lhs = gnorm_p - lam**p * vnorm_p
     rhs = lam ** (p - 1.0) * (p - 1.0) / p**2 * weighted
     report = VerificationReport(
@@ -362,7 +339,7 @@ def verify_aux_remainder(
         tolerance=SLACK_EXACT * max(abs(gnorm_p), 1.0),
     )
     report.add(v.label or "profile", lhs, rhs, lhs - rhs)
-    return report.finalize()
+    return report
 
 
 def verify_remainder(
@@ -377,7 +354,9 @@ def verify_remainder(
     In reduced form, with C = b + gamma_p the certified constant and
     c_rem = C^{p-1}(p-1)/p^2:
 
-        ||v'' + beta v' - C v||_p^p - C^p ||v||_p^p >= c_rem integral |v|^p / s^2.
+        ||v'' + beta v' - C v||_p^p - C^p ||v||_p^p >= c_rem integral |v|^p / s^2,
+
+    which is verify_aux_remainder with lambda = C, run on each profile.
     """
     check_p(p)
     if math.isinf(p) or p <= 1:
@@ -387,28 +366,23 @@ def verify_remainder(
         raise PreconditionViolated(
             "alpha outside the symmetric range: no certified constant"
         )
-    from .radial import reduced_coefficients
-
     rc = reduced_coefficients(params, p, alpha, 0)
     C = rc.lambda_red  # equals b + gamma_p for n = 0
     c_rem = C ** (p - 1.0) * (p - 1.0) / p**2
     report = VerificationReport(
         claim=f"remainder N={params.N} c={params.c} b={params.b} p={p} "
         f"alpha={alpha} C={C} c_rem={c_rem}",
+        tolerance=SLACK_EXACT,
     )
-    worst_scale = 1.0
     for v in corpus:
         if v.support[0] < math.log(2.0) - 1e-9:
             raise PreconditionViolated(
                 "corpus must be supported in s > log 2 (u supported in B_{1/2})"
             )
-        gnorm_p, vnorm_p, weighted = _remainder_terms(v, rc.beta, C, p, spec)
-        lhs = gnorm_p - C**p * vnorm_p
-        rhs = c_rem * weighted
-        report.add(v.label or "profile", lhs, rhs, lhs - rhs)
-        worst_scale = max(worst_scale, abs(gnorm_p))
-    report.tolerance = SLACK_EXACT * worst_scale
-    return report.finalize()
+        aux = verify_aux_remainder(rc.beta, C, p, v, spec)
+        report.samples += aux.samples
+        report.tolerance = max(report.tolerance, aux.tolerance)
+    return report
 
 
 def verify_critical_log(
@@ -446,23 +420,17 @@ def verify_critical_log(
         kappa += log_eps
     if phi is None:
         phi = bump(0.25, 0.5)
-    from .radial import reduced_coefficients
-
     rc = reduced_coefficients(params, p, alpha, n)
     report = VerificationReport(
         claim=f"critical-log N={params.N} c={params.c} b={params.b} p={p} "
         f"n={n} branch={branch} kappa={kappa}",
-        tolerance=0.0,
     )
     weighted, unweighted = report.weighted_ratios, report.unweighted_ratios
     for e in eps_family:
         v = log_squeezed(phi, e)
-        num, den_w, den_u = (
-            lp_norm(fn, v.support, p, spec, shape)[0]
-            for fn, shape in (v.integrand(1.0, rc.beta, -rc.lambda_red),
-                              v.integrand(a0=1.0, power=-kappa),
-                              v.integrand(a0=1.0)))
-        rw, ru = num / den_w, num / den_u
+        num, _ = reduced_norm(v, p, 1.0, rc.beta, -rc.lambda_red, spec=spec)
+        rw = num / reduced_norm(v, p, a0=1.0, power=-kappa, spec=spec)[0]
+        ru = num / reduced_norm(v, p, a0=1.0, spec=spec)[0]
         weighted.append(rw)
         unweighted.append(ru)
         report.add(f"eps={e} weighted", rw, pos_floor, rw - pos_floor)
@@ -470,7 +438,7 @@ def verify_critical_log(
         f"empirical inf of weighted ratio = {min(weighted):.6g}; "
         f"unweighted ratios {['%.4g' % r for r in unweighted]}"
     )
-    return report.finalize()
+    return report
 
 
 def verify_dissipativity(
@@ -498,12 +466,9 @@ def verify_dissipativity(
     )
     worst = 1.0
     for n, w in corpus:
-        lam_n = eigen_lambda(params.N, n)
-        resid, resid_shape = w.integrand(-1.0, -k, lam + lam_n)
-        value, value_shape = w.integrand(a0=1.0)
-        rhs, _ = lp_norm(resid, w.support, p, spec, resid_shape)
-        lhs = lam * lp_norm(value, w.support, p, spec, value_shape)[0]
+        rhs, _ = reduced_norm(w, p, -1.0, -k, lam + eigen_lambda(params.N, n), spec=spec)
+        lhs = lam * reduced_norm(w, p, a0=1.0, spec=spec)[0]
         report.add(f"n={n} {w.label}", rhs, lhs, rhs - lhs)
         worst = max(worst, rhs)
     report.tolerance = SLACK_EXACT * worst
-    return report.finalize()
+    return report

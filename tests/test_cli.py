@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -246,7 +247,12 @@ def _strict_json(text):
     (["check", "--alpha", "1e300"], {}),
     (["spectrum", "--lambda", "nan"], {}),
     (["check", "--alpha=-0.5"], {"RELLICH_TOL": "nan"}),
-], ids=["alpha-nan", "b-nan", "alpha-1e300", "lambda-nan", "tol-nan"])
+    (["spectrum", "--sample", "--xi-max", "nan"], {}),
+    (["spectrum", "--sample", "--xi-max", "inf", "--sample-q", "2"], {}),
+    (["spectrum", "--sample", "--xi-max", "1e200", "--sample-q", "1"], {}),
+    (["spectrum", "--sample", "--xi-max", "1e200"], {}),
+], ids=["alpha-nan", "b-nan", "alpha-1e300", "lambda-nan", "tol-nan", "xi-max-nan",
+        "xi-max-inf-q", "xi-max-1e200-q", "xi-max-1e200"])
 def test_non_finite_input_exit1(argv, env):
     # a typed error as one JSON line, in bounded time, never a traceback
     start = time.perf_counter()
@@ -260,6 +266,36 @@ def test_non_finite_input_exit1(argv, env):
     assert len(lines) == 1
     assert "error" in _strict_json(lines[0])
     assert "Traceback" not in r.stderr
+
+
+# argv, exit code and JSON line of CLI invocations: test_determinism compares
+# a run only with itself, these fail on a change that moves any value
+GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+
+
+def _same(got, want, where="$"):
+    """Keys, strings, booleans and ints exactly; floats to 1e-12 relative."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _same(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _same(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 1e-12 * abs(want), \
+            (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
+def test_golden_values(capsys, monkeypatch, case):
+    monkeypatch.delenv("RELLICH_TOL", raising=False)
+    code, out = run_cli(capsys, *case["argv"])
+    assert code == case["exit"]
+    _same(last_json(out), case["json"])
 
 
 def test_import_leaves_numpy_polynomial_unloaded():

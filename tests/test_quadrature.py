@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rellich import NonFiniteIntegrand, QuadratureSpec, integrate, lp_norm
+from rellich import NonFiniteIntegrand, integrate, lp_norm, quadrature
 
 # ten closed-form integrals: (integrand, interval, exact value)
 CLOSED_FORMS = [
@@ -57,10 +57,10 @@ def test_non_finite_detection():
         lp_norm(lambda s: np.where(s > 0.5, np.nan, 1.0), (0, 1), 2)[0]
 
 
-def test_sup_norm_refinement():
+def test_sup_norm_refinement(monkeypatch):
     # max of sin on [0, pi] is 1 at pi/2, strictly between grid points
-    spec = QuadratureSpec(sup_grid=997)
-    assert abs(lp_norm(np.sin, (0, math.pi), math.inf, spec)[0] - 1.0) < 1e-12
+    monkeypatch.setattr(quadrature, "SUP_GRID", 997)
+    assert abs(lp_norm(np.sin, (0, math.pi), math.inf)[0] - 1.0) < 1e-12
 
 
 def test_sup_norm_negative_peak():
@@ -106,7 +106,7 @@ def test_kink_split_point_count():
     assert sum(tally) < 1000
 
 
-def test_sup_polishes_every_local_maximum():
+def test_sup_polishes_every_local_maximum(monkeypatch):
     # two bumps, heights 1 and 1.2; with 20 grid intervals the grid hits the
     # lower peak's centre 0.25 and misses the higher one at 0.7125, so the
     # grid argmax sits on the lower peak
@@ -115,10 +115,10 @@ def test_sup_polishes_every_local_maximum():
         t2 = np.clip((s - 0.7125) / 0.03, -1.0, 1.0)
         return (1 - t1**2) ** 3 + 1.2 * (1 - t2**2) ** 3
 
-    spec = QuadratureSpec(sup_grid=20)
+    monkeypatch.setattr(quadrature, "SUP_GRID", 20)
     grid = np.linspace(0, 1, 21)
     assert np.argmax(two_peaks(grid)) == 5
-    val, err = lp_norm(two_peaks, (0, 1), math.inf, spec)
+    val, err = lp_norm(two_peaks, (0, 1), math.inf)
     assert 0.0 < err <= 1e-10
     assert abs(val - 1.2) <= err
 

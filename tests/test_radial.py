@@ -21,8 +21,8 @@ from rellich import (
     sqrt_nonneg_re,
 )
 from rellich.profiles import reparametrised
-from rellich.quadrature import DEFAULT_QUAD, QuadratureSpec, lp_norm
-from rellich.radial import PHI_SUPPORT, counterexample_gamma
+from rellich.quadrature import DEFAULT_QUAD, lp_norm
+from rellich.radial import PHI_SUPPORT, counterexample_gamma, reduced_norm
 from rellich.verify import EPS_LADDER
 
 P5 = OperatorParams(5, 0, 0)
@@ -263,6 +263,17 @@ class TestLpNormAccuracy:
 
 
 class TestSupErrorEstimate:
+    @pytest.mark.parametrize("power", [-1.0, 0.5, 2.0])
+    def test_reduced_norm_sup_under_a_weight(self, power):
+        # s^power v peaks off the centre of the bump, the one critical point
+        # of v's shape: that shape may locate the sup only when it includes
+        # s^power, i.e. for a whole power >= 0
+        v = bump(1.0, 3.0)
+        s = np.linspace(1.0, 3.0, 200_001)
+        exact = float(np.max(np.abs(s**power * v(s))))
+        norm, err = reduced_norm(v, INF, a0=1.0, power=power)
+        assert abs(norm - exact) <= max(err, 1e-9 * exact)
+
     def test_counterexample_p_inf_estimate_bounds_the_gap(self):
         # phi and the p = inf numerator s (eps s phi'' + g phi') are
         # polynomials on the support, so their sups are at the ends or at
@@ -289,6 +300,6 @@ class TestSupErrorEstimate:
             return float(np.max(np.abs(fn(np.array(xs)))))
 
         exact = eps * exact_sup(top_poly, top) / exact_sup(phi_poly, phi)
-        rep = counterexample_ratio(P5, INF, n, branch, eps, spec=QuadratureSpec(sup_grid=50))
+        rep = counterexample_ratio(P5, INF, n, branch, eps)
         assert rep.quad_error_estimate > 0.0
         assert abs(rep.ratio - exact) <= rep.quad_error_estimate

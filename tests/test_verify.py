@@ -14,6 +14,7 @@ from rellich import (
     NotCritical,
     OperatorParams,
     PreconditionViolated,
+    VerificationReport,
     best_constant,
     bump,
     oned_green_reconstruct,
@@ -35,6 +36,22 @@ ALL = HarmonicSet.all()
 
 def small_corpus():
     return [(0, bump(0.8, 2.2)), (0, bump(4.0, 9.0)), (1, bump(1.5, 3.5))]
+
+
+def test_report_verdict_is_read_off_the_samples():
+    # no call finishes a report: a margin below -tolerance fails it at once
+    rep = VerificationReport("claim", tolerance=0.5)
+    assert rep.passed and rep.min_margin == 0.0
+    rep.add("inside", 0.0, 0.4, -0.4)
+    assert rep.passed and rep.min_margin == -0.4
+    rep.add("outside", 0.0, 0.6, -0.6)
+    assert not rep.passed and rep.min_margin == -0.6
+    # a NaN margin fails the claim but is skipped by the minimum
+    rep = VerificationReport("claim")
+    rep.add("nan", 0.0, 0.0, math.nan)
+    assert not rep.passed and rep.min_margin == math.inf
+    rep.add("one", 1.0, 0.0, 1.0)
+    assert rep.min_margin == 1.0
 
 
 class TestVerifyRellich:
