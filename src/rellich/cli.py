@@ -10,8 +10,11 @@ Subcommands
 
 Output is JSON on stdout (schema_version 1); CSV goes to --output when
 given.  Exit codes: 0 pass/holds, 1 precondition (also a non-finite
-alpha, lambda or tolerance, an --xi-max whose square is not finite, or a
-degree beyond float range), 2 fail, 3 unsupported regime, 64 usage.
+alpha, lambda or tolerance, an --xi-max whose square is not finite, a
+degree beyond float range, --quad-nodes outside 16..512, a --quad-rel-tol
+outside (0, 1), a --sweep-alpha count above 100000, fewer than two
+distinct --eps values, or a Hardy constant beyond float range), 2 fail,
+3 unsupported regime, 64 usage.
 RELLICH_TOL overrides the default tolerance.
 """
 
@@ -25,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .errors import PreconditionViolated, RellichError, UnsupportedRegime
+from .errors import OutOfRange, PreconditionViolated, RellichError, UnsupportedRegime
 from .params import (
     DEFAULT_TOL,
     OperatorParams,
@@ -64,6 +67,9 @@ EXIT_PRECONDITION = 1
 EXIT_FAIL = 2
 EXIT_UNSUPPORTED = 3
 EXIT_USAGE = 64
+
+#: most points of a --sweep-alpha grid
+SWEEP_MAX = 100_000
 
 _DOMAINS = {
     "rn": DomainKind.WHOLE_SPACE,
@@ -115,6 +121,8 @@ def _parse_sweep(text: str) -> np.ndarray:
     n = int(count)
     if n < 2:
         raise ValueError("sweep needs at least 2 points")
+    if n > SWEEP_MAX:
+        raise OutOfRange(f"sweep has at most {SWEEP_MAX} points, got {n}")
     return np.linspace(float(lo), float(hi), n)
 
 
@@ -218,8 +226,8 @@ def _quad(args) -> QuadratureSpec:
     if args.quad_nodes is None and args.quad_rel_tol is None:
         return DEFAULT_QUAD
     return QuadratureSpec(
-        nodes=args.quad_nodes or DEFAULT_QUAD.nodes,
-        rel_tol=args.quad_rel_tol or DEFAULT_QUAD.rel_tol,
+        nodes=DEFAULT_QUAD.nodes if args.quad_nodes is None else args.quad_nodes,
+        rel_tol=DEFAULT_QUAD.rel_tol if args.quad_rel_tol is None else args.quad_rel_tol,
     )
 
 
@@ -245,6 +253,7 @@ def cmd_counterexample(args) -> int:
         counterexample_ratio(params, p, args.n, args.mode, e, spec=quad).ratio
         for e in eps
     ]
+    slope = fit_loglog_slope(eps, ratios)
     _write_csv(args.output, ["epsilon", "ratio"], list(zip(eps, ratios)))
     _emit(
         {
@@ -252,7 +261,7 @@ def cmd_counterexample(args) -> int:
             "n": args.n,
             "eps": eps,
             "ratios": ratios,
-            "slope": fit_loglog_slope(eps, ratios),
+            "slope": slope,
         }
     )
     return EXIT_OK

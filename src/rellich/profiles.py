@@ -3,16 +3,16 @@
 A Profile1D carries one callable, ``jet(s) -> (v, v', v'')``, evaluated
 in one pass, on a compact support interval; all quadrature-based
 verification is built on these.  ``Profile1D.integrand`` builds the
-linear combinations a2 v'' + a1 v' + a0 v that the reductions integrate.
+linear combinations s^power (a2 v'' + a1 v' + a0 v) that the reductions
+integrate, as plain callables: ``lp_norm`` locates their sign changes
+and critical points from their values, whatever the profile.
 
 The workhorse is the polynomial bump psi(t) = (1 - t^2)^3 on [-1, 1],
 which vanishes to second order at the endpoints.  A polynomial profile
 keeps the power-series coefficients of its affine variable t, which maps
-the support onto [-1, 1]; its jet and the polynomial shapes of its
-integrands both come from those coefficients, and an affine
-reparametrisation keeps them.  The shapes give ``lp_norm`` the exact
-sign changes and critical points of an integrand.  ``log_squeezed`` and
-``radial_power_bump`` are not polynomial and have no shapes.
+the support onto [-1, 1]; its jet comes from those coefficients, and an
+affine reparametrisation keeps them.  ``log_squeezed`` and
+``radial_power_bump`` compose a jet with a change of variable.
 """
 
 from __future__ import annotations
@@ -46,15 +46,10 @@ class Profile1D:
         return self.jet(s)[0]
 
     def integrand(self, a2=0.0, a1=0.0, a0=0.0, power: float = 0.0):
-        """(f, shape) for f(s) = s^power (a2 v''(s) + a1 v'(s) + a0 v(s)).
+        """f(s) = s^power (a2 v''(s) + a1 v'(s) + a0 v(s)), as a callable.
 
         Each coefficient is a number or a tuple of power-series
-        coefficients in s.  shape is None unless the profile is
-        polynomial; then shape() is the polynomial P with f = w P on the
-        support and w > 0, as (coefficients in t, support), the form that
-        ``lp_norm`` takes.  When power is a whole number >= 0, P includes
-        s^power and w = 1; otherwise w = s^power is not constant, and the
-        shape serves finite p only.
+        coefficients in s.
         """
         terms = [(a, k) for k, a in enumerate((a0, a1, a2)) if a != 0.0]
 
@@ -64,23 +59,7 @@ class Profile1D:
             out = sum(_at(a, s) * jet[k] for a, k in terms) if terms else np.zeros_like(s)
             return out * s**power if power else out
 
-        if self.coefficients is None:
-            return f, None
-
-        def shape():
-            a, b = self.support
-            s = np.array([0.5 * (a + b), 0.5 * (b - a)])  # s as a series in t
-            rows = _jet_rows(self.coefficients, s[1])
-            parts = [np.convolve(_series(a_k, s), rows[k]) for a_k, k in terms]
-            P = np.zeros(max(map(len, parts), default=1))
-            for part in parts:
-                P[:len(part)] += part
-            if power >= 0 and float(power).is_integer():
-                for _ in range(int(power)):
-                    P = np.convolve(P, s)
-            return P, self.support
-
-        return f, shape
+        return f
 
 
 def _at(a, s):
@@ -90,15 +69,6 @@ def _at(a, s):
     out = 0.0
     for c in reversed(a):
         out = out * s + c
-    return out
-
-
-def _series(a, s):
-    """The coefficient a as a power series in t, given s as one."""
-    out = np.array([0.0])
-    for c in reversed(a if isinstance(a, tuple) else (a,)):
-        out = np.convolve(out, s)
-        out[0] += c
     return out
 
 

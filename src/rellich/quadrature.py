@@ -13,41 +13,53 @@ does not.
 For finite p, |f|^p has kinks at the sign changes of f, where panel
 doubling converges only algebraically.  ``lp_norm`` runs the 1- and
 2-panel passes first and returns when they agree, which covers smooth
-integrands.  Otherwise it brackets the sign changes of f between
-consecutive nodes of the 2-panel pass, narrows all brackets together by
-Illinois steps until each holds a negligible share of the |f|^p mass,
-and integrates the pieces between the split points under one tolerance
-for the whole norm: the panels of a piece double only while its change
-exceeds its share of ``rel_tol * integral``.
+integrands.  Otherwise it splits the support at the sign changes of f and
+integrates the pieces between the split points under one tolerance for
+the whole norm: the panels of a piece double only while its change
+exceeds its share of ``rel_tol * integral``.  For p = inf the norm is
+the largest |f| at the ends and at the critical points of f.
 
-For p = inf the norm is the largest local maximum of |f| on a grid of
-``SUP_GRID`` intervals.  Every local maximum is polished at once:
-each step samples a finer grid around all of them in one call of f, and a
-maximum stops when its bracket is narrow enough or cannot hold the sup.
-
-An optional ``shape`` builds, when first needed, a polynomial P with
-f = w P, w > 0 (constant for p = inf), as ``Profile1D.integrand`` does
-for polynomial profiles.  The points then come from P, the values still
-from f: the split points are the real roots of P, and the sup is the
-largest |f| at the ends and at the real roots of P' (as in chebfun,
-Battles & Trefethen, SISC 2004).
+One locator finds both kinds of point, as chebfun does (Battles &
+Trefethen, SISC 2004): the Legendre series of the polynomial that
+interpolates f at the ``spec.nodes`` Gauss nodes of the support, chopped
+where its coefficients reach rounding, has the split points as the real
+roots and the critical points as the real roots of its derivative, both
+eigenvalues of a colleague matrix.  For finite p the nodes are those of
+the 1-panel pass, so locating costs no call of f; for p = inf it costs
+one.  A piece whose series is not resolved is halved, up to a fixed
+number of pieces.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonFiniteIntegrand
+from .errors import NonFiniteIntegrand, PreconditionViolated
+
+#: allowed Gauss-Legendre points per panel.  The locator's series has as
+#: many terms, resolves degrees below three quarters of that (the package's
+#: integrands reach degree 8) and its matrices are that size squared
+NODES_RANGE = (16, 512)
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    nodes: int = 64  # Gauss-Legendre points per panel
-    rel_tol: float = 1e-10  # stop when successive estimates agree to this
+    nodes: int = 64  # Gauss-Legendre points per panel, within NODES_RANGE
+    rel_tol: float = 1e-10  # stop when successive estimates agree to this, in (0, 1)
+
+    def __post_init__(self):
+        lo, hi = NODES_RANGE
+        if isinstance(self.nodes, bool) or not isinstance(self.nodes, numbers.Integral) \
+                or not lo <= self.nodes <= hi:
+            raise PreconditionViolated(f"nodes must be an integer in [{lo}, {hi}], "
+                                       f"got {self.nodes!r}")
+        if not (isinstance(self.rel_tol, numbers.Real) and 0.0 < self.rel_tol < 1.0):
+            raise PreconditionViolated(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -55,21 +67,16 @@ DEFAULT_QUAD = QuadratureSpec()
 #: panel counts 1, 2, 4, ..., 2^MAX_REFINEMENTS
 MAX_REFINEMENTS = 12
 
-#: grid intervals searched for the p = inf norm when f has no shape
-SUP_GRID = 2_000
+#: a Legendre coefficient below this share of the largest one counts as
+#: zero; a series is resolved when its last quarter is zero
+_CHOP = 1e-10
 
-#: share of the tolerance that the split points of lp_norm may cost
-_SPLIT_SHARE = 0.1
+#: pieces the point locator samples at most, the first included
+_MAX_PIECES = 64
 
-#: points sampled on each side of a maximum per polish step of the sup
-_ZOOM = 8
-
-#: largest imaginary part, relative to the support, of a root taken as real
+#: largest imaginary part of a root taken as real, and nearest distance of
+#: a split point to an end of the support, both relative to the support
 _NEAR_REAL = 1e-6
-
-#: Illinois steps per bracket and polish steps per maximum; both loops
-#: end long before on their own tests, this only bounds them
-_MAX_STEPS = 100
 
 
 @lru_cache(maxsize=8)
@@ -180,112 +187,108 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD
     return _converge(_sampler(f), [a, b], lambda v: v, spec)
 
 
-def _split_points(sample, xs, vs, p: float, tol: float):
-    """Sign changes of f between consecutive points xs (values vs).
+@lru_cache(maxsize=8)
+def _legendre(n: int):
+    """(T, D, J, scl) for series of n Legendre terms on [-1, 1].
 
-    All brackets are narrowed together by Illinois steps until the |f|^p
-    mass of each (its width times the larger end value to the p) is at
-    most its share of tol, or an end value is exactly zero.  Returns
-    (false-position split points, summed bracket masses).
+    T maps values at the n Gauss nodes to the coefficients of the
+    interpolant.  It is the inverse of the Legendre-Vandermonde matrix: the
+    transposed Gauss rule is exact too, but at 64 nodes it leaves rounding
+    of 2e-13 in the coefficients, a hundred times more.  D maps
+    coefficients to those of the derivative, and J with scl gives the
+    colleague matrix of ``_roots``.
     """
-    i = np.flatnonzero((vs[:-1] >= 0) != (vs[1:] >= 0))
-    lo, hi, f_lo, f_hi = xs[i], xs[i + 1], vs[i], vs[i + 1]
-    w_lo, w_hi = f_lo.copy(), f_hi.copy()  # Illinois-weighted end values
-    last = np.zeros(len(i), dtype=int)  # end moved last: -1 lo, +1 hi
-    cap = tol / max(len(i), 1)
+    x, _ = _gl_rule(n)
+    k = np.arange(n)
+    T = np.linalg.inv(np.polynomial.legendre.legvander(x, n - 1))
+    D = np.where((k > k[:, None]) & ((k - k[:, None]) % 2 == 1), 2.0 * k[:, None] + 1, 0.0)
+    scl = 1.0 / np.sqrt(2.0 * k + 1)
+    J = np.diag(k[1:] * scl[:-1] * scl[1:], 1)
+    out = T, D, J + J.T, scl
+    for m in out:
+        m.setflags(write=False)  # shared by every caller of the cache
+    return out
 
-    def masses():
-        m = (hi - lo) * np.maximum(np.abs(f_lo), np.abs(f_hi)) ** p
-        return np.where(f_lo * f_hi == 0.0, 0.0, m)
 
-    for _ in range(_MAX_STEPS):
-        # a bracket two ulps wide cannot be narrowed further
-        act = np.flatnonzero((masses() > cap)
-                             & (hi - lo > 4e-16 * np.maximum(np.abs(lo), np.abs(hi))))
-        if not len(act):
+def _roots(c, J, scl) -> np.ndarray:
+    """Complex roots of sum c[k] P_k, c[-1] != 0: eigenvalues of its colleague matrix."""
+    d = len(c) - 1
+    m = J[:d, :d].copy()
+    m[:, -1] -= c[:-1] * (scl[:d] * (d / ((2 * d - 1) * scl[d - 1] * c[-1])))
+    return np.linalg.eigvals(m)
+
+
+def _locate(sample, a: float, b: float, vals: np.ndarray, spec: QuadratureSpec,
+            sup: bool) -> tuple[np.ndarray, float]:
+    """(sorted real roots inside (a, b) of f, or of f' when sup, bound), as chebfun finds them.
+
+    vals holds f at the spec.nodes Gauss nodes of [a, b].  A piece takes
+    its Legendre series from its nodes, drops the trailing coefficients
+    below _CHOP of the largest and gives the real eigenvalues of the
+    colleague matrix of what is left (or of its derivative).  Rounding can
+    split a double root into a near-real pair, so a root counts as real up
+    to _NEAR_REAL, and one within _NEAR_REAL of an end of the support is
+    that end.  A piece whose series is not resolved is halved, all new
+    halves sampled in one call, until _MAX_PIECES pieces have been
+    sampled.  The halving points are split points and sup candidates too,
+    except one between two pieces still unresolved at that cap.  Such a
+    piece is left to panel doubling for finite p.  For the sup it gives its
+    nodes as candidates, and bound is the largest node value plus its
+    spread (as in ``_sup_at``, with the nodes as neighbours), 0 without
+    such pieces.
+    """
+    n = spec.nodes
+    x, _ = _gl_rule(n)
+    T, D, J, scl = _legendre(n)
+    near = _NEAR_REAL * (b - a)
+    pieces, mids, out, bound = [(a, b)], [], [], 0.0
+    while True:
+        c = T @ vals.reshape(len(pieces), n).T
+        mag = np.abs(c)
+        big = mag > _CHOP * mag.max(axis=0)
+        big[0] = True  # a piece where f vanishes has degree 0
+        degree = (n - 1 - np.argmax(big[::-1], axis=0)).tolist()  # after the chop
+        rest, rows = [], []
+        for i, ((lo, hi), d, ci) in enumerate(zip(pieces, degree, c.T)):
+            if d >= n - n // 4:
+                rest.append((lo, hi))
+                rows.append(i)
+            elif d > (1 if sup else 0):  # f (f') has a root to find
+                t = _roots(D[:d, :d + 1] @ ci[:d + 1] if sup else ci[:d + 1], J, scl)
+                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+                out += [mid + half * r.real for r in t.tolist()
+                        if half * abs(r.imag) <= near and abs(r.real) <= 1.0 + _NEAR_REAL]
+        if not rest:
             break
-        x = hi[act] - w_hi[act] * (hi[act] - lo[act]) / (w_hi[act] - w_lo[act])
-        x = np.clip(x, lo[act], hi[act])
-        fx = sample(x)
-        left = (fx >= 0) == (f_lo[act] >= 0)  # the sign change lies right of x
-        a, b = act[left], act[~left]
-        lo[a], f_lo[a], w_lo[a] = x[left], fx[left], fx[left]
-        hi[b], f_hi[b], w_hi[b] = x[~left], fx[~left], fx[~left]
-        w_hi[a[last[a] == -1]] *= 0.5
-        w_lo[b[last[b] == 1]] *= 0.5
-        last[a], last[b] = -1, 1
-    roots = np.clip(lo - f_lo * (hi - lo) / (f_hi - f_lo), lo, hi)
-    return roots.tolist(), float(np.sum(masses()))
-
-
-def _sup_norm(sample, a: float, b: float, spec: QuadratureSpec):
-    """(sup |f| on [a, b], err): every local maximum of a grid, polished.
-
-    Each maximum is a centre c with half-width d and values at c - d, c,
-    c + d, the centre being the largest.  A step samples _ZOOM points on
-    each side of c at spacing d / (_ZOOM + 1) and recentres on the best,
-    all maxima in one call of f.  If the centre is within d/2 of a smooth
-    maximum, its value is short of it by at most a quarter of the spread
-    (centre minus lower neighbour), so best + spread bounds the sup.  A
-    maximum stops when it cannot hold the sup or when d is at most
-    sqrt(rel_tol) grid steps: its shortfall is then about rel_tol times the
-    change of |f| over one grid step.
-    """
-    s = np.linspace(a, b, SUP_GRID + 1)
-    v = np.abs(sample(s))
-    pad = np.array([-1.0])
-    i = np.flatnonzero((v >= np.concatenate((pad, v[:-1])))
-                       & (v >= np.concatenate((v[1:], pad))))
-    c, f_c = s[i], v[i]
-    f_lo, f_hi = v[np.maximum(i - 1, 0)], v[np.minimum(i + 1, len(s) - 1)]
-    d = np.full(len(i), (b - a) / SUP_GRID)
-    width = math.sqrt(spec.rel_tol) * (b - a) / SUP_GRID
-    steps = np.arange(-_ZOOM, _ZOOM + 1) / (_ZOOM + 1)
-    for _ in range(_MAX_STEPS):
-        spread = f_c - np.minimum(f_lo, f_hi)
-        act = np.flatnonzero((d > width) & (f_c + spread >= np.max(f_c)))
-        if not len(act):
+        if 1 + 2 * (len(mids) + len(rest)) > _MAX_PIECES:
+            if sup:
+                out += [0.5 * (lo + hi + (hi - lo) * t) for lo, hi in rest for t in x.tolist()]
+                v = np.abs(vals.reshape(len(pieces), n)[rows])
+                lower = np.minimum(np.concatenate((v[:, :1], v[:, :-1]), axis=1),
+                                   np.concatenate((v[:, 1:], v[:, -1:]), axis=1))
+                bound = float(np.max(2.0 * v - lower))
             break
-        x = np.clip(c[act, None] + d[act, None] * steps, a, b)
-        fx = np.abs(sample(x.ravel())).reshape(x.shape)
-        row = np.arange(len(act))
-        k = np.argmax(fx, axis=1)
-        left = np.where(k > 0, fx[row, k - 1], f_lo[act])
-        right = np.where(k < 2 * _ZOOM, fx[row, np.minimum(k + 1, 2 * _ZOOM)], f_hi[act])
-        c[act], f_c[act], f_lo[act], f_hi[act] = x[row, k], fx[row, k], left, right
-        d[act] /= _ZOOM + 1
-    top = float(np.max(f_c))
-    spread = f_c - np.minimum(f_lo, f_hi)
-    return top, max(float(np.max(f_c + spread)) - top, math.ulp(top))
-
-
-def _real_roots(coefficients, domain, a: float, b: float) -> np.ndarray:
-    """Sorted real roots inside (a, b) of sum c_k t^k, t mapping domain onto [-1, 1].
-
-    They are companion-matrix eigenvalues.  Rounding can split a double
-    root into a near-real pair, so a root counts as real up to _NEAR_REAL;
-    a spare split point or sup candidate costs only a few evaluations.
-    """
-    c = np.asarray(coefficients, dtype=float)
-    n = int(np.flatnonzero(c)[-1]) if c.any() else 0  # the degree
-    if n < 1:
-        return np.empty(0)
-    companion = np.eye(n, k=-1)
-    companion[:, -1] = -c[:n] / c[n]
-    t = np.linalg.eigvals(companion)
-    lo, hi = domain
-    half = 0.5 * (hi - lo)
-    x = np.sort(0.5 * (lo + hi) + half * t.real[half * np.abs(t.imag) <= _NEAR_REAL * (b - a)])
-    return x[(x > a) & (x < b)]
+        mids += [0.5 * (lo + hi) for lo, hi in rest]
+        pieces = [piece for (lo, hi), m in zip(rest, mids[-len(rest):])
+                  for piece in ((lo, m), (m, hi))]
+        edges = np.array(pieces)
+        vals = sample((edges.mean(axis=1)[:, None]
+                       + 0.5 * (edges[:, 1] - edges[:, 0])[:, None] * x).ravel())
+    # f may have a kink where a piece was halved, unless it lies between two
+    # pieces that stayed unresolved
+    inner = {lo for lo, _ in rest} & {hi for _, hi in rest}
+    out += [m for m in mids if m not in inner]
+    return np.array(sorted(s for s in out if a + near < s < b - near)), bound
 
 
 def _sup_at(sample, a: float, b: float, xs: np.ndarray):
     """(max |f| over a, b and the critical points xs of f, err).
 
     Each critical point also gets neighbours at +-h = sqrt(eps) (b - a).
-    The computed point lies far within h/2 of the exact one, so, as in
-    _sup_norm, the best of the three plus their spread bounds |f| there;
-    the spread also shows the rounding of f.
+    The computed point lies far within h/2 of the exact one, so the best
+    of the three plus their spread (the centre minus the lower neighbour,
+    at least four times the shortfall of the centre near a smooth maximum)
+    bounds |f| there; the spread also shows the rounding of f.
     """
     h = math.sqrt(np.finfo(float).eps) * (b - a)
     pts = np.clip(np.concatenate(([a, b], xs - h, xs, xs + h)), a, b)
@@ -297,16 +300,11 @@ def _sup_at(sample, a: float, b: float, xs: np.ndarray):
 
 
 def lp_norm(f, support: tuple[float, float], p: float,
-            spec: QuadratureSpec = DEFAULT_QUAD, shape=None) -> tuple[float, float]:
+            spec: QuadratureSpec = DEFAULT_QUAD) -> tuple[float, float]:
     """(||f||_{L^p(support)}, error estimate of the norm) for 1 <= p <= inf.
 
-    f is the signed function.  shape, if given, builds a polynomial P
-    with f = w P on the support for some w > 0, constant when p = inf, as
-    (c, (lo, hi)): P(s) = sum c[k] t^k with t = (2 s - lo - hi) / (hi - lo).
-    It is called once, and only when the points it locates are needed.
-    Without it lp_norm finds the sign changes and maxima of f itself.
-    For finite p the estimate covers the last refinement change and the
-    split points, for p = inf the brackets of the maxima.
+    f is the signed function.  For finite p the estimate is the last
+    refinement change, for p = inf the spread of |f| around the sup.
     """
     a, b = support
     if not math.isinf(p) and p < 1:
@@ -315,31 +313,24 @@ def lp_norm(f, support: tuple[float, float], p: float,
         return 0.0, 0.0
     sample = _sampler(f)
     if math.isinf(p):
-        if shape is None:
-            return _sup_norm(sample, a, b, spec)
-        c, domain = shape()
-        dc = np.arange(1, len(c)) * np.asarray(c)[1:]  # P' in t, times (hi - lo) / 2
-        return _sup_at(sample, a, b, _real_roots(dc, domain, a, b))
+        vals = sample(0.5 * (a + b) + 0.5 * (b - a) * _gl_rule(spec.nodes)[0])
+        xs, bound = _locate(sample, a, b, vals, spec, sup=True)
+        top, err = _sup_at(sample, a, b, xs)
+        return top, max(err, bound - top)
 
     def g(v):
         return np.abs(v) ** p
 
     pts, wts, offsets = _rule([(a, b, 1), (a, b, 2)], spec)
     vals = sample(pts)
-    n = offsets[1]
     i1, i2 = np.add.reduceat(g(vals) * wts, offsets).tolist()
-    split_err = 0.0
     if abs(i2 - i1) <= spec.rel_tol * i2:
         total, err = i2, abs(i2 - i1)
     else:
-        if shape is None:
-            roots, split_err = _split_points(sample, pts[n:], vals[n:], p,
-                                             _SPLIT_SHARE * spec.rel_tol * i2)
-        else:
-            roots = _real_roots(*shape(), a, b).tolist()
+        roots = _locate(sample, a, b, vals[:offsets[1]], spec, sup=False)[0].tolist()
         first = None if roots else [(i1, i1), (i2, i2)]
         total, err = _converge(sample, [a, *roots, b], g, spec, first)
     norm = total ** (1.0 / p)
     if total <= 0:
-        return norm, (err + split_err) ** (1.0 / p)
-    return norm, norm * (err + split_err) / (p * total)
+        return norm, err ** (1.0 / p)
+    return norm, norm * err / (p * total)

@@ -10,7 +10,9 @@ logarithmic variable s = -log rho:
 with beta = 2 alpha - 2 - N + 2N/p - c and
 lambda_red = gamma_p(alpha, c) + b + lambda_n.  The spherical factor
 S_P = integral |P|^p cancels in every ratio and is never computed.
-Every reduced norm, here and in ``verify``, is one ``reduced_norm`` call.
+Every reduced norm, here and in ``verify``, is one ``reduced_norm`` call:
+the profile's integrand goes to ``lp_norm`` as a plain callable, which
+finds its sign changes and its sup for any weight s^power itself.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedRegime
+from .errors import PreconditionViolated, UnsupportedRegime
 from .params import (
     OperatorParams,
     base_alpha,
@@ -78,15 +80,10 @@ def reduced_norm(v: Profile1D, p: float, a2=0.0, a1=0.0, a0=0.0, power: float = 
                  spec: QuadratureSpec = DEFAULT_QUAD) -> tuple[float, float]:
     """(||s^power (a2 v'' + a1 v' + a0 v)||_{L^p(support)}, err) for a profile v.
 
-    support defaults to the support of v.  The integrand's polynomial
-    shape, when v has one, serves every finite p; at p = inf only a whole
-    power >= 0, which the shape then includes, since a weight s^power that
-    is not constant moves the sup.
+    support defaults to the support of v.
     """
-    f, shape = v.integrand(a2, a1, a0, power)
-    if math.isinf(p) and not (power >= 0 and float(power).is_integer()):
-        shape = None
-    return lp_norm(f, v.support if support is None else support, p, spec, shape)
+    return lp_norm(v.integrand(a2, a1, a0, power), v.support if support is None else support,
+                   p, spec)
 
 
 def _ratio(num: tuple[float, float], den: tuple[float, float]) -> RatioReport:
@@ -220,7 +217,9 @@ def boundary_counterexample(
 
 
 def fit_loglog_slope(eps_values, ratios) -> float:
-    """Least-squares slope of log(ratio) against log(eps)."""
+    """Least-squares slope of log(ratio) against log(eps); needs two distinct eps."""
+    if len(set(map(float, eps_values))) < 2:
+        raise PreconditionViolated(f"a slope needs two distinct eps values, got {list(eps_values)}")
     x = np.log(np.asarray(eps_values, dtype=float))
     y = np.log(np.asarray(ratios, dtype=float))
     return float(np.polyfit(x, y, 1)[0])

@@ -268,6 +268,39 @@ def test_non_finite_input_exit1(argv, env):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "critical", "--quad-nodes", "0"],
+    ["verify", "critical", "--quad-nodes", "100000"],
+    ["verify", "critical", "--quad-rel-tol", "nan"],
+    ["verify", "critical", "--quad-rel-tol=-1"],
+    ["verify", "hardy", "--beta", "1e300"],
+    ["counterexample", "--mode", "minus", "--eps", "0.1"],
+    ["check", "--sweep-alpha=-2:3:100000000"],
+], ids=["quad-nodes-0", "quad-nodes-1e5", "quad-rel-tol-nan", "quad-rel-tol-neg",
+        "hardy-beta-1e300", "one-eps", "sweep-1e8"])
+def test_out_of_range_option_exit1(capsys, argv):
+    # checked before any rule, grid or fit is built: one JSON line, no
+    # warning, no traceback, at once
+    import warnings
+
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--N", "5", "--p", "2"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 5.0
+    assert code == 1, captured
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and "error" in _strict_json(lines[0])
+    assert captured.err == ""
+
+
+def test_sweep_cap_is_inclusive():
+    from rellich.cli import SWEEP_MAX, _parse_sweep
+
+    assert len(_parse_sweep(f"-2:3:{SWEEP_MAX}")) == SWEEP_MAX
+
+
 # argv, exit code and JSON line of CLI invocations: test_determinism compares
 # a run only with itself, these fail on a change that moves any value
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from rellich import NonFiniteIntegrand, integrate, lp_norm, quadrature
+from rellich import NonFiniteIntegrand, PreconditionViolated, integrate, lp_norm, quadrature
+from rellich.quadrature import DEFAULT_QUAD, QuadratureSpec
+
+from references import exact_lp_integral, reference_lp_integral, reference_roots, reference_sup
 
 # ten closed-form integrals: (integrand, interval, exact value)
 CLOSED_FORMS = [
@@ -57,9 +60,8 @@ def test_non_finite_detection():
         lp_norm(lambda s: np.where(s > 0.5, np.nan, 1.0), (0, 1), 2)[0]
 
 
-def test_sup_norm_refinement(monkeypatch):
-    # max of sin on [0, pi] is 1 at pi/2, strictly between grid points
-    monkeypatch.setattr(quadrature, "SUP_GRID", 997)
+def test_sup_norm_refinement():
+    # max of sin on [0, pi] is 1 at pi/2
     assert abs(lp_norm(np.sin, (0, math.pi), math.inf)[0] - 1.0) < 1e-12
 
 
@@ -99,23 +101,23 @@ def test_cancelling_integral_stops_early():
 
 
 def test_kink_split_point_count():
-    # |s - 1/3|: one sign change, found between Gauss nodes and split at
+    # |s - 1/3|: one sign change, located from the 1-panel samples and split at
     tally = []
     val, err = lp_norm(_counted(lambda s: s - 1.0 / 3.0, tally), (0, 1), 1)
     assert abs(val - 5.0 / 18.0) < 1e-15 and err <= 1e-10 * val
     assert sum(tally) < 1000
 
 
-def test_sup_polishes_every_local_maximum(monkeypatch):
-    # two bumps, heights 1 and 1.2; with 20 grid intervals the grid hits the
-    # lower peak's centre 0.25 and misses the higher one at 0.7125, so the
-    # grid argmax sits on the lower peak
+def test_sup_polishes_every_local_maximum():
+    # two bumps, heights 1 and 1.2, glued to zero with C^2 joins: the series
+    # of the whole support is not resolved, so it is halved, and the
+    # critical points of both peaks are found; a 20-interval grid would hit
+    # the lower peak's centre 0.25 and miss the higher one at 0.7125
     def two_peaks(s):
         t1 = np.clip((s - 0.25) / 0.1, -1.0, 1.0)
         t2 = np.clip((s - 0.7125) / 0.03, -1.0, 1.0)
         return (1 - t1**2) ** 3 + 1.2 * (1 - t2**2) ** 3
 
-    monkeypatch.setattr(quadrature, "SUP_GRID", 20)
     grid = np.linspace(0, 1, 21)
     assert np.argmax(two_peaks(grid)) == 5
     val, err = lp_norm(two_peaks, (0, 1), math.inf)
@@ -138,48 +140,157 @@ def _knot_profiles():
                   reparametrised(bump(0.25, 0.5), scale=3.0, shift=0.7)]
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+def _polynomial(v, a2=0.0, a1=0.0, a0=0.0, power=0):
+    """s^power (a2 v'' + a1 v' + a0 v) as a numpy Polynomial on v's support.
+
+    A coefficient is a number or a tuple of power-series coefficients in s.
+    The polynomial keeps the support as its domain, so it is stored in the
+    variable t of v's coefficients and stays well conditioned.
+    """
+    from numpy.polynomial import Polynomial
+
+    lo, hi = v.support
+    psi = Polynomial(v.coefficients, domain=[lo, hi])
+    s = Polynomial([0.5 * (lo + hi), 0.5 * (hi - lo)], domain=[lo, hi])
+
+    def series(a):
+        return sum((c * s**k for k, c in enumerate(a if isinstance(a, tuple) else (a,))),
+                   0 * s)
+
+    return s**power * (series(a2) * psi.deriv(2) + series(a1) * psi.deriv()
+                       + series(a0) * psi)
+
+
+def _tolerance(p):
+    """Relative accuracy asked of a norm: rounding, except at p = 1.5, where
+    |f|^p has a |s - r|^1.5 singularity at the ends of the pieces next to
+    each split point r.  Gauss-Legendre panels converge there only
+    algebraically, and the norm is good to the spec's rel_tol."""
+    return DEFAULT_QUAD.rel_tol if p == 1.5 else 1e-12
+
+
+def _reference_norm(f, support, p, poly=None):
+    """||f||_p from an independent route: the exact polynomial integral for
+    integer p (when f is the polynomial poly), scipy quad between brentq
+    roots for other finite p, a zoomed dense grid for p = inf."""
+    if math.isinf(p):
+        return reference_sup(f, *support)
+    if poly is not None and float(p).is_integer():
+        return exact_lp_integral(poly, *support, p) ** (1 / p)
+    return reference_lp_integral(f, *support, p) ** (1 / p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
 def test_knot_path_agrees_with_generic_path(p):
-    # the same integrand with its polynomial shape (exact split points and
-    # critical points) and without it (bracketing, grid polish)
+    # the norm with located split points and critical points against the
+    # independent references of _reference_norm, on the polynomial
+    # integrands of the reductions
     rng = np.random.default_rng(3)
     for v in _knot_profiles():
         for _ in range(6):
             beta, lam = float(rng.uniform(-4, 4)), float(rng.uniform(-2, 6))
-            for f, shape in (v.integrand(1.0, beta, -lam), v.integrand(a0=1.0),
-                             v.integrand((0.0, 0.1), beta, power=1.0)):
-                norm, err = lp_norm(f, v.support, p, shape=shape)
-                generic, _ = lp_norm(f, v.support, p)
-                assert abs(norm - generic) <= 1e-10 * generic, (v.label, beta, lam)
+            for args, kw in (((1.0, beta, -lam), {}), ((), {"a0": 1.0}),
+                             (((0.0, 0.1), beta), {"power": 1})):
+                f = v.integrand(*args, **kw)
+                norm, err = lp_norm(f, v.support, p)
+                ref = _reference_norm(f, v.support, p, _polynomial(v, *args, **kw))
+                assert abs(norm - ref) <= _tolerance(p) * ref, (v.label, beta, lam, norm, ref)
                 assert err <= 1e-10 * norm, (v.label, beta, lam, err)
 
 
-def test_shape_is_built_only_when_needed():
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_log_squeezed_and_weighted_norms_match_references(p):
+    # the integrands that are not polynomials in s: the critical family
+    # phi(e^{-eps s}) with and without the weights s^-kappa, and weighted
+    # bumps; every one is located from its own samples
+    from rellich import bump, log_squeezed
+
+    cases = []
+    for eps in (0.2, 0.025):
+        v = log_squeezed(bump(0.25, 0.5), eps)
+        cases += [(v, v.integrand(1.0, -1.3, -0.4)), (v, v.integrand(1.0, 2.1, 0.0)),
+                  (v, v.integrand(a0=1.0, power=-1.0)), (v, v.integrand(a0=1.0, power=-2.5))]
+    for v in (bump(1.0, 3.0), bump(0.2, 4.0)):
+        cases += [(v, v.integrand(a0=1.0, power=power)) for power in (-1.5, -1 / 3, 0.5)]
+        cases.append((v, v.integrand(1.0, 0.7, -1.1, power=-1.0)))
+    for v, f in cases:
+        norm, err = lp_norm(f, v.support, p)
+        ref = _reference_norm(f, v.support, p)
+        assert abs(norm - ref) <= _tolerance(p) * ref, (v.label, norm, ref)
+        assert err <= 1e-10 * norm, (v.label, err)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_jump_and_kink_closed_forms(p):
+    # on [0, 1]: a jump from -1 to 2 at 1/3, narrowed down to a tiny piece
+    # by halving; |s - 1/3|, whose kink is a root; and the tent
+    # 1 - |s - 1/2|, whose kink is no root but the first halving point
+    def jump(s):
+        return np.where(s < 1.0 / 3.0, -1.0, 2.0)
+
+    def tent(s):
+        return 1.0 - np.abs(s - 0.5)
+
+    if math.isinf(p):
+        exact_jump, exact_kink, exact_tent = 2.0, 2.0 / 3.0, 1.0
+    else:
+        exact_jump = (1.0 / 3.0 + 2.0**p * 2.0 / 3.0) ** (1 / p)
+        exact_kink = (((1 / 3) ** (p + 1) + (2 / 3) ** (p + 1)) / (p + 1)) ** (1 / p)
+        exact_tent = (2.0 * (1.0 - 0.5 ** (p + 1)) / (p + 1)) ** (1 / p)
+    for f, exact in ((jump, exact_jump), (lambda s: s - 1.0 / 3.0, exact_kink),
+                     (tent, exact_tent)):
+        norm, err = lp_norm(f, (0.0, 1.0), p)
+        assert abs(norm - exact) <= 1e-10 * exact, (norm, exact)
+        assert abs(norm - exact) <= max(err, 1e-15 * exact), (norm, exact, err)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_noise_work_is_bounded(p):
+    # a callable with no resolved series anywhere: the locator stops at its
+    # cap on pieces, panel doubling at its own, and err says how rough it is
+    import time
+
+    tally = []
+
+    def noise(s):
+        return np.modf(np.sin(np.asarray(s) * 12345.678) * 43758.5453)[0]
+
+    start = time.perf_counter()
+    norm, err = lp_norm(_counted(noise, tally), (0.0, 1.0), p)
+    assert time.perf_counter() - start < 5.0
+    assert math.isfinite(norm) and 0.0 < norm <= 1.0
+    assert math.isfinite(err) and err > 1e-6 * norm
+    assert sum(tally) <= 64 * (64 + 2 ** (quadrature.MAX_REFINEMENTS + 2))
+
+
+def test_sup_beyond_the_cap_has_an_honest_error():
+    # sin(2000 s) (1 + s / 10) needs more Legendre terms than 64 pieces of
+    # 64 nodes resolve: the sup of the samples comes with the spread of
+    # their neighbours as its error
+    def osc(s):
+        return np.sin(2000.0 * s) * (1.0 + 0.1 * s)
+
+    norm, err = lp_norm(osc, (0.0, 1.0), math.inf)
+    ref = reference_sup(osc, 0.0, 1.0)
+    assert math.isfinite(err) and abs(norm - ref) <= err
+
+
+def test_smooth_norm_samples_the_first_pass_only():
+    # a smooth plateau integrand: the 1- and 2-panel passes (64 + 128
+    # points) agree, so nothing is located and nothing else is sampled
     from rellich import plateau_profile
 
-    calls = []
-
-    def counted(shape):
-        def build():
-            calls.append(1)
-            return shape()
-
-        return build
-
-    # a smooth plateau integrand: the 1- and 2-panel passes agree at once
-    f, shape = plateau_profile(100.0).integrand(1.0, -2.0, -1.25)
-    lp_norm(f, (-100.0, 100.0), 2, shape=counted(shape))
-    assert calls == []
-    # the sup always takes the critical points from the shape, once
-    lp_norm(f, (-100.0, 100.0), math.inf, shape=counted(shape))
-    assert calls == [1]
+    tally = []
+    f = plateau_profile(100.0).integrand(1.0, -2.0, -1.25)
+    lp_norm(_counted(f, tally), (-100.0, 100.0), 2)
+    assert sum(tally) == 192
 
 
 def test_knots_split_two_sign_changes_between_nodes():
     # a cubic with one sign change at -1/2 and two between a pair of
     # consecutive nodes of the 2-panel pass, where sampling cannot see them;
-    # the knot path splits at all three, so each of the four pieces
-    # converges on its first two passes
+    # its series from the 1-panel samples gives all three, so each of the
+    # four pieces converges on its first two passes
     from numpy.polynomial import Polynomial
 
     from rellich.profiles import polynomial_profile
@@ -190,10 +301,55 @@ def test_knots_split_two_sign_changes_between_nodes():
     mid, gap = 0.5 * (nodes[i - 1] + nodes[i]), nodes[i] - nodes[i - 1]
     roots = [-0.5, mid - 0.25 * gap, mid + 0.25 * gap]
     poly = Polynomial.fromroots(roots)
-    f, shape = polynomial_profile(poly.coef, (-1.0, 1.0)).integrand(a0=1.0)
+    f = polynomial_profile(poly.coef, (-1.0, 1.0)).integrand(a0=1.0)
     tally = []
-    val, err = lp_norm(_counted(f, tally), (-1.0, 1.0), 1, shape=shape)
+    val, err = lp_norm(_counted(f, tally), (-1.0, 1.0), 1)
     edges = [-1.0, *roots, 1.0]
     exact = sum(abs(poly.integ()(hi) - poly.integ()(lo)) for lo, hi in zip(edges[:-1], edges[1:]))
     assert abs(val - exact) <= 1e-14 * exact and err <= 1e-10 * val
     assert sum(tally) == 192 * 5
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.025])
+def test_located_points_match_brentq(eps):
+    # the split points of a log_squeezed numerator and the critical points
+    # of a weighted log_squeezed profile (the roots of s v' - v) against
+    # brentq, to well within the h/2 = 7e-9 (b - a) that the error bound
+    # of the sup needs: the chop leaves about 1e-11 (b - a)
+    from rellich import bump, log_squeezed
+
+    v = log_squeezed(bump(0.25, 0.5), eps)
+    a, b = v.support
+    nodes = 0.5 * (a + b) + 0.5 * (b - a) * np.polynomial.legendre.leggauss(64)[0]
+    for f, zero, sup in ((v.integrand(1.0, -1.3, -0.4), v.integrand(1.0, -1.3, -0.4), False),
+                         (v.integrand(a0=1.0, power=-1.0), v.integrand(a1=(0.0, 1.0), a0=-1.0),
+                          True)):
+        got, _ = quadrature._locate(f, a, b, f(nodes), DEFAULT_QUAD, sup)
+        pad = 1e-3 * (b - a)  # f and f' vanish at the ends of the support
+        ref = reference_roots(zero, a + pad, b - pad)
+        assert ref and all(np.min(np.abs(got - r)) <= 1e-9 * (b - a) for r in ref), (got, ref)
+
+
+def test_colleague_roots_match_numpy():
+    # the colleague matrix built in place against numpy's legroots, and the
+    # derivative matrix against legder
+    rng = np.random.default_rng(5)
+    _, D, J, scl = quadrature._legendre(16)
+    for d in (1, 2, 5, 9):
+        c = rng.standard_normal(d + 1)
+        got = np.sort_complex(quadrature._roots(c, J, scl))
+        assert np.allclose(got, np.sort_complex(np.polynomial.legendre.legroots(c)), atol=1e-12)
+    c = rng.standard_normal(16)
+    assert np.allclose(D @ c, np.append(np.polynomial.legendre.legder(c), 0.0), atol=1e-12)
+
+
+@pytest.mark.parametrize("kw", [{"nodes": 0}, {"nodes": 15}, {"nodes": 513}, {"nodes": 10**9},
+                                {"nodes": 64.0}, {"nodes": True}, {"rel_tol": 0.0},
+                                {"rel_tol": -1.0}, {"rel_tol": 1.0}, {"rel_tol": math.nan},
+                                {"rel_tol": math.inf}])
+def test_spec_rejects_out_of_range_fields(kw):
+    # checked before any rule is built: a huge nodes never reaches leggauss
+    with pytest.raises(PreconditionViolated):
+        QuadratureSpec(**kw)
+    lo, hi = quadrature.NODES_RANGE
+    assert QuadratureSpec(nodes=lo).nodes == lo and QuadratureSpec(nodes=hi).nodes == hi

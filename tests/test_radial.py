@@ -7,6 +7,7 @@ import pytest
 
 from rellich import (
     OperatorParams,
+    PreconditionViolated,
     UnsupportedRegime,
     boundary_counterexample,
     bump,
@@ -24,6 +25,8 @@ from rellich.profiles import reparametrised
 from rellich.quadrature import DEFAULT_QUAD, lp_norm
 from rellich.radial import PHI_SUPPORT, counterexample_gamma, reduced_norm
 from rellich.verify import EPS_LADDER
+
+from references import reference_lp_integral
 
 P5 = OperatorParams(5, 0, 0)
 INF = math.inf
@@ -125,6 +128,11 @@ class TestCounterexampleRatio:
         with pytest.raises(UnsupportedRegime):
             counterexample_ratio(OperatorParams(5, 0, -3), 2, 0, "minus", 0.1)
 
+    @pytest.mark.parametrize("eps", [[0.1], [0.1, 0.1], []])
+    def test_slope_needs_two_distinct_eps(self, eps):
+        with pytest.raises(PreconditionViolated):
+            fit_loglog_slope(eps, [1.0] * len(eps))
+
     def test_gamma_relation(self):
         # alpha_n^- - 2 + gamma = -N/p exactly
         rng = np.random.default_rng(21)
@@ -174,23 +182,6 @@ class TestBoundaryCounterexample:
         assert rep.residual_sup < 1e-8 and rep.active
 
 
-def _reference_integral(f, a, b):
-    """integral of f over [a, b] by scipy quad, split at the brentq roots of f."""
-    from scipy import integrate, optimize
-
-    def scalar(t):
-        return float(f(np.array([t]))[0])
-
-    x = np.linspace(a, b, 4001)
-    y = f(x)
-    roots = [optimize.brentq(scalar, x[i], x[i + 1], xtol=1e-300, rtol=1e-15)
-             for i in np.flatnonzero(y[:-1] * y[1:] < 0)]
-    edges = [a, *roots, b]
-    return sum(integrate.quad(lambda t: abs(scalar(t)), lo, hi, epsabs=0.0,
-                              epsrel=1e-13, limit=200)[0]
-               for lo, hi in zip(edges[:-1], edges[1:]))
-
-
 def _sweep_critical_cases(count, seed=1):
     """Exactly critical (N, c, b, n, branch) as drawn by the verify sweep."""
     rng = np.random.default_rng(seed)
@@ -210,9 +201,9 @@ class TestLpNormAccuracy:
         worst = 0.0
         for P, n, branch in _sweep_critical_cases(10):
             g = 2.0 * counterexample_gamma(P, n, branch) + P.N - 2.0 + P.c
-            den = _reference_integral(lambda s: phi(s) / s, *PHI_SUPPORT)
+            den = reference_lp_integral(lambda s: phi(s) / s, *PHI_SUPPORT)
             for e in EPS_LADDER:
-                num = _reference_integral(
+                num = reference_lp_integral(
                     lambda s: e * s * phi.jet(s)[2] + (g + e) * phi.jet(s)[1], *PHI_SUPPORT)
                 ref = e * num / den
                 got = counterexample_ratio(P, 1.0, n, branch, e).ratio
@@ -235,8 +226,8 @@ class TestLpNormAccuracy:
         y = num(x)
         changes = x[np.flatnonzero(y[:-1] * y[1:] < 0)]
         assert np.min(np.minimum(changes - PHI_SUPPORT[0], PHI_SUPPORT[1] - changes)) < 0.003
-        ref = e * _reference_integral(num, *PHI_SUPPORT) \
-            / _reference_integral(lambda s: phi(s) / s, *PHI_SUPPORT)
+        ref = e * reference_lp_integral(num, *PHI_SUPPORT) \
+            / reference_lp_integral(lambda s: phi(s) / s, *PHI_SUPPORT)
         got = counterexample_ratio(P, 1.0, n, branch, e).ratio
         assert abs(got - ref) <= 1e-12 * ref
 
@@ -265,9 +256,8 @@ class TestLpNormAccuracy:
 class TestSupErrorEstimate:
     @pytest.mark.parametrize("power", [-1.0, 0.5, 2.0])
     def test_reduced_norm_sup_under_a_weight(self, power):
-        # s^power v peaks off the centre of the bump, the one critical point
-        # of v's shape: that shape may locate the sup only when it includes
-        # s^power, i.e. for a whole power >= 0
+        # s^power v peaks off the centre of the bump, where v peaks: the
+        # sup is located from the weighted integrand itself
         v = bump(1.0, 3.0)
         s = np.linspace(1.0, 3.0, 200_001)
         exact = float(np.max(np.abs(s**power * v(s))))
@@ -277,8 +267,8 @@ class TestSupErrorEstimate:
     def test_counterexample_p_inf_estimate_bounds_the_gap(self):
         # phi and the p = inf numerator s (eps s phi'' + g phi') are
         # polynomials on the support, so their sups are at the ends or at
-        # roots of the derivative; the expanded polynomial only locates
-        # them, the factored profile gives the values
+        # roots of the derivative; the expanded polynomial locates them
+        # for the reference, the factored profile gives the values
         from numpy.polynomial import Polynomial as Poly
 
         eps, n, branch = 0.1, 0, "minus"

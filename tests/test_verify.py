@@ -13,6 +13,7 @@ from rellich import (
     HarmonicSet,
     NotCritical,
     OperatorParams,
+    OutOfRange,
     PreconditionViolated,
     VerificationReport,
     best_constant,
@@ -97,6 +98,10 @@ class TestVerifyHardy:
     def test_degenerate_weight(self):
         with pytest.raises(DegenerateWeight):
             verify_hardy(2, 2, 0.0, bump(1.0, 2.0))
+
+    def test_constant_beyond_float_range(self):
+        with pytest.raises(OutOfRange):
+            verify_hardy(5, 2, 1e300, bump(1.0, 2.0))
 
     def test_constant_approached_by_power_profiles(self):
         # u = r^{-(N-2+beta)/p} bump(log r / T): ratio -> ((N-2+beta)/p)^2.
