@@ -6,7 +6,15 @@ constants and spectral regions of the auxiliary operator
 A = |x|^2 Delta + c x . grad, generate counterexample families, and
 verify everything numerically by exact one-dimensional reduction plus
 quadrature.
+
+The closed-form layer (errors, params, spectral, validity, green) loads
+with the package, without numpy.  The numeric layer (profiles,
+quadrature, radial, verify) and numpy load together on the first access
+to any of their names or modules, through a module __getattr__ (PEP
+562), so the closed-form CLI commands start without them.
 """
+
+from importlib import import_module as _import_module
 
 from .errors import (
     BetaZero,
@@ -46,26 +54,6 @@ from .params import (
     parse_p,
     sqrt_nonneg_re,
 )
-from .profiles import (
-    Profile1D,
-    bump,
-    bump_corpus,
-    check_derivatives,
-    log_squeezed,
-    plateau_profile,
-    radial_power_bump,
-)
-from .quadrature import QuadratureSpec, integrate, lp_norm
-from .radial import (
-    BoundaryReport,
-    RatioReport,
-    ReducedCoefficients,
-    boundary_counterexample,
-    counterexample_ratio,
-    fit_loglog_slope,
-    reduced_coefficients,
-    rellich_ratio_separable,
-)
 from .spectral import (
     ADomain,
     GammaInterval,
@@ -96,16 +84,38 @@ from .validity import (
     decide_whole_space,
     lemma_parameters_flags,
 )
-from .verify import (
-    VerificationReport,
-    oned_green_reconstruct,
-    verify_aux_remainder,
-    verify_critical_log,
-    verify_dissipativity,
-    verify_hardy,
-    verify_oned_inequality,
-    verify_rellich,
-    verify_remainder,
-)
 
 __version__ = "0.1.0"
+
+#: the numeric layer, module -> exported names; all of it loads at once
+_NUMERIC = {
+    "profiles": ("Profile1D", "bump", "bump_corpus", "check_derivatives", "log_squeezed",
+                 "plateau_profile", "radial_power_bump"),
+    "quadrature": ("QuadratureSpec", "integrate", "lp_norm"),
+    "radial": ("BoundaryReport", "RatioReport", "ReducedCoefficients",
+               "boundary_counterexample", "counterexample_ratio", "fit_loglog_slope",
+               "reduced_coefficients", "rellich_ratio_separable"),
+    "verify": ("VerificationReport", "oned_green_reconstruct", "verify_aux_remainder",
+               "verify_critical_log", "verify_dissipativity", "verify_hardy",
+               "verify_oned_inequality", "verify_rellich", "verify_remainder"),
+}
+_LAZY = frozenset(_NUMERIC).union(*_NUMERIC.values())
+
+__all__ = sorted(_LAZY.union(n for n in globals() if not n.startswith("_")))
+
+
+def __getattr__(name):
+    # one import of the whole layer: callers look its modules up in
+    # sys.modules after importing any one of its names
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    g = globals()
+    for module, names in _NUMERIC.items():
+        # import_module, not "from . import": that asks this hook again
+        mod = _import_module(f"{__name__}.{module}")
+        g.update((n, getattr(mod, n)) for n in names)
+    return g[name]
+
+
+def __dir__():
+    return sorted(_LAZY.union(globals()))

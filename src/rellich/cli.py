@@ -16,6 +16,10 @@ outside (0, 1), a --sweep-alpha count above 100000, fewer than two
 distinct --eps values, or a Hardy constant beyond float range), 2 fail,
 3 unsupported regime, 64 usage.
 RELLICH_TOL overrides the default tolerance.
+
+check, check --sweep-alpha and a spectrum point are closed-form and run
+without numpy; verify, counterexample and spectrum --sample import numpy
+and the numeric modules when they run.
 """
 
 from __future__ import annotations
@@ -26,20 +30,16 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .errors import OutOfRange, PreconditionViolated, RellichError, UnsupportedRegime
 from .params import (
     DEFAULT_TOL,
+    EPS_LADDER,
     OperatorParams,
     check_finite,
     check_tol,
     critical_alphas,
     parse_p,
 )
-from .profiles import bump_corpus
-from .quadrature import DEFAULT_QUAD, QuadratureSpec
-from .radial import boundary_counterexample, counterexample_ratio, fit_loglog_slope
 from .spectral import (
     ADomain,
     GammaInterval,
@@ -49,16 +49,6 @@ from .spectral import (
     region_section4,
 )
 from .validity import DomainKind, HarmonicSet, decide
-from .verify import (
-    EPS_LADDER,
-    verify_aux_remainder,
-    verify_critical_log,
-    verify_dissipativity,
-    verify_hardy,
-    verify_oned_inequality,
-    verify_rellich,
-    verify_remainder,
-)
 
 SCHEMA_VERSION = 1
 
@@ -116,14 +106,22 @@ def _write_csv(path, header, rows) -> None:
             fh.write(text)
 
 
-def _parse_sweep(text: str) -> np.ndarray:
+def _parse_sweep(text: str) -> list[float]:
+    """The grid LO:HI:COUNT, bit for bit as np.linspace(LO, HI, COUNT) builds it."""
     lo, hi, count = text.split(":")
-    n = int(count)
+    lo, hi, n = float(lo), float(hi), int(count)
     if n < 2:
         raise ValueError("sweep needs at least 2 points")
     if n > SWEEP_MAX:
         raise OutOfRange(f"sweep has at most {SWEEP_MAX} points, got {n}")
-    return np.linspace(float(lo), float(hi), n)
+    delta = hi - lo
+    step = delta / (n - 1)
+    if step == 0:  # a subnormal or zero step: scale i / (n - 1) instead, as numpy does
+        grid = [i / (n - 1) * delta + lo for i in range(n)]
+    else:
+        grid = [i * step + lo for i in range(n)]
+    grid[-1] = hi
+    return grid
 
 
 def cmd_check(args) -> int:
@@ -140,9 +138,9 @@ def cmd_check(args) -> int:
         rows = []
         holds_count = 0
         for a in grid:
-            v = decide(params, p, alpha=float(a), domain=domain, J=J, tol=_tol(args))
+            v = decide(params, p, alpha=a, domain=domain, J=J, tol=_tol(args))
             holds_count += v.holds
-            rows.append((float(a), int(v.holds),
+            rows.append((a, int(v.holds),
                          "" if v.best_constant is None else v.best_constant))
         _write_csv(args.output, ["alpha", "holds", "best_constant"], rows)
         _emit({"sweep": {"points": len(rows), "holds": holds_count},
@@ -179,6 +177,8 @@ def cmd_spectrum(args) -> int:
         top = xi_max * xi_max  # the deepest Q sample; x * x overflows to inf, x**2 raises
         if not math.isfinite(top):
             raise PreconditionViolated(f"--xi-max and its square must be finite, got {xi_max}")
+        import numpy as np
+
         xi = np.linspace(-xi_max, xi_max, 1000)
         rows = [(float(-x * x - region.omega), float(x * region.k), "P") for x in xi]
         if args.sample_q:
@@ -222,7 +222,9 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _quad(args) -> QuadratureSpec:
+def _quad(args):
+    from .quadrature import DEFAULT_QUAD, QuadratureSpec
+
     if args.quad_nodes is None and args.quad_rel_tol is None:
         return DEFAULT_QUAD
     return QuadratureSpec(
@@ -232,6 +234,8 @@ def _quad(args) -> QuadratureSpec:
 
 
 def cmd_counterexample(args) -> int:
+    from .radial import boundary_counterexample, counterexample_ratio, fit_loglog_slope
+
     params = _params(args)
     p = parse_p(args.p)
     if args.mode == "boundary":
@@ -285,6 +289,17 @@ def _report_json(report, seed=None) -> dict:
 
 
 def cmd_verify(args) -> int:
+    from .profiles import bump_corpus
+    from .verify import (
+        verify_aux_remainder,
+        verify_critical_log,
+        verify_dissipativity,
+        verify_hardy,
+        verify_oned_inequality,
+        verify_rellich,
+        verify_remainder,
+    )
+
     params = _params(args)
     p = parse_p(args.p)
     seed = args.seed

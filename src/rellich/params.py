@@ -21,6 +21,9 @@ from .errors import OutOfRange, PreconditionViolated
 #: Default tolerance for equality detection in decision logic.
 DEFAULT_TOL = 1e-9
 
+#: epsilon ladder used for counterexample families
+EPS_LADDER = (0.2, 0.1, 0.05, 0.025)
+
 INF = math.inf
 
 
@@ -72,7 +75,7 @@ def conjugate_exponent(p: float) -> float:
 
 
 def check_finite(name: str, x: complex) -> complex:
-    """Reject a NaN or infinite alpha or lambda; returns it unchanged."""
+    """Reject a NaN or infinite parameter named name; returns it unchanged."""
     if not cmath.isfinite(x):
         raise PreconditionViolated(f"{name} must be finite, got {x}")
     return x

@@ -29,8 +29,10 @@ from .errors import (
 )
 from .params import (
     DEFAULT_TOL,
+    EPS_LADDER,
     OperatorParams,
     base_alpha,
+    check_finite,
     check_p,
     critical_alphas,
     discriminant,
@@ -44,9 +46,6 @@ from .radial import (boundary_counterexample, counterexample_gamma, counterexamp
                      fit_loglog_slope, reduced_coefficients, reduced_norm,
                      rellich_ratio_separable)
 from .validity import Branch, DomainKind, HarmonicSet, decide
-
-#: epsilon ladder used for counterexample families
-EPS_LADDER = (0.2, 0.1, 0.05, 0.025)
 
 #: relative slack on quadrature-limited identities / on limit-approach claims
 SLACK_EXACT = 1e-6
@@ -198,6 +197,7 @@ def verify_hardy(
     check_p(p)
     if math.isinf(p) or p <= 1:
         raise PreconditionViolated(f"Hardy check needs 1 < p < inf, got {p}")
+    check_finite("beta", beta)
     if N - 2 + beta == 0:
         raise DegenerateWeight(f"N - 2 + beta = 0 (N={N}, beta={beta})")
     try:
@@ -295,6 +295,8 @@ def verify_oned_inequality(
     Pass kappa explicitly to run a negative control.
     """
     check_p(p)
+    for name, x in (("beta", beta), ("a", a), ("eps", eps)):
+        check_finite(name, x)
     if a <= 0:
         raise ValueError("a must be positive")
     if kappa is None:
@@ -327,7 +329,8 @@ def verify_aux_remainder(
     check_p(p)
     if math.isinf(p) or p <= 1:
         raise PreconditionViolated(f"need 1 < p < inf, got {p}")
-    if lam <= 0:
+    check_finite("beta", beta)
+    if check_finite("lambda", lam) <= 0:
         raise PreconditionViolated(f"need lambda > 0, got {lam}")
     if v.support[0] <= 0:
         raise PreconditionViolated("v must be supported in (0, inf)")
@@ -461,7 +464,7 @@ def verify_dissipativity(
     check_p(p)
     if math.isinf(p) or p <= 1:
         raise PreconditionViolated(f"need 1 < p < inf, got {p}")
-    if lam <= 0:
+    if check_finite("lambda", lam) <= 0:
         raise PreconditionViolated(f"need lambda > 0, got {lam}")
     k = params.N * (1.0 - 2.0 * inv_p(p)) - 2.0 + params.c
     report = VerificationReport(

@@ -7,10 +7,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rellich
-from rellich.cli import main
+from rellich.cli import SWEEP_MAX, _parse_sweep, main
 
 # children import the package from where this process found it
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(rellich.__file__)))
@@ -251,8 +254,18 @@ def _strict_json(text):
     (["spectrum", "--sample", "--xi-max", "inf", "--sample-q", "2"], {}),
     (["spectrum", "--sample", "--xi-max", "1e200", "--sample-q", "1"], {}),
     (["spectrum", "--sample", "--xi-max", "1e200"], {}),
+    (["verify", "hardy", "--beta", "nan"], {}),
+    (["verify", "hardy", "--beta", "inf"], {}),
+    (["verify", "oned", "--beta", "nan"], {}),
+    (["verify", "oned", "--a", "nan"], {}),
+    (["verify", "oned", "--log-eps", "inf"], {}),
+    (["verify", "aux", "--beta=-inf"], {}),
+    (["verify", "aux", "--lambda", "inf"], {}),
+    (["verify", "dissipativity", "--lambda", "nan"], {}),
 ], ids=["alpha-nan", "b-nan", "alpha-1e300", "lambda-nan", "tol-nan", "xi-max-nan",
-        "xi-max-inf-q", "xi-max-1e200-q", "xi-max-1e200"])
+        "xi-max-inf-q", "xi-max-1e200-q", "xi-max-1e200", "hardy-beta-nan",
+        "hardy-beta-inf", "oned-beta-nan", "oned-a-nan", "oned-log-eps-inf",
+        "aux-beta-inf", "aux-lambda-inf", "dissipativity-lambda-nan"])
 def test_non_finite_input_exit1(argv, env):
     # a typed error as one JSON line, in bounded time, never a traceback
     start = time.perf_counter()
@@ -266,6 +279,8 @@ def test_non_finite_input_exit1(argv, env):
     assert len(lines) == 1
     assert "error" in _strict_json(lines[0])
     assert "Traceback" not in r.stderr
+    if argv[0] == "verify":  # named by the check, not found by the quadrature
+        assert "must be finite" in lines[0], lines[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -296,9 +311,27 @@ def test_out_of_range_option_exit1(capsys, argv):
 
 
 def test_sweep_cap_is_inclusive():
-    from rellich.cli import SWEEP_MAX, _parse_sweep
-
     assert len(_parse_sweep(f"-2:3:{SWEEP_MAX}")) == SWEEP_MAX
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=st.floats(allow_nan=False, allow_infinity=False),
+       hi=st.floats(allow_nan=False, allow_infinity=False),
+       n=st.integers(2, SWEEP_MAX))
+@example(lo=1.5, hi=1.5, n=7)
+@example(lo=-0.0, hi=-0.0, n=3)
+@example(lo=0.0, hi=-0.0, n=4)
+@example(lo=-0.0, hi=5e-324, n=3)
+@example(lo=0.0, hi=1e-320, n=SWEEP_MAX)
+@example(lo=-1e300, hi=1e300, n=SWEEP_MAX)
+@example(lo=1e300, hi=-1e300, n=2)
+@example(lo=-2.0, hi=3.0, n=101)
+def test_sweep_grid_is_linspace(lo, hi, n):
+    # the closed-form sweep builds its grid without numpy, to the bit
+    got = np.array(_parse_sweep(f"{lo!r}:{hi!r}:{n}"), dtype=float)
+    with np.errstate(all="ignore"):
+        want = np.linspace(lo, hi, n)
+    assert got.tobytes() == want.tobytes()
 
 
 # argv, exit code and JSON line of CLI invocations: test_determinism compares
@@ -332,12 +365,101 @@ def test_golden_values(capsys, monkeypatch, case):
 
 
 def test_import_leaves_numpy_polynomial_unloaded():
-    # numpy.polynomial costs about 5 ms of the CLI's import; the library
-    # reaches for it only when it first integrates
+    # numpy.polynomial costs about 5 ms of the numeric layer's import; the
+    # library reaches for it only when it first integrates
     r = subprocess.run(
         [sys.executable, "-c",
-         "import sys, rellich.cli; print('numpy.polynomial' in sys.modules)"],
+         "import sys, rellich.cli, rellich.verify; print('numpy.polynomial' in sys.modules)"],
         capture_output=True, text=True, env=CHILD_ENV,
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+def _child(code, *args):
+    r = subprocess.run([sys.executable, "-c", code, *args],
+                       capture_output=True, text=True, env=CHILD_ENV, timeout=120)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+@pytest.mark.parametrize("module", ["rellich", "rellich.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    # the closed-form layer loads alone; numpy and the numeric modules wait
+    # for their first use
+    loaded = json.loads(_child(
+        f"import json, sys, {module}; "
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m == 'numpy' or m.startswith('rellich.'))))"))
+    assert "numpy" not in loaded
+    assert not {"rellich.profiles", "rellich.quadrature", "rellich.radial",
+                "rellich.verify"} & set(loaded)
+
+
+# argv, documented exit code, whether the command needs numpy
+NUMPY_BOUNDARY = [
+    (["check", "--N", "5", "--p", "2", "--alpha", "0"], 0, False),
+    (["check", "--N", "5", "--p", "1.5", "--sweep-alpha=-3:4:21"], 0, False),
+    (["spectrum", "--N", "5", "--p", "2", "--lambda=-3,1"], 0, False),
+    (["spectrum", "--N", "5", "--p", "3", "--interval", "unit", "--lambda=-1"], 0, False),
+    (["verify", "critical", "--N", "5", "--p", "2"], 0, True),
+    (["counterexample", "--N", "5", "--p", "2", "--mode", "minus"], 0, True),
+    (["spectrum", "--N", "5", "--p", "2", "--sample", "--sample-q", "3"], 0, True),
+]
+
+
+@pytest.mark.parametrize("argv, code, needs_numpy", NUMPY_BOUNDARY,
+                         ids=["check", "check-sweep", "spectrum-A", "spectrum-gamma",
+                              "verify", "counterexample", "spectrum-sample"])
+def test_numpy_loaded_only_by_numeric_commands(argv, code, needs_numpy):
+    out = _child("import sys\n"
+                 "from rellich.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "print(code, 'numpy' in sys.modules)", *argv)
+    assert out.splitlines()[-1] == f"{code} {needs_numpy}"
+
+
+# the public names of the package as a parent of its lazy loading exposed them
+PUBLIC_NAMES = """
+ADomain BetaZero BoundaryReport Branch CorpusOutsideSubspace DEFAULT_TOL DNonzero DZero
+DegenerateWeight DomainKind GammaInterval GreenBoundInput HalfLineSide HarmonicSet
+HeatKernelVariant NonFiniteIntegrand NotCritical OperatorParams OutOfRange ParabolicRegion
+PreconditionViolated Profile1D QuadratureSpec RatioReport ReducedCoefficients RellichError
+SpectralClassification UnsupportedRegime VariantMismatch Verdict VerificationReport
+base_alpha best_constant boundary_counterexample bump bump_corpus check_derivatives
+classify_A classify_gamma classify_halfline_ode conjugate_exponent counterexample_ratio
+critical_alphas decide decide_bounded_domain decide_exterior decide_unit_ball
+decide_whole_space discriminant dist_to_parabola eigen_lambda errors fit_loglog_slope
+g0_positive_D g0_zero_D gamma_p green heat_kernel_bound in_region indicial_roots integrate
+kelvin_transform lemma_parameters_flags log_squeezed lp_norm mu_shift ode_roots omega_p
+on_parabola oned_green_reconstruct params parse_p plateau_profile profiles quadrature
+radial radial_power_bump reduced_coefficients region_section3 region_section4
+rellich_ratio_separable resolvent_bound spectral sqrt_nonneg_re tail_exponent_integrable
+validity verify verify_aux_remainder verify_critical_log verify_dissipativity verify_hardy
+verify_oned_inequality verify_rellich verify_remainder
+""".split()
+
+
+def test_package_exports_survive_lazy_loading():
+    got = json.loads(_child(
+        "import json, sys, rellich\n"
+        "listed = sorted(n for n in dir(rellich) if not n.startswith('_'))\n"
+        "from rellich import bump\n"
+        "# one numeric name loads the whole layer: callers look it up in sys.modules\n"
+        "mods = [m for m in ('profiles', 'quadrature', 'radial', 'verify')\n"
+        "        if 'rellich.' + m not in sys.modules]\n"
+        "star = {}\n"
+        "exec('from rellich import *', star)\n"
+        "star = sorted(n for n in star if n != '__builtins__')\n"
+        "missing = [n for n in listed if getattr(rellich, n, None) is None]\n"
+        "print(json.dumps([listed, mods, star, missing, rellich.__version__]))"))
+    listed, mods, star, missing, version = got
+    assert listed == sorted(PUBLIC_NAMES)
+    assert mods == []
+    assert star == sorted(PUBLIC_NAMES)
+    assert missing == [] and version == rellich.__version__
+    # the numeric exports are the very objects of their modules
+    assert rellich.bump is rellich.profiles.bump
+    assert rellich.verify_rellich is rellich.verify.verify_rellich
+    with pytest.raises(AttributeError):
+        rellich.no_such_name  # noqa: B018
