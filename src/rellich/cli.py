@@ -12,9 +12,11 @@ Output is JSON on stdout (schema_version 1); CSV goes to --output when
 given.  Exit codes: 0 pass/holds, 1 precondition (also a non-finite
 alpha, lambda or tolerance, an --xi-max whose square is not finite, a
 degree beyond float range, --quad-nodes outside 16..512, a --quad-rel-tol
-outside (0, 1), a --sweep-alpha count above 100000, fewer than two
-distinct --eps values, or a Hardy constant beyond float range), 2 fail,
-3 unsupported regime, 64 usage.
+outside (0, 1), a --sweep-alpha count above 100000, a --grid outside
+2..100000, a --sample-q outside 0..100000, a --count outside 1..1000, an
+empty corpus, fewer than two distinct --eps values, or a Hardy constant
+beyond float range), 2 fail, 3 unsupported regime, 64 usage.  The
+ranges are checked before anything is allocated.
 RELLICH_TOL overrides the default tolerance.
 
 check, check --sweep-alpha and a spectrum point are closed-form and run
@@ -60,6 +62,10 @@ EXIT_USAGE = 64
 
 #: most points of a --sweep-alpha grid
 SWEEP_MAX = 100_000
+
+#: most spectrum --sample-q points, and most verify --count profiles per degree
+SAMPLE_Q_MAX = 100_000
+COUNT_MAX = 1_000
 
 _DOMAINS = {
     "rn": DomainKind.WHOLE_SPACE,
@@ -177,6 +183,8 @@ def cmd_spectrum(args) -> int:
         top = xi_max * xi_max  # the deepest Q sample; x * x overflows to inf, x**2 raises
         if not math.isfinite(top):
             raise PreconditionViolated(f"--xi-max and its square must be finite, got {xi_max}")
+        if not 0 <= args.sample_q <= SAMPLE_Q_MAX:
+            raise OutOfRange(f"--sample-q must lie in 0..{SAMPLE_Q_MAX}, got {args.sample_q}")
         import numpy as np
 
         xi = np.linspace(-xi_max, xi_max, 1000)
@@ -289,6 +297,8 @@ def _report_json(report, seed=None) -> dict:
 
 
 def cmd_verify(args) -> int:
+    if not 1 <= args.count <= COUNT_MAX:
+        raise OutOfRange(f"--count must lie in 1..{COUNT_MAX}, got {args.count}")
     from .profiles import bump_corpus
     from .verify import (
         verify_aux_remainder,
@@ -373,7 +383,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--sample", action="store_true",
                     help="emit parabola point cloud as CSV (1000 points)")
     sp.add_argument("--sample-q", dest="sample_q", type=int, default=0,
-                    help="append this many interior points of Q, tagged Q")
+                    help="append this many interior points of Q, tagged Q (0..100000)")
     sp.add_argument("--seed-q", dest="seed_q", type=int, default=0)
     sp.add_argument("--xi-max", dest="xi_max", type=float, default=5.0)
     sp.add_argument("-o", "--output", type=str, default=None)
@@ -385,7 +395,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--mode", choices=["minus", "plus", "boundary"], required=True)
     sp.add_argument("--eps", type=str,
                     default=",".join(str(e) for e in EPS_LADDER))
-    sp.add_argument("--grid", type=int, default=400)
+    sp.add_argument("--grid", type=int, default=400, help="boundary log-grid points, 2..100000")
     sp.add_argument("-o", "--output", type=str, default=None)
     sp.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=None,
                     help="Gauss-Legendre nodes per panel (default 64)")
@@ -405,7 +415,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--lambda", dest="lam_real", type=float, default=1.0)
     sp.add_argument("--a", type=float, default=1.0)
     sp.add_argument("--log-eps", dest="log_eps", type=float, default=0.5)
-    sp.add_argument("--count", type=int, default=3, help="profiles per degree")
+    sp.add_argument("--count", type=int, default=3, help="profiles per degree, 1..1000")
     sp.add_argument("--harmonics", type=lambda s: [int(x) for x in s.split(",")],
                     default=[0, 1], help="corpus degrees, comma separated")
     sp.add_argument("--seed", type=int, default=0)

@@ -8,11 +8,11 @@ integrate, as plain callables: ``lp_norm`` locates their sign changes
 and critical points from their values, whatever the profile.
 
 The workhorse is the polynomial bump psi(t) = (1 - t^2)^3 on [-1, 1],
-which vanishes to second order at the endpoints.  A polynomial profile
-keeps the power-series coefficients of its affine variable t, which maps
-the support onto [-1, 1]; its jet comes from those coefficients, and an
-affine reparametrisation keeps them.  ``log_squeezed`` and
-``radial_power_bump`` compose a jet with a change of variable.
+which vanishes to second order at the endpoints.  The jet of a
+polynomial profile comes from its power-series coefficients in the affine
+variable t that maps the support onto [-1, 1]; a bump on another support
+is ``bump`` on that support.  ``log_squeezed`` and ``radial_power_bump``
+compose a jet with a change of variable.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ class Profile1D:
     jet: object  # ndarray -> (v, v', v''), ndarrays of its shape
     support: tuple[float, float]
     label: str = ""
-    # power-series coefficients in t = (2s - a - b)/(b - a) of a polynomial
-    # profile on its support [a, b] (zero outside); None for other profiles.
-    # Not a callable: tracers (bench/trace.py) wrap every callable field
-    coefficients: tuple[float, ...] | None = None
 
     def __post_init__(self):
         a, b = self.support
@@ -85,19 +81,14 @@ def _t_derivatives(coefficients: tuple[float, ...]) -> np.ndarray:
     return rows
 
 
-def _jet_rows(coefficients: tuple[float, ...], half: float) -> np.ndarray:
-    """Power series in t of v, v' and v'' (derivatives in s = mid + half t), as rows."""
-    return _t_derivatives(coefficients) / np.array([[1.0], [half], [half * half]])
-
-
 def polynomial_profile(coefficients, support: tuple[float, float],
                        label: str = "") -> Profile1D:
     """The profile with power-series coefficients ``coefficients`` in the
     affine variable t that maps ``support`` onto [-1, 1]; zero outside.
 
     The jet is one product of the powers of t with the coefficients of v,
-    v' and v'' as three rows, made at its first call so that building a
-    profile stays cheap.
+    v' and v'' (derivatives in s = mid + half t) as three rows, made at its
+    first call so that building a profile stays cheap.
     """
     a, b = support
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -107,7 +98,7 @@ def polynomial_profile(coefficients, support: tuple[float, float],
     def jet(s):
         nonlocal rows
         if rows is None:
-            rows = _jet_rows(coefficients, half)
+            rows = _t_derivatives(coefficients) / np.array([[1.0], [half], [half * half]])
         t = (np.asarray(s, dtype=float) - mid) / half
         flat = t.ravel()
         powers = np.empty((rows.shape[1], flat.size))
@@ -118,13 +109,11 @@ def polynomial_profile(coefficients, support: tuple[float, float],
         out[:, np.abs(flat) >= 1.0] = 0.0
         return tuple(out.reshape((3, *t.shape)))
 
-    return Profile1D(jet, (a, b), label, coefficients)
+    return Profile1D(jet, (a, b), label)
 
 
 def bump(a: float, b: float, label: str = "") -> Profile1D:
-    """Polynomial bump (1 - t^2)^3 mapped onto [a, b]; peak value 1 at the center."""
-    if not b > a:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
+    """Polynomial bump (1 - t^2)^3 mapped onto [a, b], a < b; peak value 1 at the center."""
     return polynomial_profile(PSI, (a, b), label or f"bump[{a:g},{b:g}]")
 
 
@@ -137,27 +126,6 @@ def plateau_profile(T: float) -> Profile1D:
     if T <= 0:
         raise ValueError("T must be positive")
     return bump(-T, T, label=f"plateau[T={T:g}]")
-
-
-def reparametrised(v: Profile1D, scale: float = 1.0, shift: float = 0.0) -> Profile1D:
-    """Profile s -> v((s - shift) / scale) (scale > 0) on the mapped support.
-
-    A polynomial profile keeps its coefficients: its affine variable
-    follows the support.
-    """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    a, b = v.support
-    support = (a * scale + shift, b * scale + shift)
-    label = f"{v.label}((s-{shift:g})/{scale:g})"
-    if v.coefficients is not None:
-        return polynomial_profile(v.coefficients, support, label)
-
-    def jet(s):
-        v0, v1, v2 = v.jet((np.asarray(s, dtype=float) - shift) / scale)
-        return v0, v1 / scale, v2 / scale**2
-
-    return Profile1D(jet, support, label)
 
 
 def log_squeezed(phi: Profile1D, eps: float) -> Profile1D:
@@ -204,7 +172,7 @@ def radial_power_bump(q: float, T: float, center: float = 0.0) -> Profile1D:
 def check_derivatives(v: Profile1D, points: int = 100, rel_tol: float = 1e-6) -> float:
     """Spot-check v', v'' against central finite differences at interior points.
 
-    A test oracle for the profiles without coefficients.  Returns the
+    A test oracle for the profiles that are not polynomial.  Returns the
     worst relative error; raises AssertionError beyond rel_tol.
     """
     a, b = v.support

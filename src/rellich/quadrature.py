@@ -2,13 +2,16 @@
 
 ``integrate(f, a, b)`` is the signed integral of f and ``lp_norm(f,
 support, p)`` the norm ||f||_{L^p(support)}, 1 <= p <= inf, computed from
-the signed f.  Both return (value, err).
+the signed f.  Both return (value, err).  An integrand maps an array of
+points to an array of the same shape; any other result raises
+PreconditionViolated, and a non-finite value NonFiniteIntegrand.
 
-Integrals use composite ``spec.nodes``-point Gauss-Legendre rules and
-double the panel count until the change between two successive sums is
-at most ``rel_tol`` times the integral of |integrand| from the same
-nodes, so an integral that cancels to zero stops as early as one that
-does not.
+Integrals use composite ``spec.nodes``-point Gauss-Legendre rules, each
+the image on its interval of one cached layout of nodes and weights on
+[-1, 1] per panel count.  They double the panel count until the change
+between two successive sums is at most ``rel_tol`` times the integral of
+|integrand| from the same nodes, so an integral that cancels to zero
+stops as early as one that does not.
 
 For finite p, |f|^p has kinks at the sign changes of f, where panel
 doubling converges only algebraically.  ``lp_norm`` runs the 1- and
@@ -79,70 +82,56 @@ _MAX_PIECES = 64
 _NEAR_REAL = 1e-6
 
 
-@lru_cache(maxsize=8)
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=32)
+def _layout(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of k n-point Gauss-Legendre panels on [-1, 1]; ``_rule`` maps them."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    centres = (2.0 * np.arange(k) + 1.0 - k) / k
+    out = (centres[:, None] + x / k).ravel(), np.tile(w / k, k)
+    for m in out:
+        m.setflags(write=False)  # shared by every caller of the cache
+    return out
 
 
-def _sampler(f):
-    """pts -> f(pts) as an array of finite floats.
-
-    The first call decides how f is called: as it is, unless it raises or
-    returns the wrong shape on an array, in which case f is taken for a
-    scalar-only callable and wrapped in np.vectorize.
-    """
-    call = None
-
-    def sample(pts: np.ndarray) -> np.ndarray:
-        nonlocal call
-        if call is None:
-            call = f
-            try:
-                vals = np.asarray(f(pts), dtype=float)
-            except (TypeError, ValueError):
-                vals = None
-            if vals is None or vals.shape != pts.shape:
-                call = np.vectorize(f, otypes=[float])
-                vals = call(pts)
-        else:
-            vals = np.asarray(call(pts), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteIntegrand("integrand returned non-finite values")
-        return vals
-
-    return sample
+def _sample(f, pts: np.ndarray) -> np.ndarray:
+    """f(pts), which must be an array of finite floats of the shape of pts."""
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != pts.shape:
+        raise PreconditionViolated(f"an integrand must map an array to an array of its shape: "
+                                   f"got shape {vals.shape} for nodes of shape {pts.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteIntegrand("integrand returned non-finite values")
+    return vals
 
 
 def _rule(jobs, spec: QuadratureSpec):
-    """Composite rules for (a, b, panels) jobs, concatenated.
+    """Composite rules for (a, b, panels) jobs, concatenated: the one place
+    where Gauss nodes are mapped onto an interval.
 
     Returns (nodes, weights, offsets), offsets[i] being where the nodes
     of job i start.
     """
-    x, w = _gl_rule(spec.nodes)
-    a, b, k = (np.array(col, dtype=float) for col in zip(*jobs))
-    counts = k.astype(int)
-    starts = np.cumsum(counts) - counts
-    h = np.repeat((b - a) / k, counts)
-    mid = np.repeat(a, counts) + (np.arange(counts.sum()) - np.repeat(starts, counts) + 0.5) * h
-    half = 0.5 * h
-    return ((mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel(),
-            starts * spec.nodes)
+    pts, wts = [], []
+    for a, b, k in jobs:
+        x, w = _layout(spec.nodes, k)
+        half = 0.5 * (b - a)
+        pts.append(0.5 * (a + b) + half * x)
+        wts.append(half * w)
+    return np.concatenate(pts), np.concatenate(wts), np.cumsum([0, *map(len, pts[:-1])])
 
 
-def _sums(sample, jobs, g, spec: QuadratureSpec):
+def _sums(f, jobs, g, spec: QuadratureSpec):
     """(sum, sum of |.|) of the rule for g(f) on each (a, b, panels) job.
 
     f is sampled once for all jobs together.
     """
     pts, wts, offsets = _rule(jobs, spec)
-    terms = g(sample(pts)) * wts
+    terms = g(_sample(f, pts)) * wts
     return list(zip(np.add.reduceat(terms, offsets).tolist(),
                     np.add.reduceat(np.abs(terms), offsets).tolist()))
 
 
-def _converge(sample, edges, g, spec: QuadratureSpec, first=None):
+def _converge(f, edges, g, spec: QuadratureSpec, first=None):
     """Integral of g(f) over [edges[0], edges[-1]], piece by piece.
 
     Each piece between consecutive edges starts from its 1- and 2-panel
@@ -153,7 +142,7 @@ def _converge(sample, edges, g, spec: QuadratureSpec, first=None):
     """
     pieces = list(zip(edges[:-1], edges[1:]))
     if first is None:
-        first = _sums(sample, [(a, b, k) for a, b in pieces for k in (1, 2)], g, spec)
+        first = _sums(f, [(a, b, k) for a, b in pieces for k in (1, 2)], g, spec)
     prev, cur = first[0::2], first[1::2]
     panels = [2] * len(pieces)
     limit = 2 ** MAX_REFINEMENTS
@@ -168,7 +157,7 @@ def _converge(sample, edges, g, spec: QuadratureSpec, first=None):
             break
         for i in todo:
             panels[i] *= 2
-        new = _sums(sample, [(*pieces[i], panels[i]) for i in todo], g, spec)
+        new = _sums(f, [(*pieces[i], panels[i]) for i in todo], g, spec)
         for i, s in zip(todo, new):
             prev[i], cur[i] = cur[i], s
     return sum(c[0] for c in cur), sum(errs)
@@ -178,13 +167,14 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD
               ) -> tuple[float, float]:
     """Integral of f over [a, b] with an error estimate.
 
-    Returns (value, err) where err is the change at the last refinement;
+    f maps an array of points to an array of the same shape.  Returns
+    (value, err) where err is the change at the last refinement;
     refinement stops once err is at most rel_tol times the integral of
     |f| from the same nodes.
     """
     if b <= a:
         return 0.0, 0.0
-    return _converge(_sampler(f), [a, b], lambda v: v, spec)
+    return _converge(f, [a, b], lambda v: v, spec)
 
 
 @lru_cache(maxsize=8)
@@ -198,7 +188,7 @@ def _legendre(n: int):
     coefficients to those of the derivative, and J with scl gives the
     colleague matrix of ``_roots``.
     """
-    x, _ = _gl_rule(n)
+    x, _ = _layout(n, 1)
     k = np.arange(n)
     T = np.linalg.inv(np.polynomial.legendre.legvander(x, n - 1))
     D = np.where((k > k[:, None]) & ((k - k[:, None]) % 2 == 1), 2.0 * k[:, None] + 1, 0.0)
@@ -218,7 +208,7 @@ def _roots(c, J, scl) -> np.ndarray:
     return np.linalg.eigvals(m)
 
 
-def _locate(sample, a: float, b: float, vals: np.ndarray, spec: QuadratureSpec,
+def _locate(f, a: float, b: float, vals: np.ndarray, spec: QuadratureSpec,
             sup: bool) -> tuple[np.ndarray, float]:
     """(sorted real roots inside (a, b) of f, or of f' when sup, bound), as chebfun finds them.
 
@@ -238,7 +228,6 @@ def _locate(sample, a: float, b: float, vals: np.ndarray, spec: QuadratureSpec,
     such pieces.
     """
     n = spec.nodes
-    x, _ = _gl_rule(n)
     T, D, J, scl = _legendre(n)
     near = _NEAR_REAL * (b - a)
     pieces, mids, out, bound = [(a, b)], [], [], 0.0
@@ -262,7 +251,7 @@ def _locate(sample, a: float, b: float, vals: np.ndarray, spec: QuadratureSpec,
             break
         if 1 + 2 * (len(mids) + len(rest)) > _MAX_PIECES:
             if sup:
-                out += [0.5 * (lo + hi + (hi - lo) * t) for lo, hi in rest for t in x.tolist()]
+                out += _rule([(lo, hi, 1) for lo, hi in rest], spec)[0].tolist()
                 v = np.abs(vals.reshape(len(pieces), n)[rows])
                 lower = np.minimum(np.concatenate((v[:, :1], v[:, :-1]), axis=1),
                                    np.concatenate((v[:, 1:], v[:, -1:]), axis=1))
@@ -271,9 +260,7 @@ def _locate(sample, a: float, b: float, vals: np.ndarray, spec: QuadratureSpec,
         mids += [0.5 * (lo + hi) for lo, hi in rest]
         pieces = [piece for (lo, hi), m in zip(rest, mids[-len(rest):])
                   for piece in ((lo, m), (m, hi))]
-        edges = np.array(pieces)
-        vals = sample((edges.mean(axis=1)[:, None]
-                       + 0.5 * (edges[:, 1] - edges[:, 0])[:, None] * x).ravel())
+        vals = _sample(f, _rule([(lo, hi, 1) for lo, hi in pieces], spec)[0])
     # f may have a kink where a piece was halved, unless it lies between two
     # pieces that stayed unresolved
     inner = {lo for lo, _ in rest} & {hi for _, hi in rest}
@@ -281,7 +268,7 @@ def _locate(sample, a: float, b: float, vals: np.ndarray, spec: QuadratureSpec,
     return np.array(sorted(s for s in out if a + near < s < b - near)), bound
 
 
-def _sup_at(sample, a: float, b: float, xs: np.ndarray):
+def _sup_at(f, a: float, b: float, xs: np.ndarray):
     """(max |f| over a, b and the critical points xs of f, err).
 
     Each critical point also gets neighbours at +-h = sqrt(eps) (b - a).
@@ -292,7 +279,7 @@ def _sup_at(sample, a: float, b: float, xs: np.ndarray):
     """
     h = math.sqrt(np.finfo(float).eps) * (b - a)
     pts = np.clip(np.concatenate(([a, b], xs - h, xs, xs + h)), a, b)
-    v = np.abs(sample(pts))
+    v = np.abs(_sample(f, pts))
     top = float(np.max(v))
     trio = v[2:].reshape(3, -1)
     bound = np.max(2.0 * trio.max(axis=0) - trio.min(axis=0), initial=top)
@@ -303,33 +290,33 @@ def lp_norm(f, support: tuple[float, float], p: float,
             spec: QuadratureSpec = DEFAULT_QUAD) -> tuple[float, float]:
     """(||f||_{L^p(support)}, error estimate of the norm) for 1 <= p <= inf.
 
-    f is the signed function.  For finite p the estimate is the last
-    refinement change, for p = inf the spread of |f| around the sup.
+    f, the signed function, maps an array of points to an array of the
+    same shape.  For finite p the estimate is the last refinement change,
+    for p = inf the spread of |f| around the sup.
     """
     a, b = support
     if not math.isinf(p) and p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if b <= a:
         return 0.0, 0.0
-    sample = _sampler(f)
     if math.isinf(p):
-        vals = sample(0.5 * (a + b) + 0.5 * (b - a) * _gl_rule(spec.nodes)[0])
-        xs, bound = _locate(sample, a, b, vals, spec, sup=True)
-        top, err = _sup_at(sample, a, b, xs)
+        vals = _sample(f, _rule([(a, b, 1)], spec)[0])
+        xs, bound = _locate(f, a, b, vals, spec, sup=True)
+        top, err = _sup_at(f, a, b, xs)
         return top, max(err, bound - top)
 
     def g(v):
         return np.abs(v) ** p
 
     pts, wts, offsets = _rule([(a, b, 1), (a, b, 2)], spec)
-    vals = sample(pts)
+    vals = _sample(f, pts)
     i1, i2 = np.add.reduceat(g(vals) * wts, offsets).tolist()
     if abs(i2 - i1) <= spec.rel_tol * i2:
         total, err = i2, abs(i2 - i1)
     else:
-        roots = _locate(sample, a, b, vals[:offsets[1]], spec, sup=False)[0].tolist()
+        roots = _locate(f, a, b, vals[:offsets[1]], spec, sup=False)[0].tolist()
         first = None if roots else [(i1, i1), (i2, i2)]
-        total, err = _converge(sample, [a, *roots, b], g, spec, first)
+        total, err = _converge(f, [a, *roots, b], g, spec, first)
     norm = total ** (1.0 / p)
     if total <= 0:
         return norm, err ** (1.0 / p)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionViolated, UnsupportedRegime
+from .errors import OutOfRange, PreconditionViolated, UnsupportedRegime
 from .params import (
     OperatorParams,
     base_alpha,
@@ -40,6 +40,9 @@ from .quadrature import DEFAULT_QUAD, QuadratureSpec, lp_norm
 #: Support required of the counterexample cutoff phi; the reduced-norm
 #: identity below is derived for this window.
 PHI_SUPPORT = (0.25, 0.5)
+
+#: most points of the boundary witness's log grid, which needs at least 2
+GRID_MAX = 100_000
 
 
 @dataclass(frozen=True)
@@ -185,15 +188,17 @@ def boundary_counterexample(
     test alpha - 2 + Re(s1) > -N/p, and `active` flags the regime
     alpha > base + Re sqrt(D) where the witness defeats the inequality.
 
-    Requires D >= 0 (real roots).
+    Requires D >= 0 (real roots) and 2 <= grid <= GRID_MAX.
     """
+    if not 2 <= grid <= GRID_MAX:
+        raise OutOfRange(f"grid must have 2..{GRID_MAX} points, got {grid}")
     check_p(p)
     D = discriminant(params)
     if D < 0:
         raise UnsupportedRegime("boundary witness needs real indicial roots (D >= 0)")
     s1, s2 = indicial_roots(params, 0)
     s1r, s2r = s1.real, s2.real
-    r = np.exp(np.linspace(math.log(1e-6), 0.0, max(grid, 2)))
+    r = np.exp(np.linspace(math.log(1e-6), 0.0, grid))
 
     def powers(s):
         u = r ** (-s)

@@ -216,7 +216,7 @@ def classify_A(
     lam: complex,
     tol: float = DEFAULT_TOL,
 ) -> SpectralClassification:
-    """Classify lambda for A_{p,J} = |x|^2 Delta + c x . grad on L^p_J.
+    """Classify lambda for A_{p,J} = |x|^2 Delta + c x . grad on L^p_J, J a HarmonicSet.
 
     Whole space: spectrum is the union of shifted parabolas P_p - lambda_j
     over j in J, all approximate.  Unit ball: spectrum is Q_p shifted by
@@ -226,10 +226,6 @@ def classify_A(
 
     Only N and c of ``params`` enter (A carries no potential term).
     """
-    from .validity import HarmonicSet
-
-    if not isinstance(J, HarmonicSet):
-        J = HarmonicSet.parse(str(J))
     lam = check_finite("lambda", complex(lam))
     check_tol(tol)
     region = region_section3(params, p)

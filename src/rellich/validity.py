@@ -34,6 +34,7 @@ from .params import (
     kelvin_transform,
     sqrt_nonneg_re,
 )
+from .spectral import in_region, region_section4
 
 
 class DomainKind(str, enum.Enum):
@@ -338,8 +339,6 @@ def lemma_parameters_flags(
 
     All four agree away from equality boundaries.
     """
-    from .spectral import in_region, region_section4
-
     if j < 0:
         raise ValueError("j must be >= 0")
     lam = eigen_lambda(params.N, j)

@@ -92,6 +92,8 @@ def verify_rellich(
     critical alpha with real indicial roots, the explicit family must
     decay to zero monotonically with log-log slope near 1.
     """
+    if not corpus:
+        raise PreconditionViolated("empty corpus: nothing to verify")
     for n, _ in corpus:
         if not J.contains(n):
             raise CorpusOutsideSubspace(f"corpus degree n={n} not in J={J}")
@@ -301,6 +303,8 @@ def verify_oned_inequality(
         raise ValueError("a must be positive")
     if kappa is None:
         kappa = (1.0 if beta != 0 else 2.0) + (0.0 if p > 1 else eps)
+    if not corpus:
+        raise PreconditionViolated("empty corpus: nothing to verify")
     report = VerificationReport(claim=f"oned beta={beta} p={p} a={a} kappa={kappa}")
     for v in corpus:
         if v.support[0] <= 0:
@@ -367,6 +371,8 @@ def verify_remainder(
     check_p(p)
     if math.isinf(p) or p <= 1:
         raise PreconditionViolated(f"remainder needs 1 < p < inf, got {p}")
+    if not corpus:
+        raise PreconditionViolated("empty corpus: nothing to verify")
     D = discriminant(params)
     if D <= 0 or abs(base_alpha(params, p) - alpha) >= math.sqrt(D):
         raise PreconditionViolated(
@@ -466,6 +472,8 @@ def verify_dissipativity(
         raise PreconditionViolated(f"need 1 < p < inf, got {p}")
     if check_finite("lambda", lam) <= 0:
         raise PreconditionViolated(f"need lambda > 0, got {lam}")
+    if not corpus:
+        raise PreconditionViolated("empty corpus: nothing to verify")
     k = params.N * (1.0 - 2.0 * inv_p(p)) - 2.0 + params.c
     report = VerificationReport(
         claim=f"dissipativity N={params.N} c={params.c} p={p} lambda={lam}"

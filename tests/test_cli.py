@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rellich
-from rellich.cli import SWEEP_MAX, _parse_sweep, main
+from rellich.cli import COUNT_MAX, SAMPLE_Q_MAX, SWEEP_MAX, _parse_sweep, main
+from rellich.radial import GRID_MAX
 
 # children import the package from where this process found it
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(rellich.__file__)))
@@ -291,8 +292,23 @@ def test_non_finite_input_exit1(argv, env):
     ["verify", "hardy", "--beta", "1e300"],
     ["counterexample", "--mode", "minus", "--eps", "0.1"],
     ["check", "--sweep-alpha=-2:3:100000000"],
+    ["verify", "rellich", "--count", "0"],
+    ["verify", "rellich", "--count=-2"],
+    ["verify", "remainder", "--count", "0"],
+    ["verify", "remainder", "--count=-2"],
+    ["verify", "dissipativity", "--count", "0"],
+    ["verify", "dissipativity", "--count=-2"],
+    ["verify", "oned", "--count", "0"],
+    ["verify", "rellich", "--count", str(COUNT_MAX + 1)],
+    ["spectrum", "--sample", "--sample-q=-1"],
+    ["spectrum", "--sample", "--sample-q", str(SAMPLE_Q_MAX + 1)],
+    ["counterexample", "--mode", "boundary", "--alpha", "3", "--grid", "1"],
+    ["counterexample", "--mode", "boundary", "--alpha", "3", "--grid", str(GRID_MAX + 1)],
 ], ids=["quad-nodes-0", "quad-nodes-1e5", "quad-rel-tol-nan", "quad-rel-tol-neg",
-        "hardy-beta-1e300", "one-eps", "sweep-1e8"])
+        "hardy-beta-1e300", "one-eps", "sweep-1e8", "rellich-count-0", "rellich-count-neg",
+        "remainder-count-0", "remainder-count-neg", "dissipativity-count-0",
+        "dissipativity-count-neg", "oned-count-0", "count-above-cap", "sample-q-neg",
+        "sample-q-above-cap", "grid-1", "grid-above-cap"])
 def test_out_of_range_option_exit1(capsys, argv):
     # checked before any rule, grid or fit is built: one JSON line, no
     # warning, no traceback, at once

@@ -74,13 +74,36 @@ def test_empty_interval():
     assert lp_norm(lambda s: s, (2.0, 1.0), 2)[0] == 0.0
 
 
-def test_scalar_callable_fallback():
-    # non-vectorized integrands are wrapped transparently
-    def scalar_only(s):
-        return math.exp(float(s))
+def test_integrand_of_another_shape_is_rejected():
+    # an integrand maps an array to an array of its shape; a scalar result
+    # is named with both shapes, not wrapped
+    shapes = r"got shape \(\) for nodes of shape \(\d+,\)"
+    for norm in (lambda f: integrate(f, 0, 1), lambda f: lp_norm(f, (0, 1), 2),
+                 lambda f: lp_norm(f, (0, 1), math.inf)):
+        with pytest.raises(PreconditionViolated, match=shapes):
+            norm(lambda s: 1.0)
 
-    val, _ = integrate(scalar_only, 0, 1)
-    assert abs(val - (math.e - 1)) < 1e-9
+
+def test_one_layout_per_panel_count():
+    # many supports share the cached layouts on [-1, 1], one per panel count,
+    # and a layout is the per-panel Gauss-Legendre rule
+    quadrature._layout.cache_clear()
+    for i in range(40):
+        a = 0.1 * i
+        for p in (1.0, 2.0, math.inf):
+            lp_norm(lambda s: np.sin(7.0 * s) * np.exp(-s), (a, a + 1.0 + 0.05 * i), p)
+    info = quadrature._layout.cache_info()
+    assert info.misses == info.currsize <= quadrature.MAX_REFINEMENTS + 1 and info.hits > 100
+    n = DEFAULT_QUAD.nodes
+    x, w = np.polynomial.legendre.leggauss(n)
+    for k in (1, 2, 8):
+        nodes, weights = quadrature._layout(n, k)
+        edges = np.linspace(-1.0, 1.0, k + 1)
+        panels = list(zip(edges[:-1], edges[1:]))
+        want_nodes = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * x for lo, hi in panels])
+        want_weights = np.concatenate([0.5 * (hi - lo) * w for lo, hi in panels])
+        assert np.max(np.abs(nodes - want_nodes)) <= 1e-15
+        assert np.max(np.abs(weights - want_weights)) <= 1e-15
 
 
 def _counted(f, tally):
@@ -133,24 +156,26 @@ def test_sup_error_estimate_of_a_boundary_maximum():
 
 def _knot_profiles():
     from rellich import bump
-    from rellich.profiles import reparametrised
 
-    c12 = [bump(1.0, 3.0), bump(2.0, 6.0)]
-    return c12 + [reparametrised(c12[0], scale=2.5), reparametrised(c12[1], shift=-1.5),
-                  reparametrised(bump(0.25, 0.5), scale=3.0, shift=0.7)]
+    # c12's two bumps, then bumps on the supports of c12[0] scaled by 2.5,
+    # of c12[1] shifted by -1.5, and of [0.25, 0.5] scaled by 3 and shifted by 0.7
+    return [bump(1.0, 3.0), bump(2.0, 6.0), bump(2.5, 7.5), bump(0.5, 4.5), bump(1.45, 2.2)]
 
 
 def _polynomial(v, a2=0.0, a1=0.0, a0=0.0, power=0):
-    """s^power (a2 v'' + a1 v' + a0 v) as a numpy Polynomial on v's support.
+    """s^power (a2 v'' + a1 v' + a0 v) as a numpy Polynomial, v a bump.
 
     A coefficient is a number or a tuple of power-series coefficients in s.
     The polynomial keeps the support as its domain, so it is stored in the
-    variable t of v's coefficients and stays well conditioned.
+    variable t of PSI, which maps the support onto [-1, 1], and stays well
+    conditioned.
     """
     from numpy.polynomial import Polynomial
 
+    from rellich.profiles import PSI
+
     lo, hi = v.support
-    psi = Polynomial(v.coefficients, domain=[lo, hi])
+    psi = Polynomial(PSI, domain=[lo, hi])
     s = Polynomial([0.5 * (lo + hi), 0.5 * (hi - lo)], domain=[lo, hi])
 
     def series(a):

@@ -55,6 +55,16 @@ def test_report_verdict_is_read_off_the_samples():
     assert rep.min_margin == 1.0
 
 
+def test_empty_corpus_is_rejected():
+    # a claim without samples would pass vacuously: refused before any quadrature
+    for run in (lambda: verify_rellich(P5, 2, 0.0, DomainKind.WHOLE_SPACE, ALL, []),
+                lambda: verify_oned_inequality(1.0, 2, 1.0, 0.5, []),
+                lambda: verify_remainder(P5, 2, 0.0, []),
+                lambda: verify_dissipativity(P5, 2, 1.0, [])):
+        with pytest.raises(PreconditionViolated, match="empty corpus"):
+            run()
+
+
 class TestVerifyRellich:
     def test_whole_space_holds(self):
         rep = verify_rellich(P5, 2, 0.0, DomainKind.WHOLE_SPACE, ALL, small_corpus())
