@@ -10,13 +10,17 @@ Subcommands
 
 Output is JSON on stdout (schema_version 1); CSV goes to --output when
 given.  Exit codes: 0 pass/holds, 1 precondition (also a non-finite
-alpha, lambda or tolerance, an --xi-max whose square is not finite, a
-degree beyond float range, --quad-nodes outside 16..512, a --quad-rel-tol
-outside (0, 1), a --sweep-alpha count above 100000, a --grid outside
-2..100000, a --sample-q outside 0..100000, a --count outside 1..1000, an
-empty corpus, fewer than two distinct --eps values, or a Hardy constant
-beyond float range), 2 fail, 3 unsupported regime, 64 usage.  The
-ranges are checked before anything is allocated.
+alpha, lambda, --log-eps or tolerance, an --xi-max whose square is not
+finite, an --N or a degree beyond float range, an exterior --domain
+with a --J other than all, --quad-nodes outside 16..512, a
+--quad-rel-tol outside (0, 1), a --sweep-alpha count above 100000, a
+--grid outside 2..100000, a --sample-q outside 0..100000, a --count
+outside 1..1000, a verify rellich or dissipativity corpus (--harmonics
+degrees times --count) above 5000 profiles, an empty corpus, fewer than
+two distinct --eps values, a Hardy constant beyond float range, or a p
+so large that a power of the verified inequality or an integral of
+|f|^p overflows), 2 fail, 3 unsupported regime, 64 usage.  The ranges
+are checked before anything is allocated.
 RELLICH_TOL overrides the default tolerance.
 
 check, check --sweep-alpha and a spectrum point are closed-form and run
@@ -63,9 +67,11 @@ EXIT_USAGE = 64
 #: most points of a --sweep-alpha grid
 SWEEP_MAX = 100_000
 
-#: most spectrum --sample-q points, and most verify --count profiles per degree
+#: most spectrum --sample-q points, most verify --count profiles per degree, and
+#: most profiles of a verify corpus over all --harmonics degrees
 SAMPLE_Q_MAX = 100_000
 COUNT_MAX = 1_000
+CORPUS_MAX = 5_000
 
 _DOMAINS = {
     "rn": DomainKind.WHOLE_SPACE,
@@ -138,35 +144,25 @@ def cmd_check(args) -> int:
     p = parse_p(args.p)
     J = HarmonicSet.parse(args.J)
     domain = _DOMAINS[args.domain]
+    tol = _tol(args)
 
     if args.sweep_alpha:
-        grid = _parse_sweep(args.sweep_alpha)
         rows = []
-        holds_count = 0
-        for a in grid:
-            v = decide(params, p, alpha=a, domain=domain, J=J, tol=_tol(args))
-            holds_count += v.holds
-            rows.append((a, int(v.holds),
-                         "" if v.best_constant is None else v.best_constant))
+        for a in _parse_sweep(args.sweep_alpha):
+            v = decide(params, p, alpha=a, domain=domain, J=J, tol=tol)
+            rows.append((a, int(v.holds), "" if v.best_constant is None else v.best_constant))
         _write_csv(args.output, ["alpha", "holds", "best_constant"], rows)
-        _emit({"sweep": {"points": len(rows), "holds": holds_count},
-               "output": args.output or "-", "tolerance": _tol(args)})
+        _emit({"sweep": {"points": len(rows), "holds": sum(row[1] for row in rows)},
+               "output": args.output or "-", "tolerance": tol})
         return EXIT_OK
 
-    verdict = decide(params, p, alpha=args.alpha, domain=domain, J=J, tol=_tol(args))
-    crit = [
-        [n, *critical_alphas(params, p, n)] for n in range(11) if J.contains(n)
-    ]
-    _emit(
-        {
-            "holds": verdict.holds,
-            "failing_modes": [{"n": n, "branch": b.value} for n, b in verdict.failing_modes],
-            "best_constant": verdict.best_constant,
-            "critical_alphas": crit,
-            "notes": verdict.notes,
-            "tolerance": _tol(args),
-        }
-    )
+    verdict = decide(params, p, alpha=args.alpha, domain=domain, J=J, tol=tol)
+    _emit({"holds": verdict.holds,
+           "failing_modes": [{"n": n, "branch": b.value} for n, b in verdict.failing_modes],
+           "best_constant": verdict.best_constant,
+           "critical_alphas": [[n, *critical_alphas(params, p, n)]
+                               for n in range(11) if J.contains(n)],
+           "notes": verdict.notes, "tolerance": tol})
     return EXIT_OK if verdict.holds else EXIT_FAIL
 
 
@@ -231,14 +227,11 @@ def cmd_spectrum(args) -> int:
 
 
 def _quad(args):
-    from .quadrature import DEFAULT_QUAD, QuadratureSpec
+    """The QuadratureSpec of the --quad-* options, its own defaults where none is given."""
+    from .quadrature import QuadratureSpec
 
-    if args.quad_nodes is None and args.quad_rel_tol is None:
-        return DEFAULT_QUAD
-    return QuadratureSpec(
-        nodes=DEFAULT_QUAD.nodes if args.quad_nodes is None else args.quad_nodes,
-        rel_tol=DEFAULT_QUAD.rel_tol if args.quad_rel_tol is None else args.quad_rel_tol,
-    )
+    given = {"nodes": args.quad_nodes, "rel_tol": args.quad_rel_tol}
+    return QuadratureSpec(**{k: v for k, v in given.items() if v is not None})
 
 
 def cmd_counterexample(args) -> int:
@@ -279,26 +272,13 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
-def _report_json(report, seed=None) -> dict:
-    out = {
-        "claim": report.claim,
-        "passed": report.passed,
-        "min_margin": report.min_margin,
-        "tolerance": report.tolerance,
-        "notes": report.notes,
-        "samples": [
-            {"descriptor": d, "lhs": lhs, "rhs": rhs, "margin": m}
-            for d, lhs, rhs, m in report.samples
-        ],
-    }
-    if seed is not None:
-        out["seed"] = seed
-    return out
-
-
 def cmd_verify(args) -> int:
     if not 1 <= args.count <= COUNT_MAX:
         raise OutOfRange(f"--count must lie in 1..{COUNT_MAX}, got {args.count}")
+    by_degree = args.target in ("rellich", "dissipativity")  # count profiles per degree
+    if by_degree and len(args.harmonics) * args.count > CORPUS_MAX:
+        raise OutOfRange(f"the corpus of --harmonics times --count has at most {CORPUS_MAX} "
+                         f"profiles, got {len(args.harmonics)} x {args.count}")
     from .profiles import bump_corpus
     from .verify import (
         verify_aux_remainder,
@@ -314,13 +294,11 @@ def cmd_verify(args) -> int:
     p = parse_p(args.p)
     seed = args.seed
     quad = _quad(args)
+    if by_degree:
+        corpus = [(n, v) for n in args.harmonics for v in bump_corpus(seed + n, args.count)]
     if args.target == "rellich":
-        corpus = [(n, v) for n in args.harmonics
-                  for v in bump_corpus(seed + n, args.count)]
-        report = verify_rellich(
-            params, p, args.alpha, _DOMAINS[args.domain],
-            HarmonicSet.parse(args.J), corpus, spec=quad, tol=_tol(args),
-        )
+        report = verify_rellich(params, p, args.alpha, _DOMAINS[args.domain],
+                                HarmonicSet.parse(args.J), corpus, spec=quad, tol=_tol(args))
     elif args.target == "hardy":
         (u,) = bump_corpus(seed, 1, center_range=(1.0, 1.5))
         report = verify_hardy(args.N, p, args.beta, u, spec=quad)
@@ -329,7 +307,8 @@ def cmd_verify(args) -> int:
                              left_min=math.log(2.0))
         report = verify_remainder(params, p, args.alpha, corpus, spec=quad)
     elif args.target == "critical":
-        report = verify_critical_log(params, p, args.n, args.mode, spec=quad)
+        report = verify_critical_log(params, p, args.n, args.mode, log_eps=args.log_eps,
+                                     spec=quad)
     elif args.target == "aux":
         (v,) = bump_corpus(seed, 1)
         report = verify_aux_remainder(args.beta, args.lam_real, p, v, spec=quad)
@@ -337,13 +316,12 @@ def cmd_verify(args) -> int:
         corpus = bump_corpus(seed, args.count)
         report = verify_oned_inequality(args.beta, p, args.a, args.log_eps, corpus,
                                         spec=quad)
-    elif args.target == "dissipativity":
-        corpus = [(n, v) for n in args.harmonics
-                  for v in bump_corpus(seed + n, args.count)]
+    else:  # dissipativity, the last of the choices
         report = verify_dissipativity(params, p, args.lam_real, corpus, spec=quad)
-    else:  # pragma: no cover - argparse restricts choices
-        raise PreconditionViolated(f"unknown verify target {args.target}")
-    _emit(_report_json(report, seed))
+    _emit({"claim": report.claim, "passed": report.passed, "min_margin": report.min_margin,
+           "tolerance": report.tolerance, "notes": report.notes, "seed": seed,
+           "samples": [{"descriptor": d, "lhs": lhs, "rhs": rhs, "margin": m}
+                       for d, lhs, rhs, m in report.samples]})
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -352,15 +330,20 @@ def build_parser() -> _Parser:
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp, alpha_required=False):
+    def common(sp):
         sp.add_argument("--N", type=int, required=True, help="space dimension")
         sp.add_argument("--c", type=float, default=0.0, help="drift coefficient")
         sp.add_argument("--b", type=float, default=0.0, help="potential coefficient")
         sp.add_argument("--p", type=str, default="2", help="exponent in [1, inf]")
-        sp.add_argument("--alpha", type=float, required=alpha_required,
-                        default=None, help="weight exponent")
+        sp.add_argument("--alpha", type=float, default=None, help="weight exponent")
         sp.add_argument("--tol", type=float, default=None,
                         help="decision tolerance (default 1e-9 or RELLICH_TOL)")
+
+    def quadrature(sp):
+        sp.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=None,
+                        help="Gauss-Legendre nodes per panel (default 64)")
+        sp.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float, default=None,
+                        help="panel refinement relative tolerance (default 1e-10)")
 
     sp = sub.add_parser("check", help="decide a Rellich inequality")
     common(sp)
@@ -397,10 +380,7 @@ def build_parser() -> _Parser:
                     default=",".join(str(e) for e in EPS_LADDER))
     sp.add_argument("--grid", type=int, default=400, help="boundary log-grid points, 2..100000")
     sp.add_argument("-o", "--output", type=str, default=None)
-    sp.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=None,
-                    help="Gauss-Legendre nodes per panel (default 64)")
-    sp.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float, default=None,
-                    help="panel refinement relative tolerance (default 1e-10)")
+    quadrature(sp)
     sp.set_defaults(func=cmd_counterexample)
 
     sp = sub.add_parser("verify", help="quadrature-backed verification")
@@ -417,13 +397,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--log-eps", dest="log_eps", type=float, default=0.5)
     sp.add_argument("--count", type=int, default=3, help="profiles per degree, 1..1000")
     sp.add_argument("--harmonics", type=lambda s: [int(x) for x in s.split(",")],
-                    default=[0, 1], help="corpus degrees, comma separated")
+                    default=[0, 1], help="corpus degrees, comma separated; rellich and "
+                    "dissipativity take at most 5000 profiles over all degrees")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=None,
-                    help="Gauss-Legendre nodes per panel (default 64)")
-    sp.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float, default=None,
-                    help="panel refinement relative tolerance (default 1e-10)")
-    sp.set_defaults(func=cmd_verify)
+    quadrature(sp)
+    sp.set_defaults(func=cmd_verify, alpha=0.0)
     return top
 
 
@@ -434,8 +412,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        if args.command == "verify" and args.alpha is None:
-            args.alpha = 0.0
         if args.alpha is not None:
             check_finite("alpha", args.alpha)
         return args.func(args)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DNonzero, DZero, VariantMismatch
-from .params import DEFAULT_TOL, OperatorParams, discriminant
+from .params import DEFAULT_TOL, OperatorParams, base_alpha, conjugate_exponent, discriminant
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,6 @@ def tail_exponent_integrable(params: OperatorParams, p: float, alpha: float) -> 
     This is the exponent comparison that closes the bounded-domain proof:
     finiteness holds iff alpha < base + sqrt(D).  Requires D >= 0.
     """
-    from .params import base_alpha, conjugate_exponent
-
     D = discriminant(params)
     if D < 0:
         raise DZero(f"tail exponent test needs D >= 0, got D={D}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .errors import OutOfRange, PreconditionViolated
@@ -31,8 +32,9 @@ INF = math.inf
 class OperatorParams:
     """The triple (N, c, b) defining L.
 
-    N is the space dimension (an integer N >= 2), c the drift coefficient
-    and b the inverse-square potential coefficient; c, b and D are finite.
+    N is the space dimension (an integer N >= 2 within float range), c the
+    drift coefficient and b the inverse-square potential coefficient; c, b
+    and D are finite.
     """
 
     N: int
@@ -40,8 +42,9 @@ class OperatorParams:
     b: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.N, numbers.Integral) or self.N < 2:
-            raise ValueError(f"dimension must be an integer N >= 2, got {self.N!r}")
+        if not isinstance(self.N, numbers.Integral) or not 2 <= self.N <= sys.float_info.max:
+            raise ValueError(f"dimension must be an integer N >= 2 within float range, "
+                             f"got {self.N!r}")
         half = (self.N - 2 + self.c) / 2.0
         if not all(map(math.isfinite, (self.c, self.b, self.b + half * half))):
             raise ValueError(f"c, b and D must be finite, got c={self.c}, b={self.b}")
@@ -55,6 +58,13 @@ def check_p(p: float) -> float:
     """Validate an extended Lebesgue exponent; returns it unchanged."""
     if math.isnan(p) or p < 1:
         raise ValueError(f"p must lie in [1, inf], got {p}")
+    return p
+
+
+def check_inner_p(p: float, what: str) -> float:
+    """Validate an exponent of a result, named what, that needs 1 < p < inf."""
+    if check_p(p) == 1.0 or math.isinf(p):
+        raise PreconditionViolated(f"{what}: 1 < p < inf is required, got p={p}")
     return p
 
 
@@ -125,7 +135,10 @@ def eigen_lambda(N: int, n: int) -> float:
         raise ValueError(f"N >= 2 required, got {N}")
     if n < 0:
         raise ValueError(f"harmonic degree must be >= 0, got {n}")
-    return float(n * (N + n - 2))
+    try:
+        return float(n * (N + n - 2))
+    except OverflowError:
+        raise OutOfRange(f"lambda_n is beyond float range at n={n}") from None
 
 
 def degree_at_most(N: int, x: float) -> int:
@@ -171,11 +184,24 @@ def gamma_p(N: int, p: float, alpha: float, c: float) -> float:
 
 
 def omega_p(N: int, p: float, c: float) -> float:
-    """omega_p = (N/p^2)[p(N-2+c) - N]; omega_inf = 0, omega_1 = (c-2)N."""
+    """omega_p = (N/p^2)[p(N-2+c) - N]; omega_inf = 0, omega_1 = (c-2)N.
+
+    Where p^2 or p(N-2+c) overflows, it is the same value factored as
+    (N/p)(N-2+c - N/p), which stays finite for every finite p.
+    """
     check_p(p)
     if math.isinf(p):
         return 0.0
-    return (N / p**2) * (p * (N - 2 + c) - N)
+    w = (N / p**2) * (p * (N - 2 + c) - N) if p < 1e154 else math.inf  # p**2 raises beyond
+    return w if math.isfinite(w) else (N / p) * (N - 2 + c - N / p)
+
+
+def reduced_drift(params: OperatorParams, p: float, alpha: float) -> float:
+    """beta = 2 alpha - 2 - N + 2N/p - c, the drift of the reduced operator.
+
+    It is the negated section-4 coefficient -k4 = 2 (alpha - base).
+    """
+    return 2.0 * alpha - 2.0 - params.N + 2.0 * params.N * inv_p(p) - params.c
 
 
 def mu_shift(params: OperatorParams, alpha: float) -> float:

@@ -149,13 +149,13 @@ def log_squeezed(phi: Profile1D, eps: float) -> Profile1D:
                      f"{phi.label}(r^eps), eps={eps:g}")
 
 
-def radial_power_bump(q: float, T: float, center: float = 0.0) -> Profile1D:
-    """Radial profile u(r) = r^{-q} psi((s - center)/T), s = -log r.
+def radial_power_bump(q: float, T: float) -> Profile1D:
+    """Radial profile u(r) = r^{-q} psi(s/T), s = -log r.
 
     Used as a near-extremizer for the Hardy constant ((N-2+beta)/p)^2
     with q = (N-2+beta)/p.  Derivatives are with respect to r.
     """
-    h = bump(center - T, center + T)
+    h = bump(-T, T)
 
     def jet(r):
         r = np.asarray(r, dtype=float)
@@ -164,9 +164,7 @@ def radial_power_bump(q: float, T: float, center: float = 0.0) -> Profile1D:
                 r ** (-q - 1) * (-q * h0 - h1),
                 r ** (-q - 2) * (q * (q + 1) * h0 + (2 * q + 1) * h1 + h2))
 
-    r_lo = math.exp(-(center + T))
-    r_hi = math.exp(-(center - T))
-    return Profile1D(jet, (r_lo, r_hi), f"r^-{q:g}*bump(T={T:g})")
+    return Profile1D(jet, (math.exp(-T), math.exp(T)), f"r^-{q:g}*bump(T={T:g})")
 
 
 def check_derivatives(v: Profile1D, points: int = 100, rel_tol: float = 1e-6) -> float:
@@ -200,14 +198,13 @@ def check_derivatives(v: Profile1D, points: int = 100, rel_tol: float = 1e-6) ->
 
 def bump_corpus(seed: int, count: int,
                 center_range: tuple[float, float] = (1.5, 10.0),
-                width_range: tuple[float, float] = (0.4, 3.0),
                 left_min: float = 0.0) -> list[Profile1D]:
-    """Deterministic corpus of bumps with support in (left_min, inf)."""
+    """Deterministic corpus of bumps with support in (left_min, inf), half-widths 0.4 to 3."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
         c = float(rng.uniform(*center_range))
-        w = float(rng.uniform(*width_range))
+        w = float(rng.uniform(0.4, 3.0))
         w = min(w, 0.9 * (c - left_min))  # keep support right of left_min
         out.append(bump(c - w, c + w, label=f"corpus[{i}]"))
     return out

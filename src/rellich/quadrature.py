@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonFiniteIntegrand, PreconditionViolated
+from .errors import NonFiniteIntegrand, OutOfRange, PreconditionViolated
 
 #: allowed Gauss-Legendre points per panel.  The locator's series has as
 #: many terms, resolves degrees below three quarters of that (the package's
@@ -292,7 +292,8 @@ def lp_norm(f, support: tuple[float, float], p: float,
 
     f, the signed function, maps an array of points to an array of the
     same shape.  For finite p the estimate is the last refinement change,
-    for p = inf the spread of |f| around the sup.
+    for p = inf the spread of |f| around the sup.  OutOfRange where the
+    integral of |f|^p is beyond float range.
     """
     a, b = support
     if not math.isinf(p) and p < 1:
@@ -310,13 +311,16 @@ def lp_norm(f, support: tuple[float, float], p: float,
 
     pts, wts, offsets = _rule([(a, b, 1), (a, b, 2)], spec)
     vals = _sample(f, pts)
-    i1, i2 = np.add.reduceat(g(vals) * wts, offsets).tolist()
-    if abs(i2 - i1) <= spec.rel_tol * i2:
-        total, err = i2, abs(i2 - i1)
-    else:
-        roots = _locate(f, a, b, vals[:offsets[1]], spec, sup=False)[0].tolist()
-        first = None if roots else [(i1, i1), (i2, i2)]
-        total, err = _converge(f, [a, *roots, b], g, spec, first)
+    with np.errstate(over="ignore"):  # an overflow is the OutOfRange below
+        i1, i2 = np.add.reduceat(g(vals) * wts, offsets).tolist()
+        if abs(i2 - i1) <= spec.rel_tol * i2:
+            total, err = i2, abs(i2 - i1)
+        else:
+            roots = _locate(f, a, b, vals[:offsets[1]], spec, sup=False)[0].tolist()
+            first = None if roots else [(i1, i1), (i2, i2)]
+            total, err = _converge(f, [a, *roots, b], g, spec, first)
+    if not math.isfinite(total):
+        raise OutOfRange(f"the integral of |f|^p is beyond float range at p={p}")
     norm = total ** (1.0 / p)
     if total <= 0:
         return norm, err ** (1.0 / p)

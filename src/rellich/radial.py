@@ -7,7 +7,7 @@ logarithmic variable s = -log rho:
     || |x|^alpha L u ||_p^p   = S_P * || v'' + beta v' - lambda_red v ||_p^p
     || |x|^{alpha-2} u ||_p^p = S_P * || v ||_p^p
 
-with beta = 2 alpha - 2 - N + 2N/p - c and
+with beta the reduced drift of ``params.reduced_drift`` and
 lambda_red = gamma_p(alpha, c) + b + lambda_n.  The spherical factor
 S_P = integral |P|^p cancels in every ratio and is never computed.
 Every reduced norm, here and in ``verify``, is one ``reduced_norm`` call:
@@ -32,14 +32,18 @@ from .params import (
     gamma_p,
     indicial_roots,
     inv_p,
+    reduced_drift,
     sqrt_nonneg_re,
 )
 from .profiles import Profile1D, bump
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, lp_norm
 
-#: Support required of the counterexample cutoff phi; the reduced-norm
-#: identity below is derived for this window.
+#: Support of the counterexample cutoff phi; the reduced-norm identity
+#: below is derived for this window.
 PHI_SUPPORT = (0.25, 0.5)
+
+#: the cutoff phi of the critical families u_eps = r^gamma phi(r^eps)
+CUTOFF = bump(*PHI_SUPPORT)
 
 #: most points of the boundary witness's log grid, which needs at least 2
 GRID_MAX = 100_000
@@ -49,8 +53,6 @@ GRID_MAX = 100_000
 class ReducedCoefficients:
     beta: float
     lambda_red: float
-    n: int
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,8 @@ def reduced_coefficients(
     coefficient; lambda_red vanishes exactly at the critical exponents.
     """
     check_p(p)
-    beta = 2.0 * alpha - 2.0 - params.N + 2.0 * params.N * inv_p(p) - params.c
     lam_red = gamma_p(params.N, p, alpha, params.c) + params.b + eigen_lambda(params.N, n)
-    return ReducedCoefficients(beta, lam_red, n, alpha)
+    return ReducedCoefficients(reduced_drift(params, p, alpha), lam_red)
 
 
 def reduced_norm(v: Profile1D, p: float, a2=0.0, a1=0.0, a0=0.0, power: float = 0.0,
@@ -127,7 +128,6 @@ def counterexample_ratio(
     n: int,
     branch: str,
     epsilon: float,
-    phi: Profile1D | None = None,
     spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> RatioReport:
     """Exact reduced norm ratio of the critical family u_eps = r^gamma phi(r^eps).
@@ -141,7 +141,7 @@ def counterexample_ratio(
     eps * sup |eps s^2 phi'' + (2 gamma + N - 2 + c + eps) s phi'| / sup |phi|.
     It tends to zero linearly in eps, witnessing failure of the inequality.
     Both cases are the L^p norms of s^{1-1/p} (eps s phi'' + (...) phi') and
-    s^{-1/p} phi.
+    s^{-1/p} phi, with phi = CUTOFF.
 
     Requires D + lambda_n >= 0: the display presumes real indicial roots.
     """
@@ -153,16 +153,11 @@ def counterexample_ratio(
             "complex indicial roots (D + lambda_n < 0): the explicit "
             "counterexample family is only valid for real roots"
         )
-    if phi is None:
-        phi = bump(*PHI_SUPPORT)
-    lo, hi = phi.support
-    if lo < PHI_SUPPORT[0] - 1e-12 or hi > PHI_SUPPORT[1] + 1e-12:
-        raise ValueError(f"phi must be supported in {PHI_SUPPORT}, got {phi.support}")
     g = 2.0 * counterexample_gamma(params, n, branch) + params.N - 2.0 + params.c
     q = inv_p(p)
-    num, err_n = reduced_norm(phi, p, (0.0, epsilon), g + epsilon, power=1.0 - q, spec=spec)
+    num, err_n = reduced_norm(CUTOFF, p, (0.0, epsilon), g + epsilon, power=1.0 - q, spec=spec)
     return _ratio((epsilon * num, epsilon * err_n),
-                  reduced_norm(phi, p, a0=1.0, power=-q, spec=spec))
+                  reduced_norm(CUTOFF, p, a0=1.0, power=-q, spec=spec))
 
 
 @dataclass(frozen=True)

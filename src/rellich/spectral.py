@@ -30,6 +30,7 @@ from .params import (
     eigen_lambda,
     inv_p,
     omega_p,
+    reduced_drift,
     sqrt_nonneg_re,
 )
 
@@ -101,12 +102,12 @@ def region_section4(params: OperatorParams, p: float, alpha: float) -> Parabolic
     """Region after the weight substitution: drift c + 4 - 2 alpha.
 
     k4 = N(1-2/p) + 2 - 2 alpha + c = 2 (base - alpha) and
-    omega4 = omega_p(N, p, c + 4 - 2 alpha).  k4 is computed as the exact
-    negation of the reduced drift beta so the two agree bit for bit.
+    omega4 = omega_p(N, p, c + 4 - 2 alpha).  k4 is the negated reduced
+    drift beta, so the two agree bit for bit.
     """
     check_p(p)
-    k4 = -(2.0 * alpha - 2.0 - params.N + 2.0 * params.N * inv_p(p) - params.c)
-    return ParabolicRegion(k4, omega_p(params.N, p, params.c + 4.0 - 2.0 * alpha))
+    return ParabolicRegion(-reduced_drift(params, p, alpha),
+                           omega_p(params.N, p, params.c + 4.0 - 2.0 * alpha))
 
 
 def dist_to_parabola(beta: float, lam: float) -> float:

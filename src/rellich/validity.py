@@ -25,6 +25,7 @@ from .params import (
     OperatorParams,
     base_alpha,
     check_finite,
+    check_inner_p,
     check_p,
     check_tol,
     degree_at_most,
@@ -32,6 +33,7 @@ from .params import (
     eigen_lambda,
     gamma_p,
     kelvin_transform,
+    mu_shift,
     sqrt_nonneg_re,
 )
 from .spectral import in_region, region_section4
@@ -243,6 +245,13 @@ def decide_unit_ball(
     return verdict
 
 
+def _smooth_domain_hypotheses(params: OperatorParams, p: float, domains: str) -> None:
+    """The hypotheses 1 < p < inf and D >= 0 of the smooth-domain results."""
+    check_inner_p(p, domains)
+    if discriminant(params) < 0:
+        raise PreconditionViolated(f"{domains} require D >= 0, got D={discriminant(params)}")
+
+
 def decide_bounded_domain(
     params: OperatorParams, p: float, alpha: float, tol: float = DEFAULT_TOL
 ) -> Verdict:
@@ -251,13 +260,7 @@ def decide_bounded_domain(
     Under those hypotheses the rule coincides with the unit-ball rule for
     J = N0 (with real square roots).
     """
-    check_p(p)
-    if p == 1.0 or math.isinf(p):
-        raise PreconditionViolated(f"bounded domains require 1 < p < inf, got p={p}")
-    if discriminant(params) < 0:
-        raise PreconditionViolated(
-            f"bounded domains require D >= 0, got D={discriminant(params)}"
-        )
+    _smooth_domain_hypotheses(params, p, "bounded domains")
     return decide_unit_ball(params, p, alpha, HarmonicSet.all(), tol)
 
 
@@ -277,14 +280,7 @@ def decide_exterior(
     """
     check_p(p)
     if kind == DomainKind.EXTERIOR_SMOOTH:
-        if p == 1.0 or math.isinf(p):
-            raise PreconditionViolated(
-                f"exterior smooth domains require 1 < p < inf, got p={p}"
-            )
-        if discriminant(params) < 0:
-            raise PreconditionViolated(
-                f"exterior smooth domains require D >= 0, got D={discriminant(params)}"
-            )
+        _smooth_domain_hypotheses(params, p, "exterior smooth domains")
     elif kind != DomainKind.EXTERIOR_BALL:
         raise ValueError(f"not an exterior kind: {kind}")
     tparams, talpha = kelvin_transform(params, p, alpha)
@@ -299,9 +295,7 @@ def decide_exterior(
     if kind == DomainKind.EXTERIOR_SMOOTH:
         # optimality is not claimed for general exterior domains
         verdict.best_constant = None
-    if verdict.notes:
-        verdict.notes += "; "
-    verdict.notes += "decided via Kelvin transform"
+    verdict.notes = "decided via Kelvin transform"
     return verdict
 
 
@@ -313,16 +307,19 @@ def decide(
     J: HarmonicSet = HarmonicSet.all(),
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
-    """Dispatch to the decision procedure matching the domain kind."""
+    """Dispatch to the decision procedure matching the domain kind.
+
+    Only the whole space and the ball take a harmonic subspace J; every
+    other domain is decided for J = all alone.
+    """
     if domain == DomainKind.WHOLE_SPACE:
         return decide_whole_space(params, p, alpha, J, tol)
     if domain == DomainKind.UNIT_BALL:
         return decide_unit_ball(params, p, alpha, J, tol)
+    if J.kind != "all":
+        where = "general bounded" if domain == DomainKind.BOUNDED_SMOOTH else "exterior"
+        raise PreconditionViolated(f"{where} domains are only decided for J = all")
     if domain == DomainKind.BOUNDED_SMOOTH:
-        if J.kind != "all":
-            raise PreconditionViolated(
-                "general bounded domains are only decided for J = all"
-            )
         return decide_bounded_domain(params, p, alpha, tol)
     return decide_exterior(params, p, alpha, domain, tol)
 
@@ -343,8 +340,7 @@ def lemma_parameters_flags(
         raise ValueError("j must be >= 0")
     lam = eigen_lambda(params.N, j)
     region = region_section4(params, p, alpha)
-    mu = params.b - (2.0 - alpha) * (params.N - alpha + params.c)
-    flag_i = not in_region(region, complex(mu + lam), tol=0.0)
+    flag_i = not in_region(region, complex(mu_shift(params, alpha) + lam), tol=0.0)
     flag_ii = params.b + gamma_p(params.N, p, alpha, params.c) + lam > 0.0
     D_lam = discriminant(params) + lam
     gap = abs(base_alpha(params, p) - alpha)

@@ -33,23 +33,27 @@ from .params import (
     OperatorParams,
     base_alpha,
     check_finite,
+    check_inner_p,
     check_p,
     critical_alphas,
     discriminant,
     eigen_lambda,
-    inv_p,
     kelvin_transform,
 )
-from .profiles import Profile1D, bump, log_squeezed
+from .profiles import Profile1D, log_squeezed
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, lp_norm
-from .radial import (boundary_counterexample, counterexample_gamma, counterexample_ratio,
-                     fit_loglog_slope, reduced_coefficients, reduced_norm,
-                     rellich_ratio_separable)
+from .radial import (CUTOFF, boundary_counterexample, counterexample_gamma,
+                     counterexample_ratio, fit_loglog_slope, reduced_coefficients,
+                     reduced_norm, rellich_ratio_separable)
+from .spectral import region_section3
 from .validity import Branch, DomainKind, HarmonicSet, decide
 
 #: relative slack on quadrature-limited identities / on limit-approach claims
 SLACK_EXACT = 1e-6
 SLACK_LIMIT = 1e-3
+
+#: lower bound that verify_critical_log demands of every weighted ratio
+POS_FLOOR = 1e-3
 
 
 @dataclass
@@ -101,9 +105,8 @@ def verify_rellich(
 
     # exterior domains reduce to the ball through the Kelvin transform;
     # verify the transformed inequality (same constants, same ratios)
-    work_params, work_alpha = params, alpha
-    if domain in (DomainKind.EXTERIOR_BALL, DomainKind.EXTERIOR_SMOOTH):
-        work_params, work_alpha = kelvin_transform(params, p, alpha)
+    exterior = domain in (DomainKind.EXTERIOR_BALL, DomainKind.EXTERIOR_SMOOTH)
+    work_params, work_alpha = kelvin_transform(params, p, alpha) if exterior else (params, alpha)
 
     report = VerificationReport(
         claim=f"rellich {domain.value} N={params.N} c={params.c} b={params.b} "
@@ -123,7 +126,7 @@ def verify_rellich(
         return report
 
     n_fail, branch = verdict.failing_modes[0]
-    if domain in (DomainKind.EXTERIOR_BALL, DomainKind.EXTERIOR_SMOOTH):
+    if exterior:
         # move the mode to the Kelvin image's coordinates, where the
         # verification runs: exterior plus-exclusions are ball minus ones
         branch = Branch.MINUS if branch == Branch.PLUS else branch
@@ -145,10 +148,7 @@ def verify_rellich(
         # counterexample; fall through to the decay verification
         branch = Branch.PLUS
 
-    if discriminant(work_params) + eigen_lambda(work_params.N, n_fail) < 0:
-        raise UnsupportedRegime(
-            "failure with complex indicial roots: no explicit family to verify"
-        )
+    # counterexample_ratio raises UnsupportedRegime for complex indicial roots
     ratios = [
         counterexample_ratio(work_params, p, n_fail, branch.value, e, spec=spec).ratio
         for e in EPS_LADDER
@@ -180,8 +180,9 @@ def _radial_integral(fn, r_support, spec) -> float:
         r = np.exp(-np.asarray(s, dtype=float))
         return fn(r) * r
 
-    val, _ = integrate(g, a, b, spec)
-    return val
+    # an integrand that overflows ends in NonFiniteIntegrand, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return integrate(g, a, b, spec)[0]
 
 
 def verify_hardy(
@@ -196,9 +197,7 @@ def verify_hardy(
     integral |x|^beta |grad u|^2 |u|^{p-2}  >=  ((N-2+beta)/p)^2 *
     integral |x|^{beta-2} |u|^p, surface factor cancelled.
     """
-    check_p(p)
-    if math.isinf(p) or p <= 1:
-        raise PreconditionViolated(f"Hardy check needs 1 < p < inf, got {p}")
+    check_inner_p(p, "the Hardy check")
     check_finite("beta", beta)
     if N - 2 + beta == 0:
         raise DegenerateWeight(f"N - 2 + beta = 0 (N={N}, beta={beta})")
@@ -230,14 +229,13 @@ def oned_green_reconstruct(
     beta: float,
     v: Profile1D,
     spec: QuadratureSpec = DEFAULT_QUAD,
-    grid: int = 201,
 ) -> float:
     """Reconstruct v from f = v'' + beta v' via the half-line Green formula.
 
     v(s) = -(1/beta) ( integral_0^s e^{-beta(s-sigma)} f + integral_s^inf f ).
     Also checks the two orthogonality identities integral f =
     integral e^{beta sigma} f = 0 (each to 1e-8 of its absolute-value
-    scale).  Returns max |v_rec - v| over a grid spanning the support;
+    scale).  Returns max |v_rec - v| over 201 points spanning the support;
     must be < 1e-6 ||v||_inf for the identity to count as verified.
     """
     if beta == 0:
@@ -262,7 +260,7 @@ def oned_green_reconstruct(
 
     pad = 0.1 * (b - a)
     lo = max(a - pad, 0.25 * a)
-    grid_s = np.linspace(lo, b + pad, grid)
+    grid_s = np.linspace(lo, b + pad, 201)
     worst = 0.0
     for s in grid_s:
         first = 0.0
@@ -319,6 +317,18 @@ def verify_oned_inequality(
     return report
 
 
+def _powers(what: str, lam: float, p: float) -> tuple[float, float]:
+    """(lam^p, lam^{p-1} (p-1)/p^2), the powers of the remainder inequalities.
+
+    OutOfRange names what where one of them overflows.
+    """
+    try:
+        return lam**p, lam ** (p - 1.0) * (p - 1.0) / p**2
+    except OverflowError:
+        raise OutOfRange(f"a power of the remainder inequality overflows at {what}, "
+                         f"p={p}") from None
+
+
 def verify_aux_remainder(
     beta: float,
     lam: float,
@@ -330,20 +340,19 @@ def verify_aux_remainder(
 
     Gamma = D^2 + beta D - lam, lam > 0, 1 < p < inf, v in C_c^2((0,inf)).
     """
-    check_p(p)
-    if math.isinf(p) or p <= 1:
-        raise PreconditionViolated(f"need 1 < p < inf, got {p}")
+    check_inner_p(p, "the aux remainder")
     check_finite("beta", beta)
     if check_finite("lambda", lam) <= 0:
         raise PreconditionViolated(f"need lambda > 0, got {lam}")
     if v.support[0] <= 0:
         raise PreconditionViolated("v must be supported in (0, inf)")
+    lam_p, rem = _powers(f"lambda={lam}", lam, p)
 
     gnorm_p = reduced_norm(v, p, 1.0, beta, -lam, spec=spec)[0] ** p
     vnorm_p = reduced_norm(v, p, a0=1.0, spec=spec)[0] ** p
     weighted = reduced_norm(v, p, a0=1.0, power=-2.0 / p, spec=spec)[0] ** p
-    lhs = gnorm_p - lam**p * vnorm_p
-    rhs = lam ** (p - 1.0) * (p - 1.0) / p**2 * weighted
+    lhs = gnorm_p - lam_p * vnorm_p
+    rhs = rem * weighted
     report = VerificationReport(
         claim=f"aux beta={beta} lambda={lam} p={p}",
         tolerance=SLACK_EXACT * max(abs(gnorm_p), 1.0),
@@ -368,9 +377,7 @@ def verify_remainder(
 
     which is verify_aux_remainder with lambda = C, run on each profile.
     """
-    check_p(p)
-    if math.isinf(p) or p <= 1:
-        raise PreconditionViolated(f"remainder needs 1 < p < inf, got {p}")
+    check_inner_p(p, "the remainder")
     if not corpus:
         raise PreconditionViolated("empty corpus: nothing to verify")
     D = discriminant(params)
@@ -380,7 +387,7 @@ def verify_remainder(
         )
     rc = reduced_coefficients(params, p, alpha, 0)
     C = rc.lambda_red  # equals b + gamma_p for n = 0
-    c_rem = C ** (p - 1.0) * (p - 1.0) / p**2
+    c_rem = _powers(f"C={C}", C, p)[1]
     report = VerificationReport(
         claim=f"remainder N={params.N} c={params.c} b={params.b} p={p} "
         f"alpha={alpha} C={C} c_rem={c_rem}",
@@ -402,11 +409,8 @@ def verify_critical_log(
     p: float,
     n: int,
     branch: str,
-    eps_family: tuple[float, ...] = EPS_LADDER,
     alpha: float | None = None,
     log_eps: float = 0.5,
-    phi: Profile1D | None = None,
-    pos_floor: float = 1e-3,
     spec: QuadratureSpec = DEFAULT_QUAD,
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
@@ -415,10 +419,12 @@ def verify_critical_log(
     At alpha = alpha_n^+- the plain inequality fails, but with the weight
     |log r|^{-kappa} (kappa = 1 if D + lambda_n > 0, 2 if <= 0, plus
     log_eps at p = 1) the reduced ratio ||v'' + beta v'||_p / ||v/s^kappa||_p
-    stays bounded below over the shrinking family v_eps(s) = phi(e^{-eps s}).
-    The unweighted ratio, reported alongside, tends to zero.
+    stays bounded below, above POS_FLOOR, over the shrinking family
+    v_eps(s) = phi(e^{-eps s}), phi = CUTOFF and eps in EPS_LADDER.  The
+    unweighted ratio, reported alongside, tends to zero.
     """
     check_p(p)
+    check_finite("log_eps", log_eps)
     am, ap = critical_alphas(params, p, n)
     target = am if branch == "minus" else ap
     if alpha is not None and abs(alpha - target) > tol:
@@ -430,22 +436,20 @@ def verify_critical_log(
     kappa = 1.0 if d_lam > 0 else 2.0
     if p == 1:
         kappa += log_eps
-    if phi is None:
-        phi = bump(0.25, 0.5)
     rc = reduced_coefficients(params, p, alpha, n)
     report = VerificationReport(
         claim=f"critical-log N={params.N} c={params.c} b={params.b} p={p} "
         f"n={n} branch={branch} kappa={kappa}",
     )
     weighted, unweighted = report.weighted_ratios, report.unweighted_ratios
-    for e in eps_family:
-        v = log_squeezed(phi, e)
+    for e in EPS_LADDER:
+        v = log_squeezed(CUTOFF, e)
         num, _ = reduced_norm(v, p, 1.0, rc.beta, -rc.lambda_red, spec=spec)
         rw = num / reduced_norm(v, p, a0=1.0, power=-kappa, spec=spec)[0]
         ru = num / reduced_norm(v, p, a0=1.0, spec=spec)[0]
         weighted.append(rw)
         unweighted.append(ru)
-        report.add(f"eps={e} weighted", rw, pos_floor, rw - pos_floor)
+        report.add(f"eps={e} weighted", rw, POS_FLOOR, rw - POS_FLOOR)
     report.notes = (
         f"empirical inf of weighted ratio = {min(weighted):.6g}; "
         f"unweighted ratios {['%.4g' % r for r in unweighted]}"
@@ -467,14 +471,12 @@ def verify_dissipativity(
     lambda ||w||_p <= ||(lambda + lambda_n) w - w'' - k w'||_p with
     k = N(1 - 2/p) - 2 + c.
     """
-    check_p(p)
-    if math.isinf(p) or p <= 1:
-        raise PreconditionViolated(f"need 1 < p < inf, got {p}")
+    check_inner_p(p, "dissipativity")
     if check_finite("lambda", lam) <= 0:
         raise PreconditionViolated(f"need lambda > 0, got {lam}")
     if not corpus:
         raise PreconditionViolated("empty corpus: nothing to verify")
-    k = params.N * (1.0 - 2.0 * inv_p(p)) - 2.0 + params.c
+    k = region_section3(params, p).k
     report = VerificationReport(
         claim=f"dissipativity N={params.N} c={params.c} p={p} lambda={lam}"
     )

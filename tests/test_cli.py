@@ -1,5 +1,7 @@
 """CLI contract: JSON shape, exit codes, CSV row counts, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -13,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rellich
-from rellich.cli import COUNT_MAX, SAMPLE_Q_MAX, SWEEP_MAX, _parse_sweep, main
+from rellich.cli import CORPUS_MAX, COUNT_MAX, SAMPLE_Q_MAX, SWEEP_MAX, _parse_sweep, main
 from rellich.radial import GRID_MAX
 
 # children import the package from where this process found it
@@ -94,6 +96,19 @@ class TestCheck:
         # alpha = 0 row carries the classical constant
         assert any(ln.startswith("0,1,1.25") for ln in lines)
 
+    @pytest.mark.parametrize("domain", ["exterior", "exterior-ball"])
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_exterior_takes_only_J_all(self, capsys, domain, command):
+        # the failing mode n = 3 of alpha = 4.5 is outside J = {0}: no verdict
+        argv = {"check": ["check"], "verify": ["verify", "rellich", "--harmonics", "0"]}
+        code, out = run_cli(capsys, *argv[command], "--N", "3", "--p", "2", "--alpha", "4.5",
+                            "--domain", domain, "--J", "set:0")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0]) == {
+            "error": "exterior domains are only decided for J = all",
+            "kind": "precondition", "schema_version": 1}
+
     def test_alpha_or_sweep_required(self, capsys):
         assert main(["check", "--N", "5", "--p", "2", "--domain", "ball"]) == 64
 
@@ -137,6 +152,10 @@ class TestSpectrum:
         for ln in q_rows:
             re, im, _ = ln.split(",")
             assert in_region(region, complex(float(re), float(im)))
+
+    def test_huge_p_has_finite_omega(self, capsys):
+        code, out = run_cli(capsys, "spectrum", "--N", "5", "--p", "1e200", "--lambda=1")
+        assert code == 0 and last_json(out)["omega"] == 1.5e-199
 
     def test_classify_A_domain(self, capsys):
         code, out = run_cli(capsys, "spectrum", "--N", "5", "--p", "2",
@@ -196,6 +215,11 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", "critical", "--N", "5", "--p", "2",
                             "--n", "0", "--mode", "minus")
         assert code == 0 and last_json(out)["passed"]
+
+    def test_critical_log_eps(self, capsys):
+        code, out = run_cli(capsys, "verify", "critical", "--N", "5", "--p", "1", "--n", "0",
+                            "--mode", "minus", "--log-eps", "0.3")
+        assert code == 0 and "kappa=1.3" in last_json(out)["claim"]
 
     def test_all_targets_run(self, capsys):
         for target, extra in [
@@ -263,10 +287,12 @@ def _strict_json(text):
     (["verify", "aux", "--beta=-inf"], {}),
     (["verify", "aux", "--lambda", "inf"], {}),
     (["verify", "dissipativity", "--lambda", "nan"], {}),
+    (["verify", "critical", "--log-eps", "nan"], {}),
 ], ids=["alpha-nan", "b-nan", "alpha-1e300", "lambda-nan", "tol-nan", "xi-max-nan",
         "xi-max-inf-q", "xi-max-1e200-q", "xi-max-1e200", "hardy-beta-nan",
         "hardy-beta-inf", "oned-beta-nan", "oned-a-nan", "oned-log-eps-inf",
-        "aux-beta-inf", "aux-lambda-inf", "dissipativity-lambda-nan"])
+        "aux-beta-inf", "aux-lambda-inf", "dissipativity-lambda-nan",
+        "critical-log-eps-nan"])
 def test_non_finite_input_exit1(argv, env):
     # a typed error as one JSON line, in bounded time, never a traceback
     start = time.perf_counter()
@@ -300,6 +326,7 @@ def test_non_finite_input_exit1(argv, env):
     ["verify", "dissipativity", "--count=-2"],
     ["verify", "oned", "--count", "0"],
     ["verify", "rellich", "--count", str(COUNT_MAX + 1)],
+    ["verify", "rellich", "--count", "1", "--harmonics", ",".join(["0"] * (CORPUS_MAX + 1))],
     ["spectrum", "--sample", "--sample-q=-1"],
     ["spectrum", "--sample", "--sample-q", str(SAMPLE_Q_MAX + 1)],
     ["counterexample", "--mode", "boundary", "--alpha", "3", "--grid", "1"],
@@ -307,7 +334,8 @@ def test_non_finite_input_exit1(argv, env):
 ], ids=["quad-nodes-0", "quad-nodes-1e5", "quad-rel-tol-nan", "quad-rel-tol-neg",
         "hardy-beta-1e300", "one-eps", "sweep-1e8", "rellich-count-0", "rellich-count-neg",
         "remainder-count-0", "remainder-count-neg", "dissipativity-count-0",
-        "dissipativity-count-neg", "oned-count-0", "count-above-cap", "sample-q-neg",
+        "dissipativity-count-neg", "oned-count-0", "count-above-cap", "corpus-above-cap",
+        "sample-q-neg",
         "sample-q-above-cap", "grid-1", "grid-above-cap"])
 def test_out_of_range_option_exit1(capsys, argv):
     # checked before any rule, grid or fit is built: one JSON line, no
@@ -324,6 +352,70 @@ def test_out_of_range_option_exit1(capsys, argv):
     lines = captured.out.splitlines()
     assert len(lines) == 1 and "error" in _strict_json(lines[0])
     assert captured.err == ""
+
+
+# the argv fuzzer (Hypothesis; MacIver et al., JOSS 2019) draws every option's
+# value from these, by the option's type, so that every argv parses
+FUZZ_FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", str(2**63), str(10**400)]
+FUZZ_INTS = ["0", "-1", str(2**31), str(2**63), str(10**400)]
+_DOMAIN_CHOICES = ["rn", "ball", "bounded", "exterior", "exterior-ball"]
+_COMMON = {"--N": FUZZ_INTS, "--c": FUZZ_FLOATS, "--b": FUZZ_FLOATS, "--p": FUZZ_FLOATS,
+           "--alpha": FUZZ_FLOATS, "--tol": FUZZ_FLOATS}
+_J = ["all"] + [f"{kind}:{j}" for kind in ("ge", "set", "ne") for j in FUZZ_INTS]
+_QUAD = {"--quad-nodes": FUZZ_INTS, "--quad-rel-tol": FUZZ_FLOATS}
+_VERIFY = {**_COMMON, **_QUAD, "--domain": _DOMAIN_CHOICES, "--J": _J, "--n": FUZZ_INTS,
+           "--mode": ["minus", "plus"], "--beta": FUZZ_FLOATS, "--lambda": FUZZ_FLOATS,
+           "--a": FUZZ_FLOATS, "--log-eps": FUZZ_FLOATS, "--count": FUZZ_INTS,
+           "--harmonics": FUZZ_INTS + [f"0,{j}" for j in FUZZ_INTS], "--seed": FUZZ_INTS}
+# (argv that runs as it stands, the options to vary and their values; None for a flag)
+FUZZ = {
+    "check": (["check", "--N", "5", "--alpha", "0"],
+              {**_COMMON, "--domain": _DOMAIN_CHOICES, "--J": _J,
+               "--sweep-alpha": [f"{x}:1:3" for x in FUZZ_FLOATS]
+               + [f"0:1:{n}" for n in FUZZ_INTS]}),
+    "spectrum": (["spectrum", "--N", "5", "--lambda", "1"],
+                 {**_COMMON, "--interval": ["half", "unit"], "--domain": ["rn", "ball"],
+                  "--J": _J, "--lambda": FUZZ_FLOATS + [f"0,{x}" for x in FUZZ_FLOATS],
+                  "--sample": None, "--sample-q": FUZZ_INTS, "--seed-q": FUZZ_INTS,
+                  "--xi-max": FUZZ_FLOATS}),
+    "counterexample": (["counterexample", "--N", "5", "--mode", "minus"],
+                       {**_COMMON, **_QUAD, "--n": FUZZ_INTS,
+                        "--mode": ["minus", "plus", "boundary"],
+                        "--eps": [f"{x},0.1" for x in FUZZ_FLOATS], "--grid": FUZZ_INTS}),
+    **{f"verify {target}": (["verify", target, "--N", "5"], _VERIFY)
+       for target in ("rellich", "hardy", "remainder", "critical", "aux", "oned",
+                      "dissipativity")},
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    base, options = FUZZ[draw(st.sampled_from(sorted(FUZZ)))]
+    argv = list(base)
+    for option in draw(st.lists(st.sampled_from(sorted(options)), min_size=1, max_size=3,
+                                unique=True)):
+        values = options[option]
+        argv.append(option if values is None else f"{option}={draw(st.sampled_from(values))}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=fuzz_argv())
+@example(argv=["spectrum", "--N", "5", "--p", "1e200", "--lambda=1"])
+@example(argv=["spectrum", "--N", "5", "--p", "1e200", "--sample"])
+@example(argv=["verify", "aux", "--N", "5", "--p", "1e300", "--lambda", "2"])
+@example(argv=["verify", "remainder", "--N", "5", "--b", "10", "--p", "1e300", "--alpha", "1"])
+@example(argv=["verify", "dissipativity", "--N", "5", "--p", "1e300"])
+def test_fuzzed_argv_ends_in_one_documented_answer(argv):
+    # an exit code of the docstring, a JSON last line on stdout and no
+    # exception (a RuntimeWarning is one in this suite), in bounded time
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert time.perf_counter() - start < 5.0, argv
+    assert code in (0, 1, 2, 3), (argv, code)
+    json.loads(out.getvalue().splitlines()[-1])
 
 
 def test_sweep_cap_is_inclusive():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rellich import (
     OperatorParams,
+    OutOfRange,
     base_alpha,
     conjugate_exponent,
     critical_alphas,
@@ -95,6 +96,27 @@ def test_omega_p_values():
     assert omega_p(5, 2, 0) == 1.25
     assert omega_p(5, 1, 0) == -10.0
     assert omega_p(5, INF, 3) == 0.0
+
+
+def test_omega_p_finite_at_huge_p():
+    # p**2 overflows beyond p = 1.34e154, p (N-2+c) beyond 1e8 at c = -2e300
+    for p in (1e154, 1e200, 1e300, 1.7976931348623157e308):
+        assert omega_p(5, p, 0) == pytest.approx(15.0 / p, rel=1e-15)
+    assert omega_p(5, 1e10, -2e300) == pytest.approx(-5e-10 * 2e300, rel=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=st.integers(2, 50), p=st.floats(1.0, 1e150), c=st.floats(-1e6, 1e6))
+def test_omega_p_bits_unchanged_where_finite(N, p, c):
+    assert omega_p(N, p, c) == (N / p**2) * (p * (N - 2 + c) - N)
+
+
+def test_beyond_float_range_is_rejected():
+    with pytest.raises(ValueError, match="within float range"):
+        OperatorParams(10**400)
+    with pytest.raises(OutOfRange, match="beyond float range"):
+        eigen_lambda(5, 10**200)
+    assert eigen_lambda(5, 10**150) == float(10**150 * (10**150 + 3))
 
 
 def test_omega_p_maximizer():

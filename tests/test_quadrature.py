@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rellich import NonFiniteIntegrand, PreconditionViolated, integrate, lp_norm, quadrature
+from rellich import (NonFiniteIntegrand, OutOfRange, PreconditionViolated, integrate, lp_norm,
+                     quadrature)
 from rellich.quadrature import DEFAULT_QUAD, QuadratureSpec
 
 from references import exact_lp_integral, reference_lp_integral, reference_roots, reference_sup
@@ -378,3 +379,16 @@ def test_spec_rejects_out_of_range_fields(kw):
         QuadratureSpec(**kw)
     lo, hi = quadrature.NODES_RANGE
     assert QuadratureSpec(nodes=lo).nodes == lo and QuadratureSpec(nodes=hi).nodes == hi
+
+
+@pytest.mark.parametrize("f, p", [(lambda s: 2.0 + 0.0 * s, 1e300),
+                                  (lambda s: 1e200 * np.sin(9.0 * s), 2.0)],
+                         ids=["huge-p", "huge-f"])
+def test_norm_beyond_float_range_is_out_of_range(f, p):
+    # |f|^p overflows: a typed error, without an overflow RuntimeWarning
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="beyond float range"):
+            lp_norm(f, (0.0, 1.0), p)

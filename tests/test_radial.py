@@ -152,8 +152,6 @@ class TestCounterexampleRatio:
     def test_support_and_eps_validation(self):
         with pytest.raises(ValueError):
             counterexample_ratio(P5, 2, 0, "minus", 0.0)
-        with pytest.raises(ValueError):
-            counterexample_ratio(P5, 2, 0, "minus", 0.1, phi=bump(0.2, 0.6))
 
 
 class TestBoundaryCounterexample:

@@ -199,6 +199,21 @@ class TestExterior:
         decide_exterior(OperatorParams(5, 0, -3), 2, 2, DomainKind.EXTERIOR_BALL)
         decide_exterior(P5, 1, 2, DomainKind.EXTERIOR_BALL)
 
+    @pytest.mark.parametrize("kind", [DomainKind.EXTERIOR_BALL, DomainKind.EXTERIOR_SMOOTH])
+    @pytest.mark.parametrize("J", [HarmonicSet.finite([0]), HarmonicSet.at_least(1),
+                                   HarmonicSet.excluding([2])], ids=["set", "ge", "ne"])
+    def test_only_J_all_is_decided(self, kind, J):
+        # at alpha = 4.5 in N = 3 the failing mode n = 3 lies outside J = {0}
+        with pytest.raises(PreconditionViolated,
+                           match="^exterior domains are only decided for J = all$"):
+            decide(OperatorParams(3), 2, 4.5, kind, J)
+        assert not decide(OperatorParams(3), 2, 4.5, kind).holds
+
+    def test_bounded_J_message_unchanged(self):
+        with pytest.raises(PreconditionViolated,
+                           match="^general bounded domains are only decided for J = all$"):
+            decide(P5, 2, 0, DomainKind.BOUNDED_SMOOTH, HarmonicSet.finite([0]))
+
     def test_kelvin_equivalence_sweep(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

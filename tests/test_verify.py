@@ -89,6 +89,12 @@ class TestVerifyRellich:
         rep = verify_rellich(P5, 2, 2.0, DomainKind.EXTERIOR_BALL, ALL, small_corpus())
         assert rep.passed
 
+    @pytest.mark.parametrize("domain", [DomainKind.EXTERIOR_BALL, DomainKind.EXTERIOR_SMOOTH])
+    def test_exterior_subspace_rejected(self, domain):
+        with pytest.raises(PreconditionViolated, match="only decided for J = all"):
+            verify_rellich(OperatorParams(3), 2, 4.5, domain, HarmonicSet.finite([0]),
+                           [(0, bump(0.8, 2.2))])
+
     def test_holds_without_constant(self):
         # alpha = -1 is valid on the ball but outside the symmetric range
         assert best_constant(P5, 2, -1.0) is None
@@ -272,6 +278,10 @@ class TestCriticalLog:
         rep = verify_critical_log(P5, 1, 0, "minus", log_eps=0.5)
         assert "kappa=1.5" in rep.claim and rep.passed
 
+    def test_non_finite_log_eps_rejected(self):
+        with pytest.raises(PreconditionViolated, match="log_eps must be finite"):
+            verify_critical_log(P5, 1, 0, "minus", log_eps=math.nan)
+
     def test_not_critical_guard(self):
         with pytest.raises(NotCritical):
             verify_critical_log(P5, 2, 0, "minus", alpha=0.0)
@@ -304,6 +314,16 @@ class TestDissipativity:
         rep = verify_dissipativity(OperatorParams(4, 1.5, 0), 3, 0.7,
                                    [(0, bump(-1, 3)), (1, bump(2, 5))])
         assert rep.passed
+
+
+def test_overflowing_power_is_out_of_range():
+    # lambda^p and C^{p-1} overflow at p = 1e300; |f|^p overflows in the norms
+    with pytest.raises(OutOfRange, match="lambda=2.0"):
+        verify_aux_remainder(0.0, 2.0, 1e300, bump(1.0, 3.0))
+    with pytest.raises(OutOfRange, match="C=6.0"):
+        verify_remainder(OperatorParams(5, 0, 10), 1e300, 1.0, [bump(1.0, 3.0)])
+    with pytest.raises(OutOfRange, match="beyond float range"):
+        verify_dissipativity(P5, 1e300, 1.0, [(0, bump(1.0, 3.0))])
 
 
 def test_extremizer_convergence_monotone():
