@@ -23,7 +23,6 @@ from .errors import (
     DNonzero,
     DZero,
     NonFiniteIntegrand,
-    NotCritical,
     OutOfRange,
     PreconditionViolated,
     RellichError,
@@ -91,7 +90,7 @@ __version__ = "0.1.0"
 _NUMERIC = {
     "profiles": ("Profile1D", "bump", "bump_corpus", "check_derivatives", "log_squeezed",
                  "plateau_profile", "radial_power_bump"),
-    "quadrature": ("QuadratureSpec", "integrate", "lp_norm"),
+    "quadrature": ("integrate", "lp_norm"),
     "radial": ("BoundaryReport", "RatioReport", "ReducedCoefficients",
                "boundary_counterexample", "counterexample_ratio", "fit_loglog_slope",
                "reduced_coefficients", "rellich_ratio_separable"),

@@ -12,8 +12,7 @@ Output is JSON on stdout (schema_version 1); CSV goes to --output when
 given.  Exit codes: 0 pass/holds, 1 precondition (also a non-finite
 alpha, lambda, --log-eps or tolerance, an --xi-max whose square is not
 finite, an --N or a degree beyond float range, an exterior --domain
-with a --J other than all, --quad-nodes outside 16..512, a
---quad-rel-tol outside (0, 1), a --sweep-alpha count above 100000, a
+with a --J other than all, a --sweep-alpha count above 100000, a
 --grid outside 2..100000, a --sample-q outside 0..100000, a --count
 outside 1..1000, a verify rellich or dissipativity corpus (--harmonics
 degrees times --count) above 5000 profiles, an empty corpus, fewer than
@@ -226,14 +225,6 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _quad(args):
-    """The QuadratureSpec of the --quad-* options, its own defaults where none is given."""
-    from .quadrature import QuadratureSpec
-
-    given = {"nodes": args.quad_nodes, "rel_tol": args.quad_rel_tol}
-    return QuadratureSpec(**{k: v for k, v in given.items() if v is not None})
-
-
 def cmd_counterexample(args) -> int:
     from .radial import boundary_counterexample, counterexample_ratio, fit_loglog_slope
 
@@ -253,11 +244,7 @@ def cmd_counterexample(args) -> int:
         )
         return EXIT_OK
     eps = [float(x) for x in args.eps.split(",")]
-    quad = _quad(args)
-    ratios = [
-        counterexample_ratio(params, p, args.n, args.mode, e, spec=quad).ratio
-        for e in eps
-    ]
+    ratios = [counterexample_ratio(params, p, args.n, args.mode, e).ratio for e in eps]
     slope = fit_loglog_slope(eps, ratios)
     _write_csv(args.output, ["epsilon", "ratio"], list(zip(eps, ratios)))
     _emit(
@@ -293,31 +280,28 @@ def cmd_verify(args) -> int:
     params = _params(args)
     p = parse_p(args.p)
     seed = args.seed
-    quad = _quad(args)
     if by_degree:
         corpus = [(n, v) for n in args.harmonics for v in bump_corpus(seed + n, args.count)]
     if args.target == "rellich":
         report = verify_rellich(params, p, args.alpha, _DOMAINS[args.domain],
-                                HarmonicSet.parse(args.J), corpus, spec=quad, tol=_tol(args))
+                                HarmonicSet.parse(args.J), corpus, tol=_tol(args))
     elif args.target == "hardy":
         (u,) = bump_corpus(seed, 1, center_range=(1.0, 1.5))
-        report = verify_hardy(args.N, p, args.beta, u, spec=quad)
+        report = verify_hardy(args.N, p, args.beta, u)
     elif args.target == "remainder":
         corpus = bump_corpus(seed, args.count, center_range=(1.5, 9.0),
                              left_min=math.log(2.0))
-        report = verify_remainder(params, p, args.alpha, corpus, spec=quad)
+        report = verify_remainder(params, p, args.alpha, corpus)
     elif args.target == "critical":
-        report = verify_critical_log(params, p, args.n, args.mode, log_eps=args.log_eps,
-                                     spec=quad)
+        report = verify_critical_log(params, p, args.n, args.mode, log_eps=args.log_eps)
     elif args.target == "aux":
         (v,) = bump_corpus(seed, 1)
-        report = verify_aux_remainder(args.beta, args.lam_real, p, v, spec=quad)
+        report = verify_aux_remainder(args.beta, args.lam_real, p, v)
     elif args.target == "oned":
         corpus = bump_corpus(seed, args.count)
-        report = verify_oned_inequality(args.beta, p, args.a, args.log_eps, corpus,
-                                        spec=quad)
+        report = verify_oned_inequality(args.beta, p, args.a, args.log_eps, corpus)
     else:  # dissipativity, the last of the choices
-        report = verify_dissipativity(params, p, args.lam_real, corpus, spec=quad)
+        report = verify_dissipativity(params, p, args.lam_real, corpus)
     _emit({"claim": report.claim, "passed": report.passed, "min_margin": report.min_margin,
            "tolerance": report.tolerance, "notes": report.notes, "seed": seed,
            "samples": [{"descriptor": d, "lhs": lhs, "rhs": rhs, "margin": m}
@@ -338,12 +322,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--alpha", type=float, default=None, help="weight exponent")
         sp.add_argument("--tol", type=float, default=None,
                         help="decision tolerance (default 1e-9 or RELLICH_TOL)")
-
-    def quadrature(sp):
-        sp.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=None,
-                        help="Gauss-Legendre nodes per panel (default 64)")
-        sp.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float, default=None,
-                        help="panel refinement relative tolerance (default 1e-10)")
 
     sp = sub.add_parser("check", help="decide a Rellich inequality")
     common(sp)
@@ -380,7 +358,6 @@ def build_parser() -> _Parser:
                     default=",".join(str(e) for e in EPS_LADDER))
     sp.add_argument("--grid", type=int, default=400, help="boundary log-grid points, 2..100000")
     sp.add_argument("-o", "--output", type=str, default=None)
-    quadrature(sp)
     sp.set_defaults(func=cmd_counterexample)
 
     sp = sub.add_parser("verify", help="quadrature-backed verification")
@@ -400,7 +377,6 @@ def build_parser() -> _Parser:
                     default=[0, 1], help="corpus degrees, comma separated; rellich and "
                     "dissipativity take at most 5000 profiles over all degrees")
     sp.add_argument("--seed", type=int, default=0)
-    quadrature(sp)
     sp.set_defaults(func=cmd_verify, alpha=0.0)
     return top
 

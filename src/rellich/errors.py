@@ -37,10 +37,6 @@ class BetaZero(RellichError):
     """The Green representation needs a nonzero drift coefficient."""
 
 
-class NotCritical(RellichError):
-    """The supplied alpha is not a critical exponent alpha_n^+-."""
-
-
 class DZero(RellichError):
     """Evaluator requires a strictly positive discriminant."""
 

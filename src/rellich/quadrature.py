@@ -6,10 +6,10 @@ the signed f.  Both return (value, err).  An integrand maps an array of
 points to an array of the same shape; any other result raises
 PreconditionViolated, and a non-finite value NonFiniteIntegrand.
 
-Integrals use composite ``spec.nodes``-point Gauss-Legendre rules, each
-the image on its interval of one cached layout of nodes and weights on
+Integrals use composite ``NODES``-point Gauss-Legendre rules, each the
+image on its interval of one cached layout of nodes and weights on
 [-1, 1] per panel count.  They double the panel count until the change
-between two successive sums is at most ``rel_tol`` times the integral of
+between two successive sums is at most ``REL_TOL`` times the integral of
 |integrand| from the same nodes, so an integral that cancels to zero
 stops as early as one that does not.
 
@@ -19,12 +19,12 @@ doubling converges only algebraically.  ``lp_norm`` runs the 1- and
 integrands.  Otherwise it splits the support at the sign changes of f and
 integrates the pieces between the split points under one tolerance for
 the whole norm: the panels of a piece double only while its change
-exceeds its share of ``rel_tol * integral``.  For p = inf the norm is
+exceeds its share of ``REL_TOL * integral``.  For p = inf the norm is
 the largest |f| at the ends and at the critical points of f.
 
 One locator finds both kinds of point, as chebfun does (Battles &
 Trefethen, SISC 2004): the Legendre series of the polynomial that
-interpolates f at the ``spec.nodes`` Gauss nodes of the support, chopped
+interpolates f at the ``NODES`` Gauss nodes of the support, chopped
 where its coefficients reach rounding, has the split points as the real
 roots and the critical points as the real roots of its derivative, both
 eigenvalues of a colleague matrix.  For finite p the nodes are those of
@@ -36,36 +36,20 @@ number of pieces.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NonFiniteIntegrand, OutOfRange, PreconditionViolated
 
-#: allowed Gauss-Legendre points per panel.  The locator's series has as
-#: many terms, resolves degrees below three quarters of that (the package's
-#: integrands reach degree 8) and its matrices are that size squared
-NODES_RANGE = (16, 512)
+#: Gauss-Legendre points per panel.  The locator's series has as many
+#: terms and resolves degrees below three quarters of that (the package's
+#: integrands reach degree 8)
+NODES = 64
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    nodes: int = 64  # Gauss-Legendre points per panel, within NODES_RANGE
-    rel_tol: float = 1e-10  # stop when successive estimates agree to this, in (0, 1)
-
-    def __post_init__(self):
-        lo, hi = NODES_RANGE
-        if isinstance(self.nodes, bool) or not isinstance(self.nodes, numbers.Integral) \
-                or not lo <= self.nodes <= hi:
-            raise PreconditionViolated(f"nodes must be an integer in [{lo}, {hi}], "
-                                       f"got {self.nodes!r}")
-        if not (isinstance(self.rel_tol, numbers.Real) and 0.0 < self.rel_tol < 1.0):
-            raise PreconditionViolated(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+#: refinement stops when successive estimates agree to this share of the
+#: integral of |integrand|
+REL_TOL = 1e-10
 
 #: panel counts 1, 2, 4, ..., 2^MAX_REFINEMENTS
 MAX_REFINEMENTS = 12
@@ -83,9 +67,9 @@ _NEAR_REAL = 1e-6
 
 
 @lru_cache(maxsize=32)
-def _layout(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, weights) of k n-point Gauss-Legendre panels on [-1, 1]; ``_rule`` maps them."""
-    x, w = np.polynomial.legendre.leggauss(n)
+def _layout(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of k NODES-point Gauss-Legendre panels on [-1, 1]; ``_rule`` maps them."""
+    x, w = np.polynomial.legendre.leggauss(NODES)
     centres = (2.0 * np.arange(k) + 1.0 - k) / k
     out = (centres[:, None] + x / k).ravel(), np.tile(w / k, k)
     for m in out:
@@ -104,7 +88,7 @@ def _sample(f, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _rule(jobs, spec: QuadratureSpec):
+def _rule(jobs):
     """Composite rules for (a, b, panels) jobs, concatenated: the one place
     where Gauss nodes are mapped onto an interval.
 
@@ -113,42 +97,42 @@ def _rule(jobs, spec: QuadratureSpec):
     """
     pts, wts = [], []
     for a, b, k in jobs:
-        x, w = _layout(spec.nodes, k)
+        x, w = _layout(k)
         half = 0.5 * (b - a)
         pts.append(0.5 * (a + b) + half * x)
         wts.append(half * w)
     return np.concatenate(pts), np.concatenate(wts), np.cumsum([0, *map(len, pts[:-1])])
 
 
-def _sums(f, jobs, g, spec: QuadratureSpec):
+def _sums(f, jobs, g):
     """(sum, sum of |.|) of the rule for g(f) on each (a, b, panels) job.
 
     f is sampled once for all jobs together.
     """
-    pts, wts, offsets = _rule(jobs, spec)
+    pts, wts, offsets = _rule(jobs)
     terms = g(_sample(f, pts)) * wts
     return list(zip(np.add.reduceat(terms, offsets).tolist(),
                     np.add.reduceat(np.abs(terms), offsets).tolist()))
 
 
-def _converge(f, edges, g, spec: QuadratureSpec, first=None):
+def _converge(f, edges, g, first=None):
     """Integral of g(f) over [edges[0], edges[-1]], piece by piece.
 
     Each piece between consecutive edges starts from its 1- and 2-panel
     sums (``first`` holds them when there is one piece and they are
-    known).  While the total change exceeds rel_tol times the integral of
+    known).  While the total change exceeds REL_TOL times the integral of
     |g(f)|, each piece whose change exceeds its share of that tolerance
     doubles its panels, up to 2^MAX_REFINEMENTS.  Returns (value, err).
     """
     pieces = list(zip(edges[:-1], edges[1:]))
     if first is None:
-        first = _sums(f, [(a, b, k) for a, b in pieces for k in (1, 2)], g, spec)
+        first = _sums(f, [(a, b, k) for a, b in pieces for k in (1, 2)], g)
     prev, cur = first[0::2], first[1::2]
     panels = [2] * len(pieces)
     limit = 2 ** MAX_REFINEMENTS
     while True:
         errs = [abs(c[0] - q[0]) for c, q in zip(cur, prev)]
-        tol = spec.rel_tol * sum(c[1] for c in cur)
+        tol = REL_TOL * sum(c[1] for c in cur)
         if sum(errs) <= tol:
             break
         todo = [i for i, e in enumerate(errs)
@@ -157,40 +141,39 @@ def _converge(f, edges, g, spec: QuadratureSpec, first=None):
             break
         for i in todo:
             panels[i] *= 2
-        new = _sums(f, [(*pieces[i], panels[i]) for i in todo], g, spec)
+        new = _sums(f, [(*pieces[i], panels[i]) for i in todo], g)
         for i, s in zip(todo, new):
             prev[i], cur[i] = cur[i], s
     return sum(c[0] for c in cur), sum(errs)
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD
-              ) -> tuple[float, float]:
+def integrate(f, a: float, b: float) -> tuple[float, float]:
     """Integral of f over [a, b] with an error estimate.
 
     f maps an array of points to an array of the same shape.  Returns
     (value, err) where err is the change at the last refinement;
-    refinement stops once err is at most rel_tol times the integral of
+    refinement stops once err is at most REL_TOL times the integral of
     |f| from the same nodes.
     """
     if b <= a:
         return 0.0, 0.0
-    return _converge(f, [a, b], lambda v: v, spec)
+    return _converge(f, [a, b], lambda v: v)
 
 
-@lru_cache(maxsize=8)
-def _legendre(n: int):
-    """(T, D, J, scl) for series of n Legendre terms on [-1, 1].
+@lru_cache(maxsize=1)
+def _legendre():
+    """(T, D, J, scl) for series of NODES Legendre terms on [-1, 1].
 
-    T maps values at the n Gauss nodes to the coefficients of the
+    T maps values at the NODES Gauss nodes to the coefficients of the
     interpolant.  It is the inverse of the Legendre-Vandermonde matrix: the
     transposed Gauss rule is exact too, but at 64 nodes it leaves rounding
     of 2e-13 in the coefficients, a hundred times more.  D maps
     coefficients to those of the derivative, and J with scl gives the
     colleague matrix of ``_roots``.
     """
-    x, _ = _layout(n, 1)
-    k = np.arange(n)
-    T = np.linalg.inv(np.polynomial.legendre.legvander(x, n - 1))
+    x, _ = _layout(1)
+    k = np.arange(NODES)
+    T = np.linalg.inv(np.polynomial.legendre.legvander(x, NODES - 1))
     D = np.where((k > k[:, None]) & ((k - k[:, None]) % 2 == 1), 2.0 * k[:, None] + 1, 0.0)
     scl = 1.0 / np.sqrt(2.0 * k + 1)
     J = np.diag(k[1:] * scl[:-1] * scl[1:], 1)
@@ -208,11 +191,10 @@ def _roots(c, J, scl) -> np.ndarray:
     return np.linalg.eigvals(m)
 
 
-def _locate(f, a: float, b: float, vals: np.ndarray, spec: QuadratureSpec,
-            sup: bool) -> tuple[np.ndarray, float]:
+def _locate(f, a: float, b: float, vals: np.ndarray, sup: bool) -> tuple[np.ndarray, float]:
     """(sorted real roots inside (a, b) of f, or of f' when sup, bound), as chebfun finds them.
 
-    vals holds f at the spec.nodes Gauss nodes of [a, b].  A piece takes
+    vals holds f at the NODES Gauss nodes of [a, b].  A piece takes
     its Legendre series from its nodes, drops the trailing coefficients
     below _CHOP of the largest and gives the real eigenvalues of the
     colleague matrix of what is left (or of its derivative).  Rounding can
@@ -227,8 +209,8 @@ def _locate(f, a: float, b: float, vals: np.ndarray, spec: QuadratureSpec,
     spread (as in ``_sup_at``, with the nodes as neighbours), 0 without
     such pieces.
     """
-    n = spec.nodes
-    T, D, J, scl = _legendre(n)
+    n = NODES
+    T, D, J, scl = _legendre()
     near = _NEAR_REAL * (b - a)
     pieces, mids, out, bound = [(a, b)], [], [], 0.0
     while True:
@@ -251,7 +233,7 @@ def _locate(f, a: float, b: float, vals: np.ndarray, spec: QuadratureSpec,
             break
         if 1 + 2 * (len(mids) + len(rest)) > _MAX_PIECES:
             if sup:
-                out += _rule([(lo, hi, 1) for lo, hi in rest], spec)[0].tolist()
+                out += _rule([(lo, hi, 1) for lo, hi in rest])[0].tolist()
                 v = np.abs(vals.reshape(len(pieces), n)[rows])
                 lower = np.minimum(np.concatenate((v[:, :1], v[:, :-1]), axis=1),
                                    np.concatenate((v[:, 1:], v[:, -1:]), axis=1))
@@ -260,7 +242,7 @@ def _locate(f, a: float, b: float, vals: np.ndarray, spec: QuadratureSpec,
         mids += [0.5 * (lo + hi) for lo, hi in rest]
         pieces = [piece for (lo, hi), m in zip(rest, mids[-len(rest):])
                   for piece in ((lo, m), (m, hi))]
-        vals = _sample(f, _rule([(lo, hi, 1) for lo, hi in pieces], spec)[0])
+        vals = _sample(f, _rule([(lo, hi, 1) for lo, hi in pieces])[0])
     # f may have a kink where a piece was halved, unless it lies between two
     # pieces that stayed unresolved
     inner = {lo for lo, _ in rest} & {hi for _, hi in rest}
@@ -286,8 +268,7 @@ def _sup_at(f, a: float, b: float, xs: np.ndarray):
     return top, max(float(bound) - top, math.ulp(top))
 
 
-def lp_norm(f, support: tuple[float, float], p: float,
-            spec: QuadratureSpec = DEFAULT_QUAD) -> tuple[float, float]:
+def lp_norm(f, support: tuple[float, float], p: float) -> tuple[float, float]:
     """(||f||_{L^p(support)}, error estimate of the norm) for 1 <= p <= inf.
 
     f, the signed function, maps an array of points to an array of the
@@ -301,24 +282,24 @@ def lp_norm(f, support: tuple[float, float], p: float,
     if b <= a:
         return 0.0, 0.0
     if math.isinf(p):
-        vals = _sample(f, _rule([(a, b, 1)], spec)[0])
-        xs, bound = _locate(f, a, b, vals, spec, sup=True)
+        vals = _sample(f, _rule([(a, b, 1)])[0])
+        xs, bound = _locate(f, a, b, vals, sup=True)
         top, err = _sup_at(f, a, b, xs)
         return top, max(err, bound - top)
 
     def g(v):
         return np.abs(v) ** p
 
-    pts, wts, offsets = _rule([(a, b, 1), (a, b, 2)], spec)
+    pts, wts, offsets = _rule([(a, b, 1), (a, b, 2)])
     vals = _sample(f, pts)
     with np.errstate(over="ignore"):  # an overflow is the OutOfRange below
         i1, i2 = np.add.reduceat(g(vals) * wts, offsets).tolist()
-        if abs(i2 - i1) <= spec.rel_tol * i2:
+        if abs(i2 - i1) <= REL_TOL * i2:
             total, err = i2, abs(i2 - i1)
         else:
-            roots = _locate(f, a, b, vals[:offsets[1]], spec, sup=False)[0].tolist()
+            roots = _locate(f, a, b, vals[:offsets[1]], sup=False)[0].tolist()
             first = None if roots else [(i1, i1), (i2, i2)]
-            total, err = _converge(f, [a, *roots, b], g, spec, first)
+            total, err = _converge(f, [a, *roots, b], g, first)
     if not math.isfinite(total):
         raise OutOfRange(f"the integral of |f|^p is beyond float range at p={p}")
     norm = total ** (1.0 / p)

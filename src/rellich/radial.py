@@ -36,7 +36,7 @@ from .params import (
     sqrt_nonneg_re,
 )
 from .profiles import Profile1D, bump
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, lp_norm
+from .quadrature import lp_norm
 
 #: Support of the counterexample cutoff phi; the reduced-norm identity
 #: below is derived for this window.
@@ -80,14 +80,12 @@ def reduced_coefficients(
 
 
 def reduced_norm(v: Profile1D, p: float, a2=0.0, a1=0.0, a0=0.0, power: float = 0.0,
-                 support: tuple[float, float] | None = None,
-                 spec: QuadratureSpec = DEFAULT_QUAD) -> tuple[float, float]:
+                 support: tuple[float, float] | None = None) -> tuple[float, float]:
     """(||s^power (a2 v'' + a1 v' + a0 v)||_{L^p(support)}, err) for a profile v.
 
     support defaults to the support of v.
     """
-    return lp_norm(v.integrand(a2, a1, a0, power), v.support if support is None else support,
-                   p, spec)
+    return lp_norm(v.integrand(a2, a1, a0, power), v.support if support is None else support, p)
 
 
 def _ratio(num: tuple[float, float], den: tuple[float, float]) -> RatioReport:
@@ -99,17 +97,12 @@ def _ratio(num: tuple[float, float], den: tuple[float, float]) -> RatioReport:
 
 
 def rellich_ratio_separable(
-    params: OperatorParams,
-    p: float,
-    alpha: float,
-    n: int,
-    v: Profile1D,
-    spec: QuadratureSpec = DEFAULT_QUAD,
+    params: OperatorParams, p: float, alpha: float, n: int, v: Profile1D
 ) -> RatioReport:
     """|| v'' + beta v' - lambda_red v ||_p / || v ||_p on the support of v."""
     rc = reduced_coefficients(params, p, alpha, n)
-    return _ratio(reduced_norm(v, p, 1.0, rc.beta, -rc.lambda_red, spec=spec),
-                  reduced_norm(v, p, a0=1.0, spec=spec))
+    return _ratio(reduced_norm(v, p, 1.0, rc.beta, -rc.lambda_red),
+                  reduced_norm(v, p, a0=1.0))
 
 
 def counterexample_gamma(params: OperatorParams, n: int, branch: str) -> float:
@@ -122,13 +115,21 @@ def counterexample_gamma(params: OperatorParams, n: int, branch: str) -> float:
     raise ValueError(f"branch must be 'minus' or 'plus', got {branch!r}")
 
 
+def counterexample_drift(params: OperatorParams, n: int, branch: str) -> float:
+    """The drift 2 gamma + N - 2 + c of the critical family's reduced operator.
+
+    It is +-2 Re sqrt(D + lambda_n) (+ on the minus branch) and vanishes
+    where the indicial roots collide.
+    """
+    return 2.0 * counterexample_gamma(params, n, branch) + params.N - 2.0 + params.c
+
+
 def counterexample_ratio(
     params: OperatorParams,
     p: float,
     n: int,
     branch: str,
     epsilon: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> RatioReport:
     """Exact reduced norm ratio of the critical family u_eps = r^gamma phi(r^eps).
 
@@ -153,11 +154,11 @@ def counterexample_ratio(
             "complex indicial roots (D + lambda_n < 0): the explicit "
             "counterexample family is only valid for real roots"
         )
-    g = 2.0 * counterexample_gamma(params, n, branch) + params.N - 2.0 + params.c
+    g = counterexample_drift(params, n, branch)
     q = inv_p(p)
-    num, err_n = reduced_norm(CUTOFF, p, (0.0, epsilon), g + epsilon, power=1.0 - q, spec=spec)
+    num, err_n = reduced_norm(CUTOFF, p, (0.0, epsilon), g + epsilon, power=1.0 - q)
     return _ratio((epsilon * num, epsilon * err_n),
-                  reduced_norm(CUTOFF, p, a0=1.0, power=-q, spec=spec))
+                  reduced_norm(CUTOFF, p, a0=1.0, power=-q))
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,6 @@ class BoundaryReport:
     residual_sup: float
     norm_finite: bool
     active: bool
-    scale: float
 
 
 def boundary_counterexample(
@@ -213,7 +213,7 @@ def boundary_counterexample(
     rel = float(np.max(residual / scale))
     norm_finite = (alpha - 2.0 + s1r) > -params.N * inv_p(p)
     active = alpha > base_alpha(params, p) + sqrt_nonneg_re(D).real
-    return BoundaryReport(rel, bool(norm_finite), bool(active), float(np.max(scale)))
+    return BoundaryReport(rel, bool(norm_finite), bool(active))
 
 
 def fit_loglog_slope(eps_values, ratios) -> float:

@@ -22,7 +22,6 @@ from .errors import (
     BetaZero,
     CorpusOutsideSubspace,
     DegenerateWeight,
-    NotCritical,
     OutOfRange,
     PreconditionViolated,
     UnsupportedRegime,
@@ -41,8 +40,8 @@ from .params import (
     kelvin_transform,
 )
 from .profiles import Profile1D, log_squeezed
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, lp_norm
-from .radial import (CUTOFF, boundary_counterexample, counterexample_gamma,
+from .quadrature import integrate, lp_norm
+from .radial import (CUTOFF, boundary_counterexample, counterexample_drift,
                      counterexample_ratio, fit_loglog_slope, reduced_coefficients,
                      reduced_norm, rellich_ratio_separable)
 from .spectral import region_section3
@@ -86,7 +85,6 @@ def verify_rellich(
     domain: DomainKind,
     J: HarmonicSet,
     corpus: list[tuple[int, Profile1D]],
-    spec: QuadratureSpec = DEFAULT_QUAD,
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Verify the Rellich decision numerically on a separable corpus.
@@ -121,7 +119,7 @@ def verify_rellich(
             report.tolerance = SLACK_LIMIT
             report.notes = f"verdict holds with certified constant C={C}"
         for n, v in corpus:
-            r = rellich_ratio_separable(work_params, p, work_alpha, n, v, spec)
+            r = rellich_ratio_separable(work_params, p, work_alpha, n, v)
             report.add(f"n={n} {v.label}", r.ratio, C, r.ratio - C)
         return report
 
@@ -150,13 +148,12 @@ def verify_rellich(
 
     # counterexample_ratio raises UnsupportedRegime for complex indicial roots
     ratios = [
-        counterexample_ratio(work_params, p, n_fail, branch.value, e, spec=spec).ratio
+        counterexample_ratio(work_params, p, n_fail, branch.value, e).ratio
         for e in EPS_LADDER
     ]
     # generic decay is linear in eps; when the indicial roots collide
     # (D + lambda_n = 0) the drift term vanishes and the rate doubles
-    g = 2.0 * counterexample_gamma(work_params, n_fail, branch.value) \
-        + work_params.N - 2.0 + work_params.c
+    g = counterexample_drift(work_params, n_fail, branch.value)
     slope_target = 1.0 if abs(g) > 1e-8 else 2.0
     report.notes = (
         f"verdict fails at mode (n={n_fail}, {branch.value}); "
@@ -171,7 +168,7 @@ def verify_rellich(
     return report
 
 
-def _radial_integral(fn, r_support, spec) -> float:
+def _radial_integral(fn, r_support) -> float:
     """integral fn(r) dr over the support, computed in s = -log r."""
     r_lo, r_hi = r_support
     a, b = -math.log(r_hi), -math.log(r_lo)
@@ -182,7 +179,7 @@ def _radial_integral(fn, r_support, spec) -> float:
 
     # an integrand that overflows ends in NonFiniteIntegrand, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return integrate(g, a, b, spec)[0]
+        return integrate(g, a, b)[0]
 
 
 def verify_hardy(
@@ -190,7 +187,6 @@ def verify_hardy(
     p: float,
     beta: float,
     u: Profile1D,
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> VerificationReport:
     """Weighted Hardy inequality on a radial profile (coordinate r).
 
@@ -215,8 +211,8 @@ def verify_hardy(
     def rhs_fn(r):
         return r ** (beta - 2.0 + N - 1.0) * np.abs(u(r)) ** p
 
-    lhs = _radial_integral(lhs_fn, u.support, spec)
-    rhs = K * _radial_integral(rhs_fn, u.support, spec)
+    lhs = _radial_integral(lhs_fn, u.support)
+    rhs = K * _radial_integral(rhs_fn, u.support)
     report = VerificationReport(
         claim=f"hardy N={N} p={p} beta={beta} constant={K}",
         tolerance=SLACK_EXACT * max(abs(rhs), 1e-300),
@@ -225,11 +221,7 @@ def verify_hardy(
     return report
 
 
-def oned_green_reconstruct(
-    beta: float,
-    v: Profile1D,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def oned_green_reconstruct(beta: float, v: Profile1D) -> float:
     """Reconstruct v from f = v'' + beta v' via the half-line Green formula.
 
     v(s) = -(1/beta) ( integral_0^s e^{-beta(s-sigma)} f + integral_s^inf f ).
@@ -249,10 +241,10 @@ def oned_green_reconstruct(
     def f_exp(s):
         return np.exp(beta * np.asarray(s, dtype=float)) * f(s)
 
-    i_plain, _ = integrate(f, a, b, spec)
-    i_exp, _ = integrate(f_exp, a, b, spec)
-    scale_plain, _ = lp_norm(f, (a, b), 1, spec)
-    scale_exp, _ = lp_norm(f_exp, (a, b), 1, spec)
+    i_plain, _ = integrate(f, a, b)
+    i_exp, _ = integrate(f_exp, a, b)
+    scale_plain, _ = lp_norm(f, (a, b), 1)
+    scale_exp, _ = lp_norm(f_exp, (a, b), 1)
     if abs(i_plain) > 1e-8 * max(scale_plain, 1e-300):
         raise AssertionError(f"orthogonality integral f = {i_plain} not ~ 0")
     if abs(i_exp) > 1e-8 * max(scale_exp, 1e-300):
@@ -267,12 +259,10 @@ def oned_green_reconstruct(
         if s > a:
             hi = min(s, b)
             first, _ = integrate(
-                lambda sg: np.exp(-beta * (s - np.asarray(sg, dtype=float))) * f(sg),
-                a, hi, spec,
-            )
+                lambda sg: np.exp(-beta * (s - np.asarray(sg, dtype=float))) * f(sg), a, hi)
         second = 0.0
         if s < b:
-            second, _ = integrate(f, max(s, a), b, spec)
+            second, _ = integrate(f, max(s, a), b)
         v_rec = -(first + second) / beta
         worst = max(worst, abs(v_rec - float(v(np.array([s]))[0])))
     return worst
@@ -285,7 +275,6 @@ def verify_oned_inequality(
     eps: float,
     corpus: list[Profile1D],
     kappa: float | None = None,
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> VerificationReport:
     """Half-line weighted bound || v / s^kappa ||_{L^p(a,inf)} <= C || v'' + beta v' ||_p.
 
@@ -307,9 +296,9 @@ def verify_oned_inequality(
     for v in corpus:
         if v.support[0] <= 0:
             raise PreconditionViolated("corpus must be supported in (0, inf)")
-        num, _ = reduced_norm(v, p, 1.0, beta, spec=spec)
+        num, _ = reduced_norm(v, p, 1.0, beta)
         den, _ = reduced_norm(v, p, a0=1.0, power=-kappa,
-                              support=(max(a, v.support[0]), v.support[1]), spec=spec)
+                              support=(max(a, v.support[0]), v.support[1]))
         ratio = den / num if num > 0 else math.inf
         report.add(v.label or "profile", ratio, 0.0,
                    1.0 if math.isfinite(ratio) else -1.0)
@@ -334,7 +323,6 @@ def verify_aux_remainder(
     lam: float,
     p: float,
     v: Profile1D,
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> VerificationReport:
     """||Gamma v||_p^p - lam^p ||v||_p^p >= lam^{p-1} (p-1)/p^2 integral |v|^p/s^2.
 
@@ -348,9 +336,9 @@ def verify_aux_remainder(
         raise PreconditionViolated("v must be supported in (0, inf)")
     lam_p, rem = _powers(f"lambda={lam}", lam, p)
 
-    gnorm_p = reduced_norm(v, p, 1.0, beta, -lam, spec=spec)[0] ** p
-    vnorm_p = reduced_norm(v, p, a0=1.0, spec=spec)[0] ** p
-    weighted = reduced_norm(v, p, a0=1.0, power=-2.0 / p, spec=spec)[0] ** p
+    gnorm_p = reduced_norm(v, p, 1.0, beta, -lam)[0] ** p
+    vnorm_p = reduced_norm(v, p, a0=1.0)[0] ** p
+    weighted = reduced_norm(v, p, a0=1.0, power=-2.0 / p)[0] ** p
     lhs = gnorm_p - lam_p * vnorm_p
     rhs = rem * weighted
     report = VerificationReport(
@@ -366,7 +354,6 @@ def verify_remainder(
     p: float,
     alpha: float,
     corpus: list[Profile1D],
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> VerificationReport:
     """Remainder inequality for radial u supported in the half ball.
 
@@ -398,7 +385,7 @@ def verify_remainder(
             raise PreconditionViolated(
                 "corpus must be supported in s > log 2 (u supported in B_{1/2})"
             )
-        aux = verify_aux_remainder(rc.beta, C, p, v, spec)
+        aux = verify_aux_remainder(rc.beta, C, p, v)
         report.samples += aux.samples
         report.tolerance = max(report.tolerance, aux.tolerance)
     return report
@@ -409,10 +396,7 @@ def verify_critical_log(
     p: float,
     n: int,
     branch: str,
-    alpha: float | None = None,
     log_eps: float = 0.5,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-    tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Logarithmic substitute inequality at a critical exponent.
 
@@ -426,12 +410,7 @@ def verify_critical_log(
     check_p(p)
     check_finite("log_eps", log_eps)
     am, ap = critical_alphas(params, p, n)
-    target = am if branch == "minus" else ap
-    if alpha is not None and abs(alpha - target) > tol:
-        raise NotCritical(
-            f"alpha={alpha} is not the critical alpha_{n}^{branch} = {target}"
-        )
-    alpha = target
+    alpha = am if branch == "minus" else ap
     d_lam = discriminant(params) + eigen_lambda(params.N, n)
     kappa = 1.0 if d_lam > 0 else 2.0
     if p == 1:
@@ -444,9 +423,9 @@ def verify_critical_log(
     weighted, unweighted = report.weighted_ratios, report.unweighted_ratios
     for e in EPS_LADDER:
         v = log_squeezed(CUTOFF, e)
-        num, _ = reduced_norm(v, p, 1.0, rc.beta, -rc.lambda_red, spec=spec)
-        rw = num / reduced_norm(v, p, a0=1.0, power=-kappa, spec=spec)[0]
-        ru = num / reduced_norm(v, p, a0=1.0, spec=spec)[0]
+        num, _ = reduced_norm(v, p, 1.0, rc.beta, -rc.lambda_red)
+        rw = num / reduced_norm(v, p, a0=1.0, power=-kappa)[0]
+        ru = num / reduced_norm(v, p, a0=1.0)[0]
         weighted.append(rw)
         unweighted.append(ru)
         report.add(f"eps={e} weighted", rw, POS_FLOOR, rw - POS_FLOOR)
@@ -462,7 +441,6 @@ def verify_dissipativity(
     p: float,
     lam: float,
     corpus: list[tuple[int, Profile1D]],
-    spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> VerificationReport:
     """Quasi-dissipativity lambda ||u||_p <= ||(lambda - A - omega_p) u||_p.
 
@@ -482,8 +460,8 @@ def verify_dissipativity(
     )
     worst = 1.0
     for n, w in corpus:
-        rhs, _ = reduced_norm(w, p, -1.0, -k, lam + eigen_lambda(params.N, n), spec=spec)
-        lhs = lam * reduced_norm(w, p, a0=1.0, spec=spec)[0]
+        rhs, _ = reduced_norm(w, p, -1.0, -k, lam + eigen_lambda(params.N, n))
+        lhs = lam * reduced_norm(w, p, a0=1.0)[0]
         report.add(f"n={n} {w.label}", rhs, lhs, rhs - lhs)
         worst = max(worst, rhs)
     report.tolerance = SLACK_EXACT * worst

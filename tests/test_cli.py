@@ -232,18 +232,14 @@ class TestVerify:
                                 *extra)
             assert code == 0, (target, out)
 
-    def test_quadrature_override(self, capsys):
-        code, out = run_cli(capsys, "verify", "rellich", "--N", "5", "--p", "2",
-                            "--alpha", "0", "--domain", "rn",
-                            "--quad-nodes", "32", "--quad-rel-tol", "1e-8")
-        assert code == 0 and last_json(out)["passed"]
-
 
 class TestContract:
     def test_usage_exit64(self, capsys):
         assert main(["bogus"]) == 64
         assert main([]) == 64
         assert main(["check", "--N", "5"]) == 64  # missing --alpha
+        for cmd in (["verify", "rellich"], ["counterexample", "--mode", "minus"]):
+            assert main([*cmd, "--N", "5", "--quad-nodes", "32"]) == 64  # no quadrature option
 
     def test_determinism(self, capsys):
         argv = ["verify", "rellich", "--N", "5", "--p", "2", "--alpha", "0",
@@ -311,10 +307,6 @@ def test_non_finite_input_exit1(argv, env):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "critical", "--quad-nodes", "0"],
-    ["verify", "critical", "--quad-nodes", "100000"],
-    ["verify", "critical", "--quad-rel-tol", "nan"],
-    ["verify", "critical", "--quad-rel-tol=-1"],
     ["verify", "hardy", "--beta", "1e300"],
     ["counterexample", "--mode", "minus", "--eps", "0.1"],
     ["check", "--sweep-alpha=-2:3:100000000"],
@@ -331,8 +323,7 @@ def test_non_finite_input_exit1(argv, env):
     ["spectrum", "--sample", "--sample-q", str(SAMPLE_Q_MAX + 1)],
     ["counterexample", "--mode", "boundary", "--alpha", "3", "--grid", "1"],
     ["counterexample", "--mode", "boundary", "--alpha", "3", "--grid", str(GRID_MAX + 1)],
-], ids=["quad-nodes-0", "quad-nodes-1e5", "quad-rel-tol-nan", "quad-rel-tol-neg",
-        "hardy-beta-1e300", "one-eps", "sweep-1e8", "rellich-count-0", "rellich-count-neg",
+], ids=["hardy-beta-1e300", "one-eps", "sweep-1e8", "rellich-count-0", "rellich-count-neg",
         "remainder-count-0", "remainder-count-neg", "dissipativity-count-0",
         "dissipativity-count-neg", "oned-count-0", "count-above-cap", "corpus-above-cap",
         "sample-q-neg",
@@ -362,8 +353,7 @@ _DOMAIN_CHOICES = ["rn", "ball", "bounded", "exterior", "exterior-ball"]
 _COMMON = {"--N": FUZZ_INTS, "--c": FUZZ_FLOATS, "--b": FUZZ_FLOATS, "--p": FUZZ_FLOATS,
            "--alpha": FUZZ_FLOATS, "--tol": FUZZ_FLOATS}
 _J = ["all"] + [f"{kind}:{j}" for kind in ("ge", "set", "ne") for j in FUZZ_INTS]
-_QUAD = {"--quad-nodes": FUZZ_INTS, "--quad-rel-tol": FUZZ_FLOATS}
-_VERIFY = {**_COMMON, **_QUAD, "--domain": _DOMAIN_CHOICES, "--J": _J, "--n": FUZZ_INTS,
+_VERIFY = {**_COMMON, "--domain": _DOMAIN_CHOICES, "--J": _J, "--n": FUZZ_INTS,
            "--mode": ["minus", "plus"], "--beta": FUZZ_FLOATS, "--lambda": FUZZ_FLOATS,
            "--a": FUZZ_FLOATS, "--log-eps": FUZZ_FLOATS, "--count": FUZZ_INTS,
            "--harmonics": FUZZ_INTS + [f"0,{j}" for j in FUZZ_INTS], "--seed": FUZZ_INTS}
@@ -379,7 +369,7 @@ FUZZ = {
                   "--sample": None, "--sample-q": FUZZ_INTS, "--seed-q": FUZZ_INTS,
                   "--xi-max": FUZZ_FLOATS}),
     "counterexample": (["counterexample", "--N", "5", "--mode", "minus"],
-                       {**_COMMON, **_QUAD, "--n": FUZZ_INTS,
+                       {**_COMMON, "--n": FUZZ_INTS,
                         "--mode": ["minus", "plus", "boundary"],
                         "--eps": [f"{x},0.1" for x in FUZZ_FLOATS], "--grid": FUZZ_INTS}),
     **{f"verify {target}": (["verify", target, "--N", "5"], _VERIFY)
@@ -531,8 +521,8 @@ def test_numpy_loaded_only_by_numeric_commands(argv, code, needs_numpy):
 PUBLIC_NAMES = """
 ADomain BetaZero BoundaryReport Branch CorpusOutsideSubspace DEFAULT_TOL DNonzero DZero
 DegenerateWeight DomainKind GammaInterval GreenBoundInput HalfLineSide HarmonicSet
-HeatKernelVariant NonFiniteIntegrand NotCritical OperatorParams OutOfRange ParabolicRegion
-PreconditionViolated Profile1D QuadratureSpec RatioReport ReducedCoefficients RellichError
+HeatKernelVariant NonFiniteIntegrand OperatorParams OutOfRange ParabolicRegion
+PreconditionViolated Profile1D RatioReport ReducedCoefficients RellichError
 SpectralClassification UnsupportedRegime VariantMismatch Verdict VerificationReport
 base_alpha best_constant boundary_counterexample bump bump_corpus check_derivatives
 classify_A classify_gamma classify_halfline_ode conjugate_exponent counterexample_ratio

@@ -7,7 +7,6 @@ import pytest
 
 from rellich import (NonFiniteIntegrand, OutOfRange, PreconditionViolated, integrate, lp_norm,
                      quadrature)
-from rellich.quadrature import DEFAULT_QUAD, QuadratureSpec
 
 from references import exact_lp_integral, reference_lp_integral, reference_roots, reference_sup
 
@@ -95,10 +94,9 @@ def test_one_layout_per_panel_count():
             lp_norm(lambda s: np.sin(7.0 * s) * np.exp(-s), (a, a + 1.0 + 0.05 * i), p)
     info = quadrature._layout.cache_info()
     assert info.misses == info.currsize <= quadrature.MAX_REFINEMENTS + 1 and info.hits > 100
-    n = DEFAULT_QUAD.nodes
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = np.polynomial.legendre.leggauss(quadrature.NODES)
     for k in (1, 2, 8):
-        nodes, weights = quadrature._layout(n, k)
+        nodes, weights = quadrature._layout(k)
         edges = np.linspace(-1.0, 1.0, k + 1)
         panels = list(zip(edges[:-1], edges[1:]))
         want_nodes = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * x for lo, hi in panels])
@@ -191,8 +189,8 @@ def _tolerance(p):
     """Relative accuracy asked of a norm: rounding, except at p = 1.5, where
     |f|^p has a |s - r|^1.5 singularity at the ends of the pieces next to
     each split point r.  Gauss-Legendre panels converge there only
-    algebraically, and the norm is good to the spec's rel_tol."""
-    return DEFAULT_QUAD.rel_tol if p == 1.5 else 1e-12
+    algebraically, and the norm is good to REL_TOL."""
+    return quadrature.REL_TOL if p == 1.5 else 1e-12
 
 
 def _reference_norm(f, support, p, poly=None):
@@ -350,7 +348,7 @@ def test_located_points_match_brentq(eps):
     for f, zero, sup in ((v.integrand(1.0, -1.3, -0.4), v.integrand(1.0, -1.3, -0.4), False),
                          (v.integrand(a0=1.0, power=-1.0), v.integrand(a1=(0.0, 1.0), a0=-1.0),
                           True)):
-        got, _ = quadrature._locate(f, a, b, f(nodes), DEFAULT_QUAD, sup)
+        got, _ = quadrature._locate(f, a, b, f(nodes), sup)
         pad = 1e-3 * (b - a)  # f and f' vanish at the ends of the support
         ref = reference_roots(zero, a + pad, b - pad)
         assert ref and all(np.min(np.abs(got - r)) <= 1e-9 * (b - a) for r in ref), (got, ref)
@@ -360,25 +358,14 @@ def test_colleague_roots_match_numpy():
     # the colleague matrix built in place against numpy's legroots, and the
     # derivative matrix against legder
     rng = np.random.default_rng(5)
-    _, D, J, scl = quadrature._legendre(16)
+    _, D, J, scl = quadrature._legendre()
     for d in (1, 2, 5, 9):
         c = rng.standard_normal(d + 1)
         got = np.sort_complex(quadrature._roots(c, J, scl))
         assert np.allclose(got, np.sort_complex(np.polynomial.legendre.legroots(c)), atol=1e-12)
     c = rng.standard_normal(16)
-    assert np.allclose(D @ c, np.append(np.polynomial.legendre.legder(c), 0.0), atol=1e-12)
-
-
-@pytest.mark.parametrize("kw", [{"nodes": 0}, {"nodes": 15}, {"nodes": 513}, {"nodes": 10**9},
-                                {"nodes": 64.0}, {"nodes": True}, {"rel_tol": 0.0},
-                                {"rel_tol": -1.0}, {"rel_tol": 1.0}, {"rel_tol": math.nan},
-                                {"rel_tol": math.inf}])
-def test_spec_rejects_out_of_range_fields(kw):
-    # checked before any rule is built: a huge nodes never reaches leggauss
-    with pytest.raises(PreconditionViolated):
-        QuadratureSpec(**kw)
-    lo, hi = quadrature.NODES_RANGE
-    assert QuadratureSpec(nodes=lo).nodes == lo and QuadratureSpec(nodes=hi).nodes == hi
+    assert np.allclose(D[:16, :16] @ c, np.append(np.polynomial.legendre.legder(c), 0.0),
+                       atol=1e-12)
 
 
 @pytest.mark.parametrize("f, p", [(lambda s: 2.0 + 0.0 * s, 1e300),

@@ -21,8 +21,8 @@ from rellich import (
     rellich_ratio_separable,
     sqrt_nonneg_re,
 )
-from rellich.quadrature import DEFAULT_QUAD, lp_norm
-from rellich.radial import PHI_SUPPORT, counterexample_gamma, reduced_norm
+from rellich.quadrature import REL_TOL, lp_norm
+from rellich.radial import PHI_SUPPORT, counterexample_drift, counterexample_gamma, reduced_norm
 from rellich.verify import EPS_LADDER
 
 from references import reference_lp_integral
@@ -149,6 +149,24 @@ class TestCounterexampleRatio:
                 target = 0.0 if math.isinf(p) else -N / p
                 assert abs(am - 2 + g - target) < 1e-10 * (1 + N)
 
+    def test_drift_is_twice_the_root_gap(self):
+        # 2 gamma + N - 2 + c = +-2 Re sqrt(D + lambda_n), + on the minus
+        # branch; it vanishes where the roots collide, which is where
+        # verify_rellich expects slope 2
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            N = int(rng.integers(2, 11))
+            P = OperatorParams(N, float(rng.uniform(-3, 3)), float(rng.uniform(-4, 4)))
+            n = int(rng.integers(0, 4))
+            if discriminant(P) + eigen_lambda(N, n) < 0:
+                continue
+            root = sqrt_nonneg_re(discriminant(P) + eigen_lambda(N, n)).real
+            scale = max(1.0, abs(N - 2 + P.c), root)
+            for branch, sign in (("minus", 1.0), ("plus", -1.0)):
+                assert abs(counterexample_drift(P, n, branch) - sign * 2 * root) \
+                    <= 1e-12 * scale, (P, n, branch)
+        assert counterexample_drift(OperatorParams(5, 0, -2.25), 0, "minus") == 0.0
+
     def test_support_and_eps_validation(self):
         with pytest.raises(ValueError):
             counterexample_ratio(P5, 2, 0, "minus", 0.0)
@@ -197,7 +215,7 @@ class TestLpNormAccuracy:
         phi = bump(*PHI_SUPPORT)
         worst = 0.0
         for P, n, branch in _sweep_critical_cases(10):
-            g = 2.0 * counterexample_gamma(P, n, branch) + P.N - 2.0 + P.c
+            g = counterexample_drift(P, n, branch)
             den = reference_lp_integral(lambda s: phi(s) / s, *PHI_SUPPORT)
             for e in EPS_LADDER:
                 num = reference_lp_integral(
@@ -213,7 +231,7 @@ class TestLpNormAccuracy:
         P, n, branch = list(_sweep_critical_cases(4))[3]
         assert (P.N, round(P.c, 4), round(P.b, 4), n, branch) == (7, 0.1526, -3.1508, 1, "plus")
         e, phi = 0.025, bump(*PHI_SUPPORT)
-        g = 2.0 * counterexample_gamma(P, n, branch) + P.N - 2.0 + P.c
+        g = counterexample_drift(P, n, branch)
 
         def num(s):
             _, d1, d2 = phi.jet(s)
@@ -247,7 +265,7 @@ class TestLpNormAccuracy:
 
                 for f in (top, v):
                     norm, err = lp_norm(f, v.support, p)
-                    assert err <= DEFAULT_QUAD.rel_tol * norm, (P, alpha, n, norm, err)
+                    assert err <= REL_TOL * norm, (P, alpha, n, norm, err)
 
 
 class TestSupErrorEstimate:
@@ -269,7 +287,7 @@ class TestSupErrorEstimate:
         from numpy.polynomial import Polynomial as Poly
 
         eps, n, branch = 0.1, 0, "minus"
-        g = 2.0 * counterexample_gamma(P5, n, branch) + P5.N - 2.0 + P5.c
+        g = counterexample_drift(P5, n, branch)
         lo, hi = PHI_SUPPORT
         phi = bump(lo, hi)
         t = Poly([-(lo + hi) / (hi - lo), 2.0 / (hi - lo)])  # support -> [-1, 1]

@@ -11,7 +11,6 @@ from rellich import (
     DegenerateWeight,
     DomainKind,
     HarmonicSet,
-    NotCritical,
     OperatorParams,
     OutOfRange,
     PreconditionViolated,
@@ -160,14 +159,14 @@ class TestGreenReconstruct:
         points = []
         real = verify_mod.integrate
 
-        def counted(f, a, b, spec=verify_mod.DEFAULT_QUAD):
+        def counted(f, a, b):
             n = [0]
 
             def g(s):
                 n[0] += np.size(s)
                 return f(s)
 
-            out = real(g, a, b, spec)
+            out = real(g, a, b)
             points.append(n[0])
             return out
 
@@ -281,14 +280,6 @@ class TestCriticalLog:
     def test_non_finite_log_eps_rejected(self):
         with pytest.raises(PreconditionViolated, match="log_eps must be finite"):
             verify_critical_log(P5, 1, 0, "minus", log_eps=math.nan)
-
-    def test_not_critical_guard(self):
-        with pytest.raises(NotCritical):
-            verify_critical_log(P5, 2, 0, "minus", alpha=0.0)
-
-    def test_matching_alpha_accepted(self):
-        rep = verify_critical_log(P5, 2, 0, "minus", alpha=-0.5)
-        assert rep.passed
 
 
 class TestDissipativity:
