@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre integrals and L^p norms on an interval.
+"""Gauss-Legendre integrals and L^p norms on an interval, from Legendre series.
 
 ``integrate(f, a, b)`` is the signed integral of f and ``lp_norm(f,
 support, p)`` the norm ||f||_{L^p(support)}, 1 <= p <= inf, computed from
@@ -6,31 +6,21 @@ the signed f.  Both return (value, err).  An integrand maps an array of
 points to an array of the same shape; any other result raises
 PreconditionViolated, and a non-finite value NonFiniteIntegrand.
 
-Integrals use composite ``NODES``-point Gauss-Legendre rules, each the
-image on its interval of one cached layout of nodes and weights on
-[-1, 1] per panel count.  They double the panel count until the change
-between two successive sums is at most ``REL_TOL`` times the integral of
-|integrand| from the same nodes, so an integral that cancels to zero
-stops as early as one that does not.
+Both read f as chebfun does (Battles & Trefethen, SISC 2004): the Legendre
+series of the polynomial that interpolates f at the ``NODES`` Gauss nodes
+of an interval, chopped where it reaches rounding, is resolved when it is
+short; an interval whose series is not is halved, up to a fixed number of
+pieces.  A signed integral is the sum of the pieces' Gauss sums, and to a
+point inside a piece it adds that piece's Legendre antiderivative
+(chebfun's cumsum), so one call integrates to many upper limits.
 
-For finite p, |f|^p has kinks at the sign changes of f, where panel
-doubling converges only algebraically.  ``lp_norm`` runs the 1- and
-2-panel passes first and returns when they agree, which covers smooth
-integrands.  Otherwise it splits the support at the sign changes of f and
-integrates the pieces between the split points under one tolerance for
-the whole norm: the panels of a piece double only while its change
-exceeds its share of ``REL_TOL * integral``.  For p = inf the norm is
-the largest |f| at the ends and at the critical points of f.
-
-One locator finds both kinds of point, as chebfun does (Battles &
-Trefethen, SISC 2004): the Legendre series of the polynomial that
-interpolates f at the ``NODES`` Gauss nodes of the support, chopped
-where its coefficients reach rounding, has the split points as the real
-roots and the critical points as the real roots of its derivative, both
-eigenvalues of a colleague matrix.  For finite p the nodes are those of
-the 1-panel pass, so locating costs no call of f; for p = inf it costs
-one.  A piece whose series is not resolved is halved, up to a fixed
-number of pieces.
+For finite p, |f|^p has kinks at the sign changes of f, the real roots of
+the series (eigenvalues of a colleague matrix).  ``lp_norm`` returns when
+its 1- and 2-panel sums agree to ``REL_TOL``, as they do for smooth
+integrands.  Otherwise it splits the support at the roots and doubles the
+panels of each piece while its change exceeds its share of ``REL_TOL``
+times the integral.  For p = inf the norm is the largest |f| at the ends
+and at the critical points, the real roots of the series' derivative.
 """
 
 from __future__ import annotations
@@ -42,13 +32,13 @@ import numpy as np
 
 from .errors import NonFiniteIntegrand, OutOfRange, PreconditionViolated
 
-#: Gauss-Legendre points per panel.  The locator's series has as many
+#: Gauss-Legendre points per panel.  The resolver's series has as many
 #: terms and resolves degrees below three quarters of that (the package's
 #: integrands reach degree 8)
 NODES = 64
 
-#: refinement stops when successive estimates agree to this share of the
-#: integral of |integrand|
+#: panel doubling of |f|^p stops when successive estimates agree to this
+#: share of the integral
 REL_TOL = 1e-10
 
 #: panel counts 1, 2, 4, ..., 2^MAX_REFINEMENTS
@@ -58,7 +48,7 @@ MAX_REFINEMENTS = 12
 #: zero; a series is resolved when its last quarter is zero
 _CHOP = 1e-10
 
-#: pieces the point locator samples at most, the first included
+#: pieces the resolver samples at most, the first included
 _MAX_PIECES = 64
 
 #: largest imaginary part of a root taken as real, and nearest distance of
@@ -105,24 +95,19 @@ def _rule(jobs):
 
 
 def _sums(f, jobs, g):
-    """(sum, sum of |.|) of the rule for g(f) on each (a, b, panels) job.
-
-    f is sampled once for all jobs together.
-    """
+    """Sum of the rule for g(f) on each (a, b, panels) job; f is sampled once for all jobs."""
     pts, wts, offsets = _rule(jobs)
-    terms = g(_sample(f, pts)) * wts
-    return list(zip(np.add.reduceat(terms, offsets).tolist(),
-                    np.add.reduceat(np.abs(terms), offsets).tolist()))
+    return np.add.reduceat(g(_sample(f, pts)) * wts, offsets).tolist()
 
 
 def _converge(f, edges, g, first=None):
-    """Integral of g(f) over [edges[0], edges[-1]], piece by piece.
+    """Integral of g(f) >= 0 over [edges[0], edges[-1]], piece by piece.
 
     Each piece between consecutive edges starts from its 1- and 2-panel
     sums (``first`` holds them when there is one piece and they are
-    known).  While the total change exceeds REL_TOL times the integral of
-    |g(f)|, each piece whose change exceeds its share of that tolerance
-    doubles its panels, up to 2^MAX_REFINEMENTS.  Returns (value, err).
+    known).  While the total change exceeds REL_TOL times the integral,
+    each piece whose change exceeds its share of that tolerance doubles
+    its panels, up to 2^MAX_REFINEMENTS.  Returns (value, err).
     """
     pieces = list(zip(edges[:-1], edges[1:]))
     if first is None:
@@ -131,8 +116,8 @@ def _converge(f, edges, g, first=None):
     panels = [2] * len(pieces)
     limit = 2 ** MAX_REFINEMENTS
     while True:
-        errs = [abs(c[0] - q[0]) for c, q in zip(cur, prev)]
-        tol = REL_TOL * sum(c[1] for c in cur)
+        errs = [abs(c - q) for c, q in zip(cur, prev)]
+        tol = REL_TOL * sum(cur)
         if sum(errs) <= tol:
             break
         todo = [i for i, e in enumerate(errs)
@@ -144,20 +129,7 @@ def _converge(f, edges, g, first=None):
         new = _sums(f, [(*pieces[i], panels[i]) for i in todo], g)
         for i, s in zip(todo, new):
             prev[i], cur[i] = cur[i], s
-    return sum(c[0] for c in cur), sum(errs)
-
-
-def integrate(f, a: float, b: float) -> tuple[float, float]:
-    """Integral of f over [a, b] with an error estimate.
-
-    f maps an array of points to an array of the same shape.  Returns
-    (value, err) where err is the change at the last refinement;
-    refinement stops once err is at most REL_TOL times the integral of
-    |f| from the same nodes.
-    """
-    if b <= a:
-        return 0.0, 0.0
-    return _converge(f, [a, b], lambda v: v)
+    return sum(cur), sum(errs)
 
 
 @lru_cache(maxsize=1)
@@ -191,63 +163,98 @@ def _roots(c, J, scl) -> np.ndarray:
     return np.linalg.eigvals(m)
 
 
-def _locate(f, a: float, b: float, vals: np.ndarray, sup: bool) -> tuple[np.ndarray, float]:
-    """(sorted real roots inside (a, b) of f, or of f' when sup, bound), as chebfun finds them.
+def _resolve(f, a: float, b: float, vals: np.ndarray):
+    """(done, rest): the pieces of [a, b] whose Legendre series resolves, and those that do not.
 
-    vals holds f at the NODES Gauss nodes of [a, b].  A piece takes
-    its Legendre series from its nodes, drops the trailing coefficients
-    below _CHOP of the largest and gives the real eigenvalues of the
-    colleague matrix of what is left (or of its derivative).  Rounding can
-    split a double root into a near-real pair, so a root counts as real up
-    to _NEAR_REAL, and one within _NEAR_REAL of an end of the support is
-    that end.  A piece whose series is not resolved is halved, all new
-    halves sampled in one call, until _MAX_PIECES pieces have been
-    sampled.  The halving points are split points and sup candidates too,
-    except one between two pieces still unresolved at that cap.  Such a
-    piece is left to panel doubling for finite p.  For the sup it gives its
-    nodes as candidates, and bound is the largest node value plus its
-    spread (as in ``_sup_at``, with the nodes as neighbours), 0 without
-    such pieces.
+    vals holds f at the NODES Gauss nodes of [a, b].  A piece's degree is
+    that of its interpolant's series without the trailing coefficients
+    below _CHOP of the largest, and it is resolved below three quarters of
+    NODES.  Unresolved pieces are halved, the halves sampled in one call,
+    until _MAX_PIECES pieces have been sampled.  Each piece is (lo, hi,
+    coefficients, values at the nodes, degree).
     """
     n = NODES
-    T, D, J, scl = _legendre()
-    near = _NEAR_REAL * (b - a)
-    pieces, mids, out, bound = [(a, b)], [], [], 0.0
+    T = _legendre()[0]
+    pieces, done, sampled = [(a, b)], [], 1
     while True:
-        c = T @ vals.reshape(len(pieces), n).T
+        rows = vals.reshape(len(pieces), n)
+        c = T @ rows.T
         mag = np.abs(c)
         big = mag > _CHOP * mag.max(axis=0)
         big[0] = True  # a piece where f vanishes has degree 0
-        degree = (n - 1 - np.argmax(big[::-1], axis=0)).tolist()  # after the chop
-        rest, rows = [], []
-        for i, ((lo, hi), d, ci) in enumerate(zip(pieces, degree, c.T)):
-            if d >= n - n // 4:
-                rest.append((lo, hi))
-                rows.append(i)
-            elif d > (1 if sup else 0):  # f (f') has a root to find
-                t = _roots(D[:d, :d + 1] @ ci[:d + 1] if sup else ci[:d + 1], J, scl)
-                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                out += [mid + half * r.real for r in t.tolist()
-                        if half * abs(r.imag) <= near and abs(r.real) <= 1.0 + _NEAR_REAL]
-        if not rest:
-            break
-        if 1 + 2 * (len(mids) + len(rest)) > _MAX_PIECES:
-            if sup:
-                out += _rule([(lo, hi, 1) for lo, hi in rest])[0].tolist()
-                v = np.abs(vals.reshape(len(pieces), n)[rows])
-                lower = np.minimum(np.concatenate((v[:, :1], v[:, :-1]), axis=1),
-                                   np.concatenate((v[:, 1:], v[:, -1:]), axis=1))
-                bound = float(np.max(2.0 * v - lower))
-            break
-        mids += [0.5 * (lo + hi) for lo, hi in rest]
-        pieces = [piece for (lo, hi), m in zip(rest, mids[-len(rest):])
-                  for piece in ((lo, m), (m, hi))]
+        degree = (n - 1 - np.argmax(big[::-1], axis=0)).tolist()
+        rest = []
+        for (lo, hi), ci, row, d in zip(pieces, c.T, rows, degree):
+            (rest if d >= n - n // 4 else done).append((lo, hi, ci, row, d))
+        if not rest or sampled + 2 * len(rest) > _MAX_PIECES:
+            return done, rest
+        sampled += 2 * len(rest)
+        pieces = [half for lo, hi, *_ in rest
+                  for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
         vals = _sample(f, _rule([(lo, hi, 1) for lo, hi in pieces])[0])
+
+
+def _locate(f, a: float, b: float, vals: np.ndarray, sup: bool) -> tuple[np.ndarray, float]:
+    """(sorted real roots inside (a, b) of f, or of f' when sup, bound), as chebfun finds them.
+
+    vals holds f at the NODES Gauss nodes of [a, b].  Each resolved piece
+    of ``_resolve`` gives the real eigenvalues of the colleague matrix of
+    its chopped series (or of its derivative).  A root counts as real up to
+    _NEAR_REAL, since rounding can split a double root into a near-real
+    pair, and one within _NEAR_REAL of an end of the support is that end.
+    The halving points count too, except one between two unresolved
+    pieces.  Those are left to panel doubling for finite p; for the sup
+    their nodes are candidates, and bound is the largest node value plus
+    its spread (as in ``_sup_at``), 0 without such pieces.
+    """
+    _, D, J, scl = _legendre()
+    near = _NEAR_REAL * (b - a)
+    done, rest = _resolve(f, a, b, vals)
+    out, bound = [], 0.0
+    for lo, hi, c, _, d in done:
+        if d > (1 if sup else 0):  # f (f') has a root to find
+            t = _roots(D[:d, :d + 1] @ c[:d + 1] if sup else c[:d + 1], J, scl)
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            out += [mid + half * r.real for r in t.tolist()
+                    if half * abs(r.imag) <= near and abs(r.real) <= 1.0 + _NEAR_REAL]
+    if rest and sup:
+        out += _rule([(lo, hi, 1) for lo, hi, *_ in rest])[0].tolist()
+        v = np.abs(np.array([row for *_, row, _ in rest]))
+        lower = np.minimum(np.concatenate((v[:, :1], v[:, :-1]), axis=1),
+                           np.concatenate((v[:, 1:], v[:, -1:]), axis=1))
+        bound = float(np.max(2.0 * v - lower))
     # f may have a kink where a piece was halved, unless it lies between two
     # pieces that stayed unresolved
-    inner = {lo for lo, _ in rest} & {hi for _, hi in rest}
-    out += [m for m in mids if m not in inner]
+    inner = {lo for lo, *_ in rest} & {hi for _, hi, *_ in rest}
+    out += [lo for lo, *_ in done + rest if lo != a and lo not in inner]
     return np.array(sorted(s for s in out if a + near < s < b - near)), bound
+
+
+def integrate(f, a: float, b):
+    """(integral of f from a to b, or to each entry of an array b, error estimate).
+
+    One ``_resolve`` of [a, max b]: the pieces' Gauss sums, plus the
+    Legendre antiderivative of the piece where an entry of b ends; an entry
+    at most a gives 0.  err sums each piece's width times its last two
+    coefficients (two for series of one parity), so a piece still
+    unresolved at the cap makes it large.
+    """
+    top = float(np.max(b))
+    if top <= a:
+        return (np.zeros(np.shape(b)) if np.ndim(b) else 0.0), 0.0
+    done, rest = _resolve(f, a, top, _sample(f, _rule([(a, top, 1)])[0]))
+    lo, hi, c, vals, _ = (np.array(col) for col in zip(*sorted(done + rest, key=lambda q: q[0])))
+    half = 0.5 * (hi - lo)
+    sums = half * (vals @ _layout(1)[1])
+    err = float(np.sum(2.0 * half * np.abs(c[:, -2:]).sum(axis=1)))
+    if not np.ndim(b):
+        return float(np.sum(sums)), err
+    x = np.maximum(np.asarray(b, dtype=float), a)
+    i = np.searchsorted(lo, x, side="right") - 1
+    F = np.polynomial.legendre.legint(c, lbnd=-1, axis=1)
+    t = np.polynomial.legendre.legvander((x - lo[i]) / half[i] - 1.0, NODES)
+    before = np.cumsum(sums) - sums
+    return np.where(x > a, before[i] + half[i] * np.sum(t * F[i], axis=-1), 0.0), err
 
 
 def _sup_at(f, a: float, b: float, xs: np.ndarray):
@@ -282,8 +289,7 @@ def lp_norm(f, support: tuple[float, float], p: float) -> tuple[float, float]:
     if b <= a:
         return 0.0, 0.0
     if math.isinf(p):
-        vals = _sample(f, _rule([(a, b, 1)])[0])
-        xs, bound = _locate(f, a, b, vals, sup=True)
+        xs, bound = _locate(f, a, b, _sample(f, _rule([(a, b, 1)])[0]), sup=True)
         top, err = _sup_at(f, a, b, xs)
         return top, max(err, bound - top)
 
@@ -298,7 +304,7 @@ def lp_norm(f, support: tuple[float, float], p: float) -> tuple[float, float]:
             total, err = i2, abs(i2 - i1)
         else:
             roots = _locate(f, a, b, vals[:offsets[1]], sup=False)[0].tolist()
-            first = None if roots else [(i1, i1), (i2, i2)]
+            first = None if roots else [i1, i2]
             total, err = _converge(f, [a, *roots, b], g, first)
     if not math.isfinite(total):
         raise OutOfRange(f"the integral of |f|^p is beyond float range at p={p}")

@@ -143,7 +143,11 @@ class TestTailExponent:
             # the increments shrink, for a divergent one they grow
             parts = []
             for cut in (1e-2, 1e-4, 1e-6):
-                val, _ = integrate(lambda r: r**exponent, cut, 1.0)
+                val, err = integrate(lambda r: r**exponent, cut, 1.0)
+                # each integral is resolved, and err says so
+                exact = (1.0 - cut ** (exponent + 1)) / (exponent + 1)
+                assert abs(val - exact) <= 1e-12 * abs(exact), (alpha, cut, val, exact)
+                assert err <= 1e-12 * abs(val), (alpha, cut, err, val)
                 parts.append(val)
             diverges = (parts[2] - parts[1]) > (parts[1] - parts[0])
             assert claimed == (not diverges), (alpha, parts)

@@ -114,12 +114,29 @@ def _counted(f, tally):
 
 
 def test_cancelling_integral_stops_early():
-    # the sum over a period rounds to noise; the stop is relative to the
-    # integral of |sin| = 4, so the 1- and 2-panel passes (64 + 128) decide
+    # the sum over a period rounds to noise, but the series of sin on the
+    # period resolves on its first 64 nodes, so nothing else is sampled
     tally = []
     val, err = integrate(_counted(np.sin, tally), 0.0, 2.0 * math.pi)
     assert abs(val) < 1e-14 and err <= 1e-10 * 4.0
-    assert sum(tally) == 192
+    assert sum(tally) == 64
+
+
+def test_integral_to_each_upper_limit():
+    # one call with an array of upper limits: the antiderivative of each
+    # piece, against the scalar calls and the closed forms; a limit at most
+    # a gives 0
+    xs = np.linspace(-0.5, 7.0, 41)
+    val, err = integrate(np.sin, 0.0, xs)
+    assert val.shape == xs.shape and err <= 1e-13
+    assert np.all(val[xs <= 0.0] == 0.0)
+    assert np.max(np.abs(val - (1.0 - np.cos(np.maximum(xs, 0.0))))) <= 1e-14
+    scalar = np.array([integrate(np.sin, 0.0, x)[0] for x in xs])
+    assert np.max(np.abs(val - scalar)) <= 1e-14
+    val, err = integrate(np.exp, -1.0, xs.reshape(1, -1))
+    exact = np.exp(np.maximum(xs, -1.0)) - math.exp(-1.0)
+    assert val.shape == (1, 41) and np.max(np.abs(val[0] - exact)) <= 1e-14 * exact[-1]
+    assert err <= 1e-13 * exact[-1]
 
 
 def test_kink_split_point_count():
@@ -268,10 +285,11 @@ def test_jump_and_kink_closed_forms(p):
         assert abs(norm - exact) <= max(err, 1e-15 * exact), (norm, exact, err)
 
 
-@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("p", [1.0, math.inf, pytest.param(None, id="integrate")])
 def test_noise_work_is_bounded(p):
     # a callable with no resolved series anywhere: the locator stops at its
-    # cap on pieces, panel doubling at its own, and err says how rough it is
+    # cap on pieces, panel doubling at its own, and err says how rough it
+    # is; integrate (p None) samples no more than the locator
     import time
 
     tally = []
@@ -280,11 +298,16 @@ def test_noise_work_is_bounded(p):
         return np.modf(np.sin(np.asarray(s) * 12345.678) * 43758.5453)[0]
 
     start = time.perf_counter()
-    norm, err = lp_norm(_counted(noise, tally), (0.0, 1.0), p)
+    if p is None:
+        value, err = integrate(_counted(noise, tally), 0.0, 1.0)
+        cap = 64 * 64
+    else:
+        value, err = lp_norm(_counted(noise, tally), (0.0, 1.0), p)
+        cap = 64 * (64 + 2 ** (quadrature.MAX_REFINEMENTS + 2))
     assert time.perf_counter() - start < 5.0
-    assert math.isfinite(norm) and 0.0 < norm <= 1.0
-    assert math.isfinite(err) and err > 1e-6 * norm
-    assert sum(tally) <= 64 * (64 + 2 ** (quadrature.MAX_REFINEMENTS + 2))
+    assert math.isfinite(value) and 0.0 < abs(value) <= 1.0
+    assert math.isfinite(err) and err > 1e-6 * abs(value)
+    assert sum(tally) <= cap
 
 
 def test_sup_beyond_the_cap_has_an_honest_error():

@@ -135,6 +135,28 @@ class TestVerifyHardy:
         assert abs(ratios[-1] - K) <= 0.05 * K
         assert all(b2 <= a2 + 1e-12 for a2, b2 in zip(ratios, ratios[1:]))
 
+    def test_integrands_at_the_ends_of_the_support(self, monkeypatch):
+        # u vanishes at the ends of its support, where |u|^(p-2) is infinite
+        # for p < 2: both integrands are 0 there and outside, without a
+        # divide-by-zero warning
+        import warnings
+
+        import rellich.verify as verify_mod
+
+        real, ends = verify_mod.integrate, []
+
+        def at_ends(g, a, b):
+            pad = 0.01 * (b - a)
+            ends.append(g(np.array([a - pad, a, b, b + pad])))
+            return real(g, a, b)
+
+        monkeypatch.setattr(verify_mod, "integrate", at_ends)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify_hardy(5, 1.5, 1.0, bump(1.0, 2.0))
+        assert rep.passed and len(ends) == 2
+        assert all(np.all(v == 0.0) for v in ends), ends
+
 
 class TestGreenReconstruct:
     def test_beta_positive(self):
@@ -151,9 +173,10 @@ class TestGreenReconstruct:
         with pytest.raises(PreconditionViolated):
             oned_green_reconstruct(1.0, bump(-1.0, 2.0))
 
-    def test_orthogonality_integrals_converge_at_once(self, monkeypatch):
-        # integrals of f = v'' + beta v' over partial ranges cancel to ~0;
-        # each stops after its 1- and 2-panel passes (64 + 128 points)
+    def test_two_antiderivatives_suffice(self, monkeypatch):
+        # both integrals of the representation, at every grid point, and the
+        # two orthogonality integrals are read off the antiderivatives of f
+        # and e^{beta s} f: two integrate calls, each resolved on one piece
         import rellich.verify as verify_mod
 
         points = []
@@ -172,7 +195,7 @@ class TestGreenReconstruct:
 
         monkeypatch.setattr(verify_mod, "integrate", counted)
         assert oned_green_reconstruct(0.7, bump(1.0, 3.0)) < 1e-6
-        assert len(points) == 370 and set(points) == {192}
+        assert len(points) <= 2 and sum(points) <= 256
 
 
 class TestOned:
