@@ -17,16 +17,21 @@ point inside a piece it adds that piece's Legendre antiderivative
 For finite p, |f|^p has kinks at the sign changes of f, the real roots of
 the series (eigenvalues of a colleague matrix).  ``lp_norm`` returns when
 its 1- and 2-panel sums agree to ``REL_TOL``, as they do for smooth
-integrands.  Otherwise it splits the support at the roots and doubles the
-panels of each piece while its change exceeds its share of ``REL_TOL``
-times the integral.  For p = inf the norm is the largest |f| at the ends
-and at the critical points, the real roots of the series' derivative.
+integrands.  Otherwise it splits the support at the roots and takes, once
+on every piece, 1- and 2-panel sums graded by t = 3u^2 - 2u^3 (the
+substitution that periodises integrands for lattice rules, Sloan & Joe
+1994): it turns the end behaviour |t - r|^p of a piece into u^(2p+1),
+which is smooth when 2p is an integer and at least u^3, so one rule per
+piece needs no refinement.  For p = inf the norm is the largest |f| at
+the ends and at the critical points, the real roots of the series'
+derivative.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -37,12 +42,12 @@ from .errors import NonFiniteIntegrand, OutOfRange, PreconditionViolated
 #: integrands reach degree 8)
 NODES = 64
 
-#: panel doubling of |f|^p stops when successive estimates agree to this
-#: share of the integral
+#: the 1- and 2-panel sums of |f|^p on the support are taken when they agree
+#: to this share of the integral; otherwise f is split at its sign changes
 REL_TOL = 1e-10
 
-#: panel counts 1, 2, 4, ..., 2^MAX_REFINEMENTS
-MAX_REFINEMENTS = 12
+#: rounding of a NODES-point sum, relative to the sum of its terms' sizes
+_ROUNDING = NODES * math.ulp(1.0)
 
 #: a Legendre coefficient below this share of the largest one counts as
 #: zero; a series is resolved when its last quarter is zero
@@ -57,14 +62,20 @@ _NEAR_REAL = 1e-6
 
 
 @lru_cache(maxsize=32)
-def _layout(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, weights) of k NODES-point Gauss-Legendre panels on [-1, 1]; ``_rule`` maps them."""
+def _layout(k: int, graded: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of k NODES-point Gauss-Legendre panels on [-1, 1]; ``_rule`` maps them.
+
+    graded maps the nodes through t = 3u^2 - 2u^3 of u = (x + 1) / 2, weights times 6u(1 - u).
+    """
     x, w = np.polynomial.legendre.leggauss(NODES)
     centres = (2.0 * np.arange(k) + 1.0 - k) / k
-    out = (centres[:, None] + x / k).ravel(), np.tile(w / k, k)
-    for m in out:
+    x, w = (centres[:, None] + x / k).ravel(), np.tile(w / k, k)
+    if graded:
+        u = 0.5 * (x + 1.0)
+        x, w = 2.0 * u * u * (3.0 - 2.0 * u) - 1.0, 6.0 * u * (1.0 - u) * w
+    for m in (x, w):
         m.setflags(write=False)  # shared by every caller of the cache
-    return out
+    return x, w
 
 
 def _sample(f, pts: np.ndarray) -> np.ndarray:
@@ -78,58 +89,26 @@ def _sample(f, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _rule(jobs):
+def _rule(jobs, graded=False):
     """Composite rules for (a, b, panels) jobs, concatenated: the one place
     where Gauss nodes are mapped onto an interval.
 
     Returns (nodes, weights, offsets), offsets[i] being where the nodes
-    of job i start.
+    of job i start.  graded takes the graded layouts of ``_layout``.
     """
     pts, wts = [], []
     for a, b, k in jobs:
-        x, w = _layout(k)
+        x, w = _layout(k, graded)
         half = 0.5 * (b - a)
         pts.append(0.5 * (a + b) + half * x)
         wts.append(half * w)
-    return np.concatenate(pts), np.concatenate(wts), np.cumsum([0, *map(len, pts[:-1])])
+    return np.concatenate(pts), np.concatenate(wts), list(accumulate(map(len, pts[:-1]), initial=0))
 
 
 def _sums(f, jobs, g):
-    """Sum of the rule for g(f) on each (a, b, panels) job; f is sampled once for all jobs."""
-    pts, wts, offsets = _rule(jobs)
+    """Graded sum for g(f) on each (a, b, panels) job; f is sampled once for all jobs."""
+    pts, wts, offsets = _rule(jobs, graded=True)
     return np.add.reduceat(g(_sample(f, pts)) * wts, offsets).tolist()
-
-
-def _converge(f, edges, g, first=None):
-    """Integral of g(f) >= 0 over [edges[0], edges[-1]], piece by piece.
-
-    Each piece between consecutive edges starts from its 1- and 2-panel
-    sums (``first`` holds them when there is one piece and they are
-    known).  While the total change exceeds REL_TOL times the integral,
-    each piece whose change exceeds its share of that tolerance doubles
-    its panels, up to 2^MAX_REFINEMENTS.  Returns (value, err).
-    """
-    pieces = list(zip(edges[:-1], edges[1:]))
-    if first is None:
-        first = _sums(f, [(a, b, k) for a, b in pieces for k in (1, 2)], g)
-    prev, cur = first[0::2], first[1::2]
-    panels = [2] * len(pieces)
-    limit = 2 ** MAX_REFINEMENTS
-    while True:
-        errs = [abs(c - q) for c, q in zip(cur, prev)]
-        tol = REL_TOL * sum(cur)
-        if sum(errs) <= tol:
-            break
-        todo = [i for i, e in enumerate(errs)
-                if e > tol / len(pieces) and panels[i] < limit]
-        if not todo:
-            break
-        for i in todo:
-            panels[i] *= 2
-        new = _sums(f, [(*pieces[i], panels[i]) for i in todo], g)
-        for i, s in zip(todo, new):
-            prev[i], cur[i] = cur[i], s
-    return sum(cur), sum(errs)
 
 
 @lru_cache(maxsize=1)
@@ -143,7 +122,7 @@ def _legendre():
     coefficients to those of the derivative, and J with scl gives the
     colleague matrix of ``_roots``.
     """
-    x, _ = _layout(1)
+    x, _ = _layout(1, False)
     k = np.arange(NODES)
     T = np.linalg.inv(np.polynomial.legendre.legvander(x, NODES - 1))
     D = np.where((k > k[:, None]) & ((k - k[:, None]) % 2 == 1), 2.0 * k[:, None] + 1, 0.0)
@@ -203,7 +182,7 @@ def _locate(f, a: float, b: float, vals: np.ndarray, sup: bool) -> tuple[np.ndar
     _NEAR_REAL, since rounding can split a double root into a near-real
     pair, and one within _NEAR_REAL of an end of the support is that end.
     The halving points count too, except one between two unresolved
-    pieces.  Those are left to panel doubling for finite p; for the sup
+    pieces.  For finite p those stay inside a piece; for the sup
     their nodes are candidates, and bound is the largest node value plus
     its spread (as in ``_sup_at``), 0 without such pieces.
     """
@@ -237,7 +216,8 @@ def integrate(f, a: float, b):
     Legendre antiderivative of the piece where an entry of b ends; an entry
     at most a gives 0.  err sums each piece's width times its last two
     coefficients (two for series of one parity), so a piece still
-    unresolved at the cap makes it large.
+    unresolved at the cap makes it large, and the rounding of each Gauss
+    sum, ``_ROUNDING`` times the sum of its terms' sizes.
     """
     top = float(np.max(b))
     if top <= a:
@@ -245,8 +225,10 @@ def integrate(f, a: float, b):
     done, rest = _resolve(f, a, top, _sample(f, _rule([(a, top, 1)])[0]))
     lo, hi, c, vals, _ = (np.array(col) for col in zip(*sorted(done + rest, key=lambda q: q[0])))
     half = 0.5 * (hi - lo)
-    sums = half * (vals @ _layout(1)[1])
-    err = float(np.sum(2.0 * half * np.abs(c[:, -2:]).sum(axis=1)))
+    w = _layout(1, False)[1]
+    sums = half * (vals @ w)
+    tails = 2.0 * np.abs(c[:, -2:]).sum(axis=1)
+    err = float(np.sum(half * (tails + _ROUNDING * (np.abs(vals) @ w))))
     if not np.ndim(b):
         return float(np.sum(sums)), err
     x = np.maximum(np.asarray(b, dtype=float), a)
@@ -279,8 +261,9 @@ def lp_norm(f, support: tuple[float, float], p: float) -> tuple[float, float]:
     """(||f||_{L^p(support)}, error estimate of the norm) for 1 <= p <= inf.
 
     f, the signed function, maps an array of points to an array of the
-    same shape.  For finite p the estimate is the last refinement change,
-    for p = inf the spread of |f| around the sup.  OutOfRange where the
+    same shape.  For finite p the estimate is the change from the 1- to the
+    2-panel sums, on the support or on each piece, plus their rounding; for
+    p = inf it is the spread of |f| around the sup.  OutOfRange where the
     integral of |f|^p is beyond float range.
     """
     a, b = support
@@ -303,11 +286,13 @@ def lp_norm(f, support: tuple[float, float], p: float) -> tuple[float, float]:
         if abs(i2 - i1) <= REL_TOL * i2:
             total, err = i2, abs(i2 - i1)
         else:
-            roots = _locate(f, a, b, vals[:offsets[1]], sup=False)[0].tolist()
-            first = None if roots else [i1, i2]
-            total, err = _converge(f, [a, *roots, b], g, first)
+            edges = [a, *_locate(f, a, b, vals[:offsets[1]], sup=False)[0].tolist(), b]
+            sums = _sums(f, [(lo, hi, k) for lo, hi in zip(edges, edges[1:]) for k in (1, 2)], g)
+            total = sum(sums[1::2])
+            err = sum(abs(q - c) for c, q in zip(sums[0::2], sums[1::2]))
     if not math.isfinite(total):
         raise OutOfRange(f"the integral of |f|^p is beyond float range at p={p}")
+    err += _ROUNDING * total
     norm = total ** (1.0 / p)
     if total <= 0:
         return norm, err ** (1.0 / p)

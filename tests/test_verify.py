@@ -165,6 +165,14 @@ class TestGreenReconstruct:
     def test_beta_negative(self):
         assert oned_green_reconstruct(-2.0, bump(1.0, 2.0)) < 1e-6
 
+    @pytest.mark.parametrize("beta, support", [(6.0, (0.1, 7.0)), (4.0, (0.1, 7.0)),
+                                               (2.0, (0.5, 20.0)), (12.0, (0.5, 20.0))])
+    def test_many_e_folds_keep_their_digits(self, beta, support):
+        # beta (b - a) from 19.6 to 234 e-folds: e^{beta s} f taken on chunks
+        # of about 4 e-folds, each normalised at its start, keeps the
+        # rounding of one chunk
+        assert oned_green_reconstruct(beta, bump(*support)) <= 1e-12
+
     def test_beta_zero(self):
         with pytest.raises(BetaZero):
             oned_green_reconstruct(0.0, bump(1.0, 2.0))
