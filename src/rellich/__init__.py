@@ -20,20 +20,16 @@ from .errors import (
     BetaZero,
     CorpusOutsideSubspace,
     DegenerateWeight,
-    DNonzero,
     DZero,
     NonFiniteIntegrand,
     OutOfRange,
     PreconditionViolated,
     RellichError,
     UnsupportedRegime,
-    VariantMismatch,
 )
 from .green import (
     GreenBoundInput,
-    HeatKernelVariant,
-    g0_positive_D,
-    g0_zero_D,
+    g0,
     heat_kernel_bound,
     tail_exponent_integrable,
 )
@@ -56,7 +52,6 @@ from .params import (
 from .spectral import (
     ADomain,
     GammaInterval,
-    HalfLineSide,
     ParabolicRegion,
     SpectralClassification,
     classify_A,

@@ -20,7 +20,7 @@ two distinct --eps values, a Hardy constant beyond float range, or a p
 so large that a power of the verified inequality or an integral of
 |f|^p overflows), 2 fail, 3 unsupported regime, 64 usage.  The ranges
 are checked before anything is allocated.
-RELLICH_TOL overrides the default tolerance.
+--tol sets the decision tolerance (default 1e-9).
 
 check, check --sweep-alpha and a spectrum point are closed-form and run
 without numpy; verify, counterexample and spectrum --sample import numpy
@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .errors import OutOfRange, PreconditionViolated, RellichError, UnsupportedRegime
@@ -94,13 +93,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _tol(args) -> float:
-    if args.tol is not None:
-        return check_tol(args.tol)
-    env = os.environ.get("RELLICH_TOL")
-    return check_tol(float(env)) if env else DEFAULT_TOL
-
-
 def _params(args) -> OperatorParams:
     return OperatorParams(args.N, args.c, args.b)
 
@@ -143,7 +135,7 @@ def cmd_check(args) -> int:
     p = parse_p(args.p)
     J = HarmonicSet.parse(args.J)
     domain = _DOMAINS[args.domain]
-    tol = _tol(args)
+    tol = check_tol(args.tol)
 
     if args.sweep_alpha:
         rows = []
@@ -204,11 +196,12 @@ def cmd_spectrum(args) -> int:
     if args.interval is not None:
         interval = GammaInterval.HALF_LINE if args.interval == "half" \
             else GammaInterval.UNIT_INTERVAL
-        cls = classify_gamma(params, p, interval, lam, tol=_tol(args))
+        cls = classify_gamma(params, p, interval, lam, tol=check_tol(args.tol))
         where = f"gamma {args.interval}"
     else:
         dom = ADomain.WHOLE_SPACE if args.domain == "rn" else ADomain.UNIT_BALL
-        cls = classify_A(params, p, HarmonicSet.parse(args.J), dom, lam, tol=_tol(args))
+        cls = classify_A(params, p, HarmonicSet.parse(args.J), dom, lam,
+                         tol=check_tol(args.tol))
         where = f"A {args.domain} J={args.J}"
     _emit(
         {
@@ -284,7 +277,7 @@ def cmd_verify(args) -> int:
         corpus = [(n, v) for n in args.harmonics for v in bump_corpus(seed + n, args.count)]
     if args.target == "rellich":
         report = verify_rellich(params, p, args.alpha, _DOMAINS[args.domain],
-                                HarmonicSet.parse(args.J), corpus, tol=_tol(args))
+                                HarmonicSet.parse(args.J), corpus, tol=check_tol(args.tol))
     elif args.target == "hardy":
         (u,) = bump_corpus(seed, 1, center_range=(1.0, 1.5))
         report = verify_hardy(args.N, p, args.beta, u)
@@ -320,8 +313,8 @@ def build_parser() -> _Parser:
         sp.add_argument("--b", type=float, default=0.0, help="potential coefficient")
         sp.add_argument("--p", type=str, default="2", help="exponent in [1, inf]")
         sp.add_argument("--alpha", type=float, default=None, help="weight exponent")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="decision tolerance (default 1e-9 or RELLICH_TOL)")
+        sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help="decision tolerance (default 1e-9)")
 
     sp = sub.add_parser("check", help="decide a Rellich inequality")
     common(sp)

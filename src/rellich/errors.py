@@ -38,12 +38,4 @@ class BetaZero(RellichError):
 
 
 class DZero(RellichError):
-    """Evaluator requires a strictly positive discriminant."""
-
-
-class DNonzero(RellichError):
-    """Evaluator requires the discriminant to vanish."""
-
-
-class VariantMismatch(RellichError):
-    """Heat-kernel bound variant inconsistent with the sign of D."""
+    """Evaluator needs D >= 0."""

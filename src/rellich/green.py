@@ -3,18 +3,26 @@
 These are the pointwise comparison bounds G(x,y) <= C G_0(x,y) used to
 pass from the ball to a general bounded domain.  Only radial data
 enters: r1 = |x|, r2 = |y|, d = |x-y|.  Unspecified multiplicative
-constants (C, C_eps, the D = 0 decay rate) are normalized to 1 and
-exposed as parameters; only the functional shape is prescribed.
+constants (C, C_eps, the D = 0 decay rate) are normalized to 1; only
+the functional shape is prescribed.  Each bound takes its formula from
+D: the D = 0 one where |D| <= tol, the D > 0 one where D > tol; below
+-tol it raises DZero.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DNonzero, DZero, VariantMismatch
-from .params import DEFAULT_TOL, OperatorParams, base_alpha, conjugate_exponent, discriminant
+from .errors import DZero
+from .params import (
+    DEFAULT_TOL,
+    OperatorParams,
+    base_alpha,
+    check_tol,
+    conjugate_exponent,
+    discriminant,
+)
 
 
 @dataclass(frozen=True)
@@ -35,72 +43,49 @@ class GreenBoundInput:
             )
 
 
-class HeatKernelVariant(str, enum.Enum):
-    POSITIVE_D = "positive_d"
-    ZERO_D = "zero_d"
-
-
-def g0_positive_D(params: OperatorParams, inp: GreenBoundInput) -> float:
-    """Green bound for D > 0.
-
-    N > 2:  G_0 = r1^{-c/2} r2^{c/2} d^{2-N} min(1, r1 r2 / d^2)^{sqrt(D)-(N-2)/2}
-    N = 2:  two branches split at d^2 = r1 r2 (power decay outside,
-            1 - log inside); the prefactor is the same.
-    """
+def _root_D(params: OperatorParams, tol: float) -> float | None:
+    """sqrt(D) where D > tol, None where |D| <= tol (the D = 0 bounds)."""
     D = discriminant(params)
-    if D <= 0:
-        raise DZero(f"g0_positive_D needs D > 0, got D={D}")
-    sD = math.sqrt(D)
-    pre = inp.r1 ** (-params.c / 2.0) * inp.r2 ** (params.c / 2.0)
-    if params.N > 2:
-        if inp.d == 0:
-            raise ValueError("d = 0 is singular for N > 2")
-        core = inp.d ** (2.0 - params.N)
-        ratio = inp.r1 * inp.r2 / inp.d**2
-        return pre * core * min(1.0, ratio) ** (sD - (params.N - 2.0) / 2.0)
-    # N = 2
-    if inp.d == 0:
+    if D < -check_tol(tol):
+        raise DZero(f"the Green and heat-kernel bounds need D >= 0, got D={D}")
+    return math.sqrt(D) if D > tol else None
+
+
+def _prefactor(params: OperatorParams, inp: GreenBoundInput, sD: float | None) -> float:
+    """r1^{-s} r2^{c-s}, with s = c/2 for D > 0 and s = s1 = (N-2+c)/2 for D = 0."""
+    s = params.c / 2.0 if sD is not None else (params.N - 2.0 + params.c) / 2.0
+    return inp.r1 ** (-s) * inp.r2 ** (params.c - s)
+
+
+def g0(params: OperatorParams, inp: GreenBoundInput, tol: float = DEFAULT_TOL) -> float:
+    """Green bound G_0, with the prefactor P = r1^{-s} r2^{c-s} of ``_prefactor``.
+
+    D > 0, N > 2:  P d^{2-N} min(1, r1 r2 / d^2)^{sqrt(D)-(N-2)/2}
+    D > 0, N = 2:  two branches split at d^2 = r1 r2 (power decay outside,
+                   1 - log inside).
+    D = 0, N > 2:  P e^{-d} min(1, d)^{2-N}
+    D = 0, N = 2:  P e^{-d} for d >= 1, P (1 - log d) for d <= 1 (branch-wise
+                   bound, no continuity at the seam is asserted).
+    """
+    sD = _root_D(params, tol)
+    N, d = params.N, inp.d
+    if d == 0:
         raise ValueError("d = 0 is singular")
-    q = inp.d**2 / (inp.r1 * inp.r2)
+    pre = _prefactor(params, inp, sD)
+    if sD is None:
+        if N > 2:
+            return pre * math.exp(-d) * min(1.0, d) ** (2.0 - N)
+        return pre * (math.exp(-d) if d >= 1.0 else 1.0 - math.log(d))
+    if N > 2:
+        return pre * d ** (2.0 - N) * min(1.0, inp.r1 * inp.r2 / d**2) ** (sD - (N - 2.0) / 2.0)
+    q = d**2 / (inp.r1 * inp.r2)
     if q >= 1.0:
-        return pre * (inp.r1 * inp.r2) ** sD / inp.d ** (2.0 * sD)
+        return pre * (inp.r1 * inp.r2) ** sD / d ** (2.0 * sD)
     return pre * (1.0 - math.log(q))
-
-
-def g0_zero_D(
-    params: OperatorParams,
-    inp: GreenBoundInput,
-    decay_k: float = 1.0,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Green bound for D = 0, with caller-supplied exponential rate.
-
-    N > 2:  G_0 = r1^{-s1} r2^{c-s1} e^{-k d} min(1, d)^{2-N}
-    N = 2:  e^{-k d} for d >= 1, 1 - log d for d <= 1 (branch-wise bound,
-            no continuity at the seam is asserted).
-    s1 = (N-2+c)/2.
-    """
-    D = discriminant(params)
-    if abs(D) > tol:
-        raise DNonzero(f"g0_zero_D needs D = 0, got D={D}")
-    if decay_k <= 0:
-        raise ValueError("decay rate must be positive")
-    s1 = (params.N - 2.0 + params.c) / 2.0
-    pre = inp.r1 ** (-s1) * inp.r2 ** (params.c - s1)
-    if params.N > 2:
-        if inp.d == 0:
-            raise ValueError("d = 0 is singular for N > 2")
-        return pre * math.exp(-decay_k * inp.d) * min(1.0, inp.d) ** (2.0 - params.N)
-    if inp.d >= 1.0:
-        return pre * math.exp(-decay_k * inp.d)
-    if inp.d == 0:
-        raise ValueError("d = 0 is singular")
-    return pre * (1.0 - math.log(inp.d))
 
 
 def heat_kernel_bound(
     params: OperatorParams,
-    variant: HeatKernelVariant,
     eps: float,
     t: float,
     inp: GreenBoundInput,
@@ -109,33 +94,24 @@ def heat_kernel_bound(
 ) -> float:
     """Heat-kernel upper bound p(t, x, y) <= C_eps * (this value), C_eps = 1.
 
-    POSITIVE_D: t^{-N/2} r1^{-c/2} r2^{c/2}
-                [ (r1/sqrt(t) ^ 1)(r2/sqrt(t) ^ 1) ]^{-N/2+1+sqrt(D)}
-                exp(-d^2 / ((4+eps) t))   (^ = min)
-    ZERO_D:     t^{-N/2} e^{-lambda1 t / 3} r1^{-s1} r2^{c-s1}
-                exp(-d^2 / ((4+eps) t))
+    With the prefactor P of ``_prefactor`` and ^ = min:
+    D > 0:  t^{-N/2} P [ (r1/sqrt(t) ^ 1)(r2/sqrt(t) ^ 1) ]^{-N/2+1+sqrt(D)}
+            exp(-d^2 / ((4+eps) t))
+    D = 0:  t^{-N/2} e^{-lambda1 t / 3} P exp(-d^2 / ((4+eps) t))
     """
     if eps <= 0 or t <= 0:
         raise ValueError("need eps > 0 and t > 0")
-    D = discriminant(params)
+    sD = _root_D(params, tol)
+    pre = _prefactor(params, inp, sD)
     gauss = math.exp(-inp.d**2 / ((4.0 + eps) * t))
-    if variant == HeatKernelVariant.POSITIVE_D:
-        if D <= 0:
-            raise VariantMismatch(f"POSITIVE_D variant needs D > 0, got D={D}")
-        pre = inp.r1 ** (-params.c / 2.0) * inp.r2 ** (params.c / 2.0)
-        boundary = (min(inp.r1 / math.sqrt(t), 1.0) * min(inp.r2 / math.sqrt(t), 1.0)) ** (
-            -params.N / 2.0 + 1.0 + math.sqrt(D)
-        )
-        return t ** (-params.N / 2.0) * pre * boundary * gauss
-    if variant == HeatKernelVariant.ZERO_D:
-        if abs(D) > tol:
-            raise VariantMismatch(f"ZERO_D variant needs D = 0, got D={D}")
+    if sD is None:
         if lambda1 <= 0:
             raise ValueError("lambda1 must be positive")
-        s1 = (params.N - 2.0 + params.c) / 2.0
-        pre = inp.r1 ** (-s1) * inp.r2 ** (params.c - s1)
         return t ** (-params.N / 2.0) * math.exp(-lambda1 * t / 3.0) * pre * gauss
-    raise ValueError(f"unknown variant {variant!r}")
+    boundary = (min(inp.r1 / math.sqrt(t), 1.0) * min(inp.r2 / math.sqrt(t), 1.0)) ** (
+        -params.N / 2.0 + 1.0 + sD
+    )
+    return t ** (-params.N / 2.0) * pre * boundary * gauss
 
 
 def tail_exponent_integrable(params: OperatorParams, p: float, alpha: float) -> bool:

@@ -49,10 +49,6 @@ class OperatorParams:
         if not all(map(math.isfinite, (self.c, self.b, self.b + half * half))):
             raise ValueError(f"c, b and D must be finite, got c={self.c}, b={self.b}")
 
-    @property
-    def D(self) -> float:
-        return discriminant(self)
-
 
 def check_p(p: float) -> float:
     """Validate an extended Lebesgue exponent; returns it unchanged."""

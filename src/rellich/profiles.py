@@ -42,30 +42,16 @@ class Profile1D:
         return self.jet(s)[0]
 
     def integrand(self, a2=0.0, a1=0.0, a0=0.0, power: float = 0.0):
-        """f(s) = s^power (a2 v''(s) + a1 v'(s) + a0 v(s)), as a callable.
-
-        Each coefficient is a number or a tuple of power-series
-        coefficients in s.
-        """
+        """f(s) = s^power (a2 v''(s) + a1 v'(s) + a0 v(s)), as a callable."""
         terms = [(a, k) for k, a in enumerate((a0, a1, a2)) if a != 0.0]
 
         def f(s):
             s = np.asarray(s, dtype=float)
             jet = self.jet(s)
-            out = sum(_at(a, s) * jet[k] for a, k in terms) if terms else np.zeros_like(s)
+            out = sum(a * jet[k] for a, k in terms) if terms else np.zeros_like(s)
             return out * s**power if power else out
 
         return f
-
-
-def _at(a, s):
-    """The coefficient a (a number, or power-series coefficients in s) at s."""
-    if not isinstance(a, tuple):
-        return a
-    out = 0.0
-    for c in reversed(a):
-        out = out * s + c
-    return out
 
 
 @lru_cache(maxsize=8)

@@ -232,7 +232,7 @@ def integrate(f, a: float, b):
     if not np.ndim(b):
         return float(np.sum(sums)), err
     x = np.maximum(np.asarray(b, dtype=float), a)
-    i = np.searchsorted(lo, x, side="right") - 1
+    i = np.searchsorted(lo, x, "right") - 1
     F = np.polynomial.legendre.legint(c, lbnd=-1, axis=1)
     t = np.polynomial.legendre.legvander((x - lo[i]) / half[i] - 1.0, NODES)
     before = np.cumsum(sums) - sums

@@ -10,8 +10,9 @@ logarithmic variable s = -log rho:
 with beta the reduced drift of ``params.reduced_drift`` and
 lambda_red = gamma_p(alpha, c) + b + lambda_n.  The spherical factor
 S_P = integral |P|^p cancels in every ratio and is never computed.
-Every reduced norm, here and in ``verify``, is one ``reduced_norm`` call:
-the profile's integrand goes to ``lp_norm`` as a plain callable, which
+Every reduced norm, here and in ``verify``, is one ``reduced_norm`` call,
+save the counterexample numerator, whose coefficient eps s is not a
+number: the integrand goes to ``lp_norm`` as a plain callable, which
 finds its sign changes and its sup for any weight s^power itself.
 """
 
@@ -156,7 +157,12 @@ def counterexample_ratio(
         )
     g = counterexample_drift(params, n, branch)
     q = inv_p(p)
-    num, err_n = reduced_norm(CUTOFF, p, (0.0, epsilon), g + epsilon, power=1.0 - q)
+
+    def top(s):
+        _, v1, v2 = CUTOFF.jet(s)
+        return ((g + epsilon) * v1 + epsilon * s * v2) * s ** (1.0 - q)
+
+    num, err_n = lp_norm(top, CUTOFF.support, p)
     return _ratio((epsilon * num, epsilon * err_n),
                   reduced_norm(CUTOFF, p, a0=1.0, power=-q))
 

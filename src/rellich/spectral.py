@@ -35,11 +35,6 @@ from .params import (
 )
 
 
-class HalfLineSide(str, enum.Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-
-
 class GammaInterval(str, enum.Enum):
     HALF_LINE = "half_line"  # I = (0, inf)
     UNIT_INTERVAL = "unit_interval"  # I = (0, 1)
@@ -166,26 +161,20 @@ def _classify_in_Q(region: ParabolicRegion, lam: complex, k_sign: float,
     return SpectralClassification(True, False, False, True)
 
 
-def classify_halfline_ode(
-    beta: float,
-    lam: complex,
-    side: HalfLineSide = HalfLineSide.POSITIVE,
-    tol: float = DEFAULT_TOL,
-) -> SpectralClassification:
-    """Classify lambda for B = D^2 + beta D with Dirichlet condition at 0.
+def classify_halfline_ode(beta: float, lam: complex,
+                          tol: float = DEFAULT_TOL) -> SpectralClassification:
+    """Classify lambda for B = D^2 + beta D on [0, inf) with Dirichlet condition at 0.
 
-    On [0, inf): beta > 0 gives certified eigenvalues in the interior of
-    Q(beta); beta = 0 gives the half line as approximate spectrum;
-    beta < 0 gives residual spectrum in the interior and approximate
-    spectrum only on the boundary parabola.  On (-inf, 0] the roles of
-    the beta signs are mirrored.
+    beta > 0 gives certified eigenvalues in the interior of Q(beta);
+    beta = 0 gives the half line as approximate spectrum; beta < 0 gives
+    residual spectrum in the interior and approximate spectrum only on the
+    boundary parabola.  On (-inf, 0], s -> -s turns B into the operator
+    with -beta on [0, inf): classify it with -beta.
     """
     # _classify_in_Q certifies eigenvalues for k_sign < 0, the convention
     # of the negative half line (where Gamma_p on (0,1) lives); the
     # positive half line flips the drift sign
-    eff = -beta if side == HalfLineSide.POSITIVE else beta
-    region = ParabolicRegion(beta, 0.0)
-    return _classify_in_Q(region, lam, eff, tol)
+    return _classify_in_Q(ParabolicRegion(beta, 0.0), lam, -beta, tol)
 
 
 def classify_gamma(

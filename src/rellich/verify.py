@@ -61,9 +61,6 @@ class VerificationReport:
     samples: list[tuple[str, float, float, float]] = field(default_factory=list)
     tolerance: float = 0.0
     notes: str = ""
-    # the raw ratios of the epsilon family, set by verify_critical_log
-    weighted_ratios: list[float] = field(default_factory=list)
-    unweighted_ratios: list[float] = field(default_factory=list)
 
     def add(self, descriptor: str, lhs: float, rhs: float, margin: float):
         self.samples.append((descriptor, float(lhs), float(rhs), float(margin)))
@@ -254,7 +251,7 @@ def oned_green_reconstruct(beta: float, v: Profile1D) -> float:
     # conv = integral_a^s e^{beta (sigma - s)} f; carry and size: integral_a^c
     # e^{beta (sigma - c)} f and |f| times the same, c the next chunk's start
     edges = np.linspace(a, b, math.ceil(min(64.0, abs(beta) * (b - a) / 4.0)) + 1)
-    chunk = np.minimum(np.searchsorted(edges, s, side="right") - 1, len(edges) - 2)
+    chunk = np.minimum(np.searchsorted(edges, s, "right") - 1, len(edges) - 2)
     conv = np.empty_like(s)
     carry = size = 0.0
     for j, (lo, hi) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
@@ -415,6 +412,8 @@ def verify_critical_log(
     """
     check_p(p)
     check_finite("log_eps", log_eps)
+    if branch not in ("minus", "plus"):
+        raise ValueError(f"branch must be 'minus' or 'plus', got {branch!r}")
     am, ap = critical_alphas(params, p, n)
     alpha = am if branch == "minus" else ap
     d_lam = discriminant(params) + eigen_lambda(params.N, n)
@@ -426,7 +425,7 @@ def verify_critical_log(
         claim=f"critical-log N={params.N} c={params.c} b={params.b} p={p} "
         f"n={n} branch={branch} kappa={kappa}",
     )
-    weighted, unweighted = report.weighted_ratios, report.unweighted_ratios
+    weighted, unweighted = [], []
     for e in EPS_LADDER:
         v = log_squeezed(CUTOFF, e)
         num, _ = reduced_norm(v, p, 1.0, rc.beta, -rc.lambda_red)

@@ -66,14 +66,13 @@ class TestCheck:
         assert code in (0, 2)
         assert last_json(out)["schema_version"] == 1
 
-    def test_tol_env_override(self, capsys, monkeypatch):
+    def test_tol_override(self, capsys):
         # a point 1e-5 from critical: flagged only under the loose tolerance
         argv = ["check", "--N", "5", "--p", "2", "--alpha", "-0.49999",
                 "--domain", "rn"]
         code, _ = run_cli(capsys, *argv)
         assert code == 0
-        monkeypatch.setenv("RELLICH_TOL", "1e-3")
-        code, _ = run_cli(capsys, *argv)
+        code, _ = run_cli(capsys, *argv, "--tol", "1e-3")
         assert code == 2
 
     def test_json_subspace(self, capsys):
@@ -265,36 +264,36 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["check", "--alpha", "nan"], {}),
-    (["check", "--alpha", "0", "--b", "nan"], {}),
-    (["check", "--alpha", "1e300"], {}),
-    (["spectrum", "--lambda", "nan"], {}),
-    (["check", "--alpha=-0.5"], {"RELLICH_TOL": "nan"}),
-    (["spectrum", "--sample", "--xi-max", "nan"], {}),
-    (["spectrum", "--sample", "--xi-max", "inf", "--sample-q", "2"], {}),
-    (["spectrum", "--sample", "--xi-max", "1e200", "--sample-q", "1"], {}),
-    (["spectrum", "--sample", "--xi-max", "1e200"], {}),
-    (["verify", "hardy", "--beta", "nan"], {}),
-    (["verify", "hardy", "--beta", "inf"], {}),
-    (["verify", "oned", "--beta", "nan"], {}),
-    (["verify", "oned", "--a", "nan"], {}),
-    (["verify", "oned", "--log-eps", "inf"], {}),
-    (["verify", "aux", "--beta=-inf"], {}),
-    (["verify", "aux", "--lambda", "inf"], {}),
-    (["verify", "dissipativity", "--lambda", "nan"], {}),
-    (["verify", "critical", "--log-eps", "nan"], {}),
+@pytest.mark.parametrize("argv", [
+    ["check", "--alpha", "nan"],
+    ["check", "--alpha", "0", "--b", "nan"],
+    ["check", "--alpha", "1e300"],
+    ["spectrum", "--lambda", "nan"],
+    ["check", "--alpha=-0.5", "--tol", "nan"],
+    ["spectrum", "--sample", "--xi-max", "nan"],
+    ["spectrum", "--sample", "--xi-max", "inf", "--sample-q", "2"],
+    ["spectrum", "--sample", "--xi-max", "1e200", "--sample-q", "1"],
+    ["spectrum", "--sample", "--xi-max", "1e200"],
+    ["verify", "hardy", "--beta", "nan"],
+    ["verify", "hardy", "--beta", "inf"],
+    ["verify", "oned", "--beta", "nan"],
+    ["verify", "oned", "--a", "nan"],
+    ["verify", "oned", "--log-eps", "inf"],
+    ["verify", "aux", "--beta=-inf"],
+    ["verify", "aux", "--lambda", "inf"],
+    ["verify", "dissipativity", "--lambda", "nan"],
+    ["verify", "critical", "--log-eps", "nan"],
 ], ids=["alpha-nan", "b-nan", "alpha-1e300", "lambda-nan", "tol-nan", "xi-max-nan",
         "xi-max-inf-q", "xi-max-1e200-q", "xi-max-1e200", "hardy-beta-nan",
         "hardy-beta-inf", "oned-beta-nan", "oned-a-nan", "oned-log-eps-inf",
         "aux-beta-inf", "aux-lambda-inf", "dissipativity-lambda-nan",
         "critical-log-eps-nan"])
-def test_non_finite_input_exit1(argv, env):
+def test_non_finite_input_exit1(argv):
     # a typed error as one JSON line, in bounded time, never a traceback
     start = time.perf_counter()
     r = subprocess.run(
         [sys.executable, "-m", "rellich.cli", argv[0], "--N", "5", "--p", "2", *argv[1:]],
-        capture_output=True, text=True, env={**CHILD_ENV, **env}, timeout=30,
+        capture_output=True, text=True, env=CHILD_ENV, timeout=30,
     )
     assert time.perf_counter() - start < 5.0
     assert r.returncode == 1, (r.stdout, r.stderr)
@@ -455,8 +454,7 @@ def _same(got, want, where="$"):
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
-def test_golden_values(capsys, monkeypatch, case):
-    monkeypatch.delenv("RELLICH_TOL", raising=False)
+def test_golden_values(capsys, case):
     code, out = run_cli(capsys, *case["argv"])
     assert code == case["exit"]
     _same(last_json(out), case["json"])
@@ -519,16 +517,16 @@ def test_numpy_loaded_only_by_numeric_commands(argv, code, needs_numpy):
 
 # the public names of the package as a parent of its lazy loading exposed them
 PUBLIC_NAMES = """
-ADomain BetaZero BoundaryReport Branch CorpusOutsideSubspace DEFAULT_TOL DNonzero DZero
-DegenerateWeight DomainKind GammaInterval GreenBoundInput HalfLineSide HarmonicSet
-HeatKernelVariant NonFiniteIntegrand OperatorParams OutOfRange ParabolicRegion
+ADomain BetaZero BoundaryReport Branch CorpusOutsideSubspace DEFAULT_TOL DZero
+DegenerateWeight DomainKind GammaInterval GreenBoundInput HarmonicSet
+NonFiniteIntegrand OperatorParams OutOfRange ParabolicRegion
 PreconditionViolated Profile1D RatioReport ReducedCoefficients RellichError
-SpectralClassification UnsupportedRegime VariantMismatch Verdict VerificationReport
+SpectralClassification UnsupportedRegime Verdict VerificationReport
 base_alpha best_constant boundary_counterexample bump bump_corpus check_derivatives
 classify_A classify_gamma classify_halfline_ode conjugate_exponent counterexample_ratio
 critical_alphas decide decide_bounded_domain decide_exterior decide_unit_ball
 decide_whole_space discriminant dist_to_parabola eigen_lambda errors fit_loglog_slope
-g0_positive_D g0_zero_D gamma_p green heat_kernel_bound in_region indicial_roots integrate
+g0 gamma_p green heat_kernel_bound in_region indicial_roots integrate
 kelvin_transform lemma_parameters_flags log_squeezed lp_norm mu_shift ode_roots omega_p
 on_parabola oned_green_reconstruct params parse_p plateau_profile profiles quadrature
 radial radial_power_bump reduced_coefficients region_section3 region_section4

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from rellich import (
-    DNonzero,
+    DEFAULT_TOL,
     DZero,
     GreenBoundInput,
-    HeatKernelVariant,
     OperatorParams,
-    VariantMismatch,
-    g0_positive_D,
-    g0_zero_D,
+    discriminant,
+    g0,
     heat_kernel_bound,
     tail_exponent_integrable,
 )
@@ -36,12 +34,12 @@ class TestInput:
 
 class TestPositiveD:
     def test_unit_point(self):
-        assert g0_positive_D(P5, GreenBoundInput(1, 1, 1)) == 1.0
+        assert g0(P5, GreenBoundInput(1, 1, 1)) == 1.0
 
     def test_drift_prefactor(self):
         # prefactor r1^{-c/2} r2^{c/2} = 1/4; sqrt(D) - (N-2)/2 = 1 here
         P = OperatorParams(5, 2, 0)
-        val = g0_positive_D(P, GreenBoundInput(4, 1, 4))
+        val = g0(P, GreenBoundInput(4, 1, 4))
         expected = 0.25 * 4.0 ** (2 - 5) * min(1.0, 4 * 1 / 16.0) ** 1
         assert abs(val - expected) < 1e-15 * expected
 
@@ -49,79 +47,98 @@ class TestPositiveD:
         P = OperatorParams(2, 0, 1)  # D = 1
         r1, r2 = 1.3, 0.7
         d = math.sqrt(r1 * r2)
-        lo = g0_positive_D(P, GreenBoundInput(r1, r2, d * (1 - 1e-9)))
-        hi = g0_positive_D(P, GreenBoundInput(r1, r2, d * (1 + 1e-9)))
+        lo = g0(P, GreenBoundInput(r1, r2, d * (1 - 1e-9)))
+        hi = g0(P, GreenBoundInput(r1, r2, d * (1 + 1e-9)))
         assert abs(lo - hi) < 1e-7 * abs(hi)
 
     def test_ND_seam_continuity_and_decay(self):
         P = OperatorParams(5, 1, 2)
         r1, r2 = 0.9, 1.1
         seam = math.sqrt(r1 * r2)
-        lo = g0_positive_D(P, GreenBoundInput(r1, r2, seam - 1e-12))
-        hi = g0_positive_D(P, GreenBoundInput(r1, r2, seam + 1e-12))
+        lo = g0(P, GreenBoundInput(r1, r2, seam - 1e-12))
+        hi = g0(P, GreenBoundInput(r1, r2, seam + 1e-12))
         assert abs(lo - hi) < 1e-10 * abs(hi)
-        vals = [g0_positive_D(P, GreenBoundInput(r1, r2, d))
+        vals = [g0(P, GreenBoundInput(r1, r2, d))
                 for d in np.linspace(seam, r1 + r2, 50)]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
         assert all(v > 0 for v in vals)
 
-    def test_requires_positive_D(self):
-        with pytest.raises(DZero):
-            g0_positive_D(OperatorParams(2, 0, 0), GreenBoundInput(1, 1, 1))
-
 
 class TestZeroD:
     def test_exponential_range(self):
-        val = g0_zero_D(PD0, GreenBoundInput(1, 1, 2), decay_k=1.0)
+        val = g0(PD0, GreenBoundInput(1, 1, 2))
         assert abs(val - math.exp(-2)) < 1e-15
 
     def test_short_distance_amplification(self):
-        val = g0_zero_D(PD0, GreenBoundInput(1, 1, 0.5), decay_k=1.0)
+        val = g0(PD0, GreenBoundInput(1, 1, 0.5))
         assert abs(val - 2 * math.exp(-0.5)) < 1e-15
 
     def test_N2_branches(self):
         P = OperatorParams(2, 0, 0)
-        inside = g0_zero_D(P, GreenBoundInput(1, 1, 0.5))
-        outside = g0_zero_D(P, GreenBoundInput(1, 1, 1.5))
+        inside = g0(P, GreenBoundInput(1, 1, 0.5))
+        outside = g0(P, GreenBoundInput(1, 1, 1.5))
         assert abs(inside - (1 - math.log(0.5))) < 1e-15
         assert abs(outside - math.exp(-1.5)) < 1e-15
 
     def test_monotone_decay_N3(self):
-        vals = [g0_zero_D(PD0, GreenBoundInput(1, 1, d)) for d in np.linspace(1.0, 2.0, 30)]
+        vals = [g0(PD0, GreenBoundInput(1, 1, d)) for d in np.linspace(1.0, 2.0, 30)]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
-
-    def test_requires_zero_D(self):
-        with pytest.raises(DNonzero):
-            g0_zero_D(P5, GreenBoundInput(1, 1, 1))
 
 
 class TestHeatKernel:
     def test_positive_D_unit(self):
-        val = heat_kernel_bound(P5, HeatKernelVariant.POSITIVE_D, 1.0, 1.0,
-                                GreenBoundInput(1, 1, 0))
+        val = heat_kernel_bound(P5, 1.0, 1.0, GreenBoundInput(1, 1, 0))
         assert val == 1.0
 
     def test_zero_D_value(self):
         # t^{-N/2} = 1 at t = 1; prefactor r1^{-1} r2^{0} = 1; Gaussian 1
-        val = heat_kernel_bound(PD0, HeatKernelVariant.ZERO_D, 1.0, 1.0,
-                                GreenBoundInput(1, 1, 0), lambda1=3.0)
+        val = heat_kernel_bound(PD0, 1.0, 1.0, GreenBoundInput(1, 1, 0), lambda1=3.0)
         assert abs(val - math.exp(-1.0)) < 1e-15
 
     def test_long_time_decay(self):
-        vals = [
-            heat_kernel_bound(PD0, HeatKernelVariant.ZERO_D, 1.0, t,
-                              GreenBoundInput(1, 1, 0), lambda1=3.0)
-            for t in (1.0, 2.0, 4.0, 8.0, 16.0)
-        ]
+        vals = [heat_kernel_bound(PD0, 1.0, t, GreenBoundInput(1, 1, 0), lambda1=3.0)
+                for t in (1.0, 2.0, 4.0, 8.0, 16.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
-    def test_variant_mismatch(self):
-        with pytest.raises(VariantMismatch):
-            heat_kernel_bound(P5, HeatKernelVariant.ZERO_D, 1.0, 1.0,
-                              GreenBoundInput(1, 1, 0))
-        with pytest.raises(VariantMismatch):
-            heat_kernel_bound(PD0, HeatKernelVariant.POSITIVE_D, 1.0, 1.0,
-                              GreenBoundInput(1, 1, 0))
+
+def near_zero_D(D):
+    """PD0 with b moved so that the discriminant is D (N = 3, c = 1, s1 = 1)."""
+    return OperatorParams(3, 1, -1 + D)
+
+
+class TestCaseFromD:
+    # the D = 0 formulas up to tol, the D > 0 ones above it, DZero below -tol
+    TOLS = (DEFAULT_TOL, 1e-3)
+
+    def test_g0_formula_from_D(self):
+        inp = GreenBoundInput(1, 1, 2)
+        for tol in self.TOLS:
+            # D = 0: r1^{-1} r2^0 e^{-d} min(1, d)^{-1} = e^{-2}
+            val = g0(near_zero_D(tol / 2), inp, tol=tol)
+            assert abs(val - math.exp(-2)) < 1e-15, tol
+            # D > 0: r1^{-1/2} r2^{1/2} d^{-1} min(1, 1/d^2)^{sqrt(D) - 1/2}
+            P = near_zero_D(2 * tol)
+            val = g0(P, inp, tol=tol)
+            expected = 0.5 * 0.25 ** (math.sqrt(discriminant(P)) - 0.5)
+            assert abs(val - expected) < 1e-15 * expected, tol
+            assert abs(val - 1.0) < 0.1, tol  # far from the D = 0 value e^{-2}
+
+    def test_heat_kernel_formula_from_D(self):
+        inp = GreenBoundInput(1, 1, 0)
+        for tol in self.TOLS:
+            # D = 0 at t = 1: e^{-lambda1 / 3}; D > 0: every factor is 1
+            val = heat_kernel_bound(near_zero_D(tol / 2), 1.0, 1.0, inp, lambda1=3.0, tol=tol)
+            assert abs(val - math.exp(-1.0)) < 1e-15, tol
+            val = heat_kernel_bound(near_zero_D(2 * tol), 1.0, 1.0, inp, lambda1=3.0, tol=tol)
+            assert val == 1.0, tol
+
+    def test_below_minus_tol_raises(self):
+        for tol in self.TOLS:
+            P = near_zero_D(-2 * tol)
+            with pytest.raises(DZero):
+                g0(P, GreenBoundInput(1, 1, 2), tol=tol)
+            with pytest.raises(DZero):
+                heat_kernel_bound(P, 1.0, 1.0, GreenBoundInput(1, 1, 0), tol=tol)
 
 
 class TestTailExponent:

@@ -16,13 +16,15 @@ from rellich import (
     discriminant,
     eigen_lambda,
     fit_loglog_slope,
+    log_squeezed,
     plateau_profile,
     reduced_coefficients,
     rellich_ratio_separable,
     sqrt_nonneg_re,
 )
 from rellich.quadrature import REL_TOL, lp_norm
-from rellich.radial import PHI_SUPPORT, counterexample_drift, counterexample_gamma, reduced_norm
+from rellich.radial import (CUTOFF, PHI_SUPPORT, counterexample_drift, counterexample_gamma,
+                            reduced_norm)
 from rellich.verify import EPS_LADDER
 
 from references import reference_lp_integral
@@ -170,6 +172,23 @@ class TestCounterexampleRatio:
     def test_support_and_eps_validation(self):
         with pytest.raises(ValueError):
             counterexample_ratio(P5, 2, 0, "minus", 0.0)
+
+    def test_reduces_to_the_separable_ratio(self):
+        # the collapsed display equals the reduced Rellich ratio of the
+        # log-squeezed cutoff at the critical exponent of the branch
+        rng = np.random.default_rng(29)
+        for _ in range(12):
+            N = int(rng.integers(2, 9))
+            c = float(rng.uniform(-2, 2))
+            P = OperatorParams(N, c, float(rng.uniform(0.5, 6)) - ((N - 2 + c) / 2) ** 2)
+            n = int(rng.integers(0, 3))
+            eps = float(rng.uniform(0.02, 0.3))
+            for p in (1.0, 1.5, 2.0, 3.0, INF):
+                for i, branch in enumerate(("minus", "plus")):
+                    got = counterexample_ratio(P, p, n, branch, eps).ratio
+                    alpha = critical_alphas(P, p, n)[i]
+                    want = rellich_ratio_separable(P, p, alpha, n, log_squeezed(CUTOFF, eps)).ratio
+                    assert abs(got - want) <= 1e-13 * want, (P, n, eps, p, branch, got, want)
 
 
 class TestBoundaryCounterexample:

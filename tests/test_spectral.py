@@ -8,7 +8,6 @@ import pytest
 from rellich import (
     ADomain,
     GammaInterval,
-    HalfLineSide,
     HarmonicSet,
     OperatorParams,
     OutOfRange,
@@ -152,11 +151,15 @@ class TestHalfLineOde:
         assert c.in_approx and not c.in_point_certified
 
     def test_negative_side_mirrors(self):
+        # s -> -s carries D^2 + beta D on (-inf, 0] to the call with -beta:
+        # the same region Q, with certified and residual interiors swapped
         for beta in (-2.0, -0.5, 0.5, 2.0):
             for lam in (-1.0, complex(-2, 0.3), -0.1):
-                a = classify_halfline_ode(beta, lam, HalfLineSide.POSITIVE)
-                b = classify_halfline_ode(-beta, lam, HalfLineSide.NEGATIVE)
-                assert a == b
+                a = classify_halfline_ode(beta, lam)
+                b = classify_halfline_ode(-beta, lam)
+                assert a.in_spectrum and b.in_spectrum
+                assert a.in_point_certified == b.in_residual_not_approx == (beta > 0)
+                assert b.in_point_certified == a.in_residual_not_approx == (beta < 0)
 
     def test_outside_Q(self):
         assert not classify_halfline_ode(1, 1).in_spectrum

@@ -17,6 +17,7 @@ from rellich import (
     VerificationReport,
     best_constant,
     bump,
+    counterexample_ratio,
     oned_green_reconstruct,
     plateau_profile,
     radial_power_bump,
@@ -29,6 +30,7 @@ from rellich import (
     verify_rellich,
     verify_remainder,
 )
+from rellich.params import EPS_LADDER
 
 P5 = OperatorParams(5, 0, 0)
 ALL = HarmonicSet.all()
@@ -287,17 +289,31 @@ class TestRemainder:
             verify_remainder(P5, 2, 0.0, [bump(0.1, 3.0)])
 
 
+def weighted_ratios(rep):
+    return [lhs for _d, lhs, *_ in rep.samples]
+
+
+def unweighted_ratios(branch):
+    return [counterexample_ratio(P5, 2, 0, branch, e).ratio for e in EPS_LADDER]
+
+
 class TestCriticalLog:
     def test_positive_root_case(self):
         rep = verify_critical_log(P5, 2, 0, "minus")
         assert rep.passed
-        assert min(rep.weighted_ratios) > 0.1
-        assert rep.unweighted_ratios[-1] < 0.3 * rep.unweighted_ratios[0]
+        assert min(weighted_ratios(rep)) > 0.1
+        unweighted = unweighted_ratios("minus")
+        assert unweighted[-1] < 0.3 * unweighted[0]
 
     def test_plus_branch(self):
         rep = verify_critical_log(P5, 2, 0, "plus")
-        assert rep.passed and min(rep.weighted_ratios) > 0.1
-        assert rep.unweighted_ratios[-1] < 0.3 * rep.unweighted_ratios[0]
+        assert rep.passed and min(weighted_ratios(rep)) > 0.1
+        unweighted = unweighted_ratios("plus")
+        assert unweighted[-1] < 0.3 * unweighted[0]
+
+    def test_unknown_branch_rejected(self):
+        with pytest.raises(ValueError, match="branch must be 'minus' or 'plus'"):
+            verify_critical_log(P5, 2, 0, "bogus")
 
     def test_zero_discriminant_kappa2(self):
         P = OperatorParams(5, 0, -2.25)  # D = 0: kappa = 2 branch
