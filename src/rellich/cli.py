@@ -135,7 +135,7 @@ def cmd_check(args) -> int:
     p = parse_p(args.p)
     J = HarmonicSet.parse(args.J)
     domain = _DOMAINS[args.domain]
-    tol = check_tol(args.tol)
+    tol = args.tol  # checked in main
 
     if args.sweep_alpha:
         rows = []
@@ -196,12 +196,11 @@ def cmd_spectrum(args) -> int:
     if args.interval is not None:
         interval = GammaInterval.HALF_LINE if args.interval == "half" \
             else GammaInterval.UNIT_INTERVAL
-        cls = classify_gamma(params, p, interval, lam, tol=check_tol(args.tol))
+        cls = classify_gamma(params, p, interval, lam, tol=args.tol)
         where = f"gamma {args.interval}"
     else:
         dom = ADomain.WHOLE_SPACE if args.domain == "rn" else ADomain.UNIT_BALL
-        cls = classify_A(params, p, HarmonicSet.parse(args.J), dom, lam,
-                         tol=check_tol(args.tol))
+        cls = classify_A(params, p, HarmonicSet.parse(args.J), dom, lam, tol=args.tol)
         where = f"A {args.domain} J={args.J}"
     _emit(
         {
@@ -277,7 +276,7 @@ def cmd_verify(args) -> int:
         corpus = [(n, v) for n in args.harmonics for v in bump_corpus(seed + n, args.count)]
     if args.target == "rellich":
         report = verify_rellich(params, p, args.alpha, _DOMAINS[args.domain],
-                                HarmonicSet.parse(args.J), corpus, tol=check_tol(args.tol))
+                                HarmonicSet.parse(args.J), corpus, tol=args.tol)
     elif args.target == "hardy":
         (u,) = bump_corpus(seed, 1, center_range=(1.0, 1.5))
         report = verify_hardy(args.N, p, args.beta, u)
@@ -383,6 +382,7 @@ def main(argv=None) -> int:
     try:
         if args.alpha is not None:
             check_finite("alpha", args.alpha)
+        check_tol(args.tol)
         return args.func(args)
     except UnsupportedRegime as exc:
         _emit({"error": str(exc), "kind": "unsupported_regime"})

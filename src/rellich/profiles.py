@@ -7,24 +7,21 @@ linear combinations s^power (a2 v'' + a1 v' + a0 v) that the reductions
 integrate, as plain callables: ``lp_norm`` locates their sign changes
 and critical points from their values, whatever the profile.
 
-The workhorse is the polynomial bump psi(t) = (1 - t^2)^3 on [-1, 1],
-which vanishes to second order at the endpoints.  The jet of a
-polynomial profile comes from its power-series coefficients in the affine
-variable t that maps the support onto [-1, 1]; a bump on another support
-is ``bump`` on that support.  ``log_squeezed`` and ``radial_power_bump``
-compose a jet with a change of variable.
+Every profile here is built on the bump psi(t) = (1 - t^2)^3, with t the
+affine variable that maps the support onto [-1, 1]; psi vanishes to
+second order at the ends.  ``bump`` evaluates its jet in closed form,
+from the factored q = (1 - t)(1 + t), so values and derivatives keep
+their digits up to the ends of the support.  ``plateau_profile`` is a
+bump on [-T, T]; ``log_squeezed`` and ``radial_power_bump`` compose a
+jet with a change of variable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-
-#: psi(t) = (1 - t^2)^3 by increasing powers of t
-PSI = (1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -54,53 +51,24 @@ class Profile1D:
         return f
 
 
-@lru_cache(maxsize=8)
-def _t_derivatives(coefficients: tuple[float, ...]) -> np.ndarray:
-    """Power series in t of v and its first two t-derivatives, as rows."""
-    c = np.array(coefficients)
-    k = np.arange(len(c))
-    rows = np.zeros((3, len(c)))
-    rows[0] = c
-    rows[1, :-1] = k[1:] * c[1:]
-    rows[2, :-2] = k[2:] * k[1:-1] * c[2:]
-    rows.setflags(write=False)  # shared by every caller of the cache
-    return rows
+def bump(a: float, b: float, label: str = "") -> Profile1D:
+    """The bump psi(t) = (1 - t^2)^3, t = (s - mid) / half, on [a, b], a < b;
+    peak value 1 at the center, zero outside.
 
-
-def polynomial_profile(coefficients, support: tuple[float, float],
-                       label: str = "") -> Profile1D:
-    """The profile with power-series coefficients ``coefficients`` in the
-    affine variable t that maps ``support`` onto [-1, 1]; zero outside.
-
-    The jet is one product of the powers of t with the coefficients of v,
-    v' and v'' (derivatives in s = mid + half t) as three rows, made at its
-    first call so that building a profile stays cheap.
+    With q = max((1 - t)(1 + t), 0) the jet is (q^3, -6 t q^2 / half,
+    -6 q (1 - 5 t^2) / half^2), exactly zero off the support.  The
+    factored q keeps its digits near the ends, where 1 - t^2 and the
+    expanded series 1 - 3t^2 + 3t^4 - t^6 cancel.
     """
-    a, b = support
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    coefficients = tuple(map(float, coefficients))
-    rows = None
 
     def jet(s):
-        nonlocal rows
-        if rows is None:
-            rows = _t_derivatives(coefficients) / np.array([[1.0], [half], [half * half]])
         t = (np.asarray(s, dtype=float) - mid) / half
-        flat = t.ravel()
-        powers = np.empty((rows.shape[1], flat.size))
-        powers[0] = 1.0
-        for k in range(1, len(powers)):
-            np.multiply(powers[k - 1], flat, out=powers[k])
-        out = rows @ powers
-        out[:, np.abs(flat) >= 1.0] = 0.0
-        return tuple(out.reshape((3, *t.shape)))
+        q = np.maximum((1.0 - t) * (1.0 + t), 0.0)
+        q2 = q * q
+        return q2 * q, -6.0 / half * t * q2, -6.0 / (half * half) * q * (1.0 - 5.0 * t * t)
 
-    return Profile1D(jet, (a, b), label)
-
-
-def bump(a: float, b: float, label: str = "") -> Profile1D:
-    """Polynomial bump (1 - t^2)^3 mapped onto [a, b], a < b; peak value 1 at the center."""
-    return polynomial_profile(PSI, (a, b), label or f"bump[{a:g},{b:g}]")
+    return Profile1D(jet, (a, b), label or f"bump[{a:g},{b:g}]")
 
 
 def plateau_profile(T: float) -> Profile1D:

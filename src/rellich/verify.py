@@ -30,7 +30,6 @@ from .params import (
     DEFAULT_TOL,
     EPS_LADDER,
     OperatorParams,
-    base_alpha,
     check_finite,
     check_inner_p,
     check_p,
@@ -38,6 +37,7 @@ from .params import (
     discriminant,
     eigen_lambda,
     kelvin_transform,
+    reduced_drift,
 )
 from .profiles import Profile1D, log_squeezed
 from .quadrature import integrate, lp_norm
@@ -45,7 +45,7 @@ from .radial import (CUTOFF, boundary_counterexample, counterexample_drift,
                      counterexample_ratio, fit_loglog_slope, reduced_coefficients,
                      reduced_norm, rellich_ratio_separable)
 from .spectral import region_section3
-from .validity import Branch, DomainKind, HarmonicSet, decide
+from .validity import Branch, DomainKind, HarmonicSet, best_constant, decide
 
 #: relative slack on quadrature-limited identities / on limit-approach claims
 SLACK_EXACT = 1e-6
@@ -370,13 +370,12 @@ def verify_remainder(
     check_inner_p(p, "the remainder")
     if not corpus:
         raise PreconditionViolated("empty corpus: nothing to verify")
-    D = discriminant(params)
-    if D <= 0 or abs(base_alpha(params, p) - alpha) >= math.sqrt(D):
+    C = best_constant(params, p, alpha)
+    if C is None:
         raise PreconditionViolated(
             "alpha outside the symmetric range: no certified constant"
         )
-    rc = reduced_coefficients(params, p, alpha, 0)
-    C = rc.lambda_red  # equals b + gamma_p for n = 0
+    beta = reduced_drift(params, p, alpha)
     c_rem = _powers(f"C={C}", C, p)[1]
     report = VerificationReport(
         claim=f"remainder N={params.N} c={params.c} b={params.b} p={p} "
@@ -388,7 +387,7 @@ def verify_remainder(
             raise PreconditionViolated(
                 "corpus must be supported in s > log 2 (u supported in B_{1/2})"
             )
-        aux = verify_aux_remainder(rc.beta, C, p, v)
+        aux = verify_aux_remainder(beta, C, p, v)
         report.samples += aux.samples
         report.tolerance = max(report.tolerance, aux.tolerance)
     return report

@@ -283,11 +283,15 @@ def _strict_json(text):
     ["verify", "aux", "--lambda", "inf"],
     ["verify", "dissipativity", "--lambda", "nan"],
     ["verify", "critical", "--log-eps", "nan"],
+    ["counterexample", "--mode", "minus", "--tol", "nan"],
+    ["verify", "hardy", "--p", "1.5", "--beta", "2", "--tol", "nan"],
+    ["spectrum", "--sample", "--tol", "nan", "-o", os.devnull],
 ], ids=["alpha-nan", "b-nan", "alpha-1e300", "lambda-nan", "tol-nan", "xi-max-nan",
         "xi-max-inf-q", "xi-max-1e200-q", "xi-max-1e200", "hardy-beta-nan",
         "hardy-beta-inf", "oned-beta-nan", "oned-a-nan", "oned-log-eps-inf",
         "aux-beta-inf", "aux-lambda-inf", "dissipativity-lambda-nan",
-        "critical-log-eps-nan"])
+        "critical-log-eps-nan", "counterexample-tol-nan", "hardy-tol-nan",
+        "sample-tol-nan"])
 def test_non_finite_input_exit1(argv):
     # a typed error as one JSON line, in bounded time, never a traceback
     start = time.perf_counter()
@@ -302,7 +306,8 @@ def test_non_finite_input_exit1(argv):
     assert "error" in _strict_json(lines[0])
     assert "Traceback" not in r.stderr
     if argv[0] == "verify":  # named by the check, not found by the quadrature
-        assert "must be finite" in lines[0], lines[0]
+        named = "tolerance must lie in" if "--tol" in argv else "must be finite"
+        assert named in lines[0], lines[0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Profile construction: analytic derivatives, supports, scalings."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,33 +16,54 @@ from rellich import (
     plateau_profile,
     radial_power_bump,
 )
-from rellich.profiles import PSI
+
+#: (1 - t^2)^3, the bump on [-1, 1], as numpy expands it
+_BUMP = Polynomial([1.0, 0.0, -1.0]) ** 3
 
 
 @pytest.mark.parametrize(
     "profile",
-    [  # (profile, its power series in t on its support, or None if not polynomial)
-        (bump(0.25, 0.5), PSI),
-        (bump(-3.0, 7.0), PSI),
-        (plateau_profile(50.0), PSI),
+    [  # (profile, its polynomial in t on its support, or None if not polynomial)
+        (bump(0.25, 0.5), _BUMP),
+        (bump(-3.0, 7.0), _BUMP),
+        (plateau_profile(50.0), _BUMP),
         (log_squeezed(bump(0.25, 0.5), 0.1), None),
-        (bump(4.0, 5.0), PSI),
-        (bump(2.0, 4.0), PSI),
+        (bump(4.0, 5.0), _BUMP),
+        (bump(2.0, 4.0), _BUMP),
         (radial_power_bump(1.5, 2.0), None),
     ],
 )
 def test_derivative_spot_check(profile):
-    v, coefficients = profile
-    if coefficients is None:
+    v, reference = profile
+    if reference is None:
         # analytic d1/d2 match central differences at 100 interior points
         assert check_derivatives(v, points=100, rel_tol=1e-6) < 1e-6
         return
     # a polynomial jet is numpy's Polynomial and its derivatives, to rounding
-    poly = Polynomial(coefficients, domain=v.support)
+    poly = Polynomial(reference.coef, domain=v.support)
     s = np.linspace(*v.support, 1001)[1:-1]
     for k, got in enumerate(v.jet(s)):
         want = poly.deriv(k)(s)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("support", [(1.0, 3.0), (-200.0, 200.0)])
+def test_jet_keeps_its_digits_near_the_ends(support):
+    # v, v', v'' from 1e-12 to 1e-1 of the width from either end, against
+    # exact rational arithmetic in the same float t; the expanded series
+    # 1 - 3t^2 + 3t^4 - t^6 cancels there and keeps none of v's digits
+    a, b = support
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    d = np.logspace(-12, -1)
+    s = np.concatenate((a + (b - a) * d, b - (b - a) * d))
+    jet = bump(a, b).jet(s)
+    h = Fraction(half)
+    for i, t in enumerate((s - mid) / half):
+        t = Fraction(float(t))
+        q = (1 - t) * (1 + t)
+        exact = (q**3, -6 * t * q**2 / h, -6 * q * (1 - 5 * t * t) / h**2)
+        for got, want in zip(jet, exact):
+            assert abs(Fraction(float(got[i])) - want) <= Fraction(1, 10**14) * abs(want)
 
 
 def test_endpoint_vanishing():
