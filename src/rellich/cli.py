@@ -236,7 +236,7 @@ def cmd_counterexample(args) -> int:
         )
         return EXIT_OK
     eps = [float(x) for x in args.eps.split(",")]
-    ratios = [counterexample_ratio(params, p, args.n, args.mode, e).ratio for e in eps]
+    ratios = [r.ratio for r in counterexample_ratio(params, p, args.n, args.mode, eps)]
     slope = fit_loglog_slope(eps, ratios)
     _write_csv(args.output, ["epsilon", "ratio"], list(zip(eps, ratios)))
     _emit(

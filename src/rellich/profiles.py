@@ -4,8 +4,9 @@ A Profile1D carries one callable, ``jet(s) -> (v, v', v'')``, evaluated
 in one pass, on a compact support interval; all quadrature-based
 verification is built on these.  ``Profile1D.integrand`` builds the
 linear combinations s^power (a2 v'' + a1 v' + a0 v) that the reductions
-integrate, as plain callables: ``lp_norm`` locates their sign changes
-and critical points from their values, whatever the profile.
+integrate, one row each, as one plain callable that stacks the rows from
+one jet call: ``lp_norm`` locates their sign changes and critical points
+from their values, whatever the profile.
 
 Every profile here is built on the bump psi(t) = (1 - t^2)^3, with t the
 affine variable that maps the support onto [-1, 1]; psi vanishes to
@@ -38,15 +39,27 @@ class Profile1D:
     def __call__(self, s):
         return self.jet(s)[0]
 
-    def integrand(self, a2=0.0, a1=0.0, a0=0.0, power: float = 0.0):
-        """f(s) = s^power (a2 v''(s) + a1 v'(s) + a0 v(s)), as a callable."""
-        terms = [(a, k) for k, a in enumerate((a0, a1, a2)) if a != 0.0]
+    def integrand(self, *rows):
+        """f(s) = s^power (a2 v''(s) + a1 v'(s) + a0 v(s)) for each row (a2, a1, a0, power).
+
+        A row may leave out its trailing zeros: (1.0, beta) is v'' + beta v'.
+        One row gives an array of the shape of s; k rows give the stack of
+        shape (k, *s.shape) that ``lp_norm`` takes, from one jet call.
+        """
+        plans = []
+        for row in rows:
+            a2, a1, a0, power = (*row, *(0.0,) * (4 - len(row)))
+            plans.append(([(a, k) for k, a in enumerate((a0, a1, a2)) if a != 0.0], power))
 
         def f(s):
             s = np.asarray(s, dtype=float)
             jet = self.jet(s)
-            out = sum(a * jet[k] for a, k in terms) if terms else np.zeros_like(s)
-            return out * s**power if power else out
+            out = np.empty((len(plans), *s.shape))
+            for row, (terms, power) in zip(out, plans):
+                row[...] = sum(a * jet[k] for a, k in terms) if terms else 0.0
+                if power:
+                    row *= s**power
+            return out[0] if len(plans) == 1 else out
 
         return f
 

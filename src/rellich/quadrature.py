@@ -3,8 +3,11 @@
 ``integrate(f, a, b)`` is the signed integral of f and ``lp_norm(f,
 support, p)`` the norm ||f||_{L^p(support)}, 1 <= p <= inf, computed from
 the signed f.  Both return (value, err).  An integrand maps an array of
-points to an array of the same shape; any other result raises
-PreconditionViolated, and a non-finite value NonFiniteIntegrand.
+points to an array of the same shape; for ``lp_norm`` it may instead map
+them to a stack of k such rows, shape (k, *points.shape), and gets k
+(norm, err) pairs, each the one its row would get alone, from one sample
+of f per pass.  Any other result raises PreconditionViolated, as does a
+limit that is not finite, and a non-finite value NonFiniteIntegrand.
 
 Both read f as chebfun does (Battles & Trefethen, SISC 2004): the Legendre
 series of the polynomial that interpolates f at the ``NODES`` Gauss nodes
@@ -36,6 +39,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import NonFiniteIntegrand, OutOfRange, PreconditionViolated
+from .params import check_finite, check_p
 
 #: Gauss-Legendre points per panel.  The resolver's series has as many
 #: terms and resolves degrees below three quarters of that (the package's
@@ -78,15 +82,20 @@ def _layout(k: int, graded: bool) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _sample(f, pts: np.ndarray) -> np.ndarray:
-    """f(pts), which must be an array of finite floats of the shape of pts."""
-    vals = np.asarray(f(pts), dtype=float)
-    if vals.shape != pts.shape:
-        raise PreconditionViolated(f"an integrand must map an array to an array of its shape: "
+def _checked(vals: np.ndarray, pts: np.ndarray, rows: int | None) -> np.ndarray:
+    """vals, which must hold finite floats of the shape of pts, or of (rows, *pts.shape)."""
+    if vals.shape != (pts.shape if rows is None else (rows, *pts.shape)):
+        raise PreconditionViolated(f"an integrand must map an array to an array of its shape "
+                                   f"(for lp_norm, or to a stack of them, as at its first call): "
                                    f"got shape {vals.shape} for nodes of shape {pts.shape}")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NonFiniteIntegrand("integrand returned non-finite values")
     return vals
+
+
+def _sample(f, pts: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """f(pts), checked by ``_checked``."""
+    return _checked(np.asarray(f(pts), dtype=float), pts, rows)
 
 
 def _rule(jobs, graded=False):
@@ -103,12 +112,6 @@ def _rule(jobs, graded=False):
         pts.append(0.5 * (a + b) + half * x)
         wts.append(half * w)
     return np.concatenate(pts), np.concatenate(wts), list(accumulate(map(len, pts[:-1]), initial=0))
-
-
-def _sums(f, jobs, g):
-    """Graded sum for g(f) on each (a, b, panels) job; f is sampled once for all jobs."""
-    pts, wts, offsets = _rule(jobs, graded=True)
-    return np.add.reduceat(g(_sample(f, pts)) * wts, offsets).tolist()
 
 
 @lru_cache(maxsize=1)
@@ -219,6 +222,9 @@ def integrate(f, a: float, b):
     unresolved at the cap makes it large, and the rounding of each Gauss
     sum, ``_ROUNDING`` times the sum of its terms' sizes.
     """
+    check_finite("the lower limit", a)
+    if not np.isfinite(b).all():
+        raise PreconditionViolated(f"the upper limit must be finite, got {b}")
     top = float(np.max(b))
     if top <= a:
         return (np.zeros(np.shape(b)) if np.ndim(b) else 0.0), 0.0
@@ -239,61 +245,117 @@ def integrate(f, a: float, b):
     return np.where(x > a, before[i] + half[i] * np.sum(t * F[i], axis=-1), 0.0), err
 
 
-def _sup_at(f, a: float, b: float, xs: np.ndarray):
-    """(max |f| over a, b and the critical points xs of f, err).
+def _sup_at(F, a: float, b: float, found: list) -> list[tuple[float, float]]:
+    """(max |f| over a, b and the critical points xs of f, err) for each row f of F,
+    found holding each row's (xs, bound) from ``_locate``.
 
-    Each critical point also gets neighbours at +-h = sqrt(eps) (b - a).
-    The computed point lies far within h/2 of the exact one, so the best
-    of the three plus their spread (the centre minus the lower neighbour,
-    at least four times the shortfall of the centre near a smooth maximum)
-    bounds |f| there; the spread also shows the rounding of f.
+    F(x) is the (rows, len(x)) sample of the stack; the candidates of every
+    row are sampled in one call.  Each critical point also gets neighbours
+    at +-h = sqrt(eps) (b - a).  The computed point lies far within h/2 of
+    the exact one, so the best of the three plus their spread (the centre
+    minus the lower neighbour, at least four times the shortfall of the
+    centre near a smooth maximum) bounds |f| there; the spread also shows
+    the rounding of f.  err is at least bound - max.
     """
     h = math.sqrt(np.finfo(float).eps) * (b - a)
-    pts = np.clip(np.concatenate(([a, b], xs - h, xs, xs + h)), a, b)
-    v = np.abs(_sample(f, pts))
-    top = float(np.max(v))
-    trio = v[2:].reshape(3, -1)
-    bound = np.max(2.0 * trio.max(axis=0) - trio.min(axis=0), initial=top)
-    return top, max(float(bound) - top, math.ulp(top))
+    pts = [np.clip(np.concatenate(([a, b], xs - h, xs, xs + h)), a, b) for xs, _ in found]
+    vals = np.abs(F(np.concatenate(pts)))
+    ends = list(accumulate(map(len, pts)))
+    out = []
+    for row, lo, hi, (_, node_bound) in zip(vals, [0, *ends], ends, found):
+        v = row[lo:hi]
+        top = float(np.max(v))
+        trio = v[2:].reshape(3, -1)
+        bound = np.max(2.0 * trio.max(axis=0) - trio.min(axis=0), initial=top)
+        out.append((top, max(float(bound) - top, math.ulp(top), node_bound - top)))
+    return out
 
 
-def lp_norm(f, support: tuple[float, float], p: float) -> tuple[float, float]:
+def lp_norm(f, support: tuple[float, float],
+            p: float) -> tuple[float, float] | list[tuple[float, float]]:
     """(||f||_{L^p(support)}, error estimate of the norm) for 1 <= p <= inf.
 
     f, the signed function, maps an array of points to an array of the
-    same shape.  For finite p the estimate is the change from the 1- to the
-    2-panel sums, on the support or on each piece, plus their rounding; for
-    p = inf it is the spread of |f| around the sup.  OutOfRange where the
-    integral of |f|^p is beyond float range.
+    same shape, or to a stack of k such rows, shape (k, *points.shape),
+    for which the result is a list of k (norm, err) pairs.  Each row gets
+    what it would get alone: its own first pass, split points and sup
+    candidates.  The rows share the Gauss nodes and one call of f per
+    pass: the first pass, the graded pass over the pieces of every row that
+    splits, and the sup candidates.  For finite p the estimate is the
+    change from the 1- to the 2-panel sums, on the support or on each
+    piece, plus their rounding; for p = inf it is the spread of |f| around
+    the sup.  An empty support (b <= a) gives zeros.  ValueError for p
+    outside [1, inf], PreconditionViolated for an end of the support that
+    is not finite, OutOfRange where the integral of |f|^p is beyond float
+    range.
     """
+    p = check_p(p)
     a, b = support
-    if not math.isinf(p) and p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if b <= a:
-        return 0.0, 0.0
-    if math.isinf(p):
-        xs, bound = _locate(f, a, b, _sample(f, _rule([(a, b, 1)])[0]), sup=True)
-        top, err = _sup_at(f, a, b, xs)
-        return top, max(err, bound - top)
+    check_finite("the lower end of the support", a)
+    check_finite("the upper end of the support", b)
+    sup = math.isinf(p)
+    if b > a:
+        pts, wts, offsets = _rule([(a, b, 1)] if sup else [(a, b, 1), (a, b, 2)])
+    else:
+        pts = np.empty(0)
+    first = np.asarray(f(pts), dtype=float)
+    stack = len(first) if first.ndim == 2 else None
+    rows = 1 if stack is None else stack  # a single f is one row
 
+    def F(x):
+        """f at the points x as a (rows, len(x)) array."""
+        return _sample(f, x, stack).reshape(rows, len(x))
+
+    vals = _checked(first, pts, stack).reshape(rows, len(pts))
+    if b <= a or not rows:
+        out = [(0.0, 0.0)] * rows
+    elif sup:
+        out = _sup_at(F, a, b, [_locate(lambda x, i=i: F(x)[i], a, b, vals[i], sup=True)
+                                for i in range(rows)])
+    else:
+        out = _lp_sums(F, a, b, p, vals, wts, offsets)
+    return out if stack is not None else out[0]
+
+
+def _lp_sums(F, a: float, b: float, p: float, vals, wts, offsets) -> list[tuple[float, float]]:
+    """(norm, err) at finite p of each row of vals, F's 1- and 2-panel first pass on [a, b].
+
+    A row whose two sums disagree is split at its own sign changes, and the
+    pieces of every such row take their graded 1- and 2-panel sums from one
+    call of F.
+    """
     def g(v):
         return np.abs(v) ** p
 
-    pts, wts, offsets = _rule([(a, b, 1), (a, b, 2)])
-    vals = _sample(f, pts)
     with np.errstate(over="ignore"):  # an overflow is the OutOfRange below
-        i1, i2 = np.add.reduceat(g(vals) * wts, offsets).tolist()
-        if abs(i2 - i1) <= REL_TOL * i2:
-            total, err = i2, abs(i2 - i1)
-        else:
-            edges = [a, *_locate(f, a, b, vals[:offsets[1]], sup=False)[0].tolist(), b]
-            sums = _sums(f, [(lo, hi, k) for lo, hi in zip(edges, edges[1:]) for k in (1, 2)], g)
-            total = sum(sums[1::2])
-            err = sum(abs(q - c) for c, q in zip(sums[0::2], sums[1::2]))
-    if not math.isfinite(total):
-        raise OutOfRange(f"the integral of |f|^p is beyond float range at p={p}")
-    err += _ROUNDING * total
-    norm = total ** (1.0 / p)
-    if total <= 0:
-        return norm, err ** (1.0 / p)
-    return norm, norm * err / (p * total)
+        first = np.add.reduceat(g(vals) * wts, offsets, axis=1).tolist()
+        pieces = {}  # row -> its pieces between sign changes
+        for i, (i1, i2) in enumerate(first):
+            if not abs(i2 - i1) <= REL_TOL * i2:
+                edges = [a, *_locate(lambda x, i=i: F(x)[i], a, b, vals[i, :offsets[1]],
+                                     sup=False)[0].tolist(), b]
+                pieces[i] = list(zip(edges, edges[1:]))
+        graded = {}  # row -> its graded (1-panel, 2-panel) sums, piece by piece
+        if pieces:
+            pts, wts, starts = _rule([(lo, hi, k) for row in pieces.values()
+                                      for lo, hi in row for k in (1, 2)], graded=True)
+            sample, starts, at = F(pts), [*starts, len(pts)], 0
+            for i, row in pieces.items():  # each row's sums on the nodes of its own pieces
+                lo, at = at, at + 2 * len(row)
+                nodes = slice(starts[lo], starts[at])
+                graded[i] = np.add.reduceat(g(sample[i, nodes]) * wts[nodes],
+                                            [s - starts[lo] for s in starts[lo:at]]).tolist()
+        out = []
+        for i, (i1, i2) in enumerate(first):
+            if i in graded:
+                sums = graded[i]
+                total = sum(sums[1::2])
+                err = sum(abs(q - c) for c, q in zip(sums[0::2], sums[1::2]))
+            else:
+                total, err = i2, abs(i2 - i1)
+            if not math.isfinite(total):
+                raise OutOfRange(f"the integral of |f|^p is beyond float range at p={p}")
+            err += _ROUNDING * total
+            norm = total ** (1.0 / p)
+            out.append((norm, err ** (1.0 / p)) if total <= 0 else (norm, norm * err / (p * total)))
+    return out

@@ -10,15 +10,19 @@ logarithmic variable s = -log rho:
 with beta the reduced drift of ``params.reduced_drift`` and
 lambda_red = gamma_p(alpha, c) + b + lambda_n.  The spherical factor
 S_P = integral |P|^p cancels in every ratio and is never computed.
-Every reduced norm, here and in ``verify``, is one ``reduced_norm`` call,
-save the counterexample numerator, whose coefficient eps s is not a
-number: the integrand goes to ``lp_norm`` as a plain callable, which
-finds its sign changes and its sup for any weight s^power itself.
+The reduced norms of one profile on one support are one ``lp_norm`` call
+on a stack of integrands, which samples the profile once per pass:
+``reduced_norm`` takes one row (a2, a1, a0, power) per norm, and
+``counterexample_ratio`` stacks the numerators of a whole eps ladder, whose
+coefficient eps s is not a number, over their shared denominator.
+``lp_norm`` finds the sign changes and the sup of each row, for any weight
+s^power, itself.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,13 +84,15 @@ def reduced_coefficients(
     return ReducedCoefficients(reduced_drift(params, p, alpha), lam_red)
 
 
-def reduced_norm(v: Profile1D, p: float, a2=0.0, a1=0.0, a0=0.0, power: float = 0.0,
-                 support: tuple[float, float] | None = None) -> tuple[float, float]:
-    """(||s^power (a2 v'' + a1 v' + a0 v)||_{L^p(support)}, err) for a profile v.
+def reduced_norm(v: Profile1D, p: float, *rows: tuple[float, ...],
+                 support: tuple[float, float] | None = None):
+    """(||s^power (a2 v'' + a1 v' + a0 v)||_{L^p(support)}, err) for a profile v and a row
+    (a2, a1, a0, power), as ``Profile1D.integrand`` reads it; a list of such pairs for
+    several rows, from one ``lp_norm`` call.
 
     support defaults to the support of v.
     """
-    return lp_norm(v.integrand(a2, a1, a0, power), v.support if support is None else support, p)
+    return lp_norm(v.integrand(*rows), v.support if support is None else support, p)
 
 
 def _ratio(num: tuple[float, float], den: tuple[float, float]) -> RatioReport:
@@ -102,8 +108,7 @@ def rellich_ratio_separable(
 ) -> RatioReport:
     """|| v'' + beta v' - lambda_red v ||_p / || v ||_p on the support of v."""
     rc = reduced_coefficients(params, p, alpha, n)
-    return _ratio(reduced_norm(v, p, 1.0, rc.beta, -rc.lambda_red),
-                  reduced_norm(v, p, a0=1.0))
+    return _ratio(*reduced_norm(v, p, (1.0, rc.beta, -rc.lambda_red), (0.0, 0.0, 1.0)))
 
 
 def counterexample_gamma(params: OperatorParams, n: int, branch: str) -> float:
@@ -130,9 +135,9 @@ def counterexample_ratio(
     p: float,
     n: int,
     branch: str,
-    epsilon: float,
-) -> RatioReport:
-    """Exact reduced norm ratio of the critical family u_eps = r^gamma phi(r^eps).
+    eps: Sequence[float],
+) -> list[RatioReport]:
+    """Exact reduced norm ratios of the critical family u_eps = r^gamma phi(r^eps), one per eps.
 
     At alpha = alpha_n^+- the ratio of the two Rellich norms collapses to
 
@@ -143,13 +148,15 @@ def counterexample_ratio(
     eps * sup |eps s^2 phi'' + (2 gamma + N - 2 + c + eps) s phi'| / sup |phi|.
     It tends to zero linearly in eps, witnessing failure of the inequality.
     Both cases are the L^p norms of s^{1-1/p} (eps s phi'' + (...) phi') and
-    s^{-1/p} phi, with phi = CUTOFF.
+    s^{-1/p} phi, with phi = CUTOFF.  The numerators of every eps and the
+    denominator, which does not depend on eps, are one stack for ``lp_norm``.
 
     Requires D + lambda_n >= 0: the display presumes real indicial roots.
     """
     check_p(p)
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    for e in eps:
+        if not (0.0 < e <= 1.0):
+            raise ValueError(f"epsilon must lie in (0, 1], got {e}")
     if discriminant(params) + eigen_lambda(params.N, n) < 0:
         raise UnsupportedRegime(
             "complex indicial roots (D + lambda_n < 0): the explicit "
@@ -158,13 +165,13 @@ def counterexample_ratio(
     g = counterexample_drift(params, n, branch)
     q = inv_p(p)
 
-    def top(s):
-        _, v1, v2 = CUTOFF.jet(s)
-        return ((g + epsilon) * v1 + epsilon * s * v2) * s ** (1.0 - q)
+    def rows(s):
+        v0, v1, v2 = CUTOFF.jet(s)
+        w = s ** (1.0 - q)
+        return np.stack([((g + e) * v1 + e * s * v2) * w for e in eps] + [v0 * s**-q])
 
-    num, err_n = lp_norm(top, CUTOFF.support, p)
-    return _ratio((epsilon * num, epsilon * err_n),
-                  reduced_norm(CUTOFF, p, a0=1.0, power=-q))
+    *nums, den = lp_norm(rows, CUTOFF.support, p)
+    return [_ratio((e * num, e * err), den) for e, (num, err) in zip(eps, nums)]
 
 
 @dataclass(frozen=True)

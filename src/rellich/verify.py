@@ -144,10 +144,8 @@ def verify_rellich(
         branch = Branch.PLUS
 
     # counterexample_ratio raises UnsupportedRegime for complex indicial roots
-    ratios = [
-        counterexample_ratio(work_params, p, n_fail, branch.value, e).ratio
-        for e in EPS_LADDER
-    ]
+    ratios = [r.ratio for r in counterexample_ratio(work_params, p, n_fail, branch.value,
+                                                    EPS_LADDER)]
     # generic decay is linear in eps; when the indicial roots collide
     # (D + lambda_n = 0) the drift term vanishes and the rate doubles
     g = counterexample_drift(work_params, n_fail, branch.value)
@@ -237,7 +235,7 @@ def oned_green_reconstruct(beta: float, v: Profile1D) -> float:
     if a <= 0:
         raise PreconditionViolated("v must be supported in (0, inf)")
 
-    f = v.integrand(1.0, beta)
+    f = v.integrand((1.0, beta))
     pad = 0.1 * (b - a)
     grid_s = np.linspace(max(a - pad, 0.25 * a), b + pad, 201)
     s = np.clip(grid_s, a, b)
@@ -299,8 +297,8 @@ def verify_oned_inequality(
     for v in corpus:
         if v.support[0] <= 0:
             raise PreconditionViolated("corpus must be supported in (0, inf)")
-        num, _ = reduced_norm(v, p, 1.0, beta)
-        den, _ = reduced_norm(v, p, a0=1.0, power=-kappa,
+        num, _ = reduced_norm(v, p, (1.0, beta))
+        den, _ = reduced_norm(v, p, (0.0, 0.0, 1.0, -kappa),
                               support=(max(a, v.support[0]), v.support[1]))
         ratio = den / num if num > 0 else math.inf
         report.add(v.label or "profile", ratio, 0.0,
@@ -339,9 +337,8 @@ def verify_aux_remainder(
         raise PreconditionViolated("v must be supported in (0, inf)")
     lam_p, rem = _powers(f"lambda={lam}", lam, p)
 
-    gnorm_p = reduced_norm(v, p, 1.0, beta, -lam)[0] ** p
-    vnorm_p = reduced_norm(v, p, a0=1.0)[0] ** p
-    weighted = reduced_norm(v, p, a0=1.0, power=-2.0 / p)[0] ** p
+    gnorm_p, vnorm_p, weighted = (norm**p for norm, _ in reduced_norm(
+        v, p, (1.0, beta, -lam), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0, -2.0 / p)))
     lhs = gnorm_p - lam_p * vnorm_p
     rhs = rem * weighted
     report = VerificationReport(
@@ -427,9 +424,10 @@ def verify_critical_log(
     weighted, unweighted = [], []
     for e in EPS_LADDER:
         v = log_squeezed(CUTOFF, e)
-        num, _ = reduced_norm(v, p, 1.0, rc.beta, -rc.lambda_red)
-        rw = num / reduced_norm(v, p, a0=1.0, power=-kappa)[0]
-        ru = num / reduced_norm(v, p, a0=1.0)[0]
+        (num, _), (den_w, _), (den, _) = reduced_norm(
+            v, p, (1.0, rc.beta, -rc.lambda_red), (0.0, 0.0, 1.0, -kappa), (0.0, 0.0, 1.0))
+        rw = num / den_w
+        ru = num / den
         weighted.append(rw)
         unweighted.append(ru)
         report.add(f"eps={e} weighted", rw, POS_FLOOR, rw - POS_FLOOR)
@@ -464,8 +462,9 @@ def verify_dissipativity(
     )
     worst = 1.0
     for n, w in corpus:
-        rhs, _ = reduced_norm(w, p, -1.0, -k, lam + eigen_lambda(params.N, n))
-        lhs = lam * reduced_norm(w, p, a0=1.0)[0]
+        (rhs, _), (norm, _) = reduced_norm(w, p, (-1.0, -k, lam + eigen_lambda(params.N, n)),
+                                           (0.0, 0.0, 1.0))
+        lhs = lam * norm
         report.add(f"n={n} {w.label}", rhs, lhs, rhs - lhs)
         worst = max(worst, rhs)
     report.tolerance = SLACK_EXACT * worst

@@ -115,7 +115,7 @@ def test_c04_counterexample_decay():
     eps = [0.1, 0.05, 0.025]
     slopes = {}
     for p in (2.0, 3.0, INF):
-        ratios = [counterexample_ratio(P5, p, 0, "minus", e).ratio for e in eps]
+        ratios = [r.ratio for r in counterexample_ratio(P5, p, 0, "minus", eps)]
         slopes[p] = fit_loglog_slope(eps, ratios)
         assert 0.95 <= slopes[p] <= 1.05, (p, slopes[p], ratios)
     t = time.perf_counter() - t0
@@ -237,7 +237,7 @@ def test_c10_critical_logarithmic():
     rep = verify_critical_log(P5, 2, 0, "minus")
     t = time.perf_counter() - t0
     weighted = [lhs for _d, lhs, *_ in rep.samples]
-    unweighted = [counterexample_ratio(P5, 2, 0, "minus", e).ratio for e in EPS_LADDER]
+    unweighted = [r.ratio for r in counterexample_ratio(P5, 2, 0, "minus", EPS_LADDER)]
     assert min(weighted) > 0.1, weighted
     # stability of the weighted family vs collapse of the unweighted one
     assert min(weighted) >= 0.25 * max(weighted), weighted

@@ -1,9 +1,12 @@
 """Quadrature engine against closed-form integrals and norms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rellich import (NonFiniteIntegrand, OutOfRange, PreconditionViolated, integrate, lp_norm,
                      quadrature)
@@ -77,12 +80,67 @@ def test_empty_interval():
 
 def test_integrand_of_another_shape_is_rejected():
     # an integrand maps an array to an array of its shape; a scalar result
-    # is named with both shapes, not wrapped
+    # is named with both shapes, not wrapped.  lp_norm also takes a stack of
+    # such arrays, rows first; integrate does not, and neither takes the
+    # rows last or a stack of stacks
     shapes = r"got shape \(\) for nodes of shape \(\d+,\)"
-    for norm in (lambda f: integrate(f, 0, 1), lambda f: lp_norm(f, (0, 1), 2),
-                 lambda f: lp_norm(f, (0, 1), math.inf)):
+    norms = (lambda f: lp_norm(f, (0, 1), 2), lambda f: lp_norm(f, (0, 1), math.inf))
+    for norm in (lambda f: integrate(f, 0, 1), *norms):
         with pytest.raises(PreconditionViolated, match=shapes):
             norm(lambda s: 1.0)
+    with pytest.raises(PreconditionViolated, match=r"got shape \(2, 64\) for nodes of shape \(64,"):
+        integrate(lambda s: np.stack([s, s]), 0, 1)
+    for norm in norms:
+        with pytest.raises(PreconditionViolated, match=r"got shape \(\d+, 2\) for nodes"):
+            norm(lambda s: np.stack([s, s], axis=-1))
+        with pytest.raises(PreconditionViolated, match=r"got shape \(2, 1, \d+\) for nodes"):
+            norm(lambda s: np.stack([s, s])[:, None])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda f: lp_norm(f, (0.0, 1.0), math.nan), ValueError, "p must lie in"),
+    (lambda f: lp_norm(f, (0.0, math.nan), 2), PreconditionViolated, "upper end of the support"),
+    (lambda f: integrate(f, 0.0, math.nan), PreconditionViolated, "upper limit"),
+    (lambda f: integrate(f, math.nan, 1.0), PreconditionViolated, "lower limit"),
+    (lambda f: integrate(f, 0.0, math.inf), PreconditionViolated, "upper limit"),
+    (lambda f: lp_norm(f, (-math.inf, 1.0), math.inf), PreconditionViolated,
+     "lower end of the support"),
+], ids=["nan-p", "nan-end", "nan-upper", "nan-lower", "inf-upper", "inf-end"])
+def test_non_finite_limit_or_p_is_named_before_sampling(call, error, match):
+    # a NaN p is the p rule's error, and a limit that is not finite is named,
+    # not charged to the integrand, before f is called or a warning is raised
+    tally = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            call(_counted(np.sin, tally))
+    assert tally == []
+
+
+_ROW = st.floats(-4.0, 4.0, allow_subnormal=False)
+_POWER = st.sampled_from([0.0, -2.5, -1.0, -0.4, 0.5, 2.0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lo=st.floats(0.1, 5.0), width=st.floats(0.2, 8.0),
+       rows=st.lists(st.tuples(_ROW, _ROW, _ROW, _POWER), min_size=2, max_size=5))
+def test_a_stack_gives_each_row_its_own_norm(lo, width, rows):
+    # every row of a stack gets exactly, value and err alike, what it gets
+    # alone: its own first pass, split points and sup candidates
+    from rellich import bump
+
+    v = bump(lo, lo + width)
+    for p in (1.0, 1.5, 2.0, 3.0, 4.0, math.inf):
+        alone = [lp_norm(v.integrand(row), v.support, p) for row in rows]
+        assert lp_norm(v.integrand(*rows), v.support, p) == alone, (p, rows)
+
+
+def test_a_stack_on_an_empty_support_gives_zero_pairs():
+    from rellich import bump
+
+    f = bump(1.0, 3.0).integrand((1.0, 2.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0, -1.0))
+    for p in (1.0, 2.5, math.inf):
+        assert lp_norm(f, (3.0, 1.0), p) == [(0.0, 0.0)] * 3
 
 
 def test_one_layout_per_panel_count():
@@ -239,8 +297,8 @@ def test_knot_path_agrees_with_generic_path(p):
                 _, v1, v2 = v.jet(s)
                 return (beta * v1 + 0.1 * s * v2) * s
 
-            for f, poly in ((v.integrand(1.0, beta, -lam), _polynomial(v, 1.0, beta, -lam)),
-                            (v.integrand(a0=1.0), _polynomial(v, a0=1.0)),
+            for f, poly in ((v.integrand((1.0, beta, -lam)), _polynomial(v, 1.0, beta, -lam)),
+                            (v.integrand((0.0, 0.0, 1.0)), _polynomial(v, a0=1.0)),
                             (top, _polynomial(v, (0.0, 0.1), beta, power=1))):
                 norm, err = lp_norm(f, v.support, p)
                 ref = _reference_norm(f, v.support, p, poly)
@@ -258,11 +316,11 @@ def test_log_squeezed_and_weighted_norms_match_references(p):
     cases = []
     for eps in (0.2, 0.025):
         v = log_squeezed(bump(0.25, 0.5), eps)
-        cases += [(v, v.integrand(1.0, -1.3, -0.4)), (v, v.integrand(1.0, 2.1, 0.0)),
-                  (v, v.integrand(a0=1.0, power=-1.0)), (v, v.integrand(a0=1.0, power=-2.5))]
+        cases += [(v, v.integrand((1.0, -1.3, -0.4))), (v, v.integrand((1.0, 2.1, 0.0))),
+                  (v, v.integrand((0.0, 0.0, 1.0, -1.0))), (v, v.integrand((0.0, 0.0, 1.0, -2.5)))]
     for v in (bump(1.0, 3.0), bump(0.2, 4.0)):
-        cases += [(v, v.integrand(a0=1.0, power=power)) for power in (-1.5, -1 / 3, 0.5)]
-        cases.append((v, v.integrand(1.0, 0.7, -1.1, power=-1.0)))
+        cases += [(v, v.integrand((0.0, 0.0, 1.0, power))) for power in (-1.5, -1 / 3, 0.5)]
+        cases.append((v, v.integrand((1.0, 0.7, -1.1, -1.0))))
     # 63 sign changes on the support of bump(0, 1), found on halved pieces
     cases.append((bump(0.0, 1.0), lambda s: np.sin(200.0 * s) * (1.0 + 0.1 * s)))
     for v, f in cases:
@@ -342,9 +400,20 @@ def test_smooth_norm_samples_the_first_pass_only():
     from rellich import plateau_profile
 
     tally = []
-    f = plateau_profile(100.0).integrand(1.0, -2.0, -1.25)
+    f = plateau_profile(100.0).integrand((1.0, -2.0, -1.25))
     lp_norm(_counted(f, tally), (-100.0, 100.0), 2)
     assert sum(tally) == 192
+
+
+def test_smooth_stack_samples_its_profile_once():
+    # three smooth plateau rows, the numerator and two denominators of a
+    # ratio: one call of 192 points gives all three first passes
+    from rellich import plateau_profile
+
+    tally = []
+    f = plateau_profile(100.0).integrand((1.0, -2.0, -1.25), (0.0, 0.0, 1.0), (0.0, 1.0))
+    assert len(lp_norm(_counted(f, tally), (-100.0, 100.0), 2)) == 3
+    assert tally == [192]
 
 
 def test_knots_split_two_sign_changes_between_nodes():
@@ -384,8 +453,8 @@ def test_located_points_match_brentq(eps):
         v0, v1, _ = v.jet(s)
         return s * v1 - v0
 
-    for f, zero, sup in ((v.integrand(1.0, -1.3, -0.4), v.integrand(1.0, -1.3, -0.4), False),
-                         (v.integrand(a0=1.0, power=-1.0), critical, True)):
+    for f, zero, sup in ((v.integrand((1.0, -1.3, -0.4)), v.integrand((1.0, -1.3, -0.4)), False),
+                         (v.integrand((0.0, 0.0, 1.0, -1.0)), critical, True)):
         got, _ = quadrature._locate(f, a, b, f(nodes), sup)
         pad = 1e-3 * (b - a)  # f and f' vanish at the ends of the support
         ref = reference_roots(zero, a + pad, b - pad)

@@ -105,29 +105,26 @@ class TestSeparableRatio:
 class TestCounterexampleRatio:
     def test_slope_near_one(self):
         eps = [0.1, 0.05, 0.025]
-        ratios = [counterexample_ratio(P5, 2, 0, "minus", e).ratio for e in eps]
+        ratios = [r.ratio for r in counterexample_ratio(P5, 2, 0, "minus", eps)]
         slope = fit_loglog_slope(eps, ratios)
         assert 0.95 <= slope <= 1.05
 
     def test_halving(self):
-        r1 = counterexample_ratio(P5, 2, 0, "minus", 0.05).ratio
-        r2 = counterexample_ratio(P5, 2, 0, "minus", 0.025).ratio
+        r1, r2 = (r.ratio for r in counterexample_ratio(P5, 2, 0, "minus", [0.05, 0.025]))
         assert abs(r2 / r1 - 0.5) < 0.05
 
     def test_sup_norm_path(self):
-        rA = counterexample_ratio(P5, INF, 0, "minus", 0.1).ratio
-        rB = counterexample_ratio(P5, INF, 0, "minus", 0.05).ratio
+        rA, rB = (r.ratio for r in counterexample_ratio(P5, INF, 0, "minus", [0.1, 0.05]))
         K = rA / 0.1
         assert rB <= K * 0.05 * 1.05
 
     def test_plus_branch(self):
-        ratios = [counterexample_ratio(P5, 2, 0, "plus", e).ratio
-                  for e in (0.1, 0.05, 0.025)]
+        ratios = [r.ratio for r in counterexample_ratio(P5, 2, 0, "plus", [0.1, 0.05, 0.025])]
         assert 0.95 <= fit_loglog_slope([0.1, 0.05, 0.025], ratios) <= 1.05
 
     def test_refusal_on_complex_roots(self):
         with pytest.raises(UnsupportedRegime):
-            counterexample_ratio(OperatorParams(5, 0, -3), 2, 0, "minus", 0.1)
+            counterexample_ratio(OperatorParams(5, 0, -3), 2, 0, "minus", [0.1])
 
     @pytest.mark.parametrize("eps", [[0.1], [0.1, 0.1], []])
     def test_slope_needs_two_distinct_eps(self, eps):
@@ -169,9 +166,17 @@ class TestCounterexampleRatio:
                     <= 1e-12 * scale, (P, n, branch)
         assert counterexample_drift(OperatorParams(5, 0, -2.25), 0, "minus") == 0.0
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+    def test_a_ladder_equals_its_one_eps_calls(self, p):
+        # the ladder's numerators share one stack with the denominator; each
+        # report is exactly the one its eps gets alone
+        for P, n, branch in _sweep_critical_cases(6, seed=7):
+            ladder = counterexample_ratio(P, p, n, branch, EPS_LADDER)
+            assert ladder == [counterexample_ratio(P, p, n, branch, [e])[0] for e in EPS_LADDER]
+
     def test_support_and_eps_validation(self):
         with pytest.raises(ValueError):
-            counterexample_ratio(P5, 2, 0, "minus", 0.0)
+            counterexample_ratio(P5, 2, 0, "minus", [0.1, 0.0])
 
     def test_reduces_to_the_separable_ratio(self):
         # the collapsed display equals the reduced Rellich ratio of the
@@ -185,7 +190,7 @@ class TestCounterexampleRatio:
             eps = float(rng.uniform(0.02, 0.3))
             for p in (1.0, 1.5, 2.0, 3.0, INF):
                 for i, branch in enumerate(("minus", "plus")):
-                    got = counterexample_ratio(P, p, n, branch, eps).ratio
+                    got = counterexample_ratio(P, p, n, branch, [eps])[0].ratio
                     alpha = critical_alphas(P, p, n)[i]
                     want = rellich_ratio_separable(P, p, alpha, n, log_squeezed(CUTOFF, eps)).ratio
                     assert abs(got - want) <= 1e-13 * want, (P, n, eps, p, branch, got, want)
@@ -236,11 +241,11 @@ class TestLpNormAccuracy:
         for P, n, branch in _sweep_critical_cases(10):
             g = counterexample_drift(P, n, branch)
             den = reference_lp_integral(lambda s: phi(s) / s, *PHI_SUPPORT)
-            for e in EPS_LADDER:
+            for e, rep in zip(EPS_LADDER, counterexample_ratio(P, 1.0, n, branch, EPS_LADDER)):
                 num = reference_lp_integral(
                     lambda s: e * s * phi.jet(s)[2] + (g + e) * phi.jet(s)[1], *PHI_SUPPORT)
                 ref = e * num / den
-                got = counterexample_ratio(P, 1.0, n, branch, e).ratio
+                got = rep.ratio
                 worst = max(worst, abs(got - ref) / ref)
         assert worst < 1e-12, worst
 
@@ -262,7 +267,7 @@ class TestLpNormAccuracy:
         assert np.min(np.minimum(changes - PHI_SUPPORT[0], PHI_SUPPORT[1] - changes)) < 0.003
         ref = e * reference_lp_integral(num, *PHI_SUPPORT) \
             / reference_lp_integral(lambda s: phi(s) / s, *PHI_SUPPORT)
-        got = counterexample_ratio(P, 1.0, n, branch, e).ratio
+        got = counterexample_ratio(P, 1.0, n, branch, [e])[0].ratio
         assert abs(got - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
@@ -295,7 +300,7 @@ class TestSupErrorEstimate:
         v = bump(1.0, 3.0)
         s = np.linspace(1.0, 3.0, 200_001)
         exact = float(np.max(np.abs(s**power * v(s))))
-        norm, err = reduced_norm(v, INF, a0=1.0, power=power)
+        norm, err = reduced_norm(v, INF, (0.0, 0.0, 1.0, power))
         assert abs(norm - exact) <= max(err, 1e-9 * exact)
 
     def test_counterexample_p_inf_estimate_bounds_the_gap(self):
@@ -324,6 +329,6 @@ class TestSupErrorEstimate:
             return float(np.max(np.abs(fn(np.array(xs)))))
 
         exact = eps * exact_sup(top_poly, top) / exact_sup(phi_poly, phi)
-        rep = counterexample_ratio(P5, INF, n, branch, eps)
+        rep, = counterexample_ratio(P5, INF, n, branch, [eps])
         assert rep.quad_error_estimate > 0.0
         assert abs(rep.ratio - exact) <= rep.quad_error_estimate

@@ -294,7 +294,7 @@ def weighted_ratios(rep):
 
 
 def unweighted_ratios(branch):
-    return [counterexample_ratio(P5, 2, 0, branch, e).ratio for e in EPS_LADDER]
+    return [r.ratio for r in counterexample_ratio(P5, 2, 0, branch, EPS_LADDER)]
 
 
 class TestCriticalLog:
