@@ -83,8 +83,8 @@ __version__ = "0.1.0"
 
 #: the numeric layer, module -> exported names; all of it loads at once
 _NUMERIC = {
-    "profiles": ("Profile1D", "bump", "bump_corpus", "check_derivatives", "log_squeezed",
-                 "plateau_profile", "radial_power_bump"),
+    "profiles": ("Profile1D", "bump", "bump_corpus", "check_derivatives", "plateau_profile",
+                 "radial_power_bump"),
     "quadrature": ("integrate", "lp_norm"),
     "radial": ("BoundaryReport", "RatioReport", "ReducedCoefficients",
                "boundary_counterexample", "counterexample_ratio", "fit_loglog_slope",

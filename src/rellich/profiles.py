@@ -13,8 +13,9 @@ affine variable that maps the support onto [-1, 1]; psi vanishes to
 second order at the ends.  ``bump`` evaluates its jet in closed form,
 from the factored q = (1 - t)(1 + t), so values and derivatives keep
 their digits up to the ends of the support.  ``plateau_profile`` is a
-bump on [-T, T]; ``log_squeezed`` and ``radial_power_bump`` compose a
-jet with a change of variable.
+bump on [-T, T]; ``radial_power_bump`` composes a jet with a change of
+variable.  The critical family phi(e^{-eps s}) has no profile here:
+``radial.critical_rows`` reads it on the fixed support of phi, in x = e^{-eps s}.
 """
 
 from __future__ import annotations
@@ -93,27 +94,6 @@ def plateau_profile(T: float) -> Profile1D:
     if T <= 0:
         raise ValueError("T must be positive")
     return bump(-T, T, label=f"plateau[T={T:g}]")
-
-
-def log_squeezed(phi: Profile1D, eps: float) -> Profile1D:
-    """v(s) = phi(e^{-eps s}), the epsilon-indexed critical family.
-
-    For phi supported in (a0, b0) with 0 < a0 < b0 < 1 the support is
-    [-log(b0)/eps, -log(a0)/eps], marching to +infinity as eps -> 0.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    a0, b0 = phi.support
-    if not (0.0 < a0 < b0 < 1.0):
-        raise ValueError("phi must be supported inside (0, 1)")
-
-    def jet(s):
-        x = np.exp(-eps * np.asarray(s, dtype=float))
-        v0, v1, v2 = phi.jet(x)
-        return v0, -eps * x * v1, eps**2 * (x**2 * v2 + x * v1)
-
-    return Profile1D(jet, (-math.log(b0) / eps, -math.log(a0) / eps),
-                     f"{phi.label}(r^eps), eps={eps:g}")
 
 
 def radial_power_bump(q: float, T: float) -> Profile1D:

@@ -18,14 +18,15 @@ point inside a piece it adds that piece's Legendre antiderivative
 (chebfun's cumsum), so one call integrates to many upper limits.
 
 For finite p, |f|^p has kinks at the sign changes of f, the real roots of
-the series (eigenvalues of a colleague matrix).  ``lp_norm`` returns when
-its 1- and 2-panel sums agree to ``REL_TOL``, as they do for smooth
-integrands.  Otherwise it splits the support at the roots and takes, once
-on every piece, 1- and 2-panel sums graded by t = 3u^2 - 2u^3 (the
-substitution that periodises integrands for lattice rules, Sloan & Joe
-1994): it turns the end behaviour |t - r|^p of a piece into u^(2p+1),
-which is smooth when 2p is an integer and at least u^3, so one rule per
-piece needs no refinement.  For p = inf the norm is the largest |f| at
+the series (eigenvalues of a colleague matrix).  ``lp_norm`` returns sums
+graded by t = 3u^2 - 2u^3 (the substitution that periodises integrands for
+lattice rules, Sloan & Joe 1994): it turns the end behaviour |t - r|^p of
+an interval into u^(2p+1), smooth when 2p is an integer and at least u^3,
+so one rule per interval needs no refinement.  Where the plain 1-panel sum
+on the support agrees with the graded 2-panel one to ``REL_TOL``, as it
+does where f is smooth inside, the latter is the integral.  Otherwise the
+support is split at the roots, and each piece takes graded 1- and 2-panel
+sums.  For p = inf the norm is the largest |f| at
 the ends and at the critical points, the real roots of the series'
 derivative.
 """
@@ -46,8 +47,8 @@ from .params import check_finite, check_p
 #: integrands reach degree 8)
 NODES = 64
 
-#: the 1- and 2-panel sums of |f|^p on the support are taken when they agree
-#: to this share of the integral; otherwise f is split at its sign changes
+#: the graded 2-panel sum of |f|^p on the support is taken when the plain 1-panel
+#: one agrees to this share of it; otherwise f is split at its sign changes
 REL_TOL = 1e-10
 
 #: rounding of a NODES-point sum, relative to the sum of its terms' sizes
@@ -98,15 +99,15 @@ def _sample(f, pts: np.ndarray, rows: int | None = None) -> np.ndarray:
     return _checked(np.asarray(f(pts), dtype=float), pts, rows)
 
 
-def _rule(jobs, graded=False):
-    """Composite rules for (a, b, panels) jobs, concatenated: the one place
-    where Gauss nodes are mapped onto an interval.
+def _rule(jobs):
+    """Composite rules for (a, b, panels, graded) jobs, concatenated: the one
+    place where Gauss nodes are mapped onto an interval.
 
     Returns (nodes, weights, offsets), offsets[i] being where the nodes
-    of job i start.  graded takes the graded layouts of ``_layout``.
+    of job i start.  graded takes the graded layout of ``_layout``.
     """
     pts, wts = [], []
-    for a, b, k in jobs:
+    for a, b, k, graded in jobs:
         x, w = _layout(k, graded)
         half = 0.5 * (b - a)
         pts.append(0.5 * (a + b) + half * x)
@@ -173,7 +174,7 @@ def _resolve(f, a: float, b: float, vals: np.ndarray):
         sampled += 2 * len(rest)
         pieces = [half for lo, hi, *_ in rest
                   for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
-        vals = _sample(f, _rule([(lo, hi, 1) for lo, hi in pieces])[0])
+        vals = _sample(f, _rule([(lo, hi, 1, False) for lo, hi in pieces])[0])
 
 
 def _locate(f, a: float, b: float, vals: np.ndarray, sup: bool) -> tuple[np.ndarray, float]:
@@ -200,7 +201,7 @@ def _locate(f, a: float, b: float, vals: np.ndarray, sup: bool) -> tuple[np.ndar
             out += [mid + half * r.real for r in t.tolist()
                     if half * abs(r.imag) <= near and abs(r.real) <= 1.0 + _NEAR_REAL]
     if rest and sup:
-        out += _rule([(lo, hi, 1) for lo, hi, *_ in rest])[0].tolist()
+        out += _rule([(lo, hi, 1, False) for lo, hi, *_ in rest])[0].tolist()
         v = np.abs(np.array([row for *_, row, _ in rest]))
         lower = np.minimum(np.concatenate((v[:, :1], v[:, :-1]), axis=1),
                            np.concatenate((v[:, 1:], v[:, -1:]), axis=1))
@@ -228,7 +229,7 @@ def integrate(f, a: float, b):
     top = float(np.max(b))
     if top <= a:
         return (np.zeros(np.shape(b)) if np.ndim(b) else 0.0), 0.0
-    done, rest = _resolve(f, a, top, _sample(f, _rule([(a, top, 1)])[0]))
+    done, rest = _resolve(f, a, top, _sample(f, _rule([(a, top, 1, False)])[0]))
     lo, hi, c, vals, _ = (np.array(col) for col in zip(*sorted(done + rest, key=lambda q: q[0])))
     half = 0.5 * (hi - lo)
     w = _layout(1, False)[1]
@@ -282,8 +283,9 @@ def lp_norm(f, support: tuple[float, float],
     candidates.  The rows share the Gauss nodes and one call of f per
     pass: the first pass, the graded pass over the pieces of every row that
     splits, and the sup candidates.  For finite p the estimate is the
-    change from the 1- to the 2-panel sums, on the support or on each
-    piece, plus their rounding; for p = inf it is the spread of |f| around
+    change from the plain 1- to the graded 2-panel sum on the support, or
+    from the graded 1- to 2-panel sum on each piece, plus their rounding;
+    for p = inf it is the spread of |f| around
     the sup.  An empty support (b <= a) gives zeros.  ValueError for p
     outside [1, inf], PreconditionViolated for an end of the support that
     is not finite, OutOfRange where the integral of |f|^p is beyond float
@@ -295,7 +297,7 @@ def lp_norm(f, support: tuple[float, float],
     check_finite("the upper end of the support", b)
     sup = math.isinf(p)
     if b > a:
-        pts, wts, offsets = _rule([(a, b, 1)] if sup else [(a, b, 1), (a, b, 2)])
+        pts, wts, offsets = _rule([(a, b, 1, False)] + ([] if sup else [(a, b, 2, True)]))
     else:
         pts = np.empty(0)
     first = np.asarray(f(pts), dtype=float)
@@ -318,7 +320,7 @@ def lp_norm(f, support: tuple[float, float],
 
 
 def _lp_sums(F, a: float, b: float, p: float, vals, wts, offsets) -> list[tuple[float, float]]:
-    """(norm, err) at finite p of each row of vals, F's 1- and 2-panel first pass on [a, b].
+    """(norm, err) at finite p of each row of vals, F's plain 1- and graded 2-panel first pass.
 
     A row whose two sums disagree is split at its own sign changes, and the
     pieces of every such row take their graded 1- and 2-panel sums from one
@@ -337,8 +339,8 @@ def _lp_sums(F, a: float, b: float, p: float, vals, wts, offsets) -> list[tuple[
                 pieces[i] = list(zip(edges, edges[1:]))
         graded = {}  # row -> its graded (1-panel, 2-panel) sums, piece by piece
         if pieces:
-            pts, wts, starts = _rule([(lo, hi, k) for row in pieces.values()
-                                      for lo, hi in row for k in (1, 2)], graded=True)
+            pts, wts, starts = _rule([(lo, hi, k, True) for row in pieces.values()
+                                      for lo, hi in row for k in (1, 2)])
             sample, starts, at = F(pts), [*starts, len(pts)], 0
             for i, row in pieces.items():  # each row's sums on the nodes of its own pieces
                 lo, at = at, at + 2 * len(row)

@@ -13,10 +13,9 @@ S_P = integral |P|^p cancels in every ratio and is never computed.
 The reduced norms of one profile on one support are one ``lp_norm`` call
 on a stack of integrands, which samples the profile once per pass:
 ``reduced_norm`` takes one row (a2, a1, a0, power) per norm, and
-``counterexample_ratio`` stacks the numerators of a whole eps ladder, whose
-coefficient eps s is not a number, over their shared denominator.
-``lp_norm`` finds the sign changes and the sup of each row, for any weight
-s^power, itself.
+``critical_rows`` the critical family u_eps = r^gamma phi(r^eps) of a whole
+eps ladder, read on phi's fixed support.  ``lp_norm`` finds the sign
+changes and the sup of each row, for any weight s^power, itself.
 """
 
 from __future__ import annotations
@@ -147,9 +146,7 @@ def counterexample_ratio(
     for finite p, and for p = inf to
     eps * sup |eps s^2 phi'' + (2 gamma + N - 2 + c + eps) s phi'| / sup |phi|.
     It tends to zero linearly in eps, witnessing failure of the inequality.
-    Both cases are the L^p norms of s^{1-1/p} (eps s phi'' + (...) phi') and
-    s^{-1/p} phi, with phi = CUTOFF.  The numerators of every eps and the
-    denominator, which does not depend on eps, are one stack for ``lp_norm``.
+    Both are the norms of the one stack of ``critical_rows`` with lam = 0.
 
     Requires D + lambda_n >= 0: the display presumes real indicial roots.
     """
@@ -163,15 +160,33 @@ def counterexample_ratio(
             "counterexample family is only valid for real roots"
         )
     g = counterexample_drift(params, n, branch)
+    *nums, den = lp_norm(critical_rows(g, 0.0, p, eps), PHI_SUPPORT, p)
+    return [_ratio(num, den) for num in nums]
+
+
+def critical_rows(g: float, lam: float, p: float, eps: Sequence[float],
+                  kappa: float | None = None):
+    """The critical family's reduced norms for every eps, one ``lp_norm`` stack on PHI_SUPPORT.
+
+    x = e^{-eps s} turns v'' - g v' - lam v of v(s) = phi(e^{-eps s}) into
+    eps x (eps x phi'' + (g + eps) phi') - lam phi, and ds into dx / (eps x).
+    The rows are that times x^{-1/p} for each eps, then x^{-1/p} phi, and with
+    kappa x^{-1/p} phi (-log(x) / eps)^{-kappa} for each eps: eps^{1/p} times
+    the norms in s, a factor that the ratios of one eps cancel.  g is the drift
+    of ``counterexample_drift``; lam = min(0, D + lambda_n) makes this the
+    reduced Rellich operator at the critical exponent.
+    """
     q = inv_p(p)
 
-    def rows(s):
-        v0, v1, v2 = CUTOFF.jet(s)
-        w = s ** (1.0 - q)
-        return np.stack([((g + e) * v1 + e * s * v2) * w for e in eps] + [v0 * s**-q])
+    def rows(x):
+        v0, v1, v2 = CUTOFF.jet(x)
+        w = x**-q
+        out = [w * (e * x * (e * x * v2 + (g + e) * v1) - lam * v0) for e in eps] + [w * v0]
+        if kappa is not None:
+            out += [out[-1] * (-np.log(x) / e) ** -kappa for e in eps]
+        return np.stack(out)
 
-    *nums, den = lp_norm(rows, CUTOFF.support, p)
-    return [_ratio((e * num, e * err), den) for e, (num, err) in zip(eps, nums)]
+    return rows
 
 
 @dataclass(frozen=True)

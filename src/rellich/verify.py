@@ -39,11 +39,11 @@ from .params import (
     kelvin_transform,
     reduced_drift,
 )
-from .profiles import Profile1D, log_squeezed
+from .profiles import Profile1D
 from .quadrature import integrate, lp_norm
-from .radial import (CUTOFF, boundary_counterexample, counterexample_drift,
-                     counterexample_ratio, fit_loglog_slope, reduced_coefficients,
-                     reduced_norm, rellich_ratio_separable)
+from .radial import (PHI_SUPPORT, boundary_counterexample, counterexample_drift,
+                     counterexample_ratio, critical_rows, fit_loglog_slope, reduced_norm,
+                     rellich_ratio_separable)
 from .spectral import region_section3
 from .validity import Branch, DomainKind, HarmonicSet, best_constant, decide
 
@@ -226,8 +226,8 @@ def oned_green_reconstruct(beta: float, v: Profile1D) -> float:
     read off the antiderivatives of f and of e^{beta (sigma - c)} f on
     chunks of about 4 e-folds (at most 64), c the start of each, with the
     integral up to c carried across chunks; must be < 1e-6 ||v||_inf for
-    the identity to count as verified.  The rounding stays near e^4 eps for
-    beta > 0; for beta < 0 it grows with the kernel, to e^{|beta| (b - a)}.
+    the identity to count as verified.  For beta < 0 it takes the right-tail
+    form, the formula for v(a + b - s) and drift -beta, so the kernel decays.
     """
     if beta == 0:
         raise BetaZero("the representation needs beta != 0")
@@ -238,6 +238,10 @@ def oned_green_reconstruct(beta: float, v: Profile1D) -> float:
     f = v.integrand((1.0, beta))
     pad = 0.1 * (b - a)
     grid_s = np.linspace(max(a - pad, 0.25 * a), b + pad, 201)
+    want = v(grid_s)
+    if beta < 0:  # the left form of w(y) = v(a + b - y): w'' - beta w' = f(a + b - y)
+        grid_s, want = (a + b - grid_s)[::-1], want[::-1]
+        f, beta = (lambda y, f=f: f(a + b - y)), -beta
     s = np.clip(grid_s, a, b)
     # the grid reaches past b, so the last entries are the whole integrals
     upto, _ = integrate(f, a, s)
@@ -266,7 +270,7 @@ def oned_green_reconstruct(beta: float, v: Profile1D) -> float:
         raise AssertionError(f"orthogonality integral e^(beta (s - b)) f = {carry} not ~ 0")
 
     v_rec = -(conv + (i_plain - upto)) / beta
-    return float(np.max(np.abs(v_rec - v(grid_s))))
+    return float(np.max(np.abs(v_rec - want)))
 
 
 def verify_oned_inequality(
@@ -282,7 +286,8 @@ def verify_oned_inequality(
     kappa defaults per the proposition: 1 for beta != 0 and p > 1,
     1 + eps at p = 1; 2 (resp. 2 + eps) when beta = 0.  The report's
     samples carry the per-profile ratios; their sup is the empirical C.
-    Pass kappa explicitly to run a negative control.
+    Pass kappa explicitly to run a negative control.  OutOfRange where a
+    weighted norm of a profile not zero on (a, inf) underflows to 0.
     """
     check_p(p)
     for name, x in (("beta", beta), ("a", a), ("eps", eps)):
@@ -298,8 +303,10 @@ def verify_oned_inequality(
         if v.support[0] <= 0:
             raise PreconditionViolated("corpus must be supported in (0, inf)")
         num, _ = reduced_norm(v, p, (1.0, beta))
-        den, _ = reduced_norm(v, p, (0.0, 0.0, 1.0, -kappa),
-                              support=(max(a, v.support[0]), v.support[1]))
+        (den, _), (plain, _) = reduced_norm(v, p, (0.0, 0.0, 1.0, -kappa), (0.0, 0.0, 1.0),
+                                            support=(max(a, v.support[0]), v.support[1]))
+        if den == 0 < plain:
+            raise OutOfRange(f"||v / s^kappa||_p underflows to 0 at kappa={kappa}")
         ratio = den / num if num > 0 else math.inf
         report.add(v.label or "profile", ratio, 0.0,
                    1.0 if math.isfinite(ratio) else -1.0)
@@ -401,35 +408,30 @@ def verify_critical_log(
 
     At alpha = alpha_n^+- the plain inequality fails, but with the weight
     |log r|^{-kappa} (kappa = 1 if D + lambda_n > 0, 2 if <= 0, plus
-    log_eps at p = 1) the reduced ratio ||v'' + beta v'||_p / ||v/s^kappa||_p
-    stays bounded below, above POS_FLOOR, over the shrinking family
-    v_eps(s) = phi(e^{-eps s}), phi = CUTOFF and eps in EPS_LADDER.  The
-    unweighted ratio, reported alongside, tends to zero.
+    log_eps at p = 1) the reduced ratio ||v'' + beta v' - lambda_red v||_p /
+    ||v/s^kappa||_p stays bounded below, above POS_FLOOR, over the critical
+    family v_eps(s) = phi(e^{-eps s}), phi = CUTOFF and eps in EPS_LADDER.
+    The unweighted ratio, reported alongside, tends to zero.  All of them
+    are one ``lp_norm`` call of ``radial.critical_rows``; OutOfRange where a
+    weighted norm underflows to 0.
     """
     check_p(p)
     check_finite("log_eps", log_eps)
-    if branch not in ("minus", "plus"):
-        raise ValueError(f"branch must be 'minus' or 'plus', got {branch!r}")
-    am, ap = critical_alphas(params, p, n)
-    alpha = am if branch == "minus" else ap
+    g = counterexample_drift(params, n, branch)  # ValueError for any other branch
     d_lam = discriminant(params) + eigen_lambda(params.N, n)
-    kappa = 1.0 if d_lam > 0 else 2.0
-    if p == 1:
-        kappa += log_eps
-    rc = reduced_coefficients(params, p, alpha, n)
+    kappa = (1.0 if d_lam > 0 else 2.0) + (log_eps if p == 1 else 0.0)
     report = VerificationReport(
         claim=f"critical-log N={params.N} c={params.c} b={params.b} p={p} "
         f"n={n} branch={branch} kappa={kappa}",
     )
-    weighted, unweighted = [], []
-    for e in EPS_LADDER:
-        v = log_squeezed(CUTOFF, e)
-        (num, _), (den_w, _), (den, _) = reduced_norm(
-            v, p, (1.0, rc.beta, -rc.lambda_red), (0.0, 0.0, 1.0, -kappa), (0.0, 0.0, 1.0))
-        rw = num / den_w
-        ru = num / den
-        weighted.append(rw)
-        unweighted.append(ru)
+    k = len(EPS_LADDER)
+    norms = [m for m, _ in lp_norm(critical_rows(g, min(0.0, d_lam), p, EPS_LADDER, kappa),
+                                   PHI_SUPPORT, p)]
+    if 0.0 in norms[k + 1:]:
+        raise OutOfRange(f"||v / s^kappa||_p underflows to 0 at kappa={kappa}")
+    weighted = [num / den_w for num, den_w in zip(norms, norms[k + 1:])]
+    unweighted = [num / norms[k] for num in norms[:k]]
+    for e, rw in zip(EPS_LADDER, weighted):
         report.add(f"eps={e} weighted", rw, POS_FLOOR, rw - POS_FLOOR)
     report.notes = (
         f"empirical inf of weighted ratio = {min(weighted):.6g}; "

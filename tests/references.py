@@ -5,8 +5,13 @@
 ``reference_sup`` takes the largest |f| of a dense grid and refines each
 near-top local maximum on three finer grids;
 ``exact_lp_integral`` integrates |P|^p for a numpy polynomial P and an
-integer p exactly, between the roots of P.
+integer p exactly, between the roots of P.  ``log_squeezed`` is the
+critical family phi(e^{-eps s}) as a profile in the log variable s, on a
+support that moves with eps: the form in which its reduced norms are
+defined, against which the library's rows on the support of phi are checked.
 """
+
+import math
 
 import numpy as np
 
@@ -58,3 +63,20 @@ def exact_lp_integral(P, a, b, p):
     edges = [a, *roots, b]
     Q = (P ** int(p)).integ()
     return sum(abs(Q(hi) - Q(lo)) for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+def log_squeezed(phi, eps):
+    """v(s) = phi(e^{-eps s}) on [-log(b0)/eps, -log(a0)/eps], for phi supported
+    in (a0, b0) with 0 < a0 < b0 < 1 and eps > 0; the jet by the chain rule."""
+    from rellich import Profile1D
+
+    a0, b0 = phi.support
+    assert eps > 0 and 0.0 < a0 < b0 < 1.0, (eps, phi.support)
+
+    def jet(s):
+        x = np.exp(-eps * np.asarray(s, dtype=float))
+        v0, v1, v2 = phi.jet(x)
+        return v0, -eps * x * v1, eps**2 * (x**2 * v2 + x * v1)
+
+    return Profile1D(jet, (-math.log(b0) / eps, -math.log(a0) / eps),
+                     f"{phi.label}(r^eps), eps={eps:g}")

@@ -327,20 +327,25 @@ def test_non_finite_input_exit1(argv):
     ["spectrum", "--sample", "--sample-q", str(SAMPLE_Q_MAX + 1)],
     ["counterexample", "--mode", "boundary", "--alpha", "3", "--grid", "1"],
     ["counterexample", "--mode", "boundary", "--alpha", "3", "--grid", str(GRID_MAX + 1)],
+    ["verify", "critical", "--p", "1", "--n", "0", "--mode", "minus", "--log-eps", "1e5"],
+    ["verify", "critical", "--p", "1", "--n", "0", "--mode", "minus", "--log-eps", "1e300"],
+    ["verify", "oned", "--p", "1", "--beta", "1", "--log-eps", "1e5"],
 ], ids=["hardy-beta-1e300", "one-eps", "sweep-1e8", "rellich-count-0", "rellich-count-neg",
         "remainder-count-0", "remainder-count-neg", "dissipativity-count-0",
         "dissipativity-count-neg", "oned-count-0", "count-above-cap", "corpus-above-cap",
         "sample-q-neg",
-        "sample-q-above-cap", "grid-1", "grid-above-cap"])
+        "sample-q-above-cap", "grid-1", "grid-above-cap", "critical-log-eps-1e5",
+        "critical-log-eps-1e300", "oned-log-eps-1e5"])
 def test_out_of_range_option_exit1(capsys, argv):
-    # checked before any rule, grid or fit is built: one JSON line, no
-    # warning, no traceback, at once
+    # checked before any rule, grid or fit is built, or, for a weighted norm
+    # that underflows to 0, named with its kappa: one JSON line, no warning,
+    # no traceback, at once.  The argv's own options override --N 5 --p 2
     import warnings
 
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main([*argv, "--N", "5", "--p", "2"])
+        code = main([argv[0], "--N", "5", "--p", "2", *argv[1:]])
     captured = capsys.readouterr()
     assert time.perf_counter() - start < 5.0
     assert code == 1, captured
@@ -532,7 +537,7 @@ classify_A classify_gamma classify_halfline_ode conjugate_exponent counterexampl
 critical_alphas decide decide_bounded_domain decide_exterior decide_unit_ball
 decide_whole_space discriminant dist_to_parabola eigen_lambda errors fit_loglog_slope
 g0 gamma_p green heat_kernel_bound in_region indicial_roots integrate
-kelvin_transform lemma_parameters_flags log_squeezed lp_norm mu_shift ode_roots omega_p
+kelvin_transform lemma_parameters_flags lp_norm mu_shift ode_roots omega_p
 on_parabola oned_green_reconstruct params parse_p plateau_profile profiles quadrature
 radial radial_power_bump reduced_coefficients region_section3 region_section4
 rellich_ratio_separable resolvent_bound spectral sqrt_nonneg_re tail_exponent_integrable

@@ -12,10 +12,11 @@ from rellich import (
     bump,
     bump_corpus,
     check_derivatives,
-    log_squeezed,
     plateau_profile,
     radial_power_bump,
 )
+
+from references import log_squeezed
 
 #: (1 - t^2)^3, the bump on [-1, 1], as numpy expands it
 _BUMP = Polynomial([1.0, 0.0, -1.0]) ** 3
@@ -83,15 +84,6 @@ def test_plateau_peak_and_scaling():
         # ||v_T''||_inf = ||psi''||_inf / T^2
         ref = float(np.max(np.abs(bump(-1, 1).jet(np.linspace(-1, 1, 4001))[2])))
         assert abs(d2max - ref / T**2) < 1e-9
-
-
-def test_log_squeezed_support():
-    v = log_squeezed(bump(0.25, 0.5), 0.1)
-    lo, hi = v.support
-    assert abs(lo - math.log(2) / 0.1) < 1e-12
-    assert abs(hi - math.log(4) / 0.1) < 1e-12
-    with pytest.raises(ValueError):
-        log_squeezed(bump(0.5, 2.0), 0.1)  # not inside (0, 1)
 
 
 def test_bump_corpus_determinism_and_floor():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from rellich import (NonFiniteIntegrand, OutOfRange, PreconditionViolated, integrate, lp_norm,
                      quadrature)
 
-from references import exact_lp_integral, reference_lp_integral, reference_roots, reference_sup
+from references import (exact_lp_integral, log_squeezed, reference_lp_integral, reference_roots,
+                        reference_sup)
 
 # ten closed-form integrals: (integrand, interval, exact value)
 CLOSED_FORMS = [
@@ -144,15 +145,16 @@ def test_a_stack_on_an_empty_support_gives_zero_pairs():
 
 
 def test_one_layout_per_panel_count():
-    # many supports share four cached layouts on [-1, 1]: the 1- and 2-panel
-    # Gauss-Legendre rules, plain and graded by t = 3u^2 - 2u^3
+    # many supports share three cached layouts on [-1, 1]: the plain 1-panel
+    # Gauss-Legendre rule and the 1- and 2-panel rules graded by
+    # t = 3u^2 - 2u^3; the plain 2-panel rule is checked below as well
     quadrature._layout.cache_clear()
     for i in range(40):
         a = 0.1 * i
         for p in (1.0, 2.0, math.inf):
             lp_norm(lambda s: np.sin(7.0 * s) * np.exp(-s), (a, a + 1.0 + 0.05 * i), p)
     info = quadrature._layout.cache_info()
-    assert info.misses == info.currsize == 4 and info.hits > 100
+    assert info.misses == info.currsize == 3 and info.hits > 100
     x, w = np.polynomial.legendre.leggauss(quadrature.NODES)
     for k in (1, 2):
         edges = np.linspace(-1.0, 1.0, k + 1)
@@ -200,6 +202,21 @@ def test_integral_to_each_upper_limit():
     exact = np.exp(np.maximum(xs, -1.0)) - math.exp(-1.0)
     assert val.shape == (1, 41) and np.max(np.abs(val[0] - exact)) <= 1e-14 * exact[-1]
     assert err <= 1e-13 * exact[-1]
+
+
+@pytest.mark.parametrize("d", [0.003, 0.01, 0.03, 0.1])
+def test_a_row_that_vanishes_at_the_ends_takes_the_graded_sum(d):
+    # f = q^3 + d q, q = 1 - t^2, has no sign change, but |f|^1.5 behaves
+    # like q^1.5 at both ends: the plain 1- and 2-panel sums agree to
+    # REL_TOL and are both off by up to 1e-11, while the graded 2-panel sum
+    # is exact to rounding.  The reference is QUADPACK's rule for the
+    # algebraic end weight (1 + t)^1.5 (1 - t)^1.5, times (q^2 + d)^1.5
+    from scipy import integrate as si
+
+    val, err = lp_norm(lambda t: (1 - t * t) ** 3 + d * (1 - t * t), (-1.0, 1.0), 1.5)
+    ref = si.quad(lambda t: ((1 - t * t) ** 2 + d) ** 1.5, -1.0, 1.0, weight="alg",
+                  wvar=(1.5, 1.5), epsabs=0.0, epsrel=2e-14)[0] ** (1 / 1.5)
+    assert abs(val - ref) <= 1e-14 * ref and err <= 1e-10 * val, (val, ref, err)
 
 
 def test_kink_split_point_count():
@@ -311,7 +328,7 @@ def test_log_squeezed_and_weighted_norms_match_references(p):
     # the integrands that are not polynomials in s: the critical family
     # phi(e^{-eps s}) with and without the weights s^-kappa, and weighted
     # bumps; every one is located from its own samples
-    from rellich import bump, log_squeezed
+    from rellich import bump
 
     cases = []
     for eps in (0.2, 0.025):
@@ -443,7 +460,7 @@ def test_located_points_match_brentq(eps):
     # of a weighted log_squeezed profile (the roots of s v' - v) against
     # brentq, to well within the h/2 = 7e-9 (b - a) that the error bound
     # of the sup needs: the chop leaves about 1e-11 (b - a)
-    from rellich import bump, log_squeezed
+    from rellich import bump
 
     v = log_squeezed(bump(0.25, 0.5), eps)
     a, b = v.support

@@ -16,18 +16,18 @@ from rellich import (
     discriminant,
     eigen_lambda,
     fit_loglog_slope,
-    log_squeezed,
     plateau_profile,
     reduced_coefficients,
     rellich_ratio_separable,
     sqrt_nonneg_re,
+    verify_critical_log,
 )
 from rellich.quadrature import REL_TOL, lp_norm
 from rellich.radial import (CUTOFF, PHI_SUPPORT, counterexample_drift, counterexample_gamma,
                             reduced_norm)
 from rellich.verify import EPS_LADDER
 
-from references import reference_lp_integral
+from references import log_squeezed, reference_lp_integral
 
 P5 = OperatorParams(5, 0, 0)
 INF = math.inf
@@ -178,22 +178,53 @@ class TestCounterexampleRatio:
         with pytest.raises(ValueError):
             counterexample_ratio(P5, 2, 0, "minus", [0.1, 0.0])
 
-    def test_reduces_to_the_separable_ratio(self):
-        # the collapsed display equals the reduced Rellich ratio of the
-        # log-squeezed cutoff at the critical exponent of the branch
+    def test_reduces_to_the_separable_ratio(self, monkeypatch):
+        # the collapsed display, and the weighted and unweighted ratios of
+        # verify_critical_log, equal the reduced ratios of the reference
+        # phi(e^{-eps s}) at the critical exponent of the branch.  The last
+        # draw has complex roots (D + lambda_0 = -1.75), where only
+        # verify_critical_log runs: there the rows of its smallest eps vanish
+        # like the distance to the ends of the support, with no sign change
+        import rellich.verify as verify_mod
+
+        stacks = []  # the norms of verify_critical_log's one lp_norm call
+
+        def recorded(*args):
+            out = lp_norm(*args)
+            stacks.append([norm for norm, _ in out])
+            return out
+
+        monkeypatch.setattr(verify_mod, "lp_norm", recorded)
         rng = np.random.default_rng(29)
+        draws = []
         for _ in range(12):
             N = int(rng.integers(2, 9))
             c = float(rng.uniform(-2, 2))
             P = OperatorParams(N, c, float(rng.uniform(0.5, 6)) - ((N - 2 + c) / 2) ** 2)
-            n = int(rng.integers(0, 3))
-            eps = float(rng.uniform(0.02, 0.3))
+            draws.append((P, int(rng.integers(0, 3)), float(rng.uniform(0.02, 0.3))))
+        draws.append((OperatorParams(3, 0, -2), 0, None))
+        k = len(EPS_LADDER)
+        for P, n, eps in draws:
+            d_lam = discriminant(P) + eigen_lambda(P.N, n)
             for p in (1.0, 1.5, 2.0, 3.0, INF):
+                kappa = (1.0 if d_lam > 0 else 2.0) + (0.5 if p == 1 else 0.0)
                 for i, branch in enumerate(("minus", "plus")):
-                    got = counterexample_ratio(P, p, n, branch, [eps])[0].ratio
                     alpha = critical_alphas(P, p, n)[i]
-                    want = rellich_ratio_separable(P, p, alpha, n, log_squeezed(CUTOFF, eps)).ratio
-                    assert abs(got - want) <= 1e-13 * want, (P, n, eps, p, branch, got, want)
+                    if eps is not None:
+                        got = counterexample_ratio(P, p, n, branch, [eps])[0].ratio
+                        v = log_squeezed(CUTOFF, eps)
+                        want = rellich_ratio_separable(P, p, alpha, n, v).ratio
+                        assert abs(got - want) <= 1e-13 * want, (P, n, eps, p, branch, got, want)
+                    rc = reduced_coefficients(P, p, alpha, n)
+                    rep = verify_critical_log(P, p, n, branch)
+                    norms = stacks.pop()
+                    for j, e in enumerate(EPS_LADDER):
+                        num, den_w, den = (norm for norm, _ in reduced_norm(
+                            log_squeezed(CUTOFF, e), p, (1.0, rc.beta, -rc.lambda_red),
+                            (0.0, 0.0, 1.0, -kappa), (0.0, 0.0, 1.0)))
+                        for got, want in ((rep.samples[j][1], num / den_w),
+                                          (norms[j] / norms[k], num / den)):
+                            assert abs(got - want) <= 1e-12 * want, (P, n, p, branch, e, got, want)
 
 
 class TestBoundaryCounterexample:

@@ -18,6 +18,7 @@ from rellich import (
     best_constant,
     bump,
     counterexample_ratio,
+    lp_norm,
     oned_green_reconstruct,
     plateau_profile,
     radial_power_bump,
@@ -168,11 +169,14 @@ class TestGreenReconstruct:
         assert oned_green_reconstruct(-2.0, bump(1.0, 2.0)) < 1e-6
 
     @pytest.mark.parametrize("beta, support", [(6.0, (0.1, 7.0)), (4.0, (0.1, 7.0)),
-                                               (2.0, (0.5, 20.0)), (12.0, (0.5, 20.0))])
+                                               (2.0, (0.5, 20.0)), (12.0, (0.5, 20.0)),
+                                               (-2.0, (0.5, 20.0)), (-1.0, (0.1, 7.0)),
+                                               (-6.0, (0.1, 7.0))])
     def test_many_e_folds_keep_their_digits(self, beta, support):
-        # beta (b - a) from 19.6 to 234 e-folds: e^{beta s} f taken on chunks
+        # |beta| (b - a) from 6.9 to 234 e-folds: e^{beta s} f taken on chunks
         # of about 4 e-folds, each normalised at its start, keeps the
-        # rounding of one chunk
+        # rounding of one chunk; for beta < 0 in the right-tail form, whose
+        # kernel decays too
         assert oned_green_reconstruct(beta, bump(*support)) <= 1e-12
 
     def test_beta_zero(self):
@@ -236,6 +240,13 @@ class TestOned:
     def test_p1_with_eps(self):
         rep = verify_oned_inequality(1.0, 1, 1.0, 0.5, [bump(2, 6), bump(5, 9)])
         assert rep.passed
+
+    def test_weighted_norm_underflow_names_kappa(self):
+        # s^-kappa underflows to 0 where the profile lives: no ratio to
+        # report; a profile left of a has a weighted norm of 0 and ratio 0
+        with pytest.raises(OutOfRange, match="kappa="):
+            verify_oned_inequality(1.0, 1, 1.0, 1e5, [bump(2, 6)])
+        assert verify_oned_inequality(1.0, 1, 10.0, 1e5, [bump(2, 6)]).samples[0][1] == 0.0
 
 
 class TestAux:
@@ -327,6 +338,26 @@ class TestCriticalLog:
     def test_non_finite_log_eps_rejected(self):
         with pytest.raises(PreconditionViolated, match="log_eps must be finite"):
             verify_critical_log(P5, 1, 0, "minus", log_eps=math.nan)
+
+    def test_one_lp_norm_call(self, monkeypatch):
+        # the numerators of the whole ladder, their shared denominator and
+        # the weighted denominators are one stack of 4 + 1 + 4 rows
+        import rellich.radial as radial_mod
+        import rellich.verify as verify_mod
+
+        rows = []
+
+        def counted(f, support, p):
+            out = lp_norm(f, support, p)
+            rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(verify_mod, "lp_norm", counted)
+        monkeypatch.setattr(radial_mod, "lp_norm", counted)
+        for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+            assert verify_critical_log(P5, p, 0, "minus").passed
+            assert rows == [2 * len(EPS_LADDER) + 1], (p, rows)
+            rows.clear()
 
 
 class TestDissipativity:
