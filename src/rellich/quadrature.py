@@ -5,9 +5,9 @@ support, p)`` the norm ||f||_{L^p(support)}, 1 <= p <= inf, computed from
 the signed f.  Both return (value, err).  An integrand maps an array of
 points to an array of the same shape; for ``lp_norm`` it may instead map
 them to a stack of k such rows, shape (k, *points.shape), and gets k
-(norm, err) pairs, each the one its row would get alone, from one sample
-of f per pass.  Any other result raises PreconditionViolated, as does a
-limit that is not finite, and a non-finite value NonFiniteIntegrand.
+(norm, err) pairs, each the one its row would get alone.  Any other
+result raises PreconditionViolated, as does a limit that is not finite,
+and a non-finite value NonFiniteIntegrand.
 
 Both read f as chebfun does (Battles & Trefethen, SISC 2004): the Legendre
 series of the polynomial that interpolates f at the ``NODES`` Gauss nodes
@@ -26,16 +26,23 @@ so one rule per interval needs no refinement.  Where the plain 1-panel sum
 on the support agrees with the graded 2-panel one to ``REL_TOL``, as it
 does where f is smooth inside, the latter is the integral.  Otherwise the
 support is split at the roots, and each piece takes graded 1- and 2-panel
-sums.  For p = inf the norm is the largest |f| at
-the ends and at the critical points, the real roots of the series'
-derivative.
+sums.  For p = inf the norm is the largest |f| at the ends and at the
+critical points, the real roots of the series' derivative.
+
+A stack is read as a whole, every row alike: one ``_resolve`` of all the
+rows that need one, one ``eigvals`` call per degree of their series, and
+one call of f per pass (the first pass, each round of halving, the graded
+pass over the pieces of every split row, the sup candidates).  The Gauss
+nodes of a pass come from one cached layout on [-1, 1], mapped onto every
+piece at once.  No row's result depends on the rows around it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,53 +73,78 @@ _MAX_PIECES = 64
 _NEAR_REAL = 1e-6
 
 
-@lru_cache(maxsize=32)
-def _layout(k: int, graded: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, weights) of k NODES-point Gauss-Legendre panels on [-1, 1]; ``_rule`` maps them.
+class _Pieces(NamedTuple):
+    """Pieces [lo, hi] of the rows that ``_resolve`` reads, one entry each."""
 
-    graded maps the nodes through t = 3u^2 - 2u^3 of u = (x + 1) / 2, weights times 6u(1 - u).
+    lo: np.ndarray
+    hi: np.ndarray
+    row: np.ndarray  # its row's position among the rows resolved
+    c: np.ndarray  # (pieces, NODES) Legendre coefficients of its interpolant
+    vals: np.ndarray  # (pieces, NODES) its row at its Gauss nodes
+    degree: np.ndarray  # of the series chopped at _CHOP
+
+
+#: the node layouts of the passes, as (panels, graded) parts: the plain
+#: 1-panel rule (the resolver's samples, the sup's first pass), the finite-p
+#: first pass and the graded pass over split pieces
+_PLAIN = ((1, False),)
+_FIRST = ((1, False), (2, True))
+_GRADED = ((1, True), (2, True))
+
+#: a piece's series is resolved below this degree
+_RESOLVED = NODES - NODES // 4
+
+
+@lru_cache(maxsize=8)
+def _layout(parts) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) on [-1, 1] of the rules of parts, concatenated; ``_rule`` maps them.
+
+    A part (k, graded) is k NODES-point Gauss-Legendre panels; graded maps
+    their nodes through t = 3u^2 - 2u^3 of u = (x + 1) / 2, weights times 6u(1 - u).
     """
-    x, w = np.polynomial.legendre.leggauss(NODES)
-    centres = (2.0 * np.arange(k) + 1.0 - k) / k
-    x, w = (centres[:, None] + x / k).ravel(), np.tile(w / k, k)
-    if graded:
-        u = 0.5 * (x + 1.0)
-        x, w = 2.0 * u * u * (3.0 - 2.0 * u) - 1.0, 6.0 * u * (1.0 - u) * w
+    x0, w0 = np.polynomial.legendre.leggauss(NODES)
+    xs, ws = [], []
+    for k, graded in parts:
+        centres = (2.0 * np.arange(k) + 1.0 - k) / k
+        x, w = (centres[:, None] + x0 / k).ravel(), np.tile(w0 / k, k)
+        if graded:
+            u = 0.5 * (x + 1.0)
+            x, w = 2.0 * u * u * (3.0 - 2.0 * u) - 1.0, 6.0 * u * (1.0 - u) * w
+        xs.append(x)
+        ws.append(w)
+    x, w = np.concatenate(xs), np.concatenate(ws)
     for m in (x, w):
         m.setflags(write=False)  # shared by every caller of the cache
     return x, w
 
 
-def _checked(vals: np.ndarray, pts: np.ndarray, rows: int | None) -> np.ndarray:
-    """vals, which must hold finite floats of the shape of pts, or of (rows, *pts.shape)."""
-    if vals.shape != (pts.shape if rows is None else (rows, *pts.shape)):
+def _checked(vals: np.ndarray, pts: np.ndarray, stack: int | None) -> np.ndarray:
+    """vals as a (rows, len(pts)) array: they must be finite floats of the shape of pts,
+    or of (stack, *pts.shape) for f that returns a stack of rows."""
+    if vals.shape != (pts.shape if stack is None else (stack, *pts.shape)):
         raise PreconditionViolated(f"an integrand must map an array to an array of its shape "
                                    f"(for lp_norm, or to a stack of them, as at its first call): "
                                    f"got shape {vals.shape} for nodes of shape {pts.shape}")
     if not np.isfinite(vals).all():
         raise NonFiniteIntegrand("integrand returned non-finite values")
-    return vals
+    return vals.reshape(1 if stack is None else stack, len(pts))
 
 
-def _sample(f, pts: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """f(pts), checked by ``_checked``."""
-    return _checked(np.asarray(f(pts), dtype=float), pts, rows)
+def _sample(f, pts: np.ndarray, stack: int | None = None) -> np.ndarray:
+    """f at the points pts, checked by ``_checked``."""
+    return _checked(np.asarray(f(pts), dtype=float), pts, stack)
 
 
-def _rule(jobs):
-    """Composite rules for (a, b, panels, graded) jobs, concatenated: the one
+def _rule(lo, hi, parts) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the layout of parts mapped onto [lo, hi]: the one
     place where Gauss nodes are mapped onto an interval.
 
-    Returns (nodes, weights, offsets), offsets[i] being where the nodes
-    of job i start.  graded takes the graded layout of ``_layout``.
+    lo and hi are floats, or (m, 1) arrays for m pieces, one row of nodes
+    and weights each.
     """
-    pts, wts = [], []
-    for a, b, k, graded in jobs:
-        x, w = _layout(k, graded)
-        half = 0.5 * (b - a)
-        pts.append(0.5 * (a + b) + half * x)
-        wts.append(half * w)
-    return np.concatenate(pts), np.concatenate(wts), list(accumulate(map(len, pts[:-1]), initial=0))
+    x, w = _layout(parts)
+    half = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi) + half * x, half * w
 
 
 @lru_cache(maxsize=1)
@@ -124,9 +156,9 @@ def _legendre():
     transposed Gauss rule is exact too, but at 64 nodes it leaves rounding
     of 2e-13 in the coefficients, a hundred times more.  D maps
     coefficients to those of the derivative, and J with scl gives the
-    colleague matrix of ``_roots``.
+    colleague matrices of ``_colleague``.
     """
-    x, _ = _layout(1, False)
+    x, _ = _layout(_PLAIN)
     k = np.arange(NODES)
     T = np.linalg.inv(np.polynomial.legendre.legvander(x, NODES - 1))
     D = np.where((k > k[:, None]) & ((k - k[:, None]) % 2 == 1), 2.0 * k[:, None] + 1, 0.0)
@@ -138,79 +170,118 @@ def _legendre():
     return out
 
 
-def _roots(c, J, scl) -> np.ndarray:
-    """Complex roots of sum c[k] P_k, c[-1] != 0: eigenvalues of its colleague matrix."""
-    d = len(c) - 1
-    m = J[:d, :d].copy()
-    m[:, -1] -= c[:-1] * (scl[:d] * (d / ((2 * d - 1) * scl[d - 1] * c[-1])))
-    return np.linalg.eigvals(m)
+def _rowwise(block: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """block @ M.T, row by row: a row's result does not depend on the rows around it,
+    as it would in one 2-D product."""
+    return (block[:, None, :] @ M.T)[:, 0]
 
 
-def _resolve(f, a: float, b: float, vals: np.ndarray):
-    """(done, rest): the pieces of [a, b] whose Legendre series resolves, and those that do not.
+def _colleague(c: np.ndarray) -> np.ndarray:
+    """Colleague matrices, shape (k, d, d), of the k series sum_j c[i, j] P_j with
+    c[i, d] != 0: the eigenvalues of matrix i are the roots of series i."""
+    _, _, J, scl = _legendre()
+    d = c.shape[1] - 1
+    m = J[:d, :d][None].repeat(len(c), 0)
+    m[..., -1] -= c[:, :-1] * (scl[:d] * (d / ((2 * d - 1) * scl[d - 1] * c[:, -1:])))
+    return m
 
-    vals holds f at the NODES Gauss nodes of [a, b].  A piece's degree is
-    that of its interpolant's series without the trailing coefficients
-    below _CHOP of the largest, and it is resolved below three quarters of
-    NODES.  Unresolved pieces are halved, the halves sampled in one call,
-    until _MAX_PIECES pieces have been sampled.  Each piece is (lo, hi,
-    coefficients, values at the nodes, degree).
+
+def _resolve(F, a: float, b: float, vals: np.ndarray, rows) -> _Pieces:
+    """The pieces of [a, b] on which each row's Legendre series resolves, or not.
+
+    vals[i] holds row rows[i] of F's stack at the NODES Gauss nodes of
+    [a, b].  A piece's degree is that of its interpolant's series without
+    the trailing coefficients below _CHOP of the largest, and it is
+    resolved below _RESOLVED.  Unresolved pieces are halved, the halves of
+    every row sampled by one call of F, while the row has sampled at most
+    _MAX_PIECES pieces.
     """
-    n = NODES
     T = _legendre()[0]
-    pieces, done, sampled = [(a, b)], [], 1
+    k = len(vals)
+    lo, hi, row = np.array([float(a)] * k), np.array([float(b)] * k), np.arange(k)
+    sampled, final = 1, []  # pieces each row has sampled
     while True:
-        rows = vals.reshape(len(pieces), n)
-        c = T @ rows.T
+        c = _rowwise(vals, T)
         mag = np.abs(c)
-        big = mag > _CHOP * mag.max(axis=0)
-        big[0] = True  # a piece where f vanishes has degree 0
-        degree = (n - 1 - np.argmax(big[::-1], axis=0)).tolist()
-        rest = []
-        for (lo, hi), ci, row, d in zip(pieces, c.T, rows, degree):
-            (rest if d >= n - n // 4 else done).append((lo, hi, ci, row, d))
-        if not rest or sampled + 2 * len(rest) > _MAX_PIECES:
-            return done, rest
-        sampled += 2 * len(rest)
-        pieces = [half for lo, hi, *_ in rest
-                  for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
-        vals = _sample(f, _rule([(lo, hi, 1, False) for lo, hi in pieces])[0])
+        big = mag > _CHOP * mag.max(axis=1, keepdims=True)
+        big[:, 0] = True  # a piece where f vanishes has degree 0
+        final.append(_Pieces(lo, hi, row, c, vals, NODES - 1 - big[:, ::-1].argmax(axis=1)))
+        if max(final[-1].degree.tolist()) < _RESOLVED:
+            break
+        # each row halves its unresolved pieces while it has sampled at most _MAX_PIECES
+        unresolved = final[-1].degree >= _RESOLVED
+        sampled += 2 * np.bincount(row[unresolved], minlength=k)
+        halve = unresolved & (sampled <= _MAX_PIECES)[row]
+        if not halve.any():
+            break
+        final[-1] = _Pieces(*(m[~halve] for m in final[-1]))
+        lo, hi, row = lo[halve], hi[halve], np.repeat(row[halve], 2)
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+        sample = F(_rule(lo[:, None], hi[:, None], _PLAIN)[0].ravel())
+        sample = sample.reshape(len(sample), len(lo), NODES)
+        vals = sample[np.asarray(rows)[row], np.arange(len(lo))]
+    return final[0] if len(final) == 1 else _Pieces(*map(np.concatenate, zip(*final)))
 
 
-def _locate(f, a: float, b: float, vals: np.ndarray, sup: bool) -> tuple[np.ndarray, float]:
-    """(sorted real roots inside (a, b) of f, or of f' when sup, bound), as chebfun finds them.
+def _locate(F, a: float, b: float, vals: np.ndarray, rows,
+            sup: bool) -> list[tuple[np.ndarray, float]]:
+    """(sorted real roots inside (a, b) of f, or of f' when sup, bound) for
+    each row f of F's stack named by rows, as chebfun finds them.
 
-    vals holds f at the NODES Gauss nodes of [a, b].  Each resolved piece
-    of ``_resolve`` gives the real eigenvalues of the colleague matrix of
-    its chopped series (or of its derivative).  A root counts as real up to
-    _NEAR_REAL, since rounding can split a double root into a near-real
-    pair, and one within _NEAR_REAL of an end of the support is that end.
-    The halving points count too, except one between two unresolved
-    pieces.  For finite p those stay inside a piece; for the sup
-    their nodes are candidates, and bound is the largest node value plus
-    its spread (as in ``_sup_at``), 0 without such pieces.
+    vals[i] holds row rows[i] at the NODES Gauss nodes of [a, b].  One
+    ``_resolve`` reads every row, with one call of F per round of halving.
+    The resolved pieces are grouped by the degree of their chopped series
+    (or of its derivative), and each group takes one ``eigvals`` call on
+    the stack of its colleague matrices (Battles & Trefethen, SISC 2004).
+    The eigenvalues, a few per piece, are filtered and mapped to s as
+    Python floats, which costs less here than a dozen array operations on
+    each group.  A root counts as real up to _NEAR_REAL, since
+    rounding can split a double root into a near-real pair, and one within
+    _NEAR_REAL of an end of the support is that end.  The halving points
+    count too, except one between two unresolved pieces of the row.  For
+    finite p those stay inside a piece; for the sup their nodes are
+    candidates, and bound is the largest node value plus its spread (as in
+    ``_sup_at``), 0 without such pieces.
     """
-    _, D, J, scl = _legendre()
+    D = _legendre()[1]
     near = _NEAR_REAL * (b - a)
-    done, rest = _resolve(f, a, b, vals)
-    out, bound = [], 0.0
-    for lo, hi, c, _, d in done:
-        if d > (1 if sup else 0):  # f (f') has a root to find
-            t = _roots(D[:d, :d + 1] @ c[:d + 1] if sup else c[:d + 1], J, scl)
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            out += [mid + half * r.real for r in t.tolist()
-                    if half * abs(r.imag) <= near and abs(r.real) <= 1.0 + _NEAR_REAL]
-    if rest and sup:
-        out += _rule([(lo, hi, 1, False) for lo, hi, *_ in rest])[0].tolist()
-        v = np.abs(np.array([row for *_, row, _ in rest]))
-        lower = np.minimum(np.concatenate((v[:, :1], v[:, :-1]), axis=1),
-                           np.concatenate((v[:, 1:], v[:, -1:]), axis=1))
-        bound = float(np.max(2.0 * v - lower))
-    # f may have a kink where a piece was halved, unless it lies between two
-    # pieces that stayed unresolved
-    inner = {lo for lo, *_ in rest} & {hi for _, hi, *_ in rest}
-    out += [lo for lo, *_ in done + rest if lo != a and lo not in inner]
-    return np.array(sorted(s for s in out if a + near < s < b - near)), bound
+    lo, hi, row, c, v, degree = _resolve(F, a, b, vals, rows)
+    groups = {}  # degree of the series whose roots are sought -> its pieces
+    for j, d in enumerate(degree.tolist()):
+        if sup < d < _RESOLVED:
+            groups.setdefault(d - sup, []).append(j)
+    ends, row_of = (lo.tolist(), hi.tolist()), row.tolist()
+    out = [[] for _ in range(len(vals))]
+    for d, j in groups.items():
+        # consecutive pieces are read in place
+        cj = c[j[0]:j[-1] + 1] if j[-1] - j[0] == len(j) - 1 else c[j]
+        cd = _rowwise(cj[:, :d + 2], D[:d + 1, :d + 2]) if sup else cj[:, :d + 1]
+        for i, t in zip(j, np.linalg.eigvals(_colleague(cd)).tolist()):
+            mid, half = 0.5 * (ends[0][i] + ends[1][i]), 0.5 * (ends[1][i] - ends[0][i])
+            out[row_of[i]] += [mid + half * r.real for r in t
+                               if half * abs(r.imag) <= near and abs(r.real) <= 1.0 + _NEAR_REAL]
+    bound = [0.0] * len(vals)
+    if len(lo) > len(vals):  # pieces were halved
+        resolved = degree < _RESOLVED
+        # f may have a kink where a piece was halved, unless it lies between
+        # two pieces of its row that stayed unresolved
+        stuck = set.intersection(*(set(zip(row[~resolved].tolist(), e[~resolved].tolist()))
+                                   for e in (lo, hi)))
+        for r, x in zip(row_of, ends[0]):
+            if x != a and (r, x) not in stuck:
+                out[r].append(x)
+        if sup and not resolved.all():
+            u = ~resolved
+            for r, x in zip(row[u].tolist(), _rule(lo[u, None], hi[u, None], _PLAIN)[0].tolist()):
+                out[r] += x
+            v = np.abs(v[u])
+            lower = np.minimum(np.concatenate((v[:, :1], v[:, :-1]), axis=1),
+                               np.concatenate((v[:, 1:], v[:, -1:]), axis=1))
+            for r, x in zip(row[u].tolist(), np.max(2.0 * v - lower, axis=1).tolist()):
+                bound[r] = max(bound[r], x)
+    return [(np.array(sorted(x for x in xs if a + near < x < b - near)), e)
+            for xs, e in zip(out, bound)]
 
 
 def integrate(f, a: float, b):
@@ -229,10 +300,12 @@ def integrate(f, a: float, b):
     top = float(np.max(b))
     if top <= a:
         return (np.zeros(np.shape(b)) if np.ndim(b) else 0.0), 0.0
-    done, rest = _resolve(f, a, top, _sample(f, _rule([(a, top, 1, False)])[0]))
-    lo, hi, c, vals, _ = (np.array(col) for col in zip(*sorted(done + rest, key=lambda q: q[0])))
+    F = partial(_sample, f)
+    pieces = _resolve(F, a, top, F(_rule(a, top, _PLAIN)[0]), range(1))
+    by_lo = np.argsort(pieces.lo)
+    lo, hi, c, vals = (m[by_lo] for m in (pieces.lo, pieces.hi, pieces.c, pieces.vals))
     half = 0.5 * (hi - lo)
-    w = _layout(1, False)[1]
+    w = _layout(_PLAIN)[1]
     sums = half * (vals @ w)
     tails = 2.0 * np.abs(c[:, -2:]).sum(axis=1)
     err = float(np.sum(half * (tails + _ROUNDING * (np.abs(vals) @ w))))
@@ -282,82 +355,67 @@ def lp_norm(f, support: tuple[float, float],
     what it would get alone: its own first pass, split points and sup
     candidates.  The rows share the Gauss nodes and one call of f per
     pass: the first pass, the graded pass over the pieces of every row that
-    splits, and the sup candidates.  For finite p the estimate is the
+    splits, and the sup candidates; one ``_locate`` finds the split points
+    or critical points of all of them.  For finite p the estimate is the
     change from the plain 1- to the graded 2-panel sum on the support, or
     from the graded 1- to 2-panel sum on each piece, plus their rounding;
-    for p = inf it is the spread of |f| around
-    the sup.  An empty support (b <= a) gives zeros.  ValueError for p
-    outside [1, inf], PreconditionViolated for an end of the support that
-    is not finite, OutOfRange where the integral of |f|^p is beyond float
-    range.
+    for p = inf it is the spread of |f| around the sup.  An empty support
+    (b <= a) gives zeros.  ValueError for p outside [1, inf],
+    PreconditionViolated for an end of the support that is not finite,
+    OutOfRange where the integral of |f|^p is beyond float range.
     """
     p = check_p(p)
     a, b = support
     check_finite("the lower end of the support", a)
     check_finite("the upper end of the support", b)
     sup = math.isinf(p)
-    if b > a:
-        pts, wts, offsets = _rule([(a, b, 1, False)] + ([] if sup else [(a, b, 2, True)]))
-    else:
-        pts = np.empty(0)
+    pts, wts = _rule(a, b, _PLAIN if sup else _FIRST) if b > a else (np.empty(0), None)
     first = np.asarray(f(pts), dtype=float)
     stack = len(first) if first.ndim == 2 else None
-    rows = 1 if stack is None else stack  # a single f is one row
-
-    def F(x):
-        """f at the points x as a (rows, len(x)) array."""
-        return _sample(f, x, stack).reshape(rows, len(x))
-
-    vals = _checked(first, pts, stack).reshape(rows, len(pts))
-    if b <= a or not rows:
-        out = [(0.0, 0.0)] * rows
+    F = partial(_sample, f, stack=stack)
+    vals = _checked(first, pts, stack)
+    if b <= a or not len(vals):
+        out = [(0.0, 0.0)] * len(vals)
     elif sup:
-        out = _sup_at(F, a, b, [_locate(lambda x, i=i: F(x)[i], a, b, vals[i], sup=True)
-                                for i in range(rows)])
+        out = _sup_at(F, a, b, _locate(F, a, b, vals, range(len(vals)), sup=True))
     else:
-        out = _lp_sums(F, a, b, p, vals, wts, offsets)
+        out = _lp_sums(F, a, b, p, vals, wts)
     return out if stack is not None else out[0]
 
 
-def _lp_sums(F, a: float, b: float, p: float, vals, wts, offsets) -> list[tuple[float, float]]:
+def _lp_sums(F, a: float, b: float, p: float, vals, wts) -> list[tuple[float, float]]:
     """(norm, err) at finite p of each row of vals, F's plain 1- and graded 2-panel first pass.
 
-    A row whose two sums disagree is split at its own sign changes, and the
-    pieces of every such row take their graded 1- and 2-panel sums from one
-    call of F.
+    The rows whose two sums disagree are split at their own sign changes,
+    found by one ``_locate``, and the pieces of all of them take their
+    graded 1- and 2-panel sums from one call of F.
     """
     def g(v):
         return np.abs(v) ** p
 
     with np.errstate(over="ignore"):  # an overflow is the OutOfRange below
-        first = np.add.reduceat(g(vals) * wts, offsets, axis=1).tolist()
-        pieces = {}  # row -> its pieces between sign changes
-        for i, (i1, i2) in enumerate(first):
-            if not abs(i2 - i1) <= REL_TOL * i2:
-                edges = [a, *_locate(lambda x, i=i: F(x)[i], a, b, vals[i, :offsets[1]],
-                                     sup=False)[0].tolist(), b]
-                pieces[i] = list(zip(edges, edges[1:]))
-        graded = {}  # row -> its graded (1-panel, 2-panel) sums, piece by piece
-        if pieces:
-            pts, wts, starts = _rule([(lo, hi, k, True) for row in pieces.values()
-                                      for lo, hi in row for k in (1, 2)])
-            sample, starts, at = F(pts), [*starts, len(pts)], 0
-            for i, row in pieces.items():  # each row's sums on the nodes of its own pieces
-                lo, at = at, at + 2 * len(row)
-                nodes = slice(starts[lo], starts[at])
-                graded[i] = np.add.reduceat(g(sample[i, nodes]) * wts[nodes],
-                                            [s - starts[lo] for s in starts[lo:at]]).tolist()
-        out = []
-        for i, (i1, i2) in enumerate(first):
-            if i in graded:
-                sums = graded[i]
-                total = sum(sums[1::2])
-                err = sum(abs(q - c) for c, q in zip(sums[0::2], sums[1::2]))
-            else:
-                total, err = i2, abs(i2 - i1)
-            if not math.isfinite(total):
-                raise OutOfRange(f"the integral of |f|^p is beyond float range at p={p}")
-            err += _ROUNDING * total
-            norm = total ** (1.0 / p)
-            out.append((norm, err ** (1.0 / p)) if total <= 0 else (norm, norm * err / (p * total)))
+        sums = np.add.reduceat(g(vals) * wts, [0, NODES], axis=1).tolist()
+        total, err = [two for _, two in sums], [abs(two - one) for one, two in sums]
+        split = [i for i, (t, e) in enumerate(zip(total, err)) if not e <= REL_TOL * t]
+        if split:
+            edges = [[a, *xs.tolist(), b]
+                     for xs, _ in _locate(F, a, b, vals[split, :NODES], split, sup=False)]
+            lo, hi = [x for e in edges for x in e[:-1]], [x for e in edges for x in e[1:]]
+            row = [i for i, e in zip(split, edges) for _ in e[1:]]
+            pts, wts = _rule(np.array(lo)[:, None], np.array(hi)[:, None], _GRADED)
+            sample = F(pts.ravel())
+            sample = sample.reshape(len(sample), len(lo), -1)[row, np.arange(len(lo))]
+            graded = np.add.reduceat(g(sample) * wts, [0, NODES], axis=1).tolist()
+            at = 0
+            for i, e in zip(split, edges):  # each split row's sums over its own pieces
+                mine, at = graded[at:at + len(e) - 1], at + len(e) - 1
+                total[i] = sum(two for _, two in mine)
+                err[i] = sum(abs(two - one) for one, two in mine)
+    out = []
+    for t, e in zip(total, err):
+        if not math.isfinite(t):
+            raise OutOfRange(f"the integral of |f|^p is beyond float range at p={p}")
+        e += _ROUNDING * t
+        norm = t ** (1.0 / p)
+        out.append((norm, e ** (1.0 / p)) if t <= 0 else (norm, norm * e / (p * t)))
     return out

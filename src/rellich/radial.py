@@ -177,14 +177,16 @@ def critical_rows(g: float, lam: float, p: float, eps: Sequence[float],
     reduced Rellich operator at the critical exponent.
     """
     q = inv_p(p)
+    e = np.asarray(eps, dtype=float)[:, None]
 
     def rows(x):
         v0, v1, v2 = CUTOFF.jet(x)
         w = x**-q
-        out = [w * (e * x * (e * x * v2 + (g + e) * v1) - lam * v0) for e in eps] + [w * v0]
+        den = w * v0
+        out = (w * (e * x * (e * x * v2 + (g + e) * v1) - lam * v0), den[None])
         if kappa is not None:
-            out += [out[-1] * (-np.log(x) / e) ** -kappa for e in eps]
-        return np.stack(out)
+            out += (den * (-np.log(x) / e) ** -kappa,)
+        return np.concatenate(out)
 
     return rows
 
@@ -245,9 +247,10 @@ def boundary_counterexample(
 
 
 def fit_loglog_slope(eps_values, ratios) -> float:
-    """Least-squares slope of log(ratio) against log(eps); needs two distinct eps."""
+    """Closed-form least-squares slope of log(ratio) against log(eps); needs two distinct eps."""
     if len(set(map(float, eps_values))) < 2:
         raise PreconditionViolated(f"a slope needs two distinct eps values, got {list(eps_values)}")
-    x = np.log(np.asarray(eps_values, dtype=float))
-    y = np.log(np.asarray(ratios, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
+    x, y = (np.log(np.asarray(v, dtype=float)).tolist() for v in (eps_values, ratios))
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    sxy = sum((u - mx) * (v - my) for u, v in zip(x, y, strict=True))
+    return sxy / sum((u - mx) ** 2 for u in x)

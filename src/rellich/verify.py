@@ -22,6 +22,7 @@ from .errors import (
     BetaZero,
     CorpusOutsideSubspace,
     DegenerateWeight,
+    NonFiniteIntegrand,
     OutOfRange,
     PreconditionViolated,
     UnsupportedRegime,
@@ -303,8 +304,13 @@ def verify_oned_inequality(
         if v.support[0] <= 0:
             raise PreconditionViolated("corpus must be supported in (0, inf)")
         num, _ = reduced_norm(v, p, (1.0, beta))
-        (den, _), (plain, _) = reduced_norm(v, p, (0.0, 0.0, 1.0, -kappa), (0.0, 0.0, 1.0),
-                                            support=(max(a, v.support[0]), v.support[1]))
+        try:
+            # only the weight s^-kappa can overflow (kappa < 0), without a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                (den, _), (plain, _) = reduced_norm(v, p, (0.0, 0.0, 1.0, -kappa), (0.0, 0.0, 1.0),
+                                                    support=(max(a, v.support[0]), v.support[1]))
+        except NonFiniteIntegrand as err:
+            raise OutOfRange(f"||v / s^kappa||_p overflows at kappa={kappa}") from err
         if den == 0 < plain:
             raise OutOfRange(f"||v / s^kappa||_p underflows to 0 at kappa={kappa}")
         ratio = den / num if num > 0 else math.inf
@@ -425,8 +431,13 @@ def verify_critical_log(
         f"n={n} branch={branch} kappa={kappa}",
     )
     k = len(EPS_LADDER)
-    norms = [m for m, _ in lp_norm(critical_rows(g, min(0.0, d_lam), p, EPS_LADDER, kappa),
-                                   PHI_SUPPORT, p)]
+    rows = critical_rows(g, min(0.0, d_lam), p, EPS_LADDER, kappa)
+    try:
+        # only the weight s^-kappa can overflow (kappa < 0), without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = [m for m, _ in lp_norm(rows, PHI_SUPPORT, p)]
+    except NonFiniteIntegrand as err:
+        raise OutOfRange(f"||v / s^kappa||_p overflows at kappa={kappa}") from err
     if 0.0 in norms[k + 1:]:
         raise OutOfRange(f"||v / s^kappa||_p underflows to 0 at kappa={kappa}")
     weighted = [num / den_w for num, den_w in zip(norms, norms[k + 1:])]

@@ -330,15 +330,18 @@ def test_non_finite_input_exit1(argv):
     ["verify", "critical", "--p", "1", "--n", "0", "--mode", "minus", "--log-eps", "1e5"],
     ["verify", "critical", "--p", "1", "--n", "0", "--mode", "minus", "--log-eps", "1e300"],
     ["verify", "oned", "--p", "1", "--beta", "1", "--log-eps", "1e5"],
+    ["verify", "critical", "--p", "1", "--n", "0", "--mode", "minus", "--log-eps=-1e5"],
+    ["verify", "oned", "--p", "1", "--beta", "1", "--log-eps=-1e5"],
 ], ids=["hardy-beta-1e300", "one-eps", "sweep-1e8", "rellich-count-0", "rellich-count-neg",
         "remainder-count-0", "remainder-count-neg", "dissipativity-count-0",
         "dissipativity-count-neg", "oned-count-0", "count-above-cap", "corpus-above-cap",
         "sample-q-neg",
         "sample-q-above-cap", "grid-1", "grid-above-cap", "critical-log-eps-1e5",
-        "critical-log-eps-1e300", "oned-log-eps-1e5"])
+        "critical-log-eps-1e300", "oned-log-eps-1e5", "critical-log-eps-neg-1e5",
+        "oned-log-eps-neg-1e5"])
 def test_out_of_range_option_exit1(capsys, argv):
     # checked before any rule, grid or fit is built, or, for a weighted norm
-    # that underflows to 0, named with its kappa: one JSON line, no warning,
+    # that underflows to 0 or overflows, named with its kappa: one JSON line, no warning,
     # no traceback, at once.  The argv's own options override --N 5 --p 2
     import warnings
 

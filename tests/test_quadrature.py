@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -136,6 +137,65 @@ def test_a_stack_gives_each_row_its_own_norm(lo, width, rows):
         assert lp_norm(v.integrand(*rows), v.support, p) == alone, (p, rows)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, math.inf])
+def test_a_stack_of_rows_that_halve_gives_each_row_its_own_norm(p):
+    # rows that need halving, one beyond the cap of _MAX_PIECES pieces, after
+    # a smooth row that does not split at finite p: each row keeps its own
+    # budget and its own samples in the shared rounds
+    def f(s):
+        return np.stack((2.0 + np.cos(s), np.sin(40.0 * s) * np.exp(-s),
+                         np.sin(2000.0 * s) * (1.0 + 0.1 * s), s * s - 1.0, np.cos(300.0 * s)))
+
+    stack = lp_norm(f, (0.0, 3.0), p)
+    assert stack == [lp_norm(lambda s, i=i: f(s)[i], (0.0, 3.0), p) for i in range(5)], p
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+@pytest.mark.parametrize("N, c, b, n, branch", [(5, 0.0, 0.0, 0, "minus"),
+                                                (3, 0.0, -2.0, 0, "minus"),
+                                                (6, 1.3, 0.4, 1, "plus")])
+def test_a_stack_of_several_degrees_gives_each_row_its_own_norm(p, N, c, b, n, branch):
+    # a critical-family stack whose rows resolve at different degrees (the
+    # numerators and the denominators): located together, one eigvals call
+    # per degree, each row still gets exactly what it gets alone
+    from rellich import OperatorParams
+    from rellich.radial import PHI_SUPPORT, counterexample_drift, critical_rows
+    from rellich.verify import EPS_LADDER
+
+    params = OperatorParams(N, c, b)
+    f = critical_rows(counterexample_drift(params, n, branch), min(0.0, b), p, EPS_LADDER, 1.5)
+    x = quadrature._rule(*PHI_SUPPORT, quadrature._PLAIN)[0]
+    assert len(set(quadrature._resolve(None, *PHI_SUPPORT, f(x), range(9)).degree.tolist())) > 1
+    stack = lp_norm(f, PHI_SUPPORT, p)
+    assert stack == [lp_norm(lambda s, i=i: f(s)[i], PHI_SUPPORT, p) for i in range(9)], p
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+def test_a_critical_stack_takes_one_eigvals_call_per_degree(monkeypatch, p):
+    # the rows that are located share one eigvals call per degree of their
+    # series, and the stack is sampled twice, as row by row: the first pass,
+    # then the graded pieces or the sup candidates
+    from rellich import OperatorParams
+    from rellich.radial import PHI_SUPPORT, counterexample_drift, critical_rows
+    from rellich.verify import EPS_LADDER
+
+    f = critical_rows(counterexample_drift(OperatorParams(5, 0, 0), 0, "minus"), 0.0, p,
+                      EPS_LADDER, 1.0)
+    calls, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m.shape) or eigvals(m))
+    tally = []
+    lp_norm(_counted(f, tally), PHI_SUPPORT, p)
+    sizes = [d for _, d, _ in calls]
+    assert len(tally) == 2 and len(set(sizes)) == len(sizes)
+    located = sum(k for k, _, _ in calls)
+    assert located >= 4 and len(calls) < located
+    # row by row, the same rows take one call each
+    calls.clear()
+    for i in range(9):
+        lp_norm(lambda s, i=i: f(s)[i], PHI_SUPPORT, p)
+    assert len(calls) == located
+
+
 def test_a_stack_on_an_empty_support_gives_zero_pairs():
     from rellich import bump
 
@@ -145,9 +205,11 @@ def test_a_stack_on_an_empty_support_gives_zero_pairs():
 
 
 def test_one_layout_per_panel_count():
-    # many supports share three cached layouts on [-1, 1]: the plain 1-panel
-    # Gauss-Legendre rule and the 1- and 2-panel rules graded by
-    # t = 3u^2 - 2u^3; the plain 2-panel rule is checked below as well
+    # many supports share three cached layouts on [-1, 1], one per pass:
+    # the plain 1-panel Gauss-Legendre rule (the sup's first pass), the
+    # finite-p first pass (plain 1-panel, then the 2-panel rule graded by
+    # t = 3u^2 - 2u^3) and the graded pass over split pieces (graded 1- and
+    # 2-panel); each part, the plain 2-panel rule too, is checked below
     quadrature._layout.cache_clear()
     for i in range(40):
         a = 0.1 * i
@@ -156,6 +218,7 @@ def test_one_layout_per_panel_count():
     info = quadrature._layout.cache_info()
     assert info.misses == info.currsize == 3 and info.hits > 100
     x, w = np.polynomial.legendre.leggauss(quadrature.NODES)
+    parts = {}
     for k in (1, 2):
         edges = np.linspace(-1.0, 1.0, k + 1)
         panels = list(zip(edges[:-1], edges[1:]))
@@ -165,9 +228,13 @@ def test_one_layout_per_panel_count():
         for graded, nodes, weights in ((False, want_nodes, want_weights),
                                        (True, 2.0 * (3.0 * u**2 - 2.0 * u**3) - 1.0,
                                         6.0 * u * (1.0 - u) * want_weights)):
-            got_nodes, got_weights = quadrature._layout(k, graded)
+            got_nodes, got_weights = quadrature._layout(((k, graded),))
             assert np.max(np.abs(got_nodes - nodes)) <= 1e-15, (k, graded)
             assert np.max(np.abs(got_weights - weights)) <= 1e-15, (k, graded)
+            parts[k, graded] = got_nodes, got_weights
+    for layout in (quadrature._PLAIN, quadrature._FIRST, quadrature._GRADED):
+        for got, want in zip(quadrature._layout(layout), zip(*(parts[q] for q in layout))):
+            assert np.array_equal(got, np.concatenate(want)), layout
 
 
 def _counted(f, tally):
@@ -472,21 +539,24 @@ def test_located_points_match_brentq(eps):
 
     for f, zero, sup in ((v.integrand((1.0, -1.3, -0.4)), v.integrand((1.0, -1.3, -0.4)), False),
                          (v.integrand((0.0, 0.0, 1.0, -1.0)), critical, True)):
-        got, _ = quadrature._locate(f, a, b, f(nodes), sup)
+        [(got, _)] = quadrature._locate(partial(quadrature._sample, f), a, b, f(nodes)[None],
+                                        range(1), sup)
         pad = 1e-3 * (b - a)  # f and f' vanish at the ends of the support
         ref = reference_roots(zero, a + pad, b - pad)
         assert ref and all(np.min(np.abs(got - r)) <= 1e-9 * (b - a) for r in ref), (got, ref)
 
 
 def test_colleague_roots_match_numpy():
-    # the colleague matrix built in place against numpy's legroots, and the
-    # derivative matrix against legder
+    # the colleague matrices of a stack of series, built in place, against
+    # numpy's legroots row by row, and the derivative matrix against legder
     rng = np.random.default_rng(5)
-    _, D, J, scl = quadrature._legendre()
     for d in (1, 2, 5, 9):
-        c = rng.standard_normal(d + 1)
-        got = np.sort_complex(quadrature._roots(c, J, scl))
-        assert np.allclose(got, np.sort_complex(np.polynomial.legendre.legroots(c)), atol=1e-12)
+        c = rng.standard_normal((3, d + 1))
+        got = np.linalg.eigvals(quadrature._colleague(c))
+        for row, roots in zip(c, got):
+            assert np.allclose(np.sort_complex(roots),
+                               np.sort_complex(np.polynomial.legendre.legroots(row)), atol=1e-12)
+    D = quadrature._legendre()[1]
     c = rng.standard_normal(16)
     assert np.allclose(D[:16, :16] @ c, np.append(np.polynomial.legendre.legder(c), 0.0),
                        atol=1e-12)

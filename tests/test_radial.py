@@ -126,6 +126,16 @@ class TestCounterexampleRatio:
         with pytest.raises(UnsupportedRegime):
             counterexample_ratio(OperatorParams(5, 0, -3), 2, 0, "minus", [0.1])
 
+    def test_slope_matches_polyfit(self):
+        # the closed-form least-squares slope against numpy's fit
+        rng = np.random.default_rng(17)
+        for k in (2, 3, 4, 7):
+            for _ in range(50):
+                eps = rng.uniform(1e-3, 1.0, k)
+                ratios = eps ** rng.uniform(0.5, 2.5) * rng.uniform(0.5, 2.0, k)
+                want = np.polyfit(np.log(eps), np.log(ratios), 1)[0]
+                assert abs(fit_loglog_slope(eps, ratios) - want) <= 1e-12 * max(1.0, abs(want))
+
     @pytest.mark.parametrize("eps", [[0.1], [0.1, 0.1], []])
     def test_slope_needs_two_distinct_eps(self, eps):
         with pytest.raises(PreconditionViolated):
@@ -363,3 +373,21 @@ class TestSupErrorEstimate:
         rep, = counterexample_ratio(P5, INF, n, branch, [eps])
         assert rep.quad_error_estimate > 0.0
         assert abs(rep.ratio - exact) <= rep.quad_error_estimate
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+@pytest.mark.parametrize("kappa", [None, 1.0, 2.5])
+def test_critical_rows_match_the_rows_of_each_eps(p, kappa):
+    # the stack built over an eps axis holds, bit for bit, the rows built
+    # eps by eps: the numerators, the denominator, the weighted denominators
+    from rellich.params import inv_p
+    from rellich.radial import critical_rows
+
+    x = np.linspace(0.25, 0.5, 193)[1:-1]
+    g, lam, q = 1.7, -0.35, inv_p(p)
+    v0, v1, v2 = CUTOFF.jet(x)
+    w = x**-q
+    want = [w * (e * x * (e * x * v2 + (g + e) * v1) - lam * v0) for e in EPS_LADDER] + [w * v0]
+    if kappa is not None:
+        want += [want[-1] * (-np.log(x) / e) ** -kappa for e in EPS_LADDER]
+    assert np.array_equal(critical_rows(g, lam, p, EPS_LADDER, kappa)(x), np.stack(want))
