@@ -22,7 +22,12 @@ class UnsupportedRegime(RellichError):
 
 
 class NonFiniteIntegrand(RellichError):
-    """Quadrature sampled a NaN or infinity."""
+    """Quadrature sampled a NaN or infinity; rows names the rows of the
+    integrand's stack that did (0 for an integrand of one row)."""
+
+    def __init__(self, message: str, rows: tuple[int, ...] = (0,)):
+        super().__init__(message)
+        self.rows = rows
 
 
 class CorpusOutsideSubspace(RellichError):

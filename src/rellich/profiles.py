@@ -59,7 +59,9 @@ class Profile1D:
             for row, (terms, power) in zip(out, plans):
                 row[...] = sum(a * jet[k] for a, k in terms) if terms else 0.0
                 if power:
-                    row *= s**power
+                    # a weight that overflows is lp_norm's NonFiniteIntegrand of its row
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        row *= s**power
             return out[0] if len(plans) == 1 else out
 
         return f

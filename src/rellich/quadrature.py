@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -120,14 +119,17 @@ def _layout(parts) -> tuple[np.ndarray, np.ndarray]:
 
 def _checked(vals: np.ndarray, pts: np.ndarray, stack: int | None) -> np.ndarray:
     """vals as a (rows, len(pts)) array: they must be finite floats of the shape of pts,
-    or of (stack, *pts.shape) for f that returns a stack of rows."""
+    or of (stack, *pts.shape) for f that returns a stack of rows.  NonFiniteIntegrand
+    names the rows that are not."""
     if vals.shape != (pts.shape if stack is None else (stack, *pts.shape)):
         raise PreconditionViolated(f"an integrand must map an array to an array of its shape "
                                    f"(for lp_norm, or to a stack of them, as at its first call): "
                                    f"got shape {vals.shape} for nodes of shape {pts.shape}")
+    vals = vals.reshape(1 if stack is None else stack, len(pts))
     if not np.isfinite(vals).all():
-        raise NonFiniteIntegrand("integrand returned non-finite values")
-    return vals.reshape(1 if stack is None else stack, len(pts))
+        raise NonFiniteIntegrand("integrand returned non-finite values",
+                                 tuple(np.flatnonzero(~np.isfinite(vals).all(axis=1)).tolist()))
+    return vals
 
 
 def _sample(f, pts: np.ndarray, stack: int | None = None) -> np.ndarray:
@@ -254,9 +256,8 @@ def _locate(F, a: float, b: float, vals: np.ndarray, rows,
     ends, row_of = (lo.tolist(), hi.tolist()), row.tolist()
     out = [[] for _ in range(len(vals))]
     for d, j in groups.items():
-        # consecutive pieces are read in place
-        cj = c[j[0]:j[-1] + 1] if j[-1] - j[0] == len(j) - 1 else c[j]
-        cd = _rowwise(cj[:, :d + 2], D[:d + 1, :d + 2]) if sup else cj[:, :d + 1]
+        cj = c[:, :d + 1 + sup].take(j, 0)
+        cd = _rowwise(cj, D[:d + 1, :d + 2]) if sup else cj
         for i, t in zip(j, np.linalg.eigvals(_colleague(cd)).tolist()):
             mid, half = 0.5 * (ends[0][i] + ends[1][i]), 0.5 * (ends[1][i] - ends[0][i])
             out[row_of[i]] += [mid + half * r.real for r in t
@@ -323,26 +324,27 @@ def _sup_at(F, a: float, b: float, found: list) -> list[tuple[float, float]]:
     """(max |f| over a, b and the critical points xs of f, err) for each row f of F,
     found holding each row's (xs, bound) from ``_locate``.
 
-    F(x) is the (rows, len(x)) sample of the stack; the candidates of every
-    row are sampled in one call.  Each critical point also gets neighbours
-    at +-h = sqrt(eps) (b - a).  The computed point lies far within h/2 of
-    the exact one, so the best of the three plus their spread (the centre
-    minus the lower neighbour, at least four times the shortfall of the
-    centre near a smooth maximum) bounds |f| there; the spread also shows
-    the rounding of f.  err is at least bound - max.
+    F(x) is the (rows, len(x)) sample of the stack; a, b and the candidates
+    of every row are sampled in one call.  Each critical point also gets
+    neighbours at +-h = sqrt(eps) (b - a), inside [a, b] since ``_locate``
+    keeps the points _NEAR_REAL (b - a) inside.  The computed point lies far
+    within h/2 of the exact one, so the best of the three plus their spread
+    (the centre minus the lower neighbour, at least four times the
+    shortfall of the centre near a smooth maximum) bounds |f| there; the
+    spread also shows the rounding of f.  err is at least bound - max.
     """
-    h = math.sqrt(np.finfo(float).eps) * (b - a)
-    pts = [np.clip(np.concatenate(([a, b], xs - h, xs, xs + h)), a, b) for xs, _ in found]
-    vals = np.abs(F(np.concatenate(pts)))
-    ends = list(accumulate(map(len, pts)))
-    out = []
-    for row, lo, hi, (_, node_bound) in zip(vals, [0, *ends], ends, found):
-        v = row[lo:hi]
-        top = float(np.max(v))
-        trio = v[2:].reshape(3, -1)
-        bound = np.max(2.0 * trio.max(axis=0) - trio.min(axis=0), initial=top)
-        out.append((top, max(float(bound) - top, math.ulp(top), node_bound - top)))
-    return out
+    h = math.sqrt(math.ulp(1.0)) * (b - a)
+    xs = np.concatenate([x for x, _ in found])
+    owner = [r for r, (x, _) in enumerate(found) for _ in x.tolist()]
+    v = np.abs(F(np.concatenate(([a, b], xs - h, xs, xs + h))))
+    top = [max(ends) for ends in v[:, :2].tolist()]
+    bound = top.copy()
+    m = len(xs)
+    trios = v[:, 2:].reshape(len(v), 3, m)[owner, :, range(m)].tolist()  # each in its own row
+    for r, trio in zip(owner, trios):
+        peak = max(trio)
+        top[r], bound[r] = max(top[r], peak), max(bound[r], 2.0 * peak - min(trio))
+    return [(t, max(u - t, math.ulp(t), e - t)) for t, u, (_, e) in zip(top, bound, found)]
 
 
 def lp_norm(f, support: tuple[float, float],

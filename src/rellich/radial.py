@@ -185,7 +185,9 @@ def critical_rows(g: float, lam: float, p: float, eps: Sequence[float],
         den = w * v0
         out = (w * (e * x * (e * x * v2 + (g + e) * v1) - lam * v0), den[None])
         if kappa is not None:
-            out += (den * (-np.log(x) / e) ** -kappa,)
+            # a weight that overflows is lp_norm's NonFiniteIntegrand of its rows
+            with np.errstate(over="ignore", invalid="ignore"):
+                out += (den * (-np.log(x) / e) ** -kappa,)
         return np.concatenate(out)
 
     return rows

@@ -274,6 +274,26 @@ def oned_green_reconstruct(beta: float, v: Profile1D) -> float:
     return float(np.max(np.abs(v_rec - want)))
 
 
+def _weighted_norms(f, support: tuple[float, float], p: float, kappa: float,
+                    plain: int) -> list[float]:
+    """The norms of the ``lp_norm`` stack f whose row plain is ||v||_p and whose
+    later rows are ||v / s^kappa||_p.
+
+    OutOfRange naming kappa where only those weighted rows overflow, or where
+    one of them underflows to 0 while ||v||_p does not; a row before them
+    that overflows keeps its NonFiniteIntegrand.
+    """
+    try:
+        norms = [m for m, _ in lp_norm(f, support, p)]
+    except NonFiniteIntegrand as err:
+        if min(err.rows) > plain:
+            raise OutOfRange(f"||v / s^kappa||_p overflows at kappa={kappa}") from err
+        raise
+    if 0.0 in norms[plain + 1:] and norms[plain] > 0:
+        raise OutOfRange(f"||v / s^kappa||_p underflows to 0 at kappa={kappa}")
+    return norms
+
+
 def verify_oned_inequality(
     beta: float,
     p: float,
@@ -288,7 +308,8 @@ def verify_oned_inequality(
     1 + eps at p = 1; 2 (resp. 2 + eps) when beta = 0.  The report's
     samples carry the per-profile ratios; their sup is the empirical C.
     Pass kappa explicitly to run a negative control.  OutOfRange where a
-    weighted norm of a profile not zero on (a, inf) underflows to 0.
+    weighted norm of a profile overflows, or, the profile not zero on
+    (a, inf), underflows to 0.
     """
     check_p(p)
     for name, x in (("beta", beta), ("a", a), ("eps", eps)):
@@ -304,15 +325,8 @@ def verify_oned_inequality(
         if v.support[0] <= 0:
             raise PreconditionViolated("corpus must be supported in (0, inf)")
         num, _ = reduced_norm(v, p, (1.0, beta))
-        try:
-            # only the weight s^-kappa can overflow (kappa < 0), without a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                (den, _), (plain, _) = reduced_norm(v, p, (0.0, 0.0, 1.0, -kappa), (0.0, 0.0, 1.0),
-                                                    support=(max(a, v.support[0]), v.support[1]))
-        except NonFiniteIntegrand as err:
-            raise OutOfRange(f"||v / s^kappa||_p overflows at kappa={kappa}") from err
-        if den == 0 < plain:
-            raise OutOfRange(f"||v / s^kappa||_p underflows to 0 at kappa={kappa}")
+        _, den = _weighted_norms(v.integrand((0.0, 0.0, 1.0), (0.0, 0.0, 1.0, -kappa)),
+                                 (max(a, v.support[0]), v.support[1]), p, kappa, plain=0)
         ratio = den / num if num > 0 else math.inf
         report.add(v.label or "profile", ratio, 0.0,
                    1.0 if math.isfinite(ratio) else -1.0)
@@ -419,7 +433,7 @@ def verify_critical_log(
     family v_eps(s) = phi(e^{-eps s}), phi = CUTOFF and eps in EPS_LADDER.
     The unweighted ratio, reported alongside, tends to zero.  All of them
     are one ``lp_norm`` call of ``radial.critical_rows``; OutOfRange where a
-    weighted norm underflows to 0.
+    weighted norm overflows or underflows to 0.
     """
     check_p(p)
     check_finite("log_eps", log_eps)
@@ -431,15 +445,8 @@ def verify_critical_log(
         f"n={n} branch={branch} kappa={kappa}",
     )
     k = len(EPS_LADDER)
-    rows = critical_rows(g, min(0.0, d_lam), p, EPS_LADDER, kappa)
-    try:
-        # only the weight s^-kappa can overflow (kappa < 0), without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = [m for m, _ in lp_norm(rows, PHI_SUPPORT, p)]
-    except NonFiniteIntegrand as err:
-        raise OutOfRange(f"||v / s^kappa||_p overflows at kappa={kappa}") from err
-    if 0.0 in norms[k + 1:]:
-        raise OutOfRange(f"||v / s^kappa||_p underflows to 0 at kappa={kappa}")
+    norms = _weighted_norms(critical_rows(g, min(0.0, d_lam), p, EPS_LADDER, kappa),
+                            PHI_SUPPORT, p, kappa, plain=k)
     weighted = [num / den_w for num, den_w in zip(norms, norms[k + 1:])]
     unweighted = [num / norms[k] for num in norms[:k]]
     for e, rw in zip(EPS_LADDER, weighted):

@@ -357,6 +357,25 @@ def test_out_of_range_option_exit1(capsys, argv):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "1.5"],
+    ["--p", "1", "--log-eps=-2.5"],
+    ["--p", "1", "--log-eps=-1e5"],
+], ids=["kappa-2", "kappa-neg-0.5", "kappa-neg-99999"])
+def test_overflow_outside_the_weight_is_not_named_by_kappa(capsys, argv):
+    # b = -1e308 makes lambda_red about -1e308, so the numerator rows of the
+    # critical stack overflow whatever kappa is: the quadrature's own error,
+    # not an OutOfRange naming kappa, even where the weight overflows too,
+    # after numpy's warning of the numerator's overflow
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["verify", "critical", "--N", "3", "--b=-1e308", "--n", "0",
+                     "--mode", "minus", *argv])
+    assert code == 1
+    line = _strict_json(capsys.readouterr().out.strip())
+    assert line["kind"] == "NonFiniteIntegrand", line
+    assert "kappa" not in line["error"]
+
+
 # the argv fuzzer (Hypothesis; MacIver et al., JOSS 2019) draws every option's
 # value from these, by the option's type, so that every argv parses
 FUZZ_FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", str(2**63), str(10**400)]

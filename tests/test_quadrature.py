@@ -66,6 +66,22 @@ def test_non_finite_detection():
         lp_norm(lambda s: np.where(s > 0.5, np.nan, 1.0), (0, 1), 2)[0]
 
 
+@pytest.mark.parametrize("p", [1.5, math.inf])
+def test_non_finite_names_its_rows(p):
+    # rows 1 and 3 of four are nan right of 0.5, in the first pass
+    def f(s):
+        out = np.stack([s, s, np.cos(s), s])
+        out[1::2, s > 0.5] = np.nan
+        return out
+
+    with pytest.raises(NonFiniteIntegrand) as err:
+        lp_norm(f, (0, 1), p)
+    assert err.value.rows == (1, 3)
+    with pytest.raises(NonFiniteIntegrand) as err:
+        lp_norm(lambda s: np.where(s > 0.5, np.nan, 1.0), (0, 1), p)
+    assert err.value.rows == (0,)
+
+
 def test_sup_norm_refinement():
     # max of sin on [0, pi] is 1 at pi/2
     assert abs(lp_norm(np.sin, (0, math.pi), math.inf)[0] - 1.0) < 1e-12
