@@ -72,10 +72,6 @@ from .validity import (
     Verdict,
     best_constant,
     decide,
-    decide_bounded_domain,
-    decide_exterior,
-    decide_unit_ball,
-    decide_whole_space,
     lemma_parameters_flags,
 )
 

@@ -14,12 +14,13 @@ alpha, lambda, --log-eps or tolerance, an --xi-max whose square is not
 finite, an --N or a degree beyond float range, an exterior --domain
 with a --J other than all, a --sweep-alpha count above 100000, a
 --grid outside 2..100000, a --sample-q outside 0..100000, a --count
-outside 1..1000, a verify rellich or dissipativity corpus (--harmonics
-degrees times --count) above 5000 profiles, an empty corpus, fewer than
-two distinct --eps values, a Hardy constant beyond float range, or a p
-so large that a power of the verified inequality or an integral of
-|f|^p overflows), 2 fail, 3 unsupported regime, 64 usage.  The ranges
-are checked before anything is allocated.
+outside 1..1000, a negative --seed, --seed-q or --harmonics degree, a
+--lambda of more than two parts, a verify rellich or dissipativity
+corpus (--harmonics degrees times --count) above 5000 profiles, an
+empty corpus, fewer than two distinct --eps values, a Hardy constant
+beyond float range, or a p so large that a power of the verified
+inequality or an integral of |f|^p overflows), 2 fail, 3 unsupported
+regime, 64 usage.  The ranges are checked before anything is allocated.
 --tol sets the decision tolerance (default 1e-9).
 
 check, check --sweep-alpha and a spectrum point are closed-form and run
@@ -172,6 +173,8 @@ def cmd_spectrum(args) -> int:
             raise PreconditionViolated(f"--xi-max and its square must be finite, got {xi_max}")
         if not 0 <= args.sample_q <= SAMPLE_Q_MAX:
             raise OutOfRange(f"--sample-q must lie in 0..{SAMPLE_Q_MAX}, got {args.sample_q}")
+        if args.seed_q < 0:
+            raise OutOfRange(f"--seed-q must be >= 0, got {args.seed_q}")
         import numpy as np
 
         xi = np.linspace(-xi_max, xi_max, 1000)
@@ -192,6 +195,8 @@ def cmd_spectrum(args) -> int:
     if args.lam is None:
         raise PreconditionViolated("--lambda is required unless --sample is given")
     parts = [float(x) for x in args.lam.split(",")]
+    if len(parts) > 2:
+        raise PreconditionViolated(f"--lambda takes re or re,im, got {args.lam!r}")
     lam = check_finite("lambda", complex(parts[0], parts[1] if len(parts) > 1 else 0.0))
     if args.interval is not None:
         interval = GammaInterval.HALF_LINE if args.interval == "half" \
@@ -254,6 +259,10 @@ def cmd_counterexample(args) -> int:
 def cmd_verify(args) -> int:
     if not 1 <= args.count <= COUNT_MAX:
         raise OutOfRange(f"--count must lie in 1..{COUNT_MAX}, got {args.count}")
+    if args.seed < 0:
+        raise OutOfRange(f"--seed must be >= 0, got {args.seed}")
+    if min(args.harmonics) < 0:
+        raise OutOfRange(f"--harmonics degrees must be >= 0, got {args.harmonics}")
     by_degree = args.target in ("rellich", "dissipativity")  # count profiles per degree
     if by_degree and len(args.harmonics) * args.count > CORPUS_MAX:
         raise OutOfRange(f"the corpus of --harmonics times --count has at most {CORPUS_MAX} "

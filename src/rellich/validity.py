@@ -2,10 +2,11 @@
 
 The inequality || |x|^alpha L u ||_p >= C || |x|^{alpha-2} u ||_p holds or
 fails depending only on (N, c, b, p, alpha), on the domain kind, and on
-the spherical-harmonic subspace J.  The decision rules are closed form:
-failure happens exactly at the critical exponents alpha_j^+- (free
-counterexamples at the origin) and, in domains with a boundary, for all
-alpha at or above base + Re sqrt(D + lambda_{j0}) (boundary obstruction).
+the spherical-harmonic subspace J.  One function, decide, holds the closed-form
+rule of every domain kind: failure at critical exponents alpha_j^+- (free
+counterexamples at the origin) and, in the ball, for all alpha at or above
+base + Re sqrt(D + lambda_{j0}) (boundary obstruction); a bounded smooth domain
+follows the ball, an exterior domain the ball for its Kelvin image.
 
 All comparisons against critical values use an explicit tolerance since
 exact-real input is impossible.  Inverting lambda_j = j(N+j-2) finds the degrees
@@ -45,6 +46,11 @@ class DomainKind(str, enum.Enum):
     BOUNDED_SMOOTH = "bounded_smooth"
     EXTERIOR_SMOOTH = "exterior_smooth"
     EXTERIOR_BALL = "exterior_ball"
+
+
+# kinds with hypotheses 1 < p < inf and D >= 0, and kinds decided on the Kelvin image
+_SMOOTH = (DomainKind.BOUNDED_SMOOTH, DomainKind.EXTERIOR_SMOOTH)
+_EXTERIOR = (DomainKind.EXTERIOR_SMOOTH, DomainKind.EXTERIOR_BALL)
 
 
 class Branch(str, enum.Enum):
@@ -117,13 +123,9 @@ class HarmonicSet:
 
     @property
     def min_index(self) -> int:
-        if self.kind == "all":
-            return 0
-        if self.kind == "at_least":
+        if self.kind in ("at_least", "finite"):
             return self.data[0]
-        if self.kind == "finite":
-            return self.data[0]
-        j = 0
+        j = 0  # J = all has no excluded degree
         while j in self.data:
             j += 1
         return j
@@ -141,30 +143,21 @@ class HarmonicSet:
         return [j for j in range(max(first, self.min_index), last + 1) if self.contains(j)]
 
     def __str__(self) -> str:
-        if self.kind == "all":
-            return "all"
-        if self.kind == "at_least":
-            return f"ge:{self.data[0]}"
-        if self.kind == "finite":
-            return "set:" + ",".join(map(str, self.data))
-        return "ne:" + ",".join(map(str, self.data))
+        prefix = {"all": "all", "at_least": "ge:", "finite": "set:", "excluding": "ne:"}
+        return prefix[self.kind] + ",".join(map(str, self.data))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
-    """Outcome of a validity decision."""
+    """Outcome of a validity decision: the inequality holds iff no mode fails."""
 
-    holds: bool
     failing_modes: list[tuple[int, Branch]] = field(default_factory=list)
     best_constant: float | None = None
     notes: str = ""
 
-    def __post_init__(self):
-        assert self.holds == (not self.failing_modes)
-
-
-def _re_root(params: OperatorParams, j: int) -> float:
-    return sqrt_nonneg_re(discriminant(params) + eigen_lambda(params.N, j)).real
+    @property
+    def holds(self) -> bool:
+        return not self.failing_modes
 
 
 def best_constant(params: OperatorParams, p: float, alpha: float) -> float | None:
@@ -175,32 +168,25 @@ def best_constant(params: OperatorParams, p: float, alpha: float) -> float | Non
     """
     check_p(p)
     D = discriminant(params)
-    if D <= 0:
-        return None
-    if abs(base_alpha(params, p) - alpha) >= math.sqrt(D):
+    if D <= 0 or abs(base_alpha(params, p) - alpha) >= math.sqrt(D):
         return None
     return params.b + gamma_p(params.N, p, alpha, params.c)
 
 
-def decide_whole_space(
-    params: OperatorParams,
-    p: float,
-    alpha: float,
-    J: HarmonicSet = HarmonicSet.all(),
-    tol: float = DEFAULT_TOL,
-) -> Verdict:
-    """Whole-space decision: holds iff alpha avoids every alpha_j^+-, j in J."""
-    check_p(p)
-    check_finite("alpha", alpha)
-    check_tol(tol)
+def _hits(params: OperatorParams, p: float, alpha: float, J: HarmonicSet,
+          tol: float) -> list[tuple[int, Branch]]:
+    """The modes j in J whose alpha_j^- or alpha_j^+ lies within tol of alpha."""
     base = base_alpha(params, p)
     # a hit needs r = Re sqrt(D + lambda_j) within tol of gap; pad covers rounding
     gap, D, size = abs(alpha - base), discriminant(params), abs(alpha) + abs(base) + 1.0
     pad = 4e-15 * (size * (gap + tol + 1.0) + abs(D))
     lo = (gap - tol) * (gap - tol) - D if gap > tol else -math.inf
+    hi = (gap + tol) * (gap + tol) - D
+    if not math.isfinite(hi + pad):
+        raise OutOfRange(f"|alpha - base| = {gap:.6g} puts the degree window beyond float range")
     modes: list[tuple[int, Branch]] = []
-    for j in J.members_with_lambda_between(params.N, lo, (gap + tol) * (gap + tol) - D, pad):
-        r = _re_root(params, j)
+    for j in J.members_with_lambda_between(params.N, lo, hi, pad):
+        r = sqrt_nonneg_re(D + eigen_lambda(params.N, j)).real
         minus_hit = abs(alpha - (base - r)) <= tol
         plus_hit = abs(alpha - (base + r)) <= tol
         if minus_hit:
@@ -208,95 +194,19 @@ def decide_whole_space(
         # when D + lambda_j <= 0 the branches collapse; report the hit once
         if plus_hit and not (minus_hit and r <= tol):
             modes.append((j, Branch.PLUS))
-    verdict = Verdict(holds=not modes, failing_modes=modes)
-    if verdict.holds and J.kind == "all":
-        verdict.best_constant = best_constant(params, p, alpha)
-    return verdict
+    return modes
 
 
-def decide_unit_ball(
-    params: OperatorParams,
-    p: float,
-    alpha: float,
-    J: HarmonicSet = HarmonicSet.all(),
-    tol: float = DEFAULT_TOL,
-) -> Verdict:
-    """Unit-ball decision.
-
-    Holds iff alpha < base + Re sqrt(D + lambda_{j0}) and alpha avoids
-    every alpha_j^-, j in J.  Failure of the first condition is reported
-    as a boundary obstruction on the lowest mode j0.
-    """
-    check_p(p)
-    check_finite("alpha", alpha)
-    check_tol(tol)
+def _ball(params: OperatorParams, p: float, alpha: float, J: HarmonicSet,
+          tol: float) -> list[tuple[int, Branch]]:
+    """The boundary obstruction on j0 = min J, then the minus hits of J."""
     base = base_alpha(params, p)
     j0 = J.min_index
-    modes: list[tuple[int, Branch]] = []
-    upper = base + _re_root(params, j0)
-    if alpha >= upper - tol:
-        modes.append((j0, Branch.BOUNDARY))
+    upper = base + sqrt_nonneg_re(discriminant(params) + eigen_lambda(params.N, j0)).real
+    modes = [(j0, Branch.BOUNDARY)] if alpha >= upper - tol else []
     if alpha - base <= tol:  # alpha_j^- <= base: the whole space's minus exclusions
-        modes += [m for m in decide_whole_space(params, p, alpha, J, tol).failing_modes
-                  if m[1] == Branch.MINUS]
-    verdict = Verdict(holds=not modes, failing_modes=modes)
-    if verdict.holds and J.kind == "all":
-        verdict.best_constant = best_constant(params, p, alpha)
-    return verdict
-
-
-def _smooth_domain_hypotheses(params: OperatorParams, p: float, domains: str) -> None:
-    """The hypotheses 1 < p < inf and D >= 0 of the smooth-domain results."""
-    check_inner_p(p, domains)
-    if discriminant(params) < 0:
-        raise PreconditionViolated(f"{domains} require D >= 0, got D={discriminant(params)}")
-
-
-def decide_bounded_domain(
-    params: OperatorParams, p: float, alpha: float, tol: float = DEFAULT_TOL
-) -> Verdict:
-    """Bounded smooth domain containing 0; requires 1 < p < inf and D >= 0.
-
-    Under those hypotheses the rule coincides with the unit-ball rule for
-    J = N0 (with real square roots).
-    """
-    _smooth_domain_hypotheses(params, p, "bounded domains")
-    return decide_unit_ball(params, p, alpha, HarmonicSet.all(), tol)
-
-
-def decide_exterior(
-    params: OperatorParams,
-    p: float,
-    alpha: float,
-    kind: DomainKind = DomainKind.EXTERIOR_BALL,
-    tol: float = DEFAULT_TOL,
-) -> Verdict:
-    """Exterior-domain decision via the Kelvin transform.
-
-    Holds iff alpha > base - Re sqrt(D) and alpha avoids every
-    base + Re sqrt(D + lambda_n).  For a smooth exterior domain the
-    hypotheses 1 < p < inf and D >= 0 are required; for the complement of
-    a ball any 1 <= p <= inf and any D are allowed.
-    """
-    check_p(p)
-    if kind == DomainKind.EXTERIOR_SMOOTH:
-        _smooth_domain_hypotheses(params, p, "exterior smooth domains")
-    elif kind != DomainKind.EXTERIOR_BALL:
-        raise ValueError(f"not an exterior kind: {kind}")
-    tparams, talpha = kelvin_transform(params, p, alpha)
-    verdict = decide_unit_ball(tparams, p, talpha, HarmonicSet.all(), tol)
-    # translate back: the ball's alpha_j^- exclusions are the exterior
-    # problem's alpha_j^+ exclusions, the ball's boundary obstruction is
-    # the exterior obstruction alpha <= base - Re sqrt(D)
-    verdict.failing_modes = [
-        (j, Branch.PLUS if b == Branch.MINUS else b)
-        for j, b in verdict.failing_modes
-    ]
-    if kind == DomainKind.EXTERIOR_SMOOTH:
-        # optimality is not claimed for general exterior domains
-        verdict.best_constant = None
-    verdict.notes = "decided via Kelvin transform"
-    return verdict
+        modes += [m for m in _hits(params, p, alpha, J, tol) if m[1] == Branch.MINUS]
+    return modes
 
 
 def decide(
@@ -307,21 +217,43 @@ def decide(
     J: HarmonicSet = HarmonicSet.all(),
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
-    """Dispatch to the decision procedure matching the domain kind.
+    """Decide the inequality on a domain of the given kind, for the subspace J.
 
-    Only the whole space and the ball take a harmonic subspace J; every
-    other domain is decided for J = all alone.
+    Whole space: holds iff alpha avoids every alpha_j^+-, j in J.  Unit ball:
+    holds iff alpha < base + Re sqrt(D + lambda_{j0}), j0 = min J (else a boundary
+    obstruction on j0), and alpha avoids every alpha_j^-, j in J.  A bounded
+    smooth domain containing 0 follows the ball, an exterior domain the ball for
+    its Kelvin image; both take J = all alone, the smooth ones 1 < p < inf and
+    D >= 0.  Where it holds for J = all, best_constant is certified, except on a
+    smooth exterior domain.
     """
-    if domain == DomainKind.WHOLE_SPACE:
-        return decide_whole_space(params, p, alpha, J, tol)
-    if domain == DomainKind.UNIT_BALL:
-        return decide_unit_ball(params, p, alpha, J, tol)
-    if J.kind != "all":
-        where = "general bounded" if domain == DomainKind.BOUNDED_SMOOTH else "exterior"
+    smooth, exterior = domain in _SMOOTH, domain in _EXTERIOR
+    if J.kind != "all" and (smooth or exterior):
+        where = "exterior" if exterior else "general bounded"
         raise PreconditionViolated(f"{where} domains are only decided for J = all")
-    if domain == DomainKind.BOUNDED_SMOOTH:
-        return decide_bounded_domain(params, p, alpha, tol)
-    return decide_exterior(params, p, alpha, domain, tol)
+    if smooth:
+        where = "exterior smooth" if exterior else "bounded"
+        check_inner_p(p, f"{where} domains")
+        if discriminant(params) < 0:
+            raise PreconditionViolated(f"{where} domains require D >= 0, "
+                                       f"got D={discriminant(params)}")
+    check_p(p)
+    check_finite("alpha", alpha)
+    check_tol(tol)
+    if exterior:
+        # the ball's alpha_j^- exclusions for the Kelvin image are the exterior
+        # problem's alpha_j^+ ones, its boundary obstruction alpha <= base - Re sqrt(D)
+        params, alpha = kelvin_transform(params, p, alpha)
+        modes = [(j, Branch.PLUS if b == Branch.MINUS else b)
+                 for j, b in _ball(params, p, alpha, J, tol)]
+    elif domain == DomainKind.WHOLE_SPACE:
+        modes = _hits(params, p, alpha, J, tol)
+    else:
+        modes = _ball(params, p, alpha, J, tol)
+    # optimality is not claimed for general exterior domains
+    certified = not modes and J.kind == "all" and not (smooth and exterior)
+    return Verdict(modes, best_constant(params, p, alpha) if certified else None,
+                   "decided via Kelvin transform" if exterior else "")
 
 
 def lemma_parameters_flags(

@@ -21,8 +21,7 @@ from rellich import (
     bump,
     counterexample_ratio,
     critical_alphas,
-    decide_exterior,
-    decide_unit_ball,
+    decide,
     discriminant,
     dist_to_parabola,
     eigen_lambda,
@@ -76,7 +75,7 @@ def test_c02_laplacian_ball_characterization():
                 closed_holds = (a < kink - tol) and all(
                     abs(a - e) > tol for e in excl
                 )
-                got = decide_unit_ball(OperatorParams(N), p, a, ALL, tol).holds
+                got = decide(OperatorParams(N), p, a, DomainKind.UNIT_BALL, ALL, tol).holds
                 total += 1
                 mismatches += got != closed_holds
     t = time.perf_counter() - t0
@@ -259,9 +258,9 @@ def test_c11_kelvin_consistency():
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0, INF]))
         alpha = float(rng.uniform(-6, 6))
         P = OperatorParams(N, c, b)
-        v1 = decide_exterior(P, p, alpha, DomainKind.EXTERIOR_BALL)
+        v1 = decide(P, p, alpha, DomainKind.EXTERIOR_BALL)
         tp, ta = kelvin_transform(P, p, alpha)
-        v2 = decide_unit_ball(tp, p, ta)
+        v2 = decide(tp, p, ta, DomainKind.UNIT_BALL)
         agree += v1.holds == v2.holds
     t = time.perf_counter() - t0
     assert agree == 1000, f"{agree}/1000 agreements"

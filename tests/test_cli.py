@@ -47,8 +47,10 @@ class TestCheck:
         assert doc["schema_version"] == 1
         assert [0, -0.5, 2.5] == doc["critical_alphas"][0]
 
-    def test_boundary_failure_exit2(self, capsys):
-        code, out = run_cli(capsys, "check", "--N", "5", "--alpha", "3",
+    # alpha = 1e300 lies far beyond the obstruction; no degree scan runs there
+    @pytest.mark.parametrize("alpha", ["3", "1e300"])
+    def test_boundary_failure_exit2(self, capsys, alpha):
+        code, out = run_cli(capsys, "check", "--N", "5", "--alpha", alpha,
                             "--domain", "ball")
         doc = last_json(out)
         assert code == 2
@@ -357,6 +359,33 @@ def test_out_of_range_option_exit1(capsys, argv):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["check", "--alpha", "1e300"], "|alpha - base| = 1e+300"),
+    (["check", "--alpha=-1e300", "--domain", "ball"], "|alpha - base| = 1e+300"),
+    (["check", "--alpha", "1e300", "--domain", "exterior-ball"], "|alpha - base| = 1e+300"),
+    (["check", "--p", "inf", "--alpha", "1e300"], "|alpha - base| = 1e+300"),
+    (["spectrum", "--lambda=1,2,3"], "--lambda"),
+    (["verify", "rellich", "--seed=-1"], "--seed"),
+    (["verify", "hardy", "--seed=-1"], "--seed"),
+    (["verify", "rellich", "--seed=-1", "--harmonics", "1,2"], "--seed"),
+    (["verify", "rellich", "--harmonics=-1"], "--harmonics"),
+    (["verify", "dissipativity", "--harmonics=0,-1", "--seed", "5"], "--harmonics"),
+    (["spectrum", "--sample", "--sample-q", "1", "--seed-q=-1"], "--seed-q"),
+], ids=["alpha-1e300-rn", "alpha-neg-1e300-ball", "alpha-1e300-exterior-ball",
+        "alpha-1e300-p-inf", "lambda-three-parts", "rellich-seed-neg", "hardy-seed-neg",
+        "rellich-seed-neg-harmonics", "rellich-harmonics-neg", "dissipativity-harmonics-neg",
+        "sample-seed-q-neg"])
+def test_bad_value_is_named_exit1(capsys, argv, named):
+    # the option or the quantity at fault is named in one JSON line, checked
+    # before any corpus or sample is built; the argv's options override --N 5 --p 2
+    code = main([argv[0], "--N", "5", "--p", "2", *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1, captured
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and named in _strict_json(lines[0])["error"], lines
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["--p", "1.5"],
     ["--p", "1", "--log-eps=-2.5"],
@@ -530,6 +559,8 @@ NUMPY_BOUNDARY = [
     (["check", "--N", "5", "--p", "1.5", "--sweep-alpha=-3:4:21"], 0, False),
     (["spectrum", "--N", "5", "--p", "2", "--lambda=-3,1"], 0, False),
     (["spectrum", "--N", "5", "--p", "3", "--interval", "unit", "--lambda=-1"], 0, False),
+    (["check", "--N", "5", "--p", "2", "--alpha=-1e300", "--domain", "ball"], 1, False),
+    (["spectrum", "--N", "5", "--p", "2", "--lambda=1,2,3"], 1, False),
     (["verify", "critical", "--N", "5", "--p", "2"], 0, True),
     (["counterexample", "--N", "5", "--p", "2", "--mode", "minus"], 0, True),
     (["spectrum", "--N", "5", "--p", "2", "--sample", "--sample-q", "3"], 0, True),
@@ -538,6 +569,7 @@ NUMPY_BOUNDARY = [
 
 @pytest.mark.parametrize("argv, code, needs_numpy", NUMPY_BOUNDARY,
                          ids=["check", "check-sweep", "spectrum-A", "spectrum-gamma",
+                              "check-huge-alpha", "spectrum-three-parts",
                               "verify", "counterexample", "spectrum-sample"])
 def test_numpy_loaded_only_by_numeric_commands(argv, code, needs_numpy):
     out = _child("import sys\n"
@@ -556,8 +588,7 @@ PreconditionViolated Profile1D RatioReport ReducedCoefficients RellichError
 SpectralClassification UnsupportedRegime Verdict VerificationReport
 base_alpha best_constant boundary_counterexample bump bump_corpus check_derivatives
 classify_A classify_gamma classify_halfline_ode conjugate_exponent counterexample_ratio
-critical_alphas decide decide_bounded_domain decide_exterior decide_unit_ball
-decide_whole_space discriminant dist_to_parabola eigen_lambda errors fit_loglog_slope
+critical_alphas decide discriminant dist_to_parabola eigen_lambda errors fit_loglog_slope
 g0 gamma_p green heat_kernel_bound in_region indicial_roots integrate
 kelvin_transform lemma_parameters_flags lp_norm mu_shift ode_roots omega_p
 on_parabola oned_green_reconstruct params parse_p plateau_profile profiles quadrature

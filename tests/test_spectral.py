@@ -7,6 +7,7 @@ import pytest
 
 from rellich import (
     ADomain,
+    DomainKind,
     GammaInterval,
     HarmonicSet,
     OperatorParams,
@@ -15,7 +16,7 @@ from rellich import (
     classify_A,
     classify_gamma,
     classify_halfline_ode,
-    decide_unit_ball,
+    decide,
     dist_to_parabola,
     eigen_lambda,
     gamma_p,
@@ -288,7 +289,7 @@ class TestClassifyA:
                     for j in range(0, 25)]
             if min(gaps) < 1e-6:
                 continue
-            holds = decide_unit_ball(P, p, alpha).holds
+            holds = decide(P, p, alpha, DomainKind.UNIT_BALL).holds
             A_params = OperatorParams(N, c + 4 - 2 * alpha, 0)
             cls = classify_A(A_params, p, HarmonicSet.all(), ADomain.UNIT_BALL,
                              mu_shift(P, alpha))

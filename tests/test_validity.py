@@ -1,5 +1,6 @@
 """Decision procedures: frozen spec cases, cross-forms, Kelvin equivalence."""
 
+import dataclasses
 import math
 import time
 
@@ -22,10 +23,6 @@ from rellich import (
     classify_A,
     critical_alphas,
     decide,
-    decide_bounded_domain,
-    decide_exterior,
-    decide_unit_ball,
-    decide_whole_space,
     discriminant,
     eigen_lambda,
     gamma_p,
@@ -67,50 +64,50 @@ class TestHarmonicSet:
 
 class TestWholeSpace:
     def test_fails_at_minus_critical(self):
-        v = decide_whole_space(P5, 2, -0.5)
+        v = decide(P5, 2, -0.5, DomainKind.WHOLE_SPACE)
         assert not v.holds and (0, Branch.MINUS) in v.failing_modes
 
     def test_holds_classical(self):
-        assert decide_whole_space(P5, 2, 0).holds
+        assert decide(P5, 2, 0, DomainKind.WHOLE_SPACE).holds
 
     def test_excluded_mode_restores_validity(self):
-        assert decide_whole_space(P5, 2, -0.5, HarmonicSet.at_least(1)).holds
+        assert decide(P5, 2, -0.5, DomainKind.WHOLE_SPACE, HarmonicSet.at_least(1)).holds
 
     def test_plus_branch(self):
-        v = decide_whole_space(P5, 2, 2.5)
+        v = decide(P5, 2, 2.5, DomainKind.WHOLE_SPACE)
         assert not v.holds and (0, Branch.PLUS) in v.failing_modes
 
     def test_degenerate_base_failure(self):
         # D + lambda_0 < 0 collapses both branches onto alpha = base
         P = OperatorParams(5, 0, -3)
-        v = decide_whole_space(P, 2, base_alpha(P, 2))
+        v = decide(P, 2, base_alpha(P, 2), DomainKind.WHOLE_SPACE)
         assert not v.holds
         # single collapsed mode reported
         assert v.failing_modes == [(0, Branch.MINUS)]
 
     def test_finite_set_only_scans_members(self):
         # failing mode n=0 not in J = {1, 3}
-        assert decide_whole_space(P5, 2, -0.5, HarmonicSet.finite([1, 3])).holds
-        v = decide_whole_space(P5, 2, -1.5, HarmonicSet.finite([1, 3]))
+        assert decide(P5, 2, -0.5, DomainKind.WHOLE_SPACE, HarmonicSet.finite([1, 3])).holds
+        v = decide(P5, 2, -1.5, DomainKind.WHOLE_SPACE, HarmonicSet.finite([1, 3]))
         assert not v.holds and v.failing_modes == [(1, Branch.MINUS)]
 
     def test_excluding_variant(self):
-        assert decide_whole_space(P5, 2, -0.5, HarmonicSet.excluding([0])).holds
-        assert not decide_whole_space(P5, 2, -1.5, HarmonicSet.excluding([0])).holds
+        assert decide(P5, 2, -0.5, DomainKind.WHOLE_SPACE, HarmonicSet.excluding([0])).holds
+        assert not decide(P5, 2, -1.5, DomainKind.WHOLE_SPACE, HarmonicSet.excluding([0])).holds
 
 
 class TestUnitBall:
     def test_boundary_obstruction(self):
-        v = decide_unit_ball(P5, 2, 3)
+        v = decide(P5, 2, 3, DomainKind.UNIT_BALL)
         assert not v.holds
         assert (0, Branch.BOUNDARY) in v.failing_modes
 
     def test_holds_above_whole_space_plus(self):
         # alpha = 2 is fine in the ball although close to alpha_0^+ = 2.5
-        assert decide_unit_ball(P5, 2, 2).holds
+        assert decide(P5, 2, 2, DomainKind.UNIT_BALL).holds
 
     def test_minus_mode(self):
-        v = decide_unit_ball(P5, 2, -1.5)
+        v = decide(P5, 2, -1.5, DomainKind.UNIT_BALL)
         assert not v.holds and (1, Branch.MINUS) in v.failing_modes
 
     def test_cross_form_b_gamma(self):
@@ -131,7 +128,7 @@ class TestUnitBall:
             ]
             if min(gaps) < 1e-6 or abs(alpha - base) < 1e-6:
                 continue
-            v = decide_unit_ball(P, p, alpha)
+            v = decide(P, p, alpha, DomainKind.UNIT_BALL)
             if alpha > base:
                 expected = b + gamma_p(N, p, alpha, c) + eigen_lambda(N, 0) > 0
             else:
@@ -143,61 +140,61 @@ class TestUnitBall:
 
     def test_tolerance_stability(self):
         # small perturbations that cross no critical value keep the verdict
-        base_v = decide_unit_ball(P5, 2, 2.0)
+        base_v = decide(P5, 2, 2.0, DomainKind.UNIT_BALL)
         for da in (-1e-4, -1e-6, 1e-6, 1e-4):
-            assert decide_unit_ball(P5, 2, 2.0 + da).holds == base_v.holds
+            assert decide(P5, 2, 2.0 + da, DomainKind.UNIT_BALL).holds == base_v.holds
 
     def test_endpoint_exponents(self):
         # the ball characterization covers p = 1 and p = inf; Laplacian:
         # threshold N(1 - 1/p), minus-exclusions 2 - N/p - n
-        assert decide_unit_ball(P5, 1, -3.5).holds          # threshold 0
-        assert not decide_unit_ball(P5, 1, 0.5).holds
-        v = decide_unit_ball(P5, 1, -3.0)                   # 2 - 5 - 0
+        assert decide(P5, 1, -3.5, DomainKind.UNIT_BALL).holds          # threshold 0
+        assert not decide(P5, 1, 0.5, DomainKind.UNIT_BALL).holds
+        v = decide(P5, 1, -3.0, DomainKind.UNIT_BALL)                   # 2 - 5 - 0
         assert (0, Branch.MINUS) in v.failing_modes
-        assert decide_unit_ball(P5, INF, 4.5).holds         # threshold 5
-        v = decide_unit_ball(P5, INF, 2.0)                  # 2 - 0 - 0
+        assert decide(P5, INF, 4.5, DomainKind.UNIT_BALL).holds         # threshold 5
+        v = decide(P5, INF, 2.0, DomainKind.UNIT_BALL)                  # 2 - 0 - 0
         assert (0, Branch.MINUS) in v.failing_modes
 
     def test_j0_shifts_boundary_threshold(self):
         # J = {n >= 1}: obstruction moves to base + sqrt(D + lambda_1)
         thr = base_alpha(P5, 2) + math.sqrt(discriminant(P5) + eigen_lambda(5, 1))
-        assert decide_unit_ball(P5, 2, thr - 0.1, HarmonicSet.at_least(1)).holds
-        v = decide_unit_ball(P5, 2, thr + 0.1, HarmonicSet.at_least(1))
+        assert decide(P5, 2, thr - 0.1, DomainKind.UNIT_BALL, HarmonicSet.at_least(1)).holds
+        v = decide(P5, 2, thr + 0.1, DomainKind.UNIT_BALL, HarmonicSet.at_least(1))
         assert (1, Branch.BOUNDARY) in v.failing_modes
 
 
 class TestBounded:
     def test_holds_with_constant(self):
-        v = decide_bounded_domain(P5, 2, 0)
+        v = decide(P5, 2, 0, DomainKind.BOUNDED_SMOOTH)
         assert v.holds and v.best_constant == 1.25
 
     def test_negative_D_rejected(self):
         with pytest.raises(PreconditionViolated):
-            decide_bounded_domain(OperatorParams(5, 0, -3), 2, 0)
+            decide(OperatorParams(5, 0, -3), 2, 0, DomainKind.BOUNDED_SMOOTH)
 
     def test_endpoint_p_rejected(self):
         with pytest.raises(PreconditionViolated):
-            decide_bounded_domain(P5, 1, 0)
+            decide(P5, 1, 0, DomainKind.BOUNDED_SMOOTH)
         with pytest.raises(PreconditionViolated):
-            decide_bounded_domain(P5, INF, 0)
+            decide(P5, INF, 0, DomainKind.BOUNDED_SMOOTH)
 
 
 class TestExterior:
     def test_holds(self):
-        assert decide_exterior(P5, 2, 2).holds
+        assert decide(P5, 2, 2, DomainKind.EXTERIOR_BALL).holds
 
     def test_plus_mode(self):
-        v = decide_exterior(P5, 2, 2.5)
+        v = decide(P5, 2, 2.5, DomainKind.EXTERIOR_BALL)
         assert not v.holds and (0, Branch.PLUS) in v.failing_modes
 
     def test_smooth_preconditions(self):
         with pytest.raises(PreconditionViolated):
-            decide_exterior(OperatorParams(5, 0, -3), 2, 2, DomainKind.EXTERIOR_SMOOTH)
+            decide(OperatorParams(5, 0, -3), 2, 2, DomainKind.EXTERIOR_SMOOTH)
         with pytest.raises(PreconditionViolated):
-            decide_exterior(P5, 1, 2, DomainKind.EXTERIOR_SMOOTH)
+            decide(P5, 1, 2, DomainKind.EXTERIOR_SMOOTH)
         # the ball complement tolerates both
-        decide_exterior(OperatorParams(5, 0, -3), 2, 2, DomainKind.EXTERIOR_BALL)
-        decide_exterior(P5, 1, 2, DomainKind.EXTERIOR_BALL)
+        decide(OperatorParams(5, 0, -3), 2, 2, DomainKind.EXTERIOR_BALL)
+        decide(P5, 1, 2, DomainKind.EXTERIOR_BALL)
 
     @pytest.mark.parametrize("kind", [DomainKind.EXTERIOR_BALL, DomainKind.EXTERIOR_SMOOTH])
     @pytest.mark.parametrize("J", [HarmonicSet.finite([0]), HarmonicSet.at_least(1),
@@ -223,9 +220,9 @@ class TestExterior:
             p = float(rng.choice([1.0, 1.5, 2.0, 3.0, INF]))
             alpha = float(rng.uniform(-5, 5))
             P = OperatorParams(N, c, b)
-            v1 = decide_exterior(P, p, alpha, DomainKind.EXTERIOR_BALL)
+            v1 = decide(P, p, alpha, DomainKind.EXTERIOR_BALL)
             tp, ta = kelvin_transform(P, p, alpha)
-            v2 = decide_unit_ball(tp, p, ta)
+            v2 = decide(tp, p, ta, DomainKind.UNIT_BALL)
             assert v1.holds == v2.holds
 
 
@@ -282,7 +279,7 @@ def test_laplacian_specialization_grid():
                 closed = alpha < kink - 1e-9 and all(
                     abs(alpha - e) > 1e-9 for e in excl
                 )
-                got = decide_unit_ball(OperatorParams(N, 0, 0), p, float(alpha)).holds
+                got = decide(OperatorParams(N, 0, 0), p, float(alpha), DomainKind.UNIT_BALL).holds
                 assert got == closed, (N, p, alpha)
 
 
@@ -297,9 +294,9 @@ def test_whole_space_ball_consistency():
         p = float(rng.choice([1.5, 2.0, 3.0]))
         alpha = float(rng.uniform(-4, 4))
         P = OperatorParams(N, c, b)
-        vb = decide_unit_ball(P, p, alpha)
+        vb = decide(P, p, alpha, DomainKind.UNIT_BALL)
         if vb.holds:
-            vw = decide_whole_space(P, p, alpha)
+            vw = decide(P, p, alpha, DomainKind.WHOLE_SPACE)
             minus_below = [
                 (j, br)
                 for j, br in vw.failing_modes
@@ -317,6 +314,13 @@ def test_decide_dispatch():
     assert decide(P5, 2, 2, DomainKind.EXTERIOR_BALL, HarmonicSet.all()).holds
 
 
+def test_verdict_is_frozen():
+    v = decide(P5, 2, -0.5, DomainKind.WHOLE_SPACE)
+    assert not v.holds and v.failing_modes == [(0, Branch.MINUS)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.best_constant = 1.0
+
+
 class TestInputValidation:
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_non_finite_alpha(self, alpha):
@@ -327,18 +331,26 @@ class TestInputValidation:
     @pytest.mark.parametrize("tol", [math.nan, -1e-9, 1.0])
     def test_bad_tolerance(self, tol):
         with pytest.raises(PreconditionViolated):
-            decide_whole_space(P5, 2, -0.5, tol=tol)
+            decide(P5, 2, -0.5, DomainKind.WHOLE_SPACE, tol=tol)
         with pytest.raises(PreconditionViolated):
-            decide_unit_ball(P5, 2, -0.5, tol=tol)
+            decide(P5, 2, -0.5, DomainKind.UNIT_BALL, tol=tol)
 
-    def test_degree_beyond_float_range(self):
-        # alpha_j^+ = 1e300 needs lambda_j near 1e600
-        with pytest.raises(OutOfRange):
-            decide_whole_space(P5, 2, 1e300)
-        with pytest.raises(OutOfRange):
-            decide_unit_ball(P5, 2, -1e300)
+    @pytest.mark.parametrize("p, alpha, domain", [
+        (2, 1e300, DomainKind.WHOLE_SPACE),
+        (2, -1e300, DomainKind.UNIT_BALL),
+        (2, 1e300, DomainKind.EXTERIOR_BALL),
+        (INF, 1e300, DomainKind.WHOLE_SPACE),
+    ])
+    def test_degree_beyond_float_range(self, p, alpha, domain):
+        # alpha_j^+ = 1e300 needs lambda_j near 1e600; the Kelvin map keeps
+        # |alpha - base|, so the exterior names the distance it was given
+        with pytest.raises(OutOfRange, match=r"^\|alpha - base\| = 1e\+300 puts the degree "):
+            decide(P5, p, alpha, domain)
+
+    def test_boundary_side_of_a_huge_alpha_stands(self):
         # no degree can hit on this side, so the decision stands
-        assert not decide_unit_ball(P5, 2, 1e300).holds
+        v = decide(P5, 2, 1e300, DomainKind.UNIT_BALL)
+        assert v.failing_modes == [(0, Branch.BOUNDARY)]
 
     def test_operator_params_rejects(self):
         for args in [(5.5,), (5, math.nan), (5, 0, math.inf), (5, 1e200, 1e300)]:
@@ -480,15 +492,25 @@ def decision_inputs(draw):
 @settings(max_examples=400, deadline=None)
 def test_decisions_match_scan(args):
     P, p, alpha, J, tol = args
-    assert decide_whole_space(P, p, alpha, J, tol).failing_modes == \
-        scan_whole_space(P, p, alpha, J, tol)
-    assert decide_unit_ball(P, p, alpha, J, tol).failing_modes == \
-        scan_unit_ball(P, p, alpha, J, tol)
-    assert decide_exterior(P, p, alpha, DomainKind.EXTERIOR_BALL, tol).failing_modes \
-        == scan_exterior(P, p, alpha, tol)
+    ALL = HarmonicSet.all()
+    # domain -> (the subspace it is decided for, the scan's failing modes)
+    expected = {
+        DomainKind.WHOLE_SPACE: (J, scan_whole_space(P, p, alpha, J, tol)),
+        DomainKind.UNIT_BALL: (J, scan_unit_ball(P, p, alpha, J, tol)),
+        DomainKind.EXTERIOR_BALL: (ALL, scan_exterior(P, p, alpha, tol)),
+    }
     if 1.0 < p < INF and discriminant(P) >= 0:
-        v = decide_exterior(P, p, alpha, DomainKind.EXTERIOR_SMOOTH, tol)
-        assert v.failing_modes == scan_exterior(P, p, alpha, tol)
+        expected[DomainKind.BOUNDED_SMOOTH] = (ALL, scan_unit_ball(P, p, alpha, ALL, tol))
+        expected[DomainKind.EXTERIOR_SMOOTH] = (ALL, scan_exterior(P, p, alpha, tol))
+    for domain, (K, modes) in expected.items():
+        v = decide(P, p, alpha, domain, K, tol)
+        assert v.failing_modes == modes and v.holds == (not modes), domain
+        # certified for J = all where it holds, on the Kelvin image for the
+        # ball's complement, never for a smooth exterior domain
+        exterior = domain in (DomainKind.EXTERIOR_BALL, DomainKind.EXTERIOR_SMOOTH)
+        Q, a = kelvin_transform(P, p, alpha) if exterior else (P, alpha)
+        certified = not modes and K.kind == "all" and domain != DomainKind.EXTERIOR_SMOOTH
+        assert v.best_constant == (best_constant(Q, p, a) if certified else None), domain
 
 
 @st.composite
@@ -543,13 +565,13 @@ def test_large_offset_matches_scan():
     # |alpha - base| = 1e5: the scan walks ~1e5 degrees, the closed form two
     alpha = base_alpha(P5, 2) + 1e5
     start = time.perf_counter()
-    v = decide_whole_space(P5, 2, alpha)
+    v = decide(P5, 2, alpha, DomainKind.WHOLE_SPACE)
     assert time.perf_counter() - start < 0.05
     assert v.failing_modes == scan_whole_space(P5, 2, alpha, HarmonicSet.all(), DEFAULT_TOL)
     # and exactly on a critical exponent that far out
     j = 316
     alpha = critical_alphas(P5, 2, j)[1]
-    assert decide_whole_space(P5, 2, alpha).failing_modes == [(j, Branch.PLUS)]
+    assert decide(P5, 2, alpha, DomainKind.WHOLE_SPACE).failing_modes == [(j, Branch.PLUS)]
 
 
 def test_large_base_small_gap_matches_scan():
@@ -558,7 +580,7 @@ def test_large_base_small_gap_matches_scan():
     P = OperatorParams(5, 2e12, -((3 + 2e12) / 2) ** 2)
     alpha = base_alpha(P, 2) + 1.0
     start = time.perf_counter()
-    v = decide_whole_space(P, 2, alpha)
+    v = decide(P, 2, alpha, DomainKind.WHOLE_SPACE)
     assert time.perf_counter() - start < 0.05
     assert v.failing_modes == scan_whole_space(P, 2, alpha, HarmonicSet.all(), DEFAULT_TOL)
 
@@ -567,7 +589,7 @@ def test_plateau_lists_every_mode():
     # D = -4e10 and alpha = base: all ~2e5 degrees with D + lambda_j <= 0 fail
     P = OperatorParams(5, 0, -4e10 - 2.25)
     alpha = base_alpha(P, 2)
-    modes = decide_whole_space(P, 2, alpha).failing_modes
+    modes = decide(P, 2, alpha, DomainKind.WHOLE_SPACE).failing_modes
     assert len(modes) > 10**5
     assert modes == scan_whole_space(P, 2, alpha, HarmonicSet.all(), DEFAULT_TOL)
 
@@ -576,8 +598,8 @@ def test_unresolvable_windows_raise():
     # |alpha - base| = 1e20: the rounding pad spans ~10^5 degrees
     start = time.perf_counter()
     with pytest.raises(OutOfRange):
-        decide_whole_space(P5, 2, 1e20)
+        decide(P5, 2, 1e20, DomainKind.WHOLE_SPACE)
     # a plateau at D = -1e16 would list ~10^8 failing modes
     with pytest.raises(OutOfRange):
-        decide_whole_space(OperatorParams(5, 0, -1e16), 2, base_alpha(P5, 2))
+        decide(OperatorParams(5, 0, -1e16), 2, base_alpha(P5, 2), DomainKind.WHOLE_SPACE)
     assert time.perf_counter() - start < 0.05
