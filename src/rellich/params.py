@@ -211,7 +211,12 @@ def kelvin_transform(
     """Parameters after inversion x -> x/|x|^2.
 
     Returns ((N, -c, b + (N-2)c), -alpha + N + 2 - 2N/p).  The
-    discriminant is preserved and the map is an involution.
+    discriminant is preserved and the map is an involution.  OutOfRange,
+    naming the N, c and b given, where the image leaves float range.
     """
-    tilde = OperatorParams(params.N, -params.c, params.b + (params.N - 2) * params.c)
+    try:
+        tilde = OperatorParams(params.N, -params.c, params.b + (params.N - 2) * params.c)
+    except ValueError:
+        raise OutOfRange(f"the Kelvin image of N={params.N}, c={params.c}, b={params.b} "
+                         f"leaves float range") from None
     return tilde, -alpha + params.N + 2.0 - 2.0 * params.N * inv_p(p)

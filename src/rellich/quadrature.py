@@ -5,9 +5,11 @@ support, p)`` the norm ||f||_{L^p(support)}, 1 <= p <= inf, computed from
 the signed f.  Both return (value, err).  An integrand maps an array of
 points to an array of the same shape; for ``lp_norm`` it may instead map
 them to a stack of k such rows, shape (k, *points.shape), and gets k
-(norm, err) pairs, each the one its row would get alone.  Any other
-result raises PreconditionViolated, as does a limit that is not finite,
-and a non-finite value NonFiniteIntegrand.
+(norm, err) pairs, each the one its row would get alone.  It may also be
+a sequence of parts, each a callable of either kind on the one support:
+the stack is their rows in order.  Any other result raises
+PreconditionViolated, as does a limit that is not finite, and a
+non-finite value NonFiniteIntegrand, which names rows of the whole stack.
 
 Both read f as chebfun does (Battles & Trefethen, SISC 2004): the Legendre
 series of the polynomial that interpolates f at the ``NODES`` Gauss nodes
@@ -31,16 +33,20 @@ critical points, the real roots of the series' derivative.
 
 A stack is read as a whole, every row alike: one ``_resolve`` of all the
 rows that need one, one ``eigvals`` call per degree of their series, and
-one call of f per pass (the first pass, each round of halving, the graded
-pass over the pieces of every split row, the sup candidates).  The Gauss
-nodes of a pass come from one cached layout on [-1, 1], mapped onto every
-piece at once.  No row's result depends on the rows around it.
+one call of each part per pass (the first pass, each round of halving,
+the graded pass over the pieces of every split row, the sup candidates).
+The first pass calls every part at the shared nodes; later passes go
+through one sampler, which gives each piece the values of its own row and
+calls a part only at the pieces of its own rows, so that a stack of many
+parts costs each what it costs alone.  The Gauss nodes of a pass come from
+one cached layout on [-1, 1], mapped onto every piece at once.  No row's
+result depends on the rows around it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -117,24 +123,72 @@ def _layout(parts) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _checked(vals: np.ndarray, pts: np.ndarray, stack: int | None) -> np.ndarray:
+def _checked(vals: np.ndarray, pts: np.ndarray, stack: int | None,
+             offset: int = 0) -> np.ndarray:
     """vals as a (rows, len(pts)) array: they must be finite floats of the shape of pts,
     or of (stack, *pts.shape) for f that returns a stack of rows.  NonFiniteIntegrand
-    names the rows that are not."""
+    names the rows that are not, counted from offset, the position of vals' first row
+    in a stack of parts."""
     if vals.shape != (pts.shape if stack is None else (stack, *pts.shape)):
         raise PreconditionViolated(f"an integrand must map an array to an array of its shape "
                                    f"(for lp_norm, or to a stack of them, as at its first call): "
                                    f"got shape {vals.shape} for nodes of shape {pts.shape}")
     vals = vals.reshape(1 if stack is None else stack, len(pts))
     if not np.isfinite(vals).all():
-        raise NonFiniteIntegrand("integrand returned non-finite values",
-                                 tuple(np.flatnonzero(~np.isfinite(vals).all(axis=1)).tolist()))
+        bad = offset + np.flatnonzero(~np.isfinite(vals).all(axis=1))
+        raise NonFiniteIntegrand("integrand returned non-finite values", tuple(bad.tolist()))
     return vals
 
 
-def _sample(f, pts: np.ndarray, stack: int | None = None) -> np.ndarray:
-    """f at the points pts, checked by ``_checked``."""
-    return _checked(np.asarray(f(pts), dtype=float), pts, stack)
+def _sampler(f, stack: int | None, offset: int = 0):
+    """S(x, rows) for f, whose result is a stack of stack rows (None: one row), the
+    first of them row offset of a stack of parts, as NonFiniteIntegrand names it.
+
+    S gives, for each entry i of the int array rows, row rows[i] of f's stack
+    at x[i] (a point, or a piece's row of nodes), in the shape of x: one call
+    of f at every point of x, then a take of each entry's own row.  The
+    sampler of parts (``_first_pass``) may give them in x's own memory.
+    """
+    def S(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        pts = x.ravel()
+        v = _checked(np.asarray(f(pts), dtype=float), pts, stack, offset)
+        return v.reshape(len(v), *x.shape)[rows, np.arange(len(rows))]
+
+    return S
+
+
+def _first_pass(f, pts: np.ndarray):
+    """(vals, S, stacked): the checked (rows, len(pts)) first pass of the integrand f
+    of ``lp_norm`` at the shared nodes pts, its sampler S and whether its result is a
+    list of pairs.
+
+    f is one callable, or a sequence of parts, each a callable of one row or a stack,
+    whose rows in order make the stack.  The sampler of one callable is ``_sampler``.
+    That of parts calls each part once, at the points of the entries of its own rows
+    alone, so no part is sampled at the pieces of another, and writes the values
+    over x: for the pieces of a corpus, x is large.
+    """
+    if callable(f):
+        first = np.asarray(f(pts), dtype=float)
+        stack = len(first) if first.ndim == 2 else None
+        return _checked(first, pts, stack), _sampler(f, stack), stack is not None
+    vals, samplers, offsets = [], [], [0]
+    for part in f:
+        first = np.asarray(part(pts), dtype=float)
+        stack = len(first) if first.ndim == 2 else None
+        vals.append(_checked(first, pts, stack, offsets[-1]))
+        samplers.append(_sampler(part, stack, offsets[-1]))
+        offsets.append(offsets[-1] + len(vals[-1]))
+
+    def S(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        order = np.argsort(rows, kind="stable")
+        cuts = np.searchsorted(rows[order], offsets).tolist()  # each part's entries in order
+        for j in np.flatnonzero(np.diff(cuts)).tolist():
+            mine = order[cuts[j]:cuts[j + 1]]
+            x[mine] = samplers[j](x[mine], rows[mine] - offsets[j])
+        return x
+
+    return np.concatenate(vals) if vals else np.empty((0, len(pts))), S, True
 
 
 def _rule(lo, hi, parts) -> tuple[np.ndarray, np.ndarray]:
@@ -188,15 +242,15 @@ def _colleague(c: np.ndarray) -> np.ndarray:
     return m
 
 
-def _resolve(F, a: float, b: float, vals: np.ndarray, rows) -> _Pieces:
+def _resolve(S, a: float, b: float, vals: np.ndarray, rows) -> _Pieces:
     """The pieces of [a, b] on which each row's Legendre series resolves, or not.
 
-    vals[i] holds row rows[i] of F's stack at the NODES Gauss nodes of
+    vals[i] holds row rows[i] of the stack at the NODES Gauss nodes of
     [a, b].  A piece's degree is that of its interpolant's series without
     the trailing coefficients below _CHOP of the largest, and it is
     resolved below _RESOLVED.  Unresolved pieces are halved, the halves of
-    every row sampled by one call of F, while the row has sampled at most
-    _MAX_PIECES pieces.
+    every row sampled by one call of the sampler S (see ``_first_pass``),
+    while the row has sampled at most _MAX_PIECES pieces.
     """
     T = _legendre()[0]
     k = len(vals)
@@ -220,19 +274,18 @@ def _resolve(F, a: float, b: float, vals: np.ndarray, rows) -> _Pieces:
         lo, hi, row = lo[halve], hi[halve], np.repeat(row[halve], 2)
         mid = 0.5 * (lo + hi)
         lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
-        sample = F(_rule(lo[:, None], hi[:, None], _PLAIN)[0].ravel())
-        sample = sample.reshape(len(sample), len(lo), NODES)
-        vals = sample[np.asarray(rows)[row], np.arange(len(lo))]
+        vals = S(_rule(lo[:, None], hi[:, None], _PLAIN)[0], np.asarray(rows)[row])
     return final[0] if len(final) == 1 else _Pieces(*map(np.concatenate, zip(*final)))
 
 
-def _locate(F, a: float, b: float, vals: np.ndarray, rows,
+def _locate(S, a: float, b: float, vals: np.ndarray, rows,
             sup: bool) -> list[tuple[np.ndarray, float]]:
     """(sorted real roots inside (a, b) of f, or of f' when sup, bound) for
-    each row f of F's stack named by rows, as chebfun finds them.
+    each row f of the stack named by rows, as chebfun finds them.
 
     vals[i] holds row rows[i] at the NODES Gauss nodes of [a, b].  One
-    ``_resolve`` reads every row, with one call of F per round of halving.
+    ``_resolve`` reads every row, with one call of the sampler S per round
+    of halving.
     The resolved pieces are grouped by the degree of their chopped series
     (or of its derivative), and each group takes one ``eigvals`` call on
     the stack of its colleague matrices (Battles & Trefethen, SISC 2004).
@@ -248,7 +301,7 @@ def _locate(F, a: float, b: float, vals: np.ndarray, rows,
     """
     D = _legendre()[1]
     near = _NEAR_REAL * (b - a)
-    lo, hi, row, c, v, degree = _resolve(F, a, b, vals, rows)
+    lo, hi, row, c, v, degree = _resolve(S, a, b, vals, rows)
     groups = {}  # degree of the series whose roots are sought -> its pieces
     for j, d in enumerate(degree.tolist()):
         if sup < d < _RESOLVED:
@@ -301,8 +354,9 @@ def integrate(f, a: float, b):
     top = float(np.max(b))
     if top <= a:
         return (np.zeros(np.shape(b)) if np.ndim(b) else 0.0), 0.0
-    F = partial(_sample, f)
-    pieces = _resolve(F, a, top, F(_rule(a, top, _PLAIN)[0]), range(1))
+    S = _sampler(f, None)
+    pts = _rule(a, top, _PLAIN)[0]
+    pieces = _resolve(S, a, top, S(pts[None], np.zeros(1, int)), range(1))
     by_lo = np.argsort(pieces.lo)
     lo, hi, c, vals = (m[by_lo] for m in (pieces.lo, pieces.hi, pieces.c, pieces.vals))
     half = 0.5 * (hi - lo)
@@ -320,12 +374,12 @@ def integrate(f, a: float, b):
     return np.where(x > a, before[i] + half[i] * np.sum(t * F[i], axis=-1), 0.0), err
 
 
-def _sup_at(F, a: float, b: float, found: list) -> list[tuple[float, float]]:
-    """(max |f| over a, b and the critical points xs of f, err) for each row f of F,
-    found holding each row's (xs, bound) from ``_locate``.
+def _sup_at(S, a: float, b: float, found: list) -> list[tuple[float, float]]:
+    """(max |f| over a, b and the critical points xs of f, err) for each row f of the
+    stack, found holding each row's (xs, bound) from ``_locate``.
 
-    F(x) is the (rows, len(x)) sample of the stack; a, b and the candidates
-    of every row are sampled in one call.  Each critical point also gets
+    a, b and the candidates of every row are sampled by one call of the
+    sampler S, each point in its own row.  Each critical point also gets
     neighbours at +-h = sqrt(eps) (b - a), inside [a, b] since ``_locate``
     keeps the points _NEAR_REAL (b - a) inside.  The computed point lies far
     within h/2 of the exact one, so the best of the three plus their spread
@@ -334,14 +388,15 @@ def _sup_at(F, a: float, b: float, found: list) -> list[tuple[float, float]]:
     spread also shows the rounding of f.  err is at least bound - max.
     """
     h = math.sqrt(math.ulp(1.0)) * (b - a)
+    k = len(found)
     xs = np.concatenate([x for x, _ in found])
-    owner = [r for r, (x, _) in enumerate(found) for _ in x.tolist()]
-    v = np.abs(F(np.concatenate(([a, b], xs - h, xs, xs + h))))
-    top = [max(ends) for ends in v[:, :2].tolist()]
+    owner = np.repeat(np.arange(k), [len(x) for x, _ in found])
+    v = np.abs(S(np.concatenate(([a] * k, [b] * k, xs - h, xs, xs + h)),
+                 np.concatenate((np.arange(k), np.arange(k), owner, owner, owner))))
+    top = np.maximum(v[:k], v[k:2 * k]).tolist()
     bound = top.copy()
-    m = len(xs)
-    trios = v[:, 2:].reshape(len(v), 3, m)[owner, :, range(m)].tolist()  # each in its own row
-    for r, trio in zip(owner, trios):
+    trios = v[2 * k:].reshape(3, len(xs)).T.tolist()
+    for r, trio in zip(owner.tolist(), trios):
         peak = max(trio)
         top[r], bound[r] = max(top[r], peak), max(bound[r], 2.0 * peak - min(trio))
     return [(t, max(u - t, math.ulp(t), e - t)) for t, u, (_, e) in zip(top, bound, found)]
@@ -353,12 +408,15 @@ def lp_norm(f, support: tuple[float, float],
 
     f, the signed function, maps an array of points to an array of the
     same shape, or to a stack of k such rows, shape (k, *points.shape),
-    for which the result is a list of k (norm, err) pairs.  Each row gets
-    what it would get alone: its own first pass, split points and sup
-    candidates.  The rows share the Gauss nodes and one call of f per
-    pass: the first pass, the graded pass over the pieces of every row that
-    splits, and the sup candidates; one ``_locate`` finds the split points
-    or critical points of all of them.  For finite p the estimate is the
+    for which the result is a list of k (norm, err) pairs.  f may also be a
+    sequence of parts, each a callable of either kind: the stack is their
+    rows in order, and the result a list of pairs.  Each row gets what it
+    would get alone: its own first pass, split points and sup candidates.
+    The rows share the Gauss nodes and one call of each part per pass: the
+    first pass, the graded pass over the pieces of every row that splits,
+    and the sup candidates, each part at the points of its own rows after
+    the first pass; one ``_locate`` finds the split points or critical
+    points of all of them.  For finite p the estimate is the
     change from the plain 1- to the graded 2-panel sum on the support, or
     from the graded 1- to 2-panel sum on each piece, plus their rounding;
     for p = inf it is the spread of |f| around the sup.  An empty support
@@ -372,42 +430,42 @@ def lp_norm(f, support: tuple[float, float],
     check_finite("the upper end of the support", b)
     sup = math.isinf(p)
     pts, wts = _rule(a, b, _PLAIN if sup else _FIRST) if b > a else (np.empty(0), None)
-    first = np.asarray(f(pts), dtype=float)
-    stack = len(first) if first.ndim == 2 else None
-    F = partial(_sample, f, stack=stack)
-    vals = _checked(first, pts, stack)
+    vals, S, stacked = _first_pass(f, pts)
     if b <= a or not len(vals):
         out = [(0.0, 0.0)] * len(vals)
     elif sup:
-        out = _sup_at(F, a, b, _locate(F, a, b, vals, range(len(vals)), sup=True))
+        out = _sup_at(S, a, b, _locate(S, a, b, vals, range(len(vals)), sup=True))
     else:
-        out = _lp_sums(F, a, b, p, vals, wts)
-    return out if stack is not None else out[0]
+        out = _lp_sums(S, a, b, p, vals, wts)
+    return out if stacked else out[0]
 
 
-def _lp_sums(F, a: float, b: float, p: float, vals, wts) -> list[tuple[float, float]]:
-    """(norm, err) at finite p of each row of vals, F's plain 1- and graded 2-panel first pass.
+def _lp_sums(S, a: float, b: float, p: float, vals, wts) -> list[tuple[float, float]]:
+    """(norm, err) at finite p of each row of vals, the plain 1- and graded 2-panel first pass.
 
     The rows whose two sums disagree are split at their own sign changes,
     found by one ``_locate``, and the pieces of all of them take their
-    graded 1- and 2-panel sums from one call of F.
+    graded 1- and 2-panel sums from one call of the sampler S.
     """
-    def g(v):
-        return np.abs(v) ** p
+    def sums(g, w):
+        """The 1- and 2-panel sums of g^p w in each row of g = |f|, which they overwrite."""
+        g **= p
+        g *= w
+        return np.add.reduceat(g, [0, NODES], axis=1).tolist()
 
     with np.errstate(over="ignore"):  # an overflow is the OutOfRange below
-        sums = np.add.reduceat(g(vals) * wts, [0, NODES], axis=1).tolist()
-        total, err = [two for _, two in sums], [abs(two - one) for one, two in sums]
+        first = sums(np.abs(vals), wts)
+        total, err = [two for _, two in first], [abs(two - one) for one, two in first]
         split = [i for i, (t, e) in enumerate(zip(total, err)) if not e <= REL_TOL * t]
         if split:
             edges = [[a, *xs.tolist(), b]
-                     for xs, _ in _locate(F, a, b, vals[split, :NODES], split, sup=False)]
-            lo, hi = [x for e in edges for x in e[:-1]], [x for e in edges for x in e[1:]]
+                     for xs, _ in _locate(S, a, b, vals[split, :NODES], split, sup=False)]
+            lo = np.array([x for e in edges for x in e[:-1]])[:, None]
+            hi = np.array([x for e in edges for x in e[1:]])[:, None]
             row = [i for i, e in zip(split, edges) for _ in e[1:]]
-            pts, wts = _rule(np.array(lo)[:, None], np.array(hi)[:, None], _GRADED)
-            sample = F(pts.ravel())
-            sample = sample.reshape(len(sample), len(lo), -1)[row, np.arange(len(lo))]
-            graded = np.add.reduceat(g(sample) * wts, [0, NODES], axis=1).tolist()
+            pts, wts = _rule(lo, hi, _GRADED)
+            sample = S(pts, np.array(row))
+            graded = sums(np.abs(sample, out=sample), wts)
             at = 0
             for i, e in zip(split, edges):  # each split row's sums over its own pieces
                 mine, at = graded[at:at + len(e) - 1], at + len(e) - 1

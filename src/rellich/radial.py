@@ -10,12 +10,15 @@ logarithmic variable s = -log rho:
 with beta the reduced drift of ``params.reduced_drift`` and
 lambda_red = gamma_p(alpha, c) + b + lambda_n.  The spherical factor
 S_P = integral |P|^p cancels in every ratio and is never computed.
-The reduced norms of one profile on one support are one ``lp_norm`` call
+The reduced norms of one profile on its support are one ``lp_norm`` call
 on a stack of integrands, which samples the profile once per pass:
 ``reduced_norm`` takes one row (a2, a1, a0, power) per norm, and
 ``critical_rows`` the critical family u_eps = r^gamma phi(r^eps) of a whole
-eps ladder, read on phi's fixed support.  ``lp_norm`` finds the sign
-changes and the sup of each row, for any weight s^power, itself.
+eps ladder, read on phi's fixed support.  ``corpus_norms`` takes the norms
+of a whole corpus in one ``lp_norm`` call: each profile is one part of the
+stack, on t in (-1, 1) through s = mid + half t, sampled at its own pieces
+alone.  ``lp_norm`` finds the sign changes and the sup of each row, for
+any weight s^power, itself.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -83,15 +87,39 @@ def reduced_coefficients(
     return ReducedCoefficients(reduced_drift(params, p, alpha), lam_red)
 
 
-def reduced_norm(v: Profile1D, p: float, *rows: tuple[float, ...],
-                 support: tuple[float, float] | None = None):
-    """(||s^power (a2 v'' + a1 v' + a0 v)||_{L^p(support)}, err) for a profile v and a row
-    (a2, a1, a0, power), as ``Profile1D.integrand`` reads it; a list of such pairs for
-    several rows, from one ``lp_norm`` call.
-
-    support defaults to the support of v.
+def reduced_norm(v: Profile1D, p: float, *rows: tuple[float, ...]):
+    """(||s^power (a2 v'' + a1 v' + a0 v)||_{L^p}, err) on the support of a profile v, for
+    a row (a2, a1, a0, power) as ``Profile1D.integrand`` reads it; a list of such pairs for
+    several rows, from one ``lp_norm`` call.  It is the one-term case of ``corpus_norms``.
     """
-    return lp_norm(v.integrand(*rows), v.support if support is None else support, p)
+    return lp_norm(v.integrand(*rows), v.support, p)
+
+
+def corpus_norms(p: float, terms: Sequence[tuple[Profile1D, Sequence[tuple[float, ...]]]]):
+    """``reduced_norm(v, p, *rows)`` for each term (v, rows), from one ``lp_norm`` call.
+
+    One term is ``lp_norm(v.integrand(*rows), v.support, p)`` itself.  Of
+    several, each profile is one part of a stack on t in (-1, 1), through
+    s = mid + half t on its support, so each part is sampled at its own
+    pieces alone; its norms and errs are then times half^(1/p), or 1 at
+    p = inf.  A ``NonFiniteIntegrand`` names the rows of the whole stack,
+    the terms' rows in order.
+    """
+    if len(terms) == 1:
+        (v, rows), = terms
+        return [reduced_norm(v, p, *rows)]
+    q, parts, scales = inv_p(p), [], []
+    for v, rows in terms:
+        a, b = v.support
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        parts.append(lambda t, f=v.integrand(*rows), mid=mid, half=half: f(mid + half * t))
+        scales.append(half**q)
+    pairs = iter(lp_norm(parts, (-1.0, 1.0), p))
+    out = []
+    for (_, rows), k in zip(terms, scales):
+        mine = [(norm * k, err * k) for norm, err in islice(pairs, len(rows))]
+        out.append(mine if len(rows) > 1 else mine[0])
+    return out
 
 
 def _ratio(num: tuple[float, float], den: tuple[float, float]) -> RatioReport:
@@ -106,8 +134,20 @@ def rellich_ratio_separable(
     params: OperatorParams, p: float, alpha: float, n: int, v: Profile1D
 ) -> RatioReport:
     """|| v'' + beta v' - lambda_red v ||_p / || v ||_p on the support of v."""
+    return _ratio(*reduced_norm(v, p, *_rellich_rows(params, p, alpha, n)))
+
+
+def rellich_ratios(params: OperatorParams, p: float, alpha: float,
+                   corpus: Sequence[tuple[int, Profile1D]]) -> list[RatioReport]:
+    """``rellich_ratio_separable`` of each (n, v) of corpus, from one ``corpus_norms`` call."""
+    terms = [(v, _rellich_rows(params, p, alpha, n)) for n, v in corpus]
+    return [_ratio(*pair) for pair in corpus_norms(p, terms)]
+
+
+def _rellich_rows(params: OperatorParams, p: float, alpha: float, n: int):
+    """The rows of the reduced ratio's numerator and denominator for degree n."""
     rc = reduced_coefficients(params, p, alpha, n)
-    return _ratio(*reduced_norm(v, p, (1.0, rc.beta, -rc.lambda_red), (0.0, 0.0, 1.0)))
+    return (1.0, rc.beta, -rc.lambda_red), (0.0, 0.0, 1.0)
 
 
 def counterexample_gamma(params: OperatorParams, n: int, branch: str) -> float:

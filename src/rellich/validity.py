@@ -48,9 +48,11 @@ class DomainKind(str, enum.Enum):
     EXTERIOR_BALL = "exterior_ball"
 
 
-# kinds with hypotheses 1 < p < inf and D >= 0, and kinds decided on the Kelvin image
+# kinds with hypotheses 1 < p < inf and D >= 0, kinds decided on the Kelvin image,
+# and kinds decided by the ball's rule itself
 _SMOOTH = (DomainKind.BOUNDED_SMOOTH, DomainKind.EXTERIOR_SMOOTH)
 _EXTERIOR = (DomainKind.EXTERIOR_SMOOTH, DomainKind.EXTERIOR_BALL)
+_BALL = (DomainKind.UNIT_BALL, DomainKind.BOUNDED_SMOOTH)
 
 
 class Branch(str, enum.Enum):
@@ -225,7 +227,8 @@ def decide(
     smooth domain containing 0 follows the ball, an exterior domain the ball for
     its Kelvin image; both take J = all alone, the smooth ones 1 < p < inf and
     D >= 0.  Where it holds for J = all, best_constant is certified, except on a
-    smooth exterior domain.
+    smooth exterior domain.  ValueError for a domain that is not a DomainKind or
+    the value of one.
     """
     smooth, exterior = domain in _SMOOTH, domain in _EXTERIOR
     if J.kind != "all" and (smooth or exterior):
@@ -248,8 +251,10 @@ def decide(
                  for j, b in _ball(params, p, alpha, J, tol)]
     elif domain == DomainKind.WHOLE_SPACE:
         modes = _hits(params, p, alpha, J, tol)
-    else:
+    elif domain in _BALL:
         modes = _ball(params, p, alpha, J, tol)
+    else:
+        raise ValueError(f"domain must be a DomainKind, got {domain!r}")
     # optimality is not claimed for general exterior domains
     certified = not modes and J.kind == "all" and not (smooth and exterior)
     return Verdict(modes, best_constant(params, p, alpha) if certified else None,

@@ -42,9 +42,9 @@ from .params import (
 )
 from .profiles import Profile1D
 from .quadrature import integrate, lp_norm
-from .radial import (PHI_SUPPORT, boundary_counterexample, counterexample_drift,
+from .radial import (PHI_SUPPORT, boundary_counterexample, corpus_norms, counterexample_drift,
                      counterexample_ratio, critical_rows, fit_loglog_slope, reduced_norm,
-                     rellich_ratio_separable)
+                     rellich_ratios)
 from .spectral import region_section3
 from .validity import Branch, DomainKind, HarmonicSet, best_constant, decide
 
@@ -90,7 +90,9 @@ def verify_rellich(
     When the decision holds with a certified constant C, every sample
     ratio must be >= C (slack 1e-3, limit-approach).  When it fails at a
     critical alpha with real indicial roots, the explicit family must
-    decay to zero monotonically with log-log slope near 1.
+    decay to zero monotonically with log-log slope near 1.  The ratios of
+    the whole corpus come from one ``lp_norm`` call, as do the critical
+    family's.
     """
     if not corpus:
         raise PreconditionViolated("empty corpus: nothing to verify")
@@ -116,8 +118,7 @@ def verify_rellich(
         else:
             report.tolerance = SLACK_LIMIT
             report.notes = f"verdict holds with certified constant C={C}"
-        for n, v in corpus:
-            r = rellich_ratio_separable(work_params, p, work_alpha, n, v)
+        for (n, v), r in zip(corpus, rellich_ratios(work_params, p, work_alpha, corpus)):
             report.add(f"n={n} {v.label}", r.ratio, C, r.ratio - C)
         return report
 
@@ -469,7 +470,8 @@ def verify_dissipativity(
     For u = f(r) P_n with f carried by w through the norm-preserving
     substitution f(r) = r^{-N/p} w(log r), the claim is the 1-D bound
     lambda ||w||_p <= ||(lambda + lambda_n) w - w'' - k w'||_p with
-    k = N(1 - 2/p) - 2 + c.
+    k = N(1 - 2/p) - 2 + c.  The norms of the whole corpus come from one
+    ``lp_norm`` call.
     """
     check_inner_p(p, "dissipativity")
     if check_finite("lambda", lam) <= 0:
@@ -481,9 +483,9 @@ def verify_dissipativity(
         claim=f"dissipativity N={params.N} c={params.c} p={p} lambda={lam}"
     )
     worst = 1.0
-    for n, w in corpus:
-        (rhs, _), (norm, _) = reduced_norm(w, p, (-1.0, -k, lam + eigen_lambda(params.N, n)),
-                                           (0.0, 0.0, 1.0))
+    terms = [(w, ((-1.0, -k, lam + eigen_lambda(params.N, n)), (0.0, 0.0, 1.0)))
+             for n, w in corpus]
+    for (n, w), ((rhs, _), (norm, _)) in zip(corpus, corpus_norms(p, terms)):
         lhs = lam * norm
         report.add(f"n={n} {w.label}", rhs, lhs, rhs - lhs)
         worst = max(worst, rhs)

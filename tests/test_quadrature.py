@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -555,7 +554,7 @@ def test_located_points_match_brentq(eps):
 
     for f, zero, sup in ((v.integrand((1.0, -1.3, -0.4)), v.integrand((1.0, -1.3, -0.4)), False),
                          (v.integrand((0.0, 0.0, 1.0, -1.0)), critical, True)):
-        [(got, _)] = quadrature._locate(partial(quadrature._sample, f), a, b, f(nodes)[None],
+        [(got, _)] = quadrature._locate(quadrature._sampler(f, None), a, b, f(nodes)[None],
                                         range(1), sup)
         pad = 1e-3 * (b - a)  # f and f' vanish at the ends of the support
         ref = reference_roots(zero, a + pad, b - pad)
@@ -589,3 +588,56 @@ def test_norm_beyond_float_range_is_out_of_range(f, p):
         warnings.simplefilter("error")
         with pytest.raises(OutOfRange, match="beyond float range"):
             lp_norm(f, (0.0, 1.0), p)
+
+
+def _spy(f, seen):
+    """f, recording the sorted points of each call in seen."""
+    def g(s):
+        seen.append(np.sort(np.ravel(s)))
+        return f(s)
+
+    return g
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+def test_parts_are_each_sampled_at_their_own_pieces(p):
+    # parts of one row or a stack: a smooth row, rows with sign changes,
+    # rows that halve (one beyond the cap).  Each part gets exactly the pairs
+    # it gets alone, from exactly the points it is sampled at alone: the
+    # shared first pass, then in each round of halving, on the graded pass
+    # and at the sup candidates the nodes of its own rows' pieces only
+    parts = [lambda s: 2.0 + np.cos(s),
+             lambda s: np.stack((s - 1.3, (s - 0.4) * (s - 2.2), np.exp(-s))),
+             lambda s: np.sin(40.0 * s) * np.exp(-s),
+             lambda s: np.stack((np.sin(2000.0 * s) * (1.0 + 0.1 * s), s * s - 1.0))]
+    alone, seen_alone = [], []
+    for f in parts:
+        seen_alone.append([])
+        out = lp_norm(_spy(f, seen_alone[-1]), (0.0, 3.0), p)
+        alone += out if isinstance(out, list) else [out]
+    seen = [[] for _ in parts]
+    assert lp_norm([_spy(f, s) for f, s in zip(parts, seen)], (0.0, 3.0), p) == alone
+    for got, want in zip(seen, seen_alone):
+        assert len(got) == len(want) and all(map(np.array_equal, got, want)), p
+    assert max(map(len, seen)) > 2 and len(seen[0]) == (1 if p < math.inf else 2)
+
+
+@pytest.mark.parametrize("p", [1.5, math.inf])
+def test_a_part_is_sampled_alike_in_a_small_and_a_large_corpus(p):
+    # a corpus of ten profiles, and one of 400 that repeats them (up to the
+    # placement of the support): the most points any part is sampled at is
+    # the same, as no part is sampled at the pieces of another
+    from rellich import Profile1D, bump
+    from rellich.radial import corpus_norms
+
+    def most_points(count):
+        tallies, terms = [], []
+        for i in range(count):
+            v = bump(0.1 * i, 0.1 * i + 0.5 * (1 + i % 5))
+            tallies.append([])
+            rows = ((1.0, 0.8, -2.0), (0.0, 0.0, 1.0)) if i % 2 else ((1.0, -1.5),)
+            terms.append((Profile1D(_counted(v.jet, tallies[-1]), v.support), rows))
+        corpus_norms(p, terms)
+        return max(map(sum, tallies))
+
+    assert most_points(10) == most_points(400) > (64 if p == math.inf else 192)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rellich import (
+    NonFiniteIntegrand,
     OperatorParams,
     PreconditionViolated,
     UnsupportedRegime,
@@ -23,8 +24,8 @@ from rellich import (
     verify_critical_log,
 )
 from rellich.quadrature import REL_TOL, lp_norm
-from rellich.radial import (CUTOFF, PHI_SUPPORT, counterexample_drift, counterexample_gamma,
-                            reduced_norm)
+from rellich.radial import (CUTOFF, PHI_SUPPORT, corpus_norms, counterexample_drift,
+                            counterexample_gamma, reduced_norm)
 from rellich.verify import EPS_LADDER
 
 from references import log_squeezed, reference_lp_integral
@@ -391,3 +392,48 @@ def test_critical_rows_match_the_rows_of_each_eps(p, kappa):
     if kappa is not None:
         want += [want[-1] * (-np.log(x) / e) ** -kappa for e in EPS_LADDER]
     assert np.array_equal(critical_rows(g, lam, p, EPS_LADDER, kappa)(x), np.stack(want))
+
+
+# a corpus: profiles on different supports, rows of the ratios, a weighted
+# row (power != 0) and a term of one row
+CORPUS_TERMS = [
+    (bump(1.0, 3.0), ((1.0, -2.0, -1.25), (0.0, 0.0, 1.0))),
+    (bump(2.0, 6.0), ((1.0, 0.7, -3.5), (0.0, 0.0, 1.0, -1.5), (0.0, 0.0, 1.0))),
+    (bump(0.3, 0.9), ((-1.0, 1.5, 2.0),)),
+    (plateau_profile(50.0), ((1.0, -2.0, -1.25), (0.0, 0.0, 1.0))),
+]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+def test_corpus_norms_give_each_profile_its_own_pairs(p):
+    # each term's pairs are those it gets alone, to 1e-14 of the norm: the
+    # errs, rounding estimates themselves, to 1e-14 of the norm as well
+    got = corpus_norms(p, CORPUS_TERMS)
+    assert len(got) == len(CORPUS_TERMS)
+    for (v, rows), pairs in zip(CORPUS_TERMS, got):
+        want = reduced_norm(v, p, *rows)
+        if len(rows) == 1:
+            pairs, want = [pairs], [want]
+        assert len(pairs) == len(want)
+        for (norm, err), (norm0, err0) in zip(pairs, want):
+            assert abs(norm - norm0) <= 1e-14 * norm0, (p, v.label, norm, norm0)
+            assert abs(err - err0) <= 1e-14 * norm0, (p, v.label, err, err0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+def test_a_one_term_corpus_is_its_lp_norm_call(p):
+    # bit for bit: no change of variable, the profile's own support
+    for v, rows in CORPUS_TERMS:
+        assert corpus_norms(p, [(v, rows)]) == [lp_norm(v.integrand(*rows), v.support, p)]
+        assert reduced_norm(v, p, *rows) == lp_norm(v.integrand(*rows), v.support, p)
+
+
+def test_corpus_overflow_names_rows_of_the_whole_stack():
+    # s^-400 overflows near the left end of (0.01, 1): the second row of
+    # the second term, row 3 of the stack of 2 + 2 rows
+    terms = [(bump(1.0, 3.0), ((1.0,), (0.0, 0.0, 1.0))),
+             (bump(0.01, 1.0), ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0, -400.0)))]
+    for p in (1.5, INF):
+        with pytest.raises(NonFiniteIntegrand) as err:
+            corpus_norms(p, terms)
+        assert err.value.rows == (3,)

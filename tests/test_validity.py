@@ -211,6 +211,19 @@ class TestExterior:
                            match="^general bounded domains are only decided for J = all$"):
             decide(P5, 2, 0, DomainKind.BOUNDED_SMOOTH, HarmonicSet.finite([0]))
 
+    def test_a_domain_that_is_not_a_kind_is_rejected(self):
+        # a plain string that is no member value is named; a member value works
+        with pytest.raises(ValueError, match="domain must be a DomainKind, got 'exterior'"):
+            decide(P5, 2, 0, "exterior")
+        for kind in DomainKind:
+            assert decide(P5, 2, 0, kind.value) == decide(P5, 2, 0, kind)
+
+    def test_kelvin_image_beyond_float_range_names_the_given_params(self):
+        # b + (N - 2) c of the image overflows to -inf
+        big = OperatorParams(15 * 10**153, -1.5e154, 0)
+        with pytest.raises(OutOfRange, match=r"N=15000\d+, c=-1\.5e\+154, b=0 leaves float"):
+            decide(big, 2, 0, DomainKind.EXTERIOR_BALL)
+
     def test_kelvin_equivalence_sweep(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

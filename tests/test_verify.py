@@ -15,6 +15,7 @@ from rellich import (
     OutOfRange,
     PreconditionViolated,
     VerificationReport,
+    base_alpha,
     best_constant,
     bump,
     counterexample_ratio,
@@ -90,6 +91,33 @@ class TestVerifyRellich:
     def test_exterior_reduces_to_kelvin_image(self):
         rep = verify_rellich(P5, 2, 2.0, DomainKind.EXTERIOR_BALL, ALL, small_corpus())
         assert rep.passed
+
+    def test_kelvin_image_beyond_float_range_names_the_given_params(self):
+        big = OperatorParams(15 * 10**153, -1.5e154, 0)
+        with pytest.raises(OutOfRange, match=r"c=-1\.5e\+154, b=0 leaves float range"):
+            verify_rellich(big, 2, 0.0, DomainKind.EXTERIOR_BALL, ALL, small_corpus())
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_a_holds_case_makes_one_lp_norm_call(self, monkeypatch, p):
+        # the ratios of the whole corpus are one stack, each profile one part
+        import rellich.radial as radial_mod
+        import rellich.verify as verify_mod
+
+        calls = []
+
+        def counted(f, support, p):
+            calls.append(f)
+            return lp_norm(f, support, p)
+
+        alpha = base_alpha(P5, p)  # the middle of the range where it holds
+        monkeypatch.setattr(verify_mod, "lp_norm", counted)
+        monkeypatch.setattr(radial_mod, "lp_norm", counted)
+        rep = verify_rellich(P5, p, alpha, DomainKind.WHOLE_SPACE, ALL, small_corpus())
+        assert rep.passed and "certified constant" in rep.notes
+        assert len(calls) == 1 and len(calls[0]) == len(small_corpus())
+        for (n, v), sample in zip(small_corpus(), rep.samples):
+            alone = rellich_ratio_separable(P5, p, alpha, n, v).ratio
+            assert abs(sample[1] - alone) <= 1e-14 * alone, (p, n, sample, alone)
 
     @pytest.mark.parametrize("domain", [DomainKind.EXTERIOR_BALL, DomainKind.EXTERIOR_SMOOTH])
     def test_exterior_subspace_rejected(self, domain):
@@ -383,6 +411,25 @@ class TestDissipativity:
         rep = verify_dissipativity(OperatorParams(4, 1.5, 0), 3, 0.7,
                                    [(0, bump(-1, 3)), (1, bump(2, 5))])
         assert rep.passed
+
+    def test_one_lp_norm_call_per_corpus(self, monkeypatch):
+        # each profile's two norms, one part of the corpus's stack, are those it gets alone
+        import rellich.radial as radial_mod
+
+        calls = []
+
+        def counted(f, support, p):
+            calls.append(f)
+            return lp_norm(f, support, p)
+
+        corpus = [(0, bump(-1.0, 2.0)), (2, bump(0.5, 3.0)), (1, bump(2.0, 7.0))]
+        alone = [verify_dissipativity(P5, 1.5, 1.0, [term]).samples[0] for term in corpus]
+        monkeypatch.setattr(radial_mod, "lp_norm", counted)
+        rep = verify_dissipativity(P5, 1.5, 1.0, corpus)
+        assert rep.passed and len(calls) == 1
+        for got, want in zip(rep.samples, alone):
+            for x, y in zip(got[1:3], want[1:3]):
+                assert abs(x - y) <= 1e-14 * abs(y), (got, want)
 
 
 def test_overflowing_power_is_out_of_range():
