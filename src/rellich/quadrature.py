@@ -147,7 +147,7 @@ def _sampler(f, stack: int | None, offset: int = 0):
     S gives, for each entry i of the int array rows, row rows[i] of f's stack
     at x[i] (a point, or a piece's row of nodes), in the shape of x: one call
     of f at every point of x, then a take of each entry's own row.  The
-    sampler of parts (``_first_pass``) may give them in x's own memory.
+    sampler of several parts (``_first_pass``) gives them in x's own memory.
     """
     def S(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         pts = x.ravel()
@@ -162,30 +162,33 @@ def _first_pass(f, pts: np.ndarray):
     of ``lp_norm`` at the shared nodes pts, its sampler S and whether its result is a
     list of pairs.
 
-    f is one callable, or a sequence of parts, each a callable of one row or a stack,
-    whose rows in order make the stack.  The sampler of one callable is ``_sampler``.
-    That of parts calls each part once, at the points of the entries of its own rows
-    alone, so no part is sampled at the pieces of another, and writes the values
-    over x: for the pieces of a corpus, x is large.
+    f is one callable, read as a sequence of that one part, or a sequence of parts,
+    each a callable of one row or a stack, whose rows in order make the stack.  The
+    sampler of one part is its ``_sampler``.  That of several takes rows in ascending
+    order, so that the entries of each part are one slice of x; it calls each part
+    once, through its ``_sampler``, at that slice alone, so no part is sampled at the
+    pieces of another, and writes the values over x: for the pieces of a corpus, x
+    is large.
     """
-    if callable(f):
-        first = np.asarray(f(pts), dtype=float)
-        stack = len(first) if first.ndim == 2 else None
-        return _checked(first, pts, stack), _sampler(f, stack), stack is not None
+    one = callable(f)
     vals, samplers, offsets = [], [], [0]
-    for part in f:
+    for part in [f] if one else f:
         first = np.asarray(part(pts), dtype=float)
         stack = len(first) if first.ndim == 2 else None
         vals.append(_checked(first, pts, stack, offsets[-1]))
         samplers.append(_sampler(part, stack, offsets[-1]))
         offsets.append(offsets[-1] + len(vals[-1]))
+    if len(samplers) == 1:
+        # one part needs no routing: routed like several, the one-part calls of the
+        # ratio-smooth benchmark lost 6.6% of their ops_per_s and 9% of their tail
+        # latency (behind in 10 of 10 alternating pairs, 2-CPU Linux container)
+        return vals[0], samplers[0], not one or stack is not None
 
     def S(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        order = np.argsort(rows, kind="stable")
-        cuts = np.searchsorted(rows[order], offsets).tolist()  # each part's entries in order
-        for j in np.flatnonzero(np.diff(cuts)).tolist():
-            mine = order[cuts[j]:cuts[j + 1]]
-            x[mine] = samplers[j](x[mine], rows[mine] - offsets[j])
+        cuts = np.searchsorted(rows, offsets).tolist()  # rows ascend: each part's entries
+        for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            if lo < hi:
+                x[lo:hi] = samplers[j](x[lo:hi], rows[lo:hi] - offsets[j])
         return x
 
     return np.concatenate(vals) if vals else np.empty((0, len(pts))), S, True
@@ -379,20 +382,24 @@ def _sup_at(S, a: float, b: float, found: list) -> list[tuple[float, float]]:
     stack, found holding each row's (xs, bound) from ``_locate``.
 
     a, b and the candidates of every row are sampled by one call of the
-    sampler S, each point in its own row.  Each critical point also gets
-    neighbours at +-h = sqrt(eps) (b - a), inside [a, b] since ``_locate``
-    keeps the points _NEAR_REAL (b - a) inside.  The computed point lies far
-    within h/2 of the exact one, so the best of the three plus their spread
-    (the centre minus the lower neighbour, at least four times the
-    shortfall of the centre near a smooth maximum) bounds |f| there; the
-    spread also shows the rounding of f.  err is at least bound - max.
+    sampler S, each point in its own row, the points of a row together.
+    Each critical point also gets neighbours at +-h = sqrt(eps) (b - a),
+    inside [a, b] since ``_locate`` keeps the points _NEAR_REAL (b - a)
+    inside.  The computed point lies far within h/2 of the exact one, so the
+    best of the three plus their spread (the centre minus the lower
+    neighbour, at least four times the shortfall of the centre near a
+    smooth maximum) bounds |f| there; the spread also shows the rounding of
+    f.  err is at least bound - max.
     """
     h = math.sqrt(math.ulp(1.0)) * (b - a)
     k = len(found)
     xs = np.concatenate([x for x, _ in found])
     owner = np.repeat(np.arange(k), [len(x) for x, _ in found])
-    v = np.abs(S(np.concatenate(([a] * k, [b] * k, xs - h, xs, xs + h)),
-                 np.concatenate((np.arange(k), np.arange(k), owner, owner, owner))))
+    rows = np.concatenate((np.arange(k), np.arange(k), owner, owner, owner))
+    order = np.argsort(rows, kind="stable")  # S takes each row's entries together
+    v = np.empty(len(rows))
+    v[order] = np.abs(S(np.concatenate(([a] * k, [b] * k, xs - h, xs, xs + h))[order],
+                        rows[order]))
     top = np.maximum(v[:k], v[k:2 * k]).tolist()
     bound = top.copy()
     trios = v[2 * k:].reshape(3, len(xs)).T.tolist()
@@ -448,9 +455,13 @@ def _lp_sums(S, a: float, b: float, p: float, vals, wts) -> list[tuple[float, fl
     graded 1- and 2-panel sums from one call of the sampler S.
     """
     def sums(g, w):
-        """The 1- and 2-panel sums of g^p w in each row of g = |f|, which they overwrite."""
+        """The 1- and 2-panel sums of g^p w in each row of g = |f|, which they overwrite
+        with g^p.  The product goes into w where it has the shape of g, as on the
+        graded pass, whose pieces are many for a corpus, and else into a new array:
+        written over g as well, it made the critical stacks at p = 1.5 and 3 of the
+        verify-sweep benchmark 15-30% slower."""
         g **= p
-        g *= w
+        g = g * w if w.ndim == 1 else np.multiply(g, w, out=w)
         return np.add.reduceat(g, [0, NODES], axis=1).tolist()
 
     with np.errstate(over="ignore"):  # an overflow is the OutOfRange below
@@ -464,8 +475,7 @@ def _lp_sums(S, a: float, b: float, p: float, vals, wts) -> list[tuple[float, fl
             hi = np.array([x for e in edges for x in e[1:]])[:, None]
             row = [i for i, e in zip(split, edges) for _ in e[1:]]
             pts, wts = _rule(lo, hi, _GRADED)
-            sample = S(pts, np.array(row))
-            graded = sums(np.abs(sample, out=sample), wts)
+            graded = sums(np.abs(S(pts, np.array(row)), out=pts), wts)
             at = 0
             for i, e in zip(split, edges):  # each split row's sums over its own pieces
                 mine, at = graded[at:at + len(e) - 1], at + len(e) - 1

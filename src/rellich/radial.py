@@ -131,17 +131,26 @@ def _ratio(num: tuple[float, float], den: tuple[float, float]) -> RatioReport:
 
 
 def rellich_ratio_separable(
-    params: OperatorParams, p: float, alpha: float, n: int, v: Profile1D
+    params: OperatorParams, p: float, alpha: float, n: int, v: Profile1D, norms=None
 ) -> RatioReport:
-    """|| v'' + beta v' - lambda_red v ||_p / || v ||_p on the support of v."""
-    return _ratio(*reduced_norm(v, p, *_rellich_rows(params, p, alpha, n)))
+    """|| v'' + beta v' - lambda_red v ||_p / || v ||_p on the support of v.
+
+    norms, the (norm, err) pairs of the two where the caller has them already
+    (``rellich_ratios``, from the stack of a corpus), stand in for their
+    ``lp_norm`` call.
+    """
+    if norms is None:
+        norms = reduced_norm(v, p, *_rellich_rows(params, p, alpha, n))
+    return _ratio(*norms)
 
 
 def rellich_ratios(params: OperatorParams, p: float, alpha: float,
                    corpus: Sequence[tuple[int, Profile1D]]) -> list[RatioReport]:
-    """``rellich_ratio_separable`` of each (n, v) of corpus, from one ``corpus_norms`` call."""
+    """``rellich_ratio_separable`` of each (n, v) of corpus, the norms of all from one
+    ``corpus_norms`` call."""
     terms = [(v, _rellich_rows(params, p, alpha, n)) for n, v in corpus]
-    return [_ratio(*pair) for pair in corpus_norms(p, terms)]
+    return [rellich_ratio_separable(params, p, alpha, n, v, norms)
+            for (n, v), norms in zip(corpus, corpus_norms(p, terms))]
 
 
 def _rellich_rows(params: OperatorParams, p: float, alpha: float, n: int):

@@ -615,6 +615,7 @@ def test_parts_are_each_sampled_at_their_own_pieces(p):
         seen_alone.append([])
         out = lp_norm(_spy(f, seen_alone[-1]), (0.0, 3.0), p)
         alone += out if isinstance(out, list) else [out]
+    assert lp_norm(parts[:1], (0.0, 3.0), p) == alone[:1]  # one part: a list of its pairs
     seen = [[] for _ in parts]
     assert lp_norm([_spy(f, s) for f, s in zip(parts, seen)], (0.0, 3.0), p) == alone
     for got, want in zip(seen, seen_alone):

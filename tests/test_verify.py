@@ -103,21 +103,31 @@ class TestVerifyRellich:
         import rellich.radial as radial_mod
         import rellich.verify as verify_mod
 
-        calls = []
+        calls, reports = [], []
 
         def counted(f, support, p):
             calls.append(f)
             return lp_norm(f, support, p)
 
+        def reported(*args, **kwargs):
+            reports.append((args[3:5], rellich_ratio_separable(*args, **kwargs)))
+            return reports[-1][1]
+
         alpha = base_alpha(P5, p)  # the middle of the range where it holds
         monkeypatch.setattr(verify_mod, "lp_norm", counted)
         monkeypatch.setattr(radial_mod, "lp_norm", counted)
+        # each profile's ratio is still reported through rellich_ratio_separable
+        monkeypatch.setattr(radial_mod, "rellich_ratio_separable", reported)
         rep = verify_rellich(P5, p, alpha, DomainKind.WHOLE_SPACE, ALL, small_corpus())
         assert rep.passed and "certified constant" in rep.notes
         assert len(calls) == 1 and len(calls[0]) == len(small_corpus())
-        for (n, v), sample in zip(small_corpus(), rep.samples):
-            alone = rellich_ratio_separable(P5, p, alpha, n, v).ratio
-            assert abs(sample[1] - alone) <= 1e-14 * alone, (p, n, sample, alone)
+        assert [(n, v.support) for (n, v), _ in reports] == [(n, v.support)
+                                                             for n, v in small_corpus()]
+        monkeypatch.undo()
+        for (n, v), sample, (_, r) in zip(small_corpus(), rep.samples, reports):
+            alone = rellich_ratio_separable(P5, p, alpha, n, v)
+            assert abs(sample[1] - alone.ratio) <= 1e-14 * alone.ratio, (p, n, sample, alone)
+            assert abs(r.denominator - alone.denominator) <= 1e-14 * alone.denominator
 
     @pytest.mark.parametrize("domain", [DomainKind.EXTERIOR_BALL, DomainKind.EXTERIOR_SMOOTH])
     def test_exterior_subspace_rejected(self, domain):
