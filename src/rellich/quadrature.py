@@ -1,8 +1,10 @@
 """Gauss-Legendre integrals and L^p norms on an interval, from Legendre series.
 
 ``integrate(f, a, b)`` is the signed integral of f and ``lp_norm(f,
-support, p)`` the norm ||f||_{L^p(support)}, 1 <= p <= inf, computed from
-the signed f.  Both return (value, err).  An integrand maps an array of
+support, p, weight=None)`` the norm ||f||_{L^p(support, weight dx)},
+1 <= p <= inf, computed from the signed f; a weight, positive at the nodes,
+is a factor of the Gauss weights, and the sup ignores it.  Both return
+(value, err).  An integrand maps an array of
 points to an array of the same shape; for ``lp_norm`` it may instead map
 them to a stack of k such rows, shape (k, *points.shape), and gets k
 (norm, err) pairs, each the one its row would get alone.  It may also be
@@ -409,9 +411,18 @@ def _sup_at(S, a: float, b: float, found: list) -> list[tuple[float, float]]:
     return [(t, max(u - t, math.ulp(t), e - t)) for t, u, (_, e) in zip(top, bound, found)]
 
 
-def lp_norm(f, support: tuple[float, float],
-            p: float) -> tuple[float, float] | list[tuple[float, float]]:
-    """(||f||_{L^p(support)}, error estimate of the norm) for 1 <= p <= inf.
+def _weight_at(weight, x: np.ndarray) -> np.ndarray:
+    """The weight of ``lp_norm`` at the nodes x, which must be finite and positive."""
+    w = np.asarray(weight(x), dtype=float)
+    if w.shape != x.shape or not (np.isfinite(w).all() and (w > 0).all()):
+        raise PreconditionViolated(f"a weight must be finite and positive at the nodes, in an "
+                                   f"array of their shape {x.shape} (got shape {w.shape})")
+    return w
+
+
+def lp_norm(f, support: tuple[float, float], p: float,
+            weight=None) -> tuple[float, float] | list[tuple[float, float]]:
+    """(||f||_{L^p(support, weight dx)}, error estimate of the norm) for 1 <= p <= inf.
 
     f, the signed function, maps an array of points to an array of the
     same shape, or to a stack of k such rows, shape (k, *points.shape),
@@ -427,9 +438,13 @@ def lp_norm(f, support: tuple[float, float],
     change from the plain 1- to the graded 2-panel sum on the support, or
     from the graded 1- to 2-panel sum on each piece, plus their rounding;
     for p = inf it is the spread of |f| around the sup.  An empty support
-    (b <= a) gives zeros.  ValueError for p outside [1, inf],
-    PreconditionViolated for an end of the support that is not finite,
-    OutOfRange where the integral of |f|^p is beyond float range.
+    (b <= a) gives zeros.  A weight, a callable like f of one row, multiplies
+    the Gauss weights of the first pass and of the graded pass; the sup
+    ignores it, as any positive weight leaves the ess sup as it is.
+    ValueError for p outside [1, inf], PreconditionViolated for an end of
+    the support that is not finite or a weight that is not finite and
+    positive at the nodes, OutOfRange where the integral of |f|^p is beyond
+    float range.
     """
     p = check_p(p)
     a, b = support
@@ -437,44 +452,54 @@ def lp_norm(f, support: tuple[float, float],
     check_finite("the upper end of the support", b)
     sup = math.isinf(p)
     pts, wts = _rule(a, b, _PLAIN if sup else _FIRST) if b > a else (np.empty(0), None)
+    if weight is not None and not sup and b > a:
+        wts = wts * _weight_at(weight, pts)
     vals, S, stacked = _first_pass(f, pts)
     if b <= a or not len(vals):
         out = [(0.0, 0.0)] * len(vals)
     elif sup:
         out = _sup_at(S, a, b, _locate(S, a, b, vals, range(len(vals)), sup=True))
     else:
-        out = _lp_sums(S, a, b, p, vals, wts)
+        out = _lp_sums(S, a, b, p, vals, wts, weight)
     return out if stacked else out[0]
 
 
-def _lp_sums(S, a: float, b: float, p: float, vals, wts) -> list[tuple[float, float]]:
-    """(norm, err) at finite p of each row of vals, the plain 1- and graded 2-panel first pass.
+def _lp_sums(S, a: float, b: float, p: float, vals, wts,
+             weight) -> list[tuple[float, float]]:
+    """(norm, err) at finite p of each row of vals, the plain 1- and graded 2-panel first pass
+    with the Gauss weights wts, the weight's values included.
 
     The rows whose two sums disagree are split at their own sign changes,
     found by one ``_locate``, and the pieces of all of them take their
-    graded 1- and 2-panel sums from one call of the sampler S.
+    graded 1- and 2-panel sums from one call of the sampler S, their Gauss
+    weights times the weight where there is one.
     """
     def sums(g, w):
         """The 1- and 2-panel sums of g^p w in each row of g = |f|, which they overwrite
-        with g^p.  The product goes into w where it has the shape of g, as on the
-        graded pass, whose pieces are many for a corpus, and else into a new array:
-        written over g as well, it made the critical stacks at p = 1.5 and 3 of the
-        verify-sweep benchmark 15-30% slower."""
+        with g^p w.  This in-place product was once 20-30% slower on the critical
+        stacks of some verify-sweep seeds, from the heap and not the product: glibc
+        trimmed the top that a case's 467 KB of temporaries had grown, and the next
+        case took 46-69 minor page faults to grow it back.  With the critical rows
+        in the measure dx/x a case peaks at 287 KB, and neither form faults."""
         g **= p
-        g = g * w if w.ndim == 1 else np.multiply(g, w, out=w)
+        g *= w
         return np.add.reduceat(g, [0, NODES], axis=1).tolist()
 
     with np.errstate(over="ignore"):  # an overflow is the OutOfRange below
         first = sums(np.abs(vals), wts)
         total, err = [two for _, two in first], [abs(two - one) for one, two in first]
+        # a sum that overflows is the OutOfRange below, without a locate: its
+        # series would overflow too
         split = [i for i, (t, e) in enumerate(zip(total, err)) if not e <= REL_TOL * t]
-        if split:
+        if split and all(map(math.isfinite, total)):
             edges = [[a, *xs.tolist(), b]
                      for xs, _ in _locate(S, a, b, vals[split, :NODES], split, sup=False)]
             lo = np.array([x for e in edges for x in e[:-1]])[:, None]
             hi = np.array([x for e in edges for x in e[1:]])[:, None]
             row = [i for i, e in zip(split, edges) for _ in e[1:]]
             pts, wts = _rule(lo, hi, _GRADED)
+            if weight is not None:  # before S writes its values over pts
+                wts *= _weight_at(weight, pts)
             graded = sums(np.abs(S(pts, np.array(row)), out=pts), wts)
             at = 0
             for i, e in zip(split, edges):  # each split row's sums over its own pieces

@@ -14,7 +14,9 @@ The reduced norms of one profile on its support are one ``lp_norm`` call
 on a stack of integrands, which samples the profile once per pass:
 ``reduced_norm`` takes one row (a2, a1, a0, power) per norm, and
 ``critical_rows`` the critical family u_eps = r^gamma phi(r^eps) of a whole
-eps ladder, read on phi's fixed support.  ``corpus_norms`` takes the norms
+eps ladder, read on phi's fixed support in x = r^eps with the measure dx/x
+(``CRITICAL_MEASURE``), so that its numerator rows stay polynomials of
+phi's degree.  ``corpus_norms`` takes the norms
 of a whole corpus in one ``lp_norm`` call: each profile is one part of the
 stack, on t in (-1, 1) through s = mid + half t, sampled at its own pieces
 alone.  ``lp_norm`` finds the sign changes and the sup of each row, for
@@ -52,6 +54,9 @@ PHI_SUPPORT = (0.25, 0.5)
 
 #: the cutoff phi of the critical families u_eps = r^gamma phi(r^eps)
 CUTOFF = bump(*PHI_SUPPORT)
+
+#: the measure dx / x of ``critical_rows``, as ``lp_norm``'s weight
+CRITICAL_MEASURE = np.reciprocal
 
 #: most points of the boundary witness's log grid, which needs at least 2
 GRID_MAX = 100_000
@@ -195,7 +200,9 @@ def counterexample_ratio(
     for finite p, and for p = inf to
     eps * sup |eps s^2 phi'' + (2 gamma + N - 2 + c + eps) s phi'| / sup |phi|.
     It tends to zero linearly in eps, witnessing failure of the inequality.
-    Both are the norms of the one stack of ``critical_rows`` with lam = 0.
+    Both are the norms of the one stack of ``critical_rows`` with lam = 0,
+    in the measure dx/x, eps^{1/p} times the norms in s; a report's
+    numerator and denominator are those norms.
 
     Requires D + lambda_n >= 0: the display presumes real indicial roots.
     """
@@ -209,35 +216,44 @@ def counterexample_ratio(
             "counterexample family is only valid for real roots"
         )
     g = counterexample_drift(params, n, branch)
-    *nums, den = lp_norm(critical_rows(g, 0.0, p, eps), PHI_SUPPORT, p)
+    *nums, den = lp_norm(critical_rows(g, 0.0, eps), PHI_SUPPORT, p, CRITICAL_MEASURE)
     return [_ratio(num, den) for num in nums]
 
 
-def critical_rows(g: float, lam: float, p: float, eps: Sequence[float],
-                  kappa: float | None = None):
-    """The critical family's reduced norms for every eps, one ``lp_norm`` stack on PHI_SUPPORT.
+def critical_rows(g: float, lam: float, eps: Sequence[float], kappa: float | None = None):
+    """The critical family's reduced norms for every eps, one ``lp_norm`` stack on PHI_SUPPORT
+    in the measure ``CRITICAL_MEASURE``, dx / x.
 
     x = e^{-eps s} turns v'' - g v' - lam v of v(s) = phi(e^{-eps s}) into
     eps x (eps x phi'' + (g + eps) phi') - lam phi, and ds into dx / (eps x).
-    The rows are that times x^{-1/p} for each eps, then x^{-1/p} phi, and with
-    kappa x^{-1/p} phi (-log(x) / eps)^{-kappa} for each eps: eps^{1/p} times
-    the norms in s, a factor that the ratios of one eps cancel.  g is the drift
-    of ``counterexample_drift``; lam = min(0, D + lambda_n) makes this the
+    The rows are that for each eps, then phi, and with kappa
+    phi (-log(x) / eps)^{-kappa} for each eps: in dx / x their norms are
+    eps^{1/p} times the norms in s, a factor that the ratios of one eps
+    cancel.  The first two are polynomials of phi's degree 6, so ``lp_norm``
+    locates their sign changes on series of that degree.  g is the drift of
+    ``counterexample_drift``; lam = min(0, D + lambda_n) makes this the
     reduced Rellich operator at the critical exponent.
     """
-    q = inv_p(p)
-    e = np.asarray(eps, dtype=float)[:, None]
+    e = np.asarray(eps, dtype=float)
+    # each row's coefficients of x^2 phi'', x phi' and phi, phi's own row last, as
+    # (rows, 1) columns: an outer product of one term is exact, so no row's values
+    # depend on the rows around it or on the number of points
+    c2, c1, c0 = (np.append(c, last)[:, None] for c, last in
+                  ((e * e, 0.0), (e * (g + e), 0.0), (np.full_like(e, -lam), 1.0)))
 
     def rows(x):
         v0, v1, v2 = CUTOFF.jet(x)
-        w = x**-q
-        den = w * v0
-        out = (w * (e * x * (e * x * v2 + (g + e) * v1) - lam * v0), den[None])
-        if kappa is not None:
-            # a weight that overflows is lp_norm's NonFiniteIntegrand of its rows
-            with np.errstate(over="ignore", invalid="ignore"):
-                out += (den * (-np.log(x) / e) ** -kappa,)
-        return np.concatenate(out)
+        v2 *= x * x
+        v1 *= x
+        out = c2 @ v2[None]
+        out += c1 @ v1[None]
+        out += c0 @ v0[None]
+        if kappa is None:
+            return out
+        # a factor (-log(x) / eps)^{-kappa} that overflows is lp_norm's
+        # NonFiniteIntegrand of its rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.concatenate((out, v0 * (-np.log(x) / e[:, None]) ** -kappa))
 
     return rows
 

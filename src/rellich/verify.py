@@ -42,9 +42,9 @@ from .params import (
 )
 from .profiles import Profile1D
 from .quadrature import integrate, lp_norm
-from .radial import (PHI_SUPPORT, boundary_counterexample, corpus_norms, counterexample_drift,
-                     counterexample_ratio, critical_rows, fit_loglog_slope, reduced_norm,
-                     rellich_ratios)
+from .radial import (CRITICAL_MEASURE, PHI_SUPPORT, boundary_counterexample, corpus_norms,
+                     counterexample_drift, counterexample_ratio, critical_rows, fit_loglog_slope,
+                     reduced_norm, rellich_ratios)
 from .spectral import region_section3
 from .validity import Branch, DomainKind, HarmonicSet, best_constant, decide
 
@@ -92,14 +92,16 @@ def verify_rellich(
     critical alpha with real indicial roots, the explicit family must
     decay to zero monotonically with log-log slope near 1.  The ratios of
     the whole corpus come from one ``lp_norm`` call, as do the critical
-    family's.
+    family's.  domain is a DomainKind or the value of one; any other is
+    ``decide``'s ValueError.
     """
     if not corpus:
         raise PreconditionViolated("empty corpus: nothing to verify")
     for n, _ in corpus:
         if not J.contains(n):
             raise CorpusOutsideSubspace(f"corpus degree n={n} not in J={J}")
-    verdict = decide(params, p, alpha, domain, J, tol)
+    verdict = decide(params, p, alpha, domain, J, tol)  # ValueError for a domain of no kind
+    domain = DomainKind(domain)  # a member value given as a string is that member
 
     # exterior domains reduce to the ball through the Kelvin transform;
     # verify the transformed inequality (same constants, same ratios)
@@ -276,16 +278,16 @@ def oned_green_reconstruct(beta: float, v: Profile1D) -> float:
 
 
 def _weighted_norms(f, support: tuple[float, float], p: float, kappa: float,
-                    plain: int) -> list[float]:
-    """The norms of the ``lp_norm`` stack f whose row plain is ||v||_p and whose
-    later rows are ||v / s^kappa||_p.
+                    plain: int, weight=None) -> list[float]:
+    """The norms of the ``lp_norm`` stack f, in the measure weight dx, whose row plain
+    is ||v||_p and whose later rows are ||v / s^kappa||_p.
 
     OutOfRange naming kappa where only those weighted rows overflow, or where
     one of them underflows to 0 while ||v||_p does not; a row before them
     that overflows keeps its NonFiniteIntegrand.
     """
     try:
-        norms = [m for m, _ in lp_norm(f, support, p)]
+        norms = [m for m, _ in lp_norm(f, support, p, weight)]
     except NonFiniteIntegrand as err:
         if min(err.rows) > plain:
             raise OutOfRange(f"||v / s^kappa||_p overflows at kappa={kappa}") from err
@@ -433,8 +435,10 @@ def verify_critical_log(
     ||v/s^kappa||_p stays bounded below, above POS_FLOOR, over the critical
     family v_eps(s) = phi(e^{-eps s}), phi = CUTOFF and eps in EPS_LADDER.
     The unweighted ratio, reported alongside, tends to zero.  All of them
-    are one ``lp_norm`` call of ``radial.critical_rows``; OutOfRange where a
-    weighted norm overflows or underflows to 0.
+    are one ``lp_norm`` call of ``radial.critical_rows`` in the measure dx/x
+    (``radial.CRITICAL_MEASURE``); OutOfRange where a weighted norm
+    overflows or underflows to 0, or where |f|^p of a row sums beyond float
+    range.
     """
     check_p(p)
     check_finite("log_eps", log_eps)
@@ -446,8 +450,8 @@ def verify_critical_log(
         f"n={n} branch={branch} kappa={kappa}",
     )
     k = len(EPS_LADDER)
-    norms = _weighted_norms(critical_rows(g, min(0.0, d_lam), p, EPS_LADDER, kappa),
-                            PHI_SUPPORT, p, kappa, plain=k)
+    norms = _weighted_norms(critical_rows(g, min(0.0, d_lam), EPS_LADDER, kappa),
+                            PHI_SUPPORT, p, kappa, plain=k, weight=CRITICAL_MEASURE)
     weighted = [num / den_w for num, den_w in zip(norms, norms[k + 1:])]
     unweighted = [num / norms[k] for num in norms[:k]]
     for e, rw in zip(EPS_LADDER, weighted):

@@ -3,10 +3,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -388,21 +390,37 @@ def test_bad_value_is_named_exit1(capsys, argv, named):
 
 @pytest.mark.parametrize("argv", [
     ["--p", "1.5"],
-    ["--p", "1", "--log-eps=-2.5"],
-    ["--p", "1", "--log-eps=-1e5"],
-], ids=["kappa-2", "kappa-neg-0.5", "kappa-neg-99999"])
+    ["--p", "3"],
+], ids=["kappa-2", "kappa-2-p3"])
 def test_overflow_outside_the_weight_is_not_named_by_kappa(capsys, argv):
-    # b = -1e308 makes lambda_red about -1e308, so the numerator rows of the
-    # critical stack overflow whatever kappa is: the quadrature's own error,
-    # not an OutOfRange naming kappa, even where the weight overflows too,
-    # after numpy's warning of the numerator's overflow
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # b = -1e308 makes lambda_red about -1e308, so |f|^p of the numerator rows
+    # of the critical stack overflows for p > 1 whatever kappa is: the
+    # quadrature's own OutOfRange, not one naming kappa, and without a warning,
+    # since a row whose sum overflows is not located
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["verify", "critical", "--N", "3", "--b=-1e308", "--n", "0",
                      "--mode", "minus", *argv])
     assert code == 1
     line = _strict_json(capsys.readouterr().out.strip())
-    assert line["kind"] == "NonFiniteIntegrand", line
-    assert "kappa" not in line["error"]
+    assert line["kind"] == "OutOfRange", line
+    assert "beyond float range" in line["error"] and "kappa" not in line["error"]
+
+
+@pytest.mark.parametrize("log_eps", ["-2.5", "-1e5"], ids=["kappa-neg-0.5", "kappa-neg-99999"])
+def test_at_p1_a_huge_numerator_stays_in_range(capsys, log_eps):
+    # at p = 1 the numerators of b = -1e308, about 1e308 phi, have norms in
+    # range in the measure dx/x: the report is made, and an overflow can only
+    # be the weight's, named by kappa
+    code = main(["verify", "critical", "--N", "3", "--b=-1e308", "--n", "0",
+                 "--mode", "minus", "--p", "1", f"--log-eps={log_eps}"])
+    line = _strict_json(capsys.readouterr().out.strip().splitlines()[-1])
+    if log_eps == "-2.5":
+        assert code == 0 and line["passed"], line
+        assert all(math.isfinite(s["lhs"]) for s in line["samples"]), line
+    else:
+        assert code == 1 and line["kind"] == "OutOfRange", line
+        assert "kappa=-99998" in line["error"], line
 
 
 # the argv fuzzer (Hypothesis; MacIver et al., JOSS 2019) draws every option's

@@ -171,44 +171,101 @@ def test_a_stack_of_rows_that_halve_gives_each_row_its_own_norm(p):
                                                 (6, 1.3, 0.4, 1, "plus")])
 def test_a_stack_of_several_degrees_gives_each_row_its_own_norm(p, N, c, b, n, branch):
     # a critical-family stack whose rows resolve at different degrees (the
-    # numerators and the denominators): located together, one eigvals call
-    # per degree, each row still gets exactly what it gets alone
+    # polynomial numerators and denominator, the weighted denominators):
+    # located together, one eigvals call per degree, each row still gets
+    # exactly what it gets alone, in the measure dx/x as in plain dx
     from rellich import OperatorParams
-    from rellich.radial import PHI_SUPPORT, counterexample_drift, critical_rows
+    from rellich.radial import CRITICAL_MEASURE, PHI_SUPPORT, counterexample_drift, critical_rows
     from rellich.verify import EPS_LADDER
 
     params = OperatorParams(N, c, b)
-    f = critical_rows(counterexample_drift(params, n, branch), min(0.0, b), p, EPS_LADDER, 1.5)
+    f = critical_rows(counterexample_drift(params, n, branch), min(0.0, b), EPS_LADDER, 1.5)
     x = quadrature._rule(*PHI_SUPPORT, quadrature._PLAIN)[0]
     assert len(set(quadrature._resolve(None, *PHI_SUPPORT, f(x), range(9)).degree.tolist())) > 1
-    stack = lp_norm(f, PHI_SUPPORT, p)
-    assert stack == [lp_norm(lambda s, i=i: f(s)[i], PHI_SUPPORT, p) for i in range(9)], p
+    for weight in (CRITICAL_MEASURE, None):
+        stack = lp_norm(f, PHI_SUPPORT, p, weight)
+        assert stack == [lp_norm(lambda s, i=i: f(s)[i], PHI_SUPPORT, p, weight)
+                         for i in range(9)], (p, weight)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
 def test_a_critical_stack_takes_one_eigvals_call_per_degree(monkeypatch, p):
     # the rows that are located share one eigvals call per degree of their
     # series, and the stack is sampled twice, as row by row: the first pass,
-    # then the graded pieces or the sup candidates
+    # then the graded pieces or the sup candidates.  At finite p the split
+    # rows are the numerators, polynomials of phi's degree 6 in the measure
+    # dx/x, so their colleague matrices are at most 6 x 6
     from rellich import OperatorParams
-    from rellich.radial import PHI_SUPPORT, counterexample_drift, critical_rows
+    from rellich.radial import CRITICAL_MEASURE, PHI_SUPPORT, counterexample_drift, critical_rows
     from rellich.verify import EPS_LADDER
 
-    f = critical_rows(counterexample_drift(OperatorParams(5, 0, 0), 0, "minus"), 0.0, p,
+    f = critical_rows(counterexample_drift(OperatorParams(5, 0, 0), 0, "minus"), 0.0,
                       EPS_LADDER, 1.0)
     calls, eigvals = [], np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m.shape) or eigvals(m))
     tally = []
-    lp_norm(_counted(f, tally), PHI_SUPPORT, p)
+    lp_norm(_counted(f, tally), PHI_SUPPORT, p, CRITICAL_MEASURE)
     sizes = [d for _, d, _ in calls]
     assert len(tally) == 2 and len(set(sizes)) == len(sizes)
     located = sum(k for k, _, _ in calls)
     assert located >= 4 and len(calls) < located
+    if p < math.inf:
+        assert max(sizes) <= 6, calls
     # row by row, the same rows take one call each
     calls.clear()
     for i in range(9):
-        lp_norm(lambda s, i=i: f(s)[i], PHI_SUPPORT, p)
+        lp_norm(lambda s, i=i: f(s)[i], PHI_SUPPORT, p, CRITICAL_MEASURE)
     assert len(calls) == located
+
+
+def _weighted_cases():
+    """The weight (1 + s^2) / s on (0.5, 3), and a callable, a stack and parts: rows with
+    sign changes and rows without."""
+    from rellich import bump
+
+    def one(s):
+        return (s - 1.1) * (s - 2.3) * np.exp(-s)
+
+    stack = bump(0.5, 3.0).integrand((1.0, 0.5, -2.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0, -1.0))
+    return (lambda s: (1.0 + s * s) / s), [one, stack, [one, stack]]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_a_weight_gives_the_norm_of_f_times_its_pth_root(p):
+    # ||f||_{L^p(w dx)} = ||f w^(1/p)||_{L^p(dx)}: the weight multiplies the
+    # Gauss weights of the first pass and of the graded pass alike
+    weight, cases = _weighted_cases()
+
+    def scaled(f):
+        return lambda s: f(s) * weight(s) ** (1.0 / p)
+
+    for f in cases:
+        got = lp_norm(f, (0.5, 3.0), p, weight)
+        want = lp_norm([scaled(g) for g in f] if isinstance(f, list) else scaled(f), (0.5, 3.0), p)
+        for (norm, _), (want_norm, _) in zip(*((got, want) if isinstance(got, list)
+                                               else ([got], [want]))):
+            assert abs(norm - want_norm) <= 1e-14 * want_norm, (f, p, norm, want_norm)
+
+
+def test_the_sup_ignores_the_weight():
+    weight, cases = _weighted_cases()
+    for f in cases:
+        assert lp_norm(f, (0.5, 3.0), math.inf, weight) == lp_norm(f, (0.5, 3.0), math.inf)
+
+
+@pytest.mark.parametrize("weight", [
+    lambda s: 0.0 * s,
+    lambda s: 1.0 - s,
+    lambda s: np.where(s > 1.0, np.nan, 1.0),
+    lambda s: np.where(s > 1.0, np.inf, 1.0),
+    lambda s: np.ones(3),
+], ids=["zero", "negative", "nan", "inf", "shape"])
+def test_a_weight_must_be_finite_and_positive_at_the_nodes(weight):
+    for f in (lambda s: s - 0.5, [lambda s: s - 0.5, lambda s: np.stack((s, s * s))]):
+        for p in (1.0, 2.5):
+            with pytest.raises(PreconditionViolated, match="weight"):
+                lp_norm(f, (0.0, 2.0), p, weight)
+        lp_norm(f, (0.0, 2.0), math.inf, weight)  # the sup does not read it
 
 
 def test_a_stack_on_an_empty_support_gives_zero_pairs():

@@ -380,18 +380,28 @@ class TestSupErrorEstimate:
 @pytest.mark.parametrize("kappa", [None, 1.0, 2.5])
 def test_critical_rows_match_the_rows_of_each_eps(p, kappa):
     # the stack built over an eps axis holds, bit for bit, the rows built
-    # eps by eps: the numerators, the denominator, the weighted denominators
+    # eps by eps: the numerators, the denominator, the weighted denominators.
+    # They are the closed forms, and their norms in the measure dx/x are
+    # those of the same rows times x^(-1/p) in dx
     from rellich.params import inv_p
-    from rellich.radial import critical_rows
+    from rellich.radial import CRITICAL_MEASURE, critical_rows
 
     x = np.linspace(0.25, 0.5, 193)[1:-1]
-    g, lam, q = 1.7, -0.35, inv_p(p)
+    g, lam = 1.7, -0.35
+    f = critical_rows(g, lam, EPS_LADDER, kappa)
+    rows = f(x)
+    alone = [critical_rows(g, lam, [e], kappa)(x) for e in EPS_LADDER]
+    want = [r[0] for r in alone] + [alone[0][1]] + [r[2] for r in alone if kappa is not None]
+    assert np.array_equal(rows, np.stack(want))
     v0, v1, v2 = CUTOFF.jet(x)
-    w = x**-q
-    want = [w * (e * x * (e * x * v2 + (g + e) * v1) - lam * v0) for e in EPS_LADDER] + [w * v0]
+    closed = [e * x * (e * x * v2 + (g + e) * v1) - lam * v0 for e in EPS_LADDER] + [v0]
     if kappa is not None:
-        want += [want[-1] * (-np.log(x) / e) ** -kappa for e in EPS_LADDER]
-    assert np.array_equal(critical_rows(g, lam, p, EPS_LADDER, kappa)(x), np.stack(want))
+        closed += [v0 * (-np.log(x) / e) ** -kappa for e in EPS_LADDER]
+    assert np.allclose(rows, np.stack(closed), rtol=1e-14, atol=1e-14)
+    q = inv_p(p)
+    in_dx = lp_norm(lambda s: s**-q * f(s), PHI_SUPPORT, p)
+    for (norm, _), (want_norm, _) in zip(lp_norm(f, PHI_SUPPORT, p, CRITICAL_MEASURE), in_dx):
+        assert abs(norm - want_norm) <= 1e-13 * want_norm, (norm, want_norm)
 
 
 # a corpus: profiles on different supports, rows of the ratios, a weighted

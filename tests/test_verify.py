@@ -19,6 +19,7 @@ from rellich import (
     best_constant,
     bump,
     counterexample_ratio,
+    critical_alphas,
     lp_norm,
     oned_green_reconstruct,
     plateau_profile,
@@ -91,6 +92,34 @@ class TestVerifyRellich:
     def test_exterior_reduces_to_kelvin_image(self):
         rep = verify_rellich(P5, 2, 2.0, DomainKind.EXTERIOR_BALL, ALL, small_corpus())
         assert rep.passed
+
+    @pytest.mark.parametrize("domain", list(DomainKind))
+    def test_a_domain_given_as_its_value_is_that_domain(self, domain):
+        # the report of a member's value is the member's, at a holding alpha
+        # and at a critical one; a string of no member is decide's ValueError
+        for alpha in (base_alpha(P5, 2), critical_alphas(P5, 2, 0)[0]):
+            want = verify_rellich(P5, 2, alpha, domain, ALL, small_corpus())
+            assert verify_rellich(P5, 2, alpha, domain.value, ALL, small_corpus()) == want
+        with pytest.raises(ValueError, match="domain must be a DomainKind"):
+            verify_rellich(P5, 2, 0.0, "exterior", ALL, small_corpus())
+
+    def test_a_critical_case_keeps_a_small_working_set(self):
+        # one p = 1.5 critical case of the verify-sweep mix, its rows built
+        # in the measure dx/x: a tracemalloc peak of at most 300 KB (467 KB
+        # with the rows times x^(-1/p))
+        import tracemalloc
+
+        P = OperatorParams(5, 0.0, 0.75)
+        args = (P, 1.5, critical_alphas(P, 1.5, 0)[0], DomainKind.WHOLE_SPACE, ALL,
+                [(0, bump(1.0, 3.0)), (1, bump(2.0, 6.0))])
+        assert "family must decay" in verify_rellich(*args).notes
+        tracemalloc.start()
+        try:
+            verify_rellich(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 300 * 1024, peak
 
     def test_kelvin_image_beyond_float_range_names_the_given_params(self):
         big = OperatorParams(15 * 10**153, -1.5e154, 0)
@@ -385,8 +414,8 @@ class TestCriticalLog:
 
         rows = []
 
-        def counted(f, support, p):
-            out = lp_norm(f, support, p)
+        def counted(f, support, p, weight=None):
+            out = lp_norm(f, support, p, weight)
             rows.append(len(out))
             return out
 
