@@ -2,16 +2,12 @@
 
 ``integrate(f, a, b)`` is the signed integral of f and ``lp_norm(f,
 support, p, weight=None)`` the norm ||f||_{L^p(support, weight dx)},
-1 <= p <= inf, computed from the signed f; a weight, positive at the nodes,
-is a factor of the Gauss weights, and the sup ignores it.  Both return
-(value, err).  An integrand maps an array of
-points to an array of the same shape; for ``lp_norm`` it may instead map
-them to a stack of k such rows, shape (k, *points.shape), and gets k
-(norm, err) pairs, each the one its row would get alone.  It may also be
-a sequence of parts, each a callable of either kind on the one support:
-the stack is their rows in order.  Any other result raises
-PreconditionViolated, as does a limit that is not finite, and a
-non-finite value NonFiniteIntegrand, which names rows of the whole stack.
+1 <= p <= inf, computed from the signed f.  Both return (value, err).  An
+integrand maps an array of points to an array of the same shape; for
+``lp_norm`` it may also be a stack of rows, or a sequence of parts, as its
+docstring says.  Any other result raises PreconditionViolated, as does a
+limit that is not finite, and a non-finite value NonFiniteIntegrand, which
+names rows of the whole stack.
 
 Both read f as chebfun does (Battles & Trefethen, SISC 2004): the Legendre
 series of the polynomial that interpolates f at the ``NODES`` Gauss nodes
@@ -86,9 +82,10 @@ class _Pieces(NamedTuple):
     lo: np.ndarray
     hi: np.ndarray
     row: np.ndarray  # its row's position among the rows resolved
-    c: np.ndarray  # (pieces, NODES) Legendre coefficients of its interpolant
+    c: np.ndarray  # (pieces, NODES) Legendre coefficients of its interpolant, times 2^-scale
     vals: np.ndarray  # (pieces, NODES) its row at its Gauss nodes
     degree: np.ndarray  # of the series chopped at _CHOP
+    scale: np.ndarray  # the exponent of its largest |value|, as np.frexp gives it
 
 
 #: the node layouts of the passes, as (panels, graded) parts: the plain
@@ -180,10 +177,7 @@ def _first_pass(f, pts: np.ndarray):
         vals.append(_checked(first, pts, stack, offsets[-1]))
         samplers.append(_sampler(part, stack, offsets[-1]))
         offsets.append(offsets[-1] + len(vals[-1]))
-    if len(samplers) == 1:
-        # one part needs no routing: routed like several, the one-part calls of the
-        # ratio-smooth benchmark lost 6.6% of their ops_per_s and 9% of their tail
-        # latency (behind in 10 of 10 alternating pairs, 2-CPU Linux container)
+    if len(samplers) == 1:  # one part needs no routing, which costs a one-part call 7%
         return vals[0], samplers[0], not one or stack is not None
 
     def S(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -251,22 +245,25 @@ def _resolve(S, a: float, b: float, vals: np.ndarray, rows) -> _Pieces:
     """The pieces of [a, b] on which each row's Legendre series resolves, or not.
 
     vals[i] holds row rows[i] of the stack at the NODES Gauss nodes of
-    [a, b].  A piece's degree is that of its interpolant's series without
-    the trailing coefficients below _CHOP of the largest, and it is
-    resolved below _RESOLVED.  Unresolved pieces are halved, the halves of
-    every row sampled by one call of the sampler S (see ``_first_pass``),
-    while the row has sampled at most _MAX_PIECES pieces.
+    [a, b].  A piece's series is that of its values times 2^-scale, at most
+    1 in size, so that rows near the float maximum keep finite coefficients;
+    its degree, without the trailing coefficients below _CHOP of the
+    largest, is resolved below _RESOLVED.  Unresolved pieces are halved, the
+    halves of every row sampled by one call of the sampler S (see
+    ``_first_pass``), while the row has sampled at most _MAX_PIECES pieces.
     """
     T = _legendre()[0]
     k = len(vals)
     lo, hi, row = np.array([float(a)] * k), np.array([float(b)] * k), np.arange(k)
     sampled, final = 1, []  # pieces each row has sampled
     while True:
-        c = _rowwise(vals, T)
+        scale = np.frexp(np.abs(vals).max(axis=1))[1]
+        c = _rowwise(np.ldexp(vals, -scale[:, None]), T)
         mag = np.abs(c)
         big = mag > _CHOP * mag.max(axis=1, keepdims=True)
         big[:, 0] = True  # a piece where f vanishes has degree 0
-        final.append(_Pieces(lo, hi, row, c, vals, NODES - 1 - big[:, ::-1].argmax(axis=1)))
+        final.append(_Pieces(lo, hi, row, c, vals, NODES - 1 - big[:, ::-1].argmax(axis=1),
+                             scale))
         if max(final[-1].degree.tolist()) < _RESOLVED:
             break
         # each row halves its unresolved pieces while it has sampled at most _MAX_PIECES
@@ -306,7 +303,7 @@ def _locate(S, a: float, b: float, vals: np.ndarray, rows,
     """
     D = _legendre()[1]
     near = _NEAR_REAL * (b - a)
-    lo, hi, row, c, v, degree = _resolve(S, a, b, vals, rows)
+    lo, hi, row, c, v, degree, _ = _resolve(S, a, b, vals, rows)
     groups = {}  # degree of the series whose roots are sought -> its pieces
     for j, d in enumerate(degree.tolist()):
         if sup < d < _RESOLVED:
@@ -363,17 +360,17 @@ def integrate(f, a: float, b):
     pts = _rule(a, top, _PLAIN)[0]
     pieces = _resolve(S, a, top, S(pts[None], np.zeros(1, int)), range(1))
     by_lo = np.argsort(pieces.lo)
-    lo, hi, c, vals = (m[by_lo] for m in (pieces.lo, pieces.hi, pieces.c, pieces.vals))
+    lo, hi, _, c, vals, _, scale = (m[by_lo] for m in pieces)
     half = 0.5 * (hi - lo)
     w = _layout(_PLAIN)[1]
     sums = half * (vals @ w)
-    tails = 2.0 * np.abs(c[:, -2:]).sum(axis=1)
+    tails = np.ldexp(2.0 * np.abs(c[:, -2:]).sum(axis=1), scale)
     err = float(np.sum(half * (tails + _ROUNDING * (np.abs(vals) @ w))))
     if not np.ndim(b):
         return float(np.sum(sums)), err
     x = np.maximum(np.asarray(b, dtype=float), a)
     i = np.searchsorted(lo, x, "right") - 1
-    F = np.polynomial.legendre.legint(c, lbnd=-1, axis=1)
+    F = np.ldexp(np.polynomial.legendre.legint(c, lbnd=-1, axis=1), scale[:, None])
     t = np.polynomial.legendre.legvander((x - lo[i]) / half[i] - 1.0, NODES)
     before = np.cumsum(sums) - sums
     return np.where(x > a, before[i] + half[i] * np.sum(t * F[i], axis=-1), 0.0), err
@@ -429,20 +426,16 @@ def lp_norm(f, support: tuple[float, float], p: float,
     for which the result is a list of k (norm, err) pairs.  f may also be a
     sequence of parts, each a callable of either kind: the stack is their
     rows in order, and the result a list of pairs.  Each row gets what it
-    would get alone: its own first pass, split points and sup candidates.
-    The rows share the Gauss nodes and one call of each part per pass: the
-    first pass, the graded pass over the pieces of every row that splits,
-    and the sup candidates, each part at the points of its own rows after
-    the first pass; one ``_locate`` finds the split points or critical
-    points of all of them.  For finite p the estimate is the
-    change from the plain 1- to the graded 2-panel sum on the support, or
-    from the graded 1- to 2-panel sum on each piece, plus their rounding;
-    for p = inf it is the spread of |f| around the sup.  An empty support
-    (b <= a) gives zeros.  A weight, a callable like f of one row, multiplies
-    the Gauss weights of the first pass and of the graded pass; the sup
-    ignores it, as any positive weight leaves the ess sup as it is.
-    ValueError for p outside [1, inf], PreconditionViolated for an end of
-    the support that is not finite or a weight that is not finite and
+    would get alone, its own first pass, split points and sup candidates,
+    though the rows share every pass (see the module docstring).  For finite
+    p the estimate is the change from the plain 1- to the graded 2-panel sum
+    on the support, or from the graded 1- to 2-panel sum on each piece, plus
+    their rounding; for p = inf it is the spread of |f| around the sup.  An
+    empty support (b <= a) gives zeros.  A weight, a callable like f of one
+    row, multiplies the Gauss weights of the first pass and of the graded
+    pass; the sup ignores it, as any positive weight leaves the ess sup as it
+    is.  ValueError for p outside [1, inf], PreconditionViolated for an end
+    of the support that is not finite or a weight that is not finite and
     positive at the nodes, OutOfRange where the integral of |f|^p is beyond
     float range.
     """
@@ -476,11 +469,7 @@ def _lp_sums(S, a: float, b: float, p: float, vals, wts,
     """
     def sums(g, w):
         """The 1- and 2-panel sums of g^p w in each row of g = |f|, which they overwrite
-        with g^p w.  This in-place product was once 20-30% slower on the critical
-        stacks of some verify-sweep seeds, from the heap and not the product: glibc
-        trimmed the top that a case's 467 KB of temporaries had grown, and the next
-        case took 46-69 minor page faults to grow it back.  With the critical rows
-        in the measure dx/x a case peaks at 287 KB, and neither form faults."""
+        with g^p w."""
         g **= p
         g *= w
         return np.add.reduceat(g, [0, NODES], axis=1).tolist()
@@ -512,5 +501,5 @@ def _lp_sums(S, a: float, b: float, p: float, vals, wts,
             raise OutOfRange(f"the integral of |f|^p is beyond float range at p={p}")
         e += _ROUNDING * t
         norm = t ** (1.0 / p)
-        out.append((norm, e ** (1.0 / p)) if t <= 0 else (norm, norm * e / (p * t)))
+        out.append((norm, e ** (1.0 / p)) if t <= 0 else (norm, norm * (e / t) / p))
     return out

@@ -10,17 +10,13 @@ logarithmic variable s = -log rho:
 with beta the reduced drift of ``params.reduced_drift`` and
 lambda_red = gamma_p(alpha, c) + b + lambda_n.  The spherical factor
 S_P = integral |P|^p cancels in every ratio and is never computed.
-The reduced norms of one profile on its support are one ``lp_norm`` call
-on a stack of integrands, which samples the profile once per pass:
-``reduced_norm`` takes one row (a2, a1, a0, power) per norm, and
-``critical_rows`` the critical family u_eps = r^gamma phi(r^eps) of a whole
-eps ladder, read on phi's fixed support in x = r^eps with the measure dx/x
+Every reduced norm of a profile comes from ``corpus_norms``, which reads
+a corpus in blocks of bounded size, one ``lp_norm`` stack each.  ``critical_rows``
+builds the critical family u_eps = r^gamma phi(r^eps) of a whole eps
+ladder, read on phi's fixed support in x = r^eps with the measure dx/x
 (``CRITICAL_MEASURE``), so that its numerator rows stay polynomials of
-phi's degree.  ``corpus_norms`` takes the norms
-of a whole corpus in one ``lp_norm`` call: each profile is one part of the
-stack, on t in (-1, 1) through s = mid + half t, sampled at its own pieces
-alone.  ``lp_norm`` finds the sign changes and the sup of each row, for
-any weight s^power, itself.
+phi's degree.  ``lp_norm`` finds the sign changes and the sup of each row,
+for any weight s^power, itself.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import OutOfRange, PreconditionViolated, UnsupportedRegime
+from .errors import NonFiniteIntegrand, OutOfRange, PreconditionViolated, UnsupportedRegime
 from .params import (
     OperatorParams,
     base_alpha,
@@ -60,6 +56,9 @@ CRITICAL_MEASURE = np.reciprocal
 
 #: most points of the boundary witness's log grid, which needs at least 2
 GRID_MAX = 100_000
+
+#: most rows of one ``lp_norm`` call of ``corpus_norms``, which bounds its working set
+_CORPUS_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -92,39 +91,51 @@ def reduced_coefficients(
     return ReducedCoefficients(reduced_drift(params, p, alpha), lam_red)
 
 
-def reduced_norm(v: Profile1D, p: float, *rows: tuple[float, ...]):
-    """(||s^power (a2 v'' + a1 v' + a0 v)||_{L^p}, err) on the support of a profile v, for
-    a row (a2, a1, a0, power) as ``Profile1D.integrand`` reads it; a list of such pairs for
-    several rows, from one ``lp_norm`` call.  It is the one-term case of ``corpus_norms``.
+def corpus_norms(p: float, terms: Sequence[tuple]):
+    """The (norm, err) pairs of each term (v, rows) or (v, rows, support): one pair for one
+    row (a2, a1, a0, power) as ``Profile1D.integrand`` reads it, else a list of pairs,
+    the L^p norms of s^power (a2 v'' + a1 v' + a0 v) on the support, v's own by default.
+
+    One term is ``lp_norm(v.integrand(*rows), support, p)`` itself.  Several are cut
+    into blocks of at most _CORPUS_ROWS rows (a longer term alone), one ``lp_norm``
+    call each, in which a term is one part on t in (-1, 1), through s = mid + half t:
+    sampled at its own pieces alone, its pairs, times half^(1/p) (1 at p = inf), do
+    not depend on the block.  A support empty after cutting has zero width and gives
+    zeros.  A ``NonFiniteIntegrand`` names rows of the whole corpus, in order.
     """
-    return lp_norm(v.integrand(*rows), v.support, p)
-
-
-def corpus_norms(p: float, terms: Sequence[tuple[Profile1D, Sequence[tuple[float, ...]]]]):
-    """``reduced_norm(v, p, *rows)`` for each term (v, rows), from one ``lp_norm`` call.
-
-    One term is ``lp_norm(v.integrand(*rows), v.support, p)`` itself.  Of
-    several, each profile is one part of a stack on t in (-1, 1), through
-    s = mid + half t on its support, so each part is sampled at its own
-    pieces alone; its norms and errs are then times half^(1/p), or 1 at
-    p = inf.  A ``NonFiniteIntegrand`` names the rows of the whole stack,
-    the terms' rows in order.
-    """
+    terms = [(v, rows, support[0] if support else v.support) for v, rows, *support in terms]
     if len(terms) == 1:
-        (v, rows), = terms
-        return [reduced_norm(v, p, *rows)]
-    q, parts, scales = inv_p(p), [], []
-    for v, rows in terms:
-        a, b = v.support
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        parts.append(lambda t, f=v.integrand(*rows), mid=mid, half=half: f(mid + half * t))
-        scales.append(half**q)
-    pairs = iter(lp_norm(parts, (-1.0, 1.0), p))
-    out = []
-    for (_, rows), k in zip(terms, scales):
-        mine = [(norm * k, err * k) for norm, err in islice(pairs, len(rows))]
-        out.append(mine if len(rows) > 1 else mine[0])
+        (v, rows, support), = terms
+        return [lp_norm(v.integrand(*rows), support, p)]
+    q, out, offset = inv_p(p), [], 0
+    for block in _blocks(terms):
+        parts, scales = [], []
+        for v, rows, (a, b) in block:
+            b = max(a, b)
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            parts.append(lambda t, f=v.integrand(*rows), mid=mid, half=half: f(mid + half * t))
+            scales.append(half**q if b > a else 0.0)
+        try:
+            pairs = iter(lp_norm(parts, (-1.0, 1.0), p))
+        except NonFiniteIntegrand as err:
+            err.rows = tuple(offset + r for r in err.rows)
+            raise
+        for (_, rows, _), k in zip(block, scales):
+            mine = [(norm * k, err * k) for norm, err in islice(pairs, len(rows))]
+            out.append(mine if len(rows) > 1 else mine[0])
+            offset += len(rows)
     return out
+
+
+def _blocks(terms):
+    """terms in runs of at most _CORPUS_ROWS rows; a term of more rows is a run alone."""
+    start, size = 0, 0
+    for i, (_, rows, _) in enumerate(terms):
+        if size + len(rows) > _CORPUS_ROWS and i > start:
+            yield terms[start:i]
+            start, size = i, 0
+        size += len(rows)
+    yield terms[start:]
 
 
 def _ratio(num: tuple[float, float], den: tuple[float, float]) -> RatioReport:
@@ -141,11 +152,11 @@ def rellich_ratio_separable(
     """|| v'' + beta v' - lambda_red v ||_p / || v ||_p on the support of v.
 
     norms, the (norm, err) pairs of the two where the caller has them already
-    (``rellich_ratios``, from the stack of a corpus), stand in for their
-    ``lp_norm`` call.
+    (``rellich_ratios``, from the blocks of a corpus), stand in for the
+    one-term ``corpus_norms`` call.
     """
     if norms is None:
-        norms = reduced_norm(v, p, *_rellich_rows(params, p, alpha, n))
+        norms, = corpus_norms(p, [(v, _rellich_rows(params, p, alpha, n))])
     return _ratio(*norms)
 
 

@@ -44,7 +44,7 @@ from .profiles import Profile1D
 from .quadrature import integrate, lp_norm
 from .radial import (CRITICAL_MEASURE, PHI_SUPPORT, boundary_counterexample, corpus_norms,
                      counterexample_drift, counterexample_ratio, critical_rows, fit_loglog_slope,
-                     reduced_norm, rellich_ratios)
+                     rellich_ratios)
 from .spectral import region_section3
 from .validity import Branch, DomainKind, HarmonicSet, best_constant, decide
 
@@ -277,24 +277,19 @@ def oned_green_reconstruct(beta: float, v: Profile1D) -> float:
     return float(np.max(np.abs(v_rec - want)))
 
 
-def _weighted_norms(f, support: tuple[float, float], p: float, kappa: float,
-                    plain: int, weight=None) -> list[float]:
-    """The norms of the ``lp_norm`` stack f, in the measure weight dx, whose row plain
-    is ||v||_p and whose later rows are ||v / s^kappa||_p.
-
-    OutOfRange naming kappa where only those weighted rows overflow, or where
-    one of them underflows to 0 while ||v||_p does not; a row before them
-    that overflows keeps its NonFiniteIntegrand.
-    """
+def _weighted_norms(norms, kappa: float, weighted: dict[int, int]) -> list[float]:
+    """norms(), the norms of a stack whose row w is ||v / s^kappa||_p, and row weighted[w]
+    ||v||_p, for each w of weighted.  OutOfRange naming kappa where only weighted rows
+    overflow, or where one underflows to 0 while its ||v||_p does not."""
     try:
-        norms = [m for m, _ in lp_norm(f, support, p, weight)]
+        out = norms()
     except NonFiniteIntegrand as err:
-        if min(err.rows) > plain:
+        if weighted.keys() >= set(err.rows):
             raise OutOfRange(f"||v / s^kappa||_p overflows at kappa={kappa}") from err
         raise
-    if 0.0 in norms[plain + 1:] and norms[plain] > 0:
+    if any(out[w] == 0.0 < out[v] for w, v in weighted.items()):
         raise OutOfRange(f"||v / s^kappa||_p underflows to 0 at kappa={kappa}")
-    return norms
+    return out
 
 
 def verify_oned_inequality(
@@ -310,9 +305,10 @@ def verify_oned_inequality(
     kappa defaults per the proposition: 1 for beta != 0 and p > 1,
     1 + eps at p = 1; 2 (resp. 2 + eps) when beta = 0.  The report's
     samples carry the per-profile ratios; their sup is the empirical C.
-    Pass kappa explicitly to run a negative control.  OutOfRange where a
-    weighted norm of a profile overflows, or, the profile not zero on
-    (a, inf), underflows to 0.
+    Pass kappa explicitly to run a negative control.  One ``corpus_norms`` call gives
+    the numerators on each support, the denominators on its part in (a, inf).  OutOfRange
+    where a weighted norm of a profile overflows, or, the profile not zero on (a, inf),
+    underflows to 0.
     """
     check_p(p)
     for name, x in (("beta", beta), ("a", a), ("eps", eps)):
@@ -323,13 +319,19 @@ def verify_oned_inequality(
         kappa = (1.0 if beta != 0 else 2.0) + (0.0 if p > 1 else eps)
     if not corpus:
         raise PreconditionViolated("empty corpus: nothing to verify")
+    if min(v.support[0] for v in corpus) <= 0:
+        raise PreconditionViolated("corpus must be supported in (0, inf)")
     report = VerificationReport(claim=f"oned beta={beta} p={p} a={a} kappa={kappa}")
-    for v in corpus:
-        if v.support[0] <= 0:
-            raise PreconditionViolated("corpus must be supported in (0, inf)")
-        num, _ = reduced_norm(v, p, (1.0, beta))
-        _, den = _weighted_norms(v.integrand((0.0, 0.0, 1.0), (0.0, 0.0, 1.0, -kappa)),
-                                 (max(a, v.support[0]), v.support[1]), p, kappa, plain=0)
+    dens = (0.0, 0.0, 1.0), (0.0, 0.0, 1.0, -kappa)  # ||v||_p and ||v / s^kappa||_p
+    terms = [t for v in corpus
+             for t in ((v, ((1.0, beta),)), (v, dens, (max(a, v.support[0]), v.support[1])))]
+
+    def stack():  # each profile's three: its numerator, then its two denominators
+        out = iter(corpus_norms(p, terms))
+        return [m for num, pair in zip(out, out) for m, _ in (num, *pair)]
+
+    norms = _weighted_norms(stack, kappa, {3 * i + 2: 3 * i + 1 for i in range(len(corpus))})
+    for v, num, den in zip(corpus, norms[::3], norms[2::3]):
         ratio = den / num if num > 0 else math.inf
         report.add(v.label or "profile", ratio, 0.0,
                    1.0 if math.isfinite(ratio) else -1.0)
@@ -349,6 +351,26 @@ def _powers(what: str, lam: float, p: float) -> tuple[float, float]:
                          f"p={p}") from None
 
 
+def _remainders(claim: str, beta: float, lam: float, p: float,
+                corpus: list[Profile1D]) -> VerificationReport:
+    """``verify_aux_remainder`` on each profile of corpus, from one ``corpus_norms`` call;
+    the tolerance is SLACK_EXACT times the largest ||Gamma v||_p^p, at least 1."""
+    check_finite("beta", beta)
+    if check_finite("lambda", lam) <= 0:
+        raise PreconditionViolated(f"need lambda > 0, got {lam}")
+    if min(v.support[0] for v in corpus) <= 0:
+        raise PreconditionViolated("v must be supported in (0, inf)")
+    lam_p, rem = _powers(f"lambda={lam}", lam, p)
+    report = VerificationReport(claim=claim, tolerance=SLACK_EXACT)
+    rows = (1.0, beta, -lam), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0, -2.0 / p)
+    for v, pairs in zip(corpus, corpus_norms(p, [(v, rows) for v in corpus])):
+        gnorm_p, vnorm_p, weighted = (norm**p for norm, _ in pairs)
+        lhs, rhs = gnorm_p - lam_p * vnorm_p, rem * weighted
+        report.add(v.label or "profile", lhs, rhs, lhs - rhs)
+        report.tolerance = max(report.tolerance, SLACK_EXACT * abs(gnorm_p))
+    return report
+
+
 def verify_aux_remainder(
     beta: float,
     lam: float,
@@ -360,23 +382,7 @@ def verify_aux_remainder(
     Gamma = D^2 + beta D - lam, lam > 0, 1 < p < inf, v in C_c^2((0,inf)).
     """
     check_inner_p(p, "the aux remainder")
-    check_finite("beta", beta)
-    if check_finite("lambda", lam) <= 0:
-        raise PreconditionViolated(f"need lambda > 0, got {lam}")
-    if v.support[0] <= 0:
-        raise PreconditionViolated("v must be supported in (0, inf)")
-    lam_p, rem = _powers(f"lambda={lam}", lam, p)
-
-    gnorm_p, vnorm_p, weighted = (norm**p for norm, _ in reduced_norm(
-        v, p, (1.0, beta, -lam), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0, -2.0 / p)))
-    lhs = gnorm_p - lam_p * vnorm_p
-    rhs = rem * weighted
-    report = VerificationReport(
-        claim=f"aux beta={beta} lambda={lam} p={p}",
-        tolerance=SLACK_EXACT * max(abs(gnorm_p), 1.0),
-    )
-    report.add(v.label or "profile", lhs, rhs, lhs - rhs)
-    return report
+    return _remainders(f"aux beta={beta} lambda={lam} p={p}", beta, lam, p, [v])
 
 
 def verify_remainder(
@@ -392,7 +398,8 @@ def verify_remainder(
 
         ||v'' + beta v' - C v||_p^p - C^p ||v||_p^p >= c_rem integral |v|^p / s^2,
 
-    which is verify_aux_remainder with lambda = C, run on each profile.
+    which is verify_aux_remainder with lambda = C on each profile, the norms
+    of all from one ``corpus_norms`` call.
     """
     check_inner_p(p, "the remainder")
     if not corpus:
@@ -402,22 +409,13 @@ def verify_remainder(
         raise PreconditionViolated(
             "alpha outside the symmetric range: no certified constant"
         )
-    beta = reduced_drift(params, p, alpha)
     c_rem = _powers(f"C={C}", C, p)[1]
-    report = VerificationReport(
-        claim=f"remainder N={params.N} c={params.c} b={params.b} p={p} "
-        f"alpha={alpha} C={C} c_rem={c_rem}",
-        tolerance=SLACK_EXACT,
-    )
-    for v in corpus:
-        if v.support[0] < math.log(2.0) - 1e-9:
-            raise PreconditionViolated(
-                "corpus must be supported in s > log 2 (u supported in B_{1/2})"
-            )
-        aux = verify_aux_remainder(beta, C, p, v)
-        report.samples += aux.samples
-        report.tolerance = max(report.tolerance, aux.tolerance)
-    return report
+    if min(v.support[0] for v in corpus) < math.log(2.0) - 1e-9:
+        raise PreconditionViolated(
+            "corpus must be supported in s > log 2 (u supported in B_{1/2})"
+        )
+    return _remainders(f"remainder N={params.N} c={params.c} b={params.b} p={p} alpha={alpha} "
+                       f"C={C} c_rem={c_rem}", reduced_drift(params, p, alpha), C, p, corpus)
 
 
 def verify_critical_log(
@@ -450,8 +448,9 @@ def verify_critical_log(
         f"n={n} branch={branch} kappa={kappa}",
     )
     k = len(EPS_LADDER)
-    norms = _weighted_norms(critical_rows(g, min(0.0, d_lam), EPS_LADDER, kappa),
-                            PHI_SUPPORT, p, kappa, plain=k, weight=CRITICAL_MEASURE)
+    f = critical_rows(g, min(0.0, d_lam), EPS_LADDER, kappa)
+    norms = _weighted_norms(lambda: [m for m, _ in lp_norm(f, PHI_SUPPORT, p, CRITICAL_MEASURE)],
+                            kappa, dict.fromkeys(range(k + 1, 2 * k + 1), k))
     weighted = [num / den_w for num, den_w in zip(norms, norms[k + 1:])]
     unweighted = [num / norms[k] for num in norms[:k]]
     for e, rw in zip(EPS_LADDER, weighted):

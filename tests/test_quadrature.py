@@ -647,6 +647,36 @@ def test_norm_beyond_float_range_is_out_of_range(f, p):
             lp_norm(f, (0.0, 1.0), p)
 
 
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_a_sign_changing_row_near_the_float_maximum_keeps_a_finite_err(p):
+    # its Legendre series is taken of its values over a power of two, so the
+    # coefficients stay finite: no warning, and an err far below the value.
+    # integrate scales its antiderivative back to the integral itself
+    def f(s):
+        return 1.7e308 * (2.0 * s - 1.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm, err = lp_norm(f, (0.0, 1.0), p)
+        upto, err_int = integrate(f, 0.0, np.array([0.5, 1.0]))
+    want = 1.7e308 * (0.5 if p == 1 else 1.0)
+    assert abs(norm - want) <= 1e-14 * want and 0.0 < err <= 1e-13 * want, (norm, err)
+    assert abs(upto[0] + 4.25e307) <= 1e-14 * 4.25e307 and abs(upto[1]) <= err_int <= 1e-13 * want
+
+
+def test_integrate_scales_exactly_with_a_power_of_two():
+    # values times 2^k give the integral and its err times 2^k, bit for bit:
+    # the series is taken of the values over a power of two and scaled back,
+    # its tails in err included (the kink leaves a piece unresolved, so they count)
+    def f(s):
+        return np.sqrt(np.abs(s - 0.3))
+
+    value, err = integrate(f, 0.0, 1.0)
+    for k in (-600, 40, 600):
+        got = integrate(lambda s, k=k: np.ldexp(f(s), k), 0.0, 1.0)
+        assert got == (np.ldexp(value, k), np.ldexp(err, k)), (k, got, value, err)
+
+
 def _spy(f, seen):
     """f, recording the sorted points of each call in seen."""
     def g(s):

@@ -25,7 +25,7 @@ from rellich import (
 )
 from rellich.quadrature import REL_TOL, lp_norm
 from rellich.radial import (CUTOFF, PHI_SUPPORT, corpus_norms, counterexample_drift,
-                            counterexample_gamma, reduced_norm)
+                            counterexample_gamma)
 from rellich.verify import EPS_LADDER
 
 from references import log_squeezed, reference_lp_integral
@@ -230,9 +230,10 @@ class TestCounterexampleRatio:
                     rep = verify_critical_log(P, p, n, branch)
                     norms = stacks.pop()
                     for j, e in enumerate(EPS_LADDER):
-                        num, den_w, den = (norm for norm, _ in reduced_norm(
-                            log_squeezed(CUTOFF, e), p, (1.0, rc.beta, -rc.lambda_red),
-                            (0.0, 0.0, 1.0, -kappa), (0.0, 0.0, 1.0)))
+                        rows = ((1.0, rc.beta, -rc.lambda_red), (0.0, 0.0, 1.0, -kappa),
+                                (0.0, 0.0, 1.0))
+                        num, den_w, den = (norm for norm, _ in corpus_norms(
+                            p, [(log_squeezed(CUTOFF, e), rows)])[0])
                         for got, want in ((rep.samples[j][1], num / den_w),
                                           (norms[j] / norms[k], num / den)):
                             assert abs(got - want) <= 1e-12 * want, (P, n, p, branch, e, got, want)
@@ -342,7 +343,7 @@ class TestSupErrorEstimate:
         v = bump(1.0, 3.0)
         s = np.linspace(1.0, 3.0, 200_001)
         exact = float(np.max(np.abs(s**power * v(s))))
-        norm, err = reduced_norm(v, INF, (0.0, 0.0, 1.0, power))
+        (norm, err), = corpus_norms(INF, [(v, ((0.0, 0.0, 1.0, power),))])
         assert abs(norm - exact) <= max(err, 1e-9 * exact)
 
     def test_counterexample_p_inf_estimate_bounds_the_gap(self):
@@ -421,7 +422,7 @@ def test_corpus_norms_give_each_profile_its_own_pairs(p):
     got = corpus_norms(p, CORPUS_TERMS)
     assert len(got) == len(CORPUS_TERMS)
     for (v, rows), pairs in zip(CORPUS_TERMS, got):
-        want = reduced_norm(v, p, *rows)
+        want, = corpus_norms(p, [(v, rows)])
         if len(rows) == 1:
             pairs, want = [pairs], [want]
         assert len(pairs) == len(want)
@@ -435,7 +436,7 @@ def test_a_one_term_corpus_is_its_lp_norm_call(p):
     # bit for bit: no change of variable, the profile's own support
     for v, rows in CORPUS_TERMS:
         assert corpus_norms(p, [(v, rows)]) == [lp_norm(v.integrand(*rows), v.support, p)]
-        assert reduced_norm(v, p, *rows) == lp_norm(v.integrand(*rows), v.support, p)
+        assert corpus_norms(p, [(v, rows, v.support)]) == corpus_norms(p, [(v, rows)])
 
 
 def test_corpus_overflow_names_rows_of_the_whole_stack():
@@ -447,3 +448,68 @@ def test_corpus_overflow_names_rows_of_the_whole_stack():
         with pytest.raises(NonFiniteIntegrand) as err:
             corpus_norms(p, terms)
         assert err.value.rows == (3,)
+
+
+def _blocked(monkeypatch, rows, call):
+    """call() with corpus_norms cut into blocks of at most rows rows, and the number of
+    parts of each of its lp_norm calls."""
+    import rellich.radial as radial_mod
+
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return lp_norm(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(radial_mod, "_CORPUS_ROWS", rows)
+        m.setattr(radial_mod, "lp_norm", counted)
+        return call(), calls
+
+
+# terms with supports of their own: one cut inside the profile's, one empty
+# after cutting (clamped to zero width), one wider than the profile's
+OWN_SUPPORT_TERMS = [
+    (bump(1.0, 3.0), ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0, -1.0)), (2.0, 3.0)),
+    (bump(1.0, 3.0), ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0, -1.0)), (5.0, 3.0)),
+    (bump(2.0, 6.0), ((1.0, 0.5),), (1.0, 7.0)),
+]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+def test_blocks_give_the_pairs_of_one_stack(monkeypatch, p):
+    # a corpus cut into blocks, a term longer than the budget alone, gives
+    # bit for bit the pairs of one stack of the whole corpus.  Its terms have
+    # 2, 3, 1, 2, 2, 2 and 1 rows, three times over: blocks of 3 rows at most
+    # are (2), (3), (1, 2), (2) and (2, 1) each time
+    terms = (CORPUS_TERMS + OWN_SUPPORT_TERMS) * 3
+    one, calls = _blocked(monkeypatch, 10**9, lambda: corpus_norms(p, terms))
+    assert calls == [len(terms)]
+    for rows, blocks in ((1, [1] * 21), (3, [1, 1, 2, 1, 2] * 3), (5, [2, 3, 3, 2, 2, 3, 2, 2, 2])):
+        got, calls = _blocked(monkeypatch, rows, lambda: corpus_norms(p, terms))
+        assert got == one and calls == blocks, (rows, calls)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, INF])
+def test_terms_on_their_own_supports(p):
+    # a term with a support is its profile's rows on that support; one that
+    # is empty after cutting gives zeros, at p = inf too
+    got = corpus_norms(p, OWN_SUPPORT_TERMS)
+    assert got[1] == [(0.0, 0.0), (0.0, 0.0)]
+    for (v, rows, support), pairs in zip(OWN_SUPPORT_TERMS, got):
+        want = lp_norm(v.integrand(*rows), support, p)
+        assert corpus_norms(p, [(v, rows, support)]) == [want]
+        for (norm, err), (norm0, err0) in zip(*([x] if len(rows) == 1 else x
+                                                for x in (pairs, want))):
+            assert abs(norm - norm0) <= 1e-14 * norm0 and abs(err - err0) <= 1e-14 * norm0
+
+
+def test_corpus_overflow_names_rows_across_blocks(monkeypatch):
+    # the overflowing row is row 3 of a corpus cut into blocks of 2 rows,
+    # and row 301 of one of 151 terms, whose last block starts at row 256
+    ok = (bump(1.0, 3.0), ((1.0,), (0.0, 0.0, 1.0)))
+    bad = (bump(0.01, 1.0), ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0, -400.0)))
+    for rows, terms, want in ((2, [ok, bad], (3,)), (256, [ok] * 150 + [bad], (301,))):
+        with pytest.raises(NonFiniteIntegrand) as err:
+            _blocked(monkeypatch, rows, lambda: corpus_norms(1.5, terms))
+        assert err.value.rows == want

@@ -18,6 +18,7 @@ from rellich import (
     base_alpha,
     best_constant,
     bump,
+    bump_corpus,
     counterexample_ratio,
     critical_alphas,
     lp_norm,
@@ -33,10 +34,11 @@ from rellich import (
     verify_rellich,
     verify_remainder,
 )
-from rellich.params import EPS_LADDER
+from rellich.params import EPS_LADDER, reduced_drift
 
 P5 = OperatorParams(5, 0, 0)
 ALL = HarmonicSet.all()
+INF = math.inf
 
 
 def small_corpus():
@@ -365,6 +367,77 @@ class TestRemainder:
     def test_support_guard(self):
         with pytest.raises(PreconditionViolated):
             verify_remainder(P5, 2, 0.0, [bump(0.1, 3.0)])
+
+
+def _counted_lp_norm(monkeypatch):
+    """The parts (or stack) of each lp_norm call of radial and verify from here on."""
+    import rellich.radial as radial_mod
+    import rellich.verify as verify_mod
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return lp_norm(*args)
+
+    for mod in (radial_mod, verify_mod):
+        monkeypatch.setattr(mod, "lp_norm", counted)
+    return calls
+
+
+def _remainder_alone(beta, lam, p, v):
+    """(lhs, rhs) of the remainder inequality on v, each norm from its own lp_norm call."""
+    g, n, w = (lp_norm(v.integrand(row), v.support, p)[0] ** p
+               for row in ((1.0, beta, -lam), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0, -2.0 / p)))
+    return g - lam**p * n, lam ** (p - 1.0) * (p - 1.0) / p**2 * w
+
+
+class TestOneCorpusCall:
+    # oned, remainder and aux take the norms of a corpus the size of the CLI's
+    # default from one lp_norm call, and each sample is the value its profile
+    # gets from lp_norm calls of its own, to 1e-14
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+    @pytest.mark.parametrize("a", [1.0, 5.0])
+    def test_oned(self, monkeypatch, p, a):
+        # at a = 5 the corpus mixes profiles left of a (ratio 0), across it
+        # and right of it
+        corpus = bump_corpus(0, 3) + [bump(1.0, 3.0), bump(4.0, 8.0), bump(6.0, 9.0)]
+        calls = _counted_lp_norm(monkeypatch)
+        rep = verify_oned_inequality(1.0, p, a, 0.5, corpus)
+        assert len(calls) == 1 and len(calls[0]) == 2 * len(corpus)
+        monkeypatch.undo()
+        kappa = 1.0 + (0.5 if p == 1 else 0.0)  # the default at beta != 0, eps = 0.5
+        for v, (_, ratio, _, _) in zip(corpus, rep.samples):
+            num, _ = lp_norm(v.integrand((1.0, 1.0)), v.support, p)
+            den, _ = lp_norm(v.integrand((0.0, 0.0, 1.0, -kappa)),
+                             (max(a, v.support[0]), v.support[1]), p)
+            assert abs(ratio - den / num) <= 1e-14 * den / num, (v.label, ratio, den / num)
+            assert (ratio == 0.0) == (v.support[1] <= a)
+        assert rep.passed and (a == 1.0 or rep.samples[3][1] == 0.0 < rep.samples[4][1])
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_remainder(self, monkeypatch, p):
+        corpus = bump_corpus(0, 3, center_range=(1.5, 9.0), left_min=math.log(2.0))
+        alpha = base_alpha(P5, p)  # the middle of the symmetric range
+        calls = _counted_lp_norm(monkeypatch)
+        rep = verify_remainder(P5, p, alpha, corpus)
+        assert len(calls) == 1 and len(calls[0]) == len(corpus) and rep.passed
+        monkeypatch.undo()
+        C, beta = best_constant(P5, p, alpha), reduced_drift(P5, p, alpha)
+        for v, (_, lhs, rhs, _) in zip(corpus, rep.samples):
+            lhs0, rhs0 = _remainder_alone(beta, C, p, v)
+            assert abs(lhs - lhs0) <= 1e-14 * abs(lhs0) and abs(rhs - rhs0) <= 1e-14 * rhs0
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_aux(self, monkeypatch, p):
+        v, = bump_corpus(0, 1)
+        calls = _counted_lp_norm(monkeypatch)
+        rep = verify_aux_remainder(1.0, 2.0, p, v)
+        assert len(calls) == 1 and rep.passed
+        monkeypatch.undo()
+        (_, lhs, rhs, _), = rep.samples
+        assert (lhs, rhs) == pytest.approx(_remainder_alone(1.0, 2.0, p, v), rel=1e-14)
 
 
 def weighted_ratios(rep):
