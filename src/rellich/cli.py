@@ -5,7 +5,7 @@ Subcommands
     spectrum        spectral classification of a point; --sample dumps the
                     parabola as CSV (re, im, tag) for plotting
     counterexample  epsilon-family ratios (CSV) with fitted log-log slope,
-                    or the boundary witness report
+                    or the ball's boundary witness, in closed form
     verify          quadrature-backed verification targets
 
 Output is JSON on stdout (schema_version 1); CSV goes to --output when
@@ -13,15 +13,15 @@ given.  Exit codes: 0 pass/holds, 1 precondition (also a non-finite
 alpha, lambda, --log-eps or tolerance, an --xi-max whose square is not
 finite, an --N or a degree beyond float range, an exterior --domain
 with a --J other than all, a --sweep-alpha count above 100000, a
---grid outside 2..100000, a --sample-q outside 0..100000, a --count
-outside 1..1000, a negative --seed, --seed-q or --harmonics degree, a
---lambda of more than two parts, a verify rellich or dissipativity
-corpus (--harmonics degrees times --count) above 5000 profiles, an
-empty corpus, fewer than two distinct --eps values, a Hardy constant
-beyond float range, or a p so large that a power of the verified
-inequality or an integral of |f|^p overflows), 2 fail, 3 unsupported
-regime, 64 usage.  The ranges are checked before anything is allocated.
---tol sets the decision tolerance (default 1e-9).
+--sample-q outside 0..100000, a --count outside 1..1000, a negative
+--seed, --seed-q or --harmonics degree, a --lambda of more than two
+parts, a verify rellich or dissipativity corpus (--harmonics degrees
+times --count) above 5000 profiles, an empty corpus, fewer than two
+distinct --eps values, a Hardy constant beyond float range, or a p so
+large that a power of the verified inequality or an integral of |f|^p
+overflows), 2 fail, 3 unsupported regime, 64 usage.  The ranges are
+checked before anything is allocated.  --tol sets the decision
+tolerance (default 1e-9).
 
 check, check --sweep-alpha and a spectrum point are closed-form and run
 without numpy; verify, counterexample and spectrum --sample import numpy
@@ -230,7 +230,7 @@ def cmd_counterexample(args) -> int:
     if args.mode == "boundary":
         if args.alpha is None:
             raise PreconditionViolated("--alpha is required for boundary mode")
-        rep = boundary_counterexample(params, args.alpha, p, grid=args.grid)
+        rep = boundary_counterexample(params, args.alpha, p)
         _emit(
             {
                 "mode": "boundary",
@@ -357,7 +357,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--mode", choices=["minus", "plus", "boundary"], required=True)
     sp.add_argument("--eps", type=str,
                     default=",".join(str(e) for e in EPS_LADDER))
-    sp.add_argument("--grid", type=int, default=400, help="boundary log-grid points, 2..100000")
     sp.add_argument("-o", "--output", type=str, default=None)
     sp.set_defaults(func=cmd_counterexample)
 

@@ -16,7 +16,8 @@ builds the critical family u_eps = r^gamma phi(r^eps) of a whole eps
 ladder, read on phi's fixed support in x = r^eps with the measure dx/x
 (``CRITICAL_MEASURE``), so that its numerator rows stay polynomials of
 phi's degree.  ``lp_norm`` finds the sign changes and the sup of each row,
-for any weight s^power, itself.
+for any weight s^power, itself.  ``boundary_counterexample`` checks the
+ball's boundary witness in closed form, from the indicial polynomial alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import NonFiniteIntegrand, OutOfRange, PreconditionViolated, UnsupportedRegime
+from .errors import NonFiniteIntegrand, PreconditionViolated, UnsupportedRegime
 from .params import (
     OperatorParams,
     base_alpha,
@@ -39,7 +40,6 @@ from .params import (
     indicial_roots,
     inv_p,
     reduced_drift,
-    sqrt_nonneg_re,
 )
 from .profiles import Profile1D, bump
 from .quadrature import lp_norm
@@ -53,9 +53,6 @@ CUTOFF = bump(*PHI_SUPPORT)
 
 #: the measure dx / x of ``critical_rows``, as ``lp_norm``'s weight
 CRITICAL_MEASURE = np.reciprocal
-
-#: most points of the boundary witness's log grid, which needs at least 2
-GRID_MAX = 100_000
 
 #: most rows of one ``lp_norm`` call of ``corpus_norms``, which bounds its working set
 _CORPUS_ROWS = 256
@@ -276,52 +273,35 @@ class BoundaryReport:
     active: bool
 
 
-def boundary_counterexample(
-    params: OperatorParams,
-    alpha: float,
-    p: float,
-    grid: int = 400,
-) -> BoundaryReport:
-    """Check u = r^{-s2} - r^{-s1}, the boundary obstruction witness on the ball.
+def boundary_counterexample(params: OperatorParams, alpha: float, p: float) -> BoundaryReport:
+    """Check u = r^{-s2} - r^{-s1}, the boundary obstruction witness on the ball, in closed form.
 
-    Lu = 0 identically: the scaled radial residual
-    r^2 u'' + (N-1+c) r u' - b u is evaluated on a log grid in [1e-6, 1]
-    and reported relative to the size of its largest term (analytically
-    zero; float cancellation only).  norm_finite applies the exponent
-    test alpha - 2 + Re(s1) > -N/p, and `active` flags the regime
-    alpha > base + Re sqrt(D) where the witness defeats the inequality.
+    u vanishes on the sphere, and r^2 Lu = P(s2) r^{-s2} - P(s1) r^{-s1} with
+    P(s) = s^2 - (N-2+c) s - b, whose roots s1 <= s2 are the indicial roots
+    of degree 0.  residual_sup is the larger |P(s_i)| over m^2, m the largest
+    of |s1|, |s2|, |N-2+c|, sqrt|b| and 1, which bounds every term of P at
+    either root; the terms are divided by m^2 before they are summed, so none
+    overflows (analytically zero; float rounding only).  Near 0, |u| ~
+    r^{-s2}, so ||x|^{alpha-2} u||_p is finite iff (alpha - 2 - s2) p + N > 0,
+    or alpha - 2 - s2 >= 0 at p = inf: norm_finite.  `active` flags the
+    decider's regime alpha > base + sqrt(D), where the witness defeats the
+    inequality; the two agree except at the threshold itself.  At D = 0 the
+    roots merge, and the limit witness r^{-s2} log r has the same residual
+    and exponent.
 
-    Requires D >= 0 (real roots) and 2 <= grid <= GRID_MAX.
+    Requires D >= 0 (real roots).
     """
-    if not 2 <= grid <= GRID_MAX:
-        raise OutOfRange(f"grid must have 2..{GRID_MAX} points, got {grid}")
     check_p(p)
     D = discriminant(params)
     if D < 0:
         raise UnsupportedRegime("boundary witness needs real indicial roots (D >= 0)")
-    s1, s2 = indicial_roots(params, 0)
-    s1r, s2r = s1.real, s2.real
-    r = np.exp(np.linspace(math.log(1e-6), 0.0, grid))
-
-    def powers(s):
-        u = r ** (-s)
-        du = -s * r ** (-s - 1)
-        d2u = s * (s + 1) * r ** (-s - 2)
-        return u, du, d2u
-
-    u2, du2, d2u2 = powers(s2r)
-    u1, du1, d2u1 = powers(s1r)
-    u = u2 - u1
-    du = du2 - du1
-    d2u = d2u2 - d2u1
-    terms = (r**2 * d2u, (params.N - 1 + params.c) * r * du, -params.b * u)
-    residual = np.abs(terms[0] + terms[1] + terms[2])
-    scale = np.maximum(np.maximum(np.abs(terms[0]), np.abs(terms[1])),
-                       np.maximum(np.abs(terms[2]), 1.0))
-    rel = float(np.max(residual / scale))
-    norm_finite = (alpha - 2.0 + s1r) > -params.N * inv_p(p)
-    active = alpha > base_alpha(params, p) + sqrt_nonneg_re(D).real
-    return BoundaryReport(rel, bool(norm_finite), bool(active))
+    k = params.N - 2.0 + params.c
+    roots = [s.real for s in indicial_roots(params, 0)]
+    m = max(*map(abs, roots), abs(k), math.sqrt(abs(params.b)), 1.0)
+    residual = max(abs((s / m) ** 2 - k / m * (s / m) - params.b / m / m) for s in roots)
+    e = alpha - 2.0 - roots[1]
+    norm_finite = e >= 0 if math.isinf(p) else e * p + params.N > 0
+    return BoundaryReport(residual, norm_finite, alpha > base_alpha(params, p) + math.sqrt(D))
 
 
 def fit_loglog_slope(eps_values, ratios) -> float:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import rellich
 from rellich.cli import CORPUS_MAX, COUNT_MAX, SAMPLE_Q_MAX, SWEEP_MAX, _parse_sweep, main
-from rellich.radial import GRID_MAX
 
 # children import the package from where this process found it
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(rellich.__file__)))
@@ -184,6 +183,20 @@ class TestCounterexample:
         assert code == 0
         assert doc["residual_sup"] < 1e-8 and doc["active"]
 
+    @pytest.mark.parametrize("argv, active", [
+        (["--b", "1e300", "--alpha", "3"], False),
+        (["--c", "1e150", "--alpha", "2e150"], True),
+    ], ids=["b-1e300", "c-1e150"])
+    def test_boundary_report_of_huge_coefficients(self, capsys, argv, active):
+        # indicial roots near 1e150: strict JSON and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, "counterexample", "--N", "5", "--p", "2",
+                                "--mode", "boundary", *argv)
+        doc = _strict_json(out.strip())
+        assert code == 0
+        assert doc["residual_sup"] <= 1e-14 and doc["active"] is doc["norm_finite"] is active
+
     def test_unsupported_regime_exit3(self, capsys):
         code, out = run_cli(capsys, "counterexample", "--N", "5", "--b", "-3",
                             "--p", "2", "--n", "0", "--mode", "minus")
@@ -243,6 +256,9 @@ class TestContract:
         assert main(["check", "--N", "5"]) == 64  # missing --alpha
         for cmd in (["verify", "rellich"], ["counterexample", "--mode", "minus"]):
             assert main([*cmd, "--N", "5", "--quad-nodes", "32"]) == 64  # no quadrature option
+        # the boundary witness is closed form: it has no grid
+        assert main(["counterexample", "--N", "5", "--mode", "boundary", "--alpha", "3",
+                     "--grid", "400"]) == 64
 
     def test_determinism(self, capsys):
         argv = ["verify", "rellich", "--N", "5", "--p", "2", "--alpha", "0",
@@ -329,8 +345,6 @@ def test_non_finite_input_exit1(argv):
     ["verify", "rellich", "--count", "1", "--harmonics", ",".join(["0"] * (CORPUS_MAX + 1))],
     ["spectrum", "--sample", "--sample-q=-1"],
     ["spectrum", "--sample", "--sample-q", str(SAMPLE_Q_MAX + 1)],
-    ["counterexample", "--mode", "boundary", "--alpha", "3", "--grid", "1"],
-    ["counterexample", "--mode", "boundary", "--alpha", "3", "--grid", str(GRID_MAX + 1)],
     ["verify", "critical", "--p", "1", "--n", "0", "--mode", "minus", "--log-eps", "1e5"],
     ["verify", "critical", "--p", "1", "--n", "0", "--mode", "minus", "--log-eps", "1e300"],
     ["verify", "oned", "--p", "1", "--beta", "1", "--log-eps", "1e5"],
@@ -340,7 +354,7 @@ def test_non_finite_input_exit1(argv):
         "remainder-count-0", "remainder-count-neg", "dissipativity-count-0",
         "dissipativity-count-neg", "oned-count-0", "count-above-cap", "corpus-above-cap",
         "sample-q-neg",
-        "sample-q-above-cap", "grid-1", "grid-above-cap", "critical-log-eps-1e5",
+        "sample-q-above-cap", "critical-log-eps-1e5",
         "critical-log-eps-1e300", "oned-log-eps-1e5", "critical-log-eps-neg-1e5",
         "oned-log-eps-neg-1e5"])
 def test_out_of_range_option_exit1(capsys, argv):
@@ -449,7 +463,7 @@ FUZZ = {
     "counterexample": (["counterexample", "--N", "5", "--mode", "minus"],
                        {**_COMMON, "--n": FUZZ_INTS,
                         "--mode": ["minus", "plus", "boundary"],
-                        "--eps": [f"{x},0.1" for x in FUZZ_FLOATS], "--grid": FUZZ_INTS}),
+                        "--eps": [f"{x},0.1" for x in FUZZ_FLOATS]}),
     **{f"verify {target}": (["verify", target, "--N", "5"], _VERIFY)
        for target in ("rellich", "hardy", "remainder", "critical", "aux", "oned",
                       "dissipativity")},

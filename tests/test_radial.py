@@ -1,11 +1,15 @@
 """Reduced coefficients, separable ratios, counterexample families."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rellich import (
+    Branch,
+    DomainKind,
+    HarmonicSet,
     NonFiniteIntegrand,
     OperatorParams,
     PreconditionViolated,
@@ -14,6 +18,7 @@ from rellich import (
     bump,
     counterexample_ratio,
     critical_alphas,
+    decide,
     discriminant,
     eigen_lambda,
     fit_loglog_slope,
@@ -21,7 +26,9 @@ from rellich import (
     reduced_coefficients,
     rellich_ratio_separable,
     sqrt_nonneg_re,
+    tail_exponent_integrable,
     verify_critical_log,
+    verify_rellich,
 )
 from rellich.quadrature import REL_TOL, lp_norm
 from rellich.radial import (CUTOFF, PHI_SUPPORT, corpus_norms, counterexample_drift,
@@ -246,8 +253,10 @@ class TestBoundaryCounterexample:
         assert rep.norm_finite and rep.active
 
     def test_inactive_case(self):
+        # s2 = 3: near 0 the integrand |x|^{2(alpha-2)} u^2 r^4 goes like r^-2,
+        # so the norm is infinite below the threshold 2.5
         rep = boundary_counterexample(P5, 2.0, 2)
-        assert rep.norm_finite and not rep.active
+        assert not rep.norm_finite and not rep.active
 
     def test_norm_infinite(self):
         rep = boundary_counterexample(P5, -3.0, 2)
@@ -262,6 +271,44 @@ class TestBoundaryCounterexample:
         thr = 4 * 0 + 1 + 0.75 + math.sqrt(discriminant(P))
         rep = boundary_counterexample(P, thr + 0.5, 2)
         assert rep.residual_sup < 1e-8 and rep.active
+
+    def test_negative_drift_past_the_threshold(self):
+        # s1 = -2, s2 = 0 and the threshold is 0.5: near 0 |x|^{-1} u ~ r^-1,
+        # which is in L^2 of the 3-ball, and so the witness defeats the inequality
+        rep = boundary_counterexample(OperatorParams(3, -3.0, 0.0), 1.0, 2)
+        assert rep.norm_finite and rep.active and rep.residual_sup == 0.0
+
+    @pytest.mark.parametrize("P", [OperatorParams(5, 0.0, 1e300), OperatorParams(5, 1e150, 0.0)],
+                             ids=["b-1e300", "c-1e150"])
+    def test_huge_coefficients_stay_in_range(self, P):
+        # the indicial roots reach 1e150, so their powers and squares leave float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = boundary_counterexample(P, 2e150, 2)
+            report = verify_rellich(P, 2, 2e150, DomainKind.UNIT_BALL, HarmonicSet.all(),
+                                    [(0, bump(1.0, 2.0))])
+        assert rep.residual_sup <= 1e-14 and rep.norm_finite and rep.active
+        assert report.passed and "boundary" in report.notes
+
+    def test_flags_agree_with_the_decider_off_the_threshold(self):
+        # off the threshold base + sqrt(D), the witness's norm is finite exactly
+        # where the ball's decision fails at the boundary and the Green tail
+        # exponent is not integrable; its residual is rounding
+        rng = np.random.default_rng(22)
+        mismatches = []
+        for _ in range(20_000):
+            N, c, D = int(rng.integers(2, 11)), float(rng.uniform(-4, 4)), float(rng.uniform(0, 9))
+            p = (1.0, 1.5, 2.0, 3.0, INF)[int(rng.integers(5))]
+            P = OperatorParams(N, c, D - ((N - 2 + c) / 2) ** 2)
+            alpha = critical_alphas(P, p, 0)[1] + float(rng.choice([-1.0, 1.0])) * 10.0 ** float(
+                rng.uniform(-6, 1))
+            rep = boundary_counterexample(P, alpha, p)
+            failing = decide(P, p, alpha, DomainKind.UNIT_BALL, HarmonicSet.all()).failing_modes
+            flags = (rep.norm_finite, rep.active, (0, Branch.BOUNDARY) in failing,
+                     not tail_exponent_integrable(P, p, alpha))
+            if len(set(flags)) > 1 or not rep.residual_sup <= 1e-14:
+                mismatches.append((P, p, alpha, rep))
+        assert mismatches == [], (len(mismatches), mismatches[:3])
 
 
 def _sweep_critical_cases(count, seed=1):
