@@ -5,7 +5,8 @@ Subcommands
     spectrum        spectral classification of a point; --sample dumps the
                     parabola as CSV (re, im, tag) for plotting
     counterexample  epsilon-family ratios (CSV) with fitted log-log slope,
-                    or the ball's boundary witness, in closed form
+                    or the ball's boundary witness of degree --n, in closed
+                    form for real and conjugate indicial roots
     verify          quadrature-backed verification targets
 
 Output is JSON on stdout (schema_version 1); CSV goes to --output when
@@ -230,7 +231,7 @@ def cmd_counterexample(args) -> int:
     if args.mode == "boundary":
         if args.alpha is None:
             raise PreconditionViolated("--alpha is required for boundary mode")
-        rep = boundary_counterexample(params, args.alpha, p)
+        rep = boundary_counterexample(params, args.alpha, p, args.n)
         _emit(
             {
                 "mode": "boundary",
@@ -353,11 +354,13 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("counterexample", help="failure witnesses")
     common(sp)
-    sp.add_argument("--n", type=int, default=0, help="harmonic degree")
+    sp.add_argument("--n", type=int, default=0,
+                    help="harmonic degree (of the family or the boundary witness)")
     sp.add_argument("--mode", choices=["minus", "plus", "boundary"], required=True)
-    sp.add_argument("--eps", type=str,
-                    default=",".join(str(e) for e in EPS_LADDER))
-    sp.add_argument("-o", "--output", type=str, default=None)
+    sp.add_argument("--eps", type=str, default=",".join(str(e) for e in EPS_LADDER),
+                    help="eps values of the family (minus and plus only)")
+    sp.add_argument("-o", "--output", type=str, default=None,
+                    help="CSV of the family's ratios (minus and plus only)")
     sp.set_defaults(func=cmd_counterexample)
 
     sp = sub.add_parser("verify", help="quadrature-backed verification")

@@ -17,7 +17,7 @@ ladder, read on phi's fixed support in x = r^eps with the measure dx/x
 (``CRITICAL_MEASURE``), so that its numerator rows stay polynomials of
 phi's degree.  ``lp_norm`` finds the sign changes and the sup of each row,
 for any weight s^power, itself.  ``boundary_counterexample`` checks the
-ball's boundary witness in closed form, from the indicial polynomial alone.
+ball's boundary witness of any degree in closed form, from its indicial polynomial.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import NonFiniteIntegrand, PreconditionViolated, UnsupportedRegime
+from .errors import NonFiniteIntegrand, OutOfRange, PreconditionViolated, UnsupportedRegime
 from .params import (
     OperatorParams,
-    base_alpha,
     check_p,
+    critical_alphas,
     discriminant,
     eigen_lambda,
     gamma_p,
@@ -273,35 +273,32 @@ class BoundaryReport:
     active: bool
 
 
-def boundary_counterexample(params: OperatorParams, alpha: float, p: float) -> BoundaryReport:
-    """Check u = r^{-s2} - r^{-s1}, the boundary obstruction witness on the ball, in closed form.
+def boundary_counterexample(params: OperatorParams, alpha: float, p: float,
+                            n: int = 0) -> BoundaryReport:
+    """Check the ball's boundary witness of degree n, u = (r^{-s2} - r^{-s1}) Y_n, in closed form.
 
-    u vanishes on the sphere, and r^2 Lu = P(s2) r^{-s2} - P(s1) r^{-s1} with
-    P(s) = s^2 - (N-2+c) s - b, whose roots s1 <= s2 are the indicial roots
-    of degree 0.  residual_sup is the larger |P(s_i)| over m^2, m the largest
-    of |s1|, |s2|, |N-2+c|, sqrt|b| and 1, which bounds every term of P at
-    either root; the terms are divided by m^2 before they are summed, so none
-    overflows (analytically zero; float rounding only).  Near 0, |u| ~
-    r^{-s2}, so ||x|^{alpha-2} u||_p is finite iff (alpha - 2 - s2) p + N > 0,
-    or alpha - 2 - s2 >= 0 at p = inf: norm_finite.  `active` flags the
-    decider's regime alpha > base + sqrt(D), where the witness defeats the
-    inequality; the two agree except at the threshold itself.  At D = 0 the
-    roots merge, and the limit witness r^{-s2} log r has the same residual
-    and exponent.
-
-    Requires D >= 0 (real roots).
+    u vanishes on the sphere, and r^2 Lu = (P(s2) r^{-s2} - P(s1) r^{-s1}) Y_n with
+    P(s) = s^2 - (N-2+c) s - b - lambda_n, whose roots are the indicial roots s1, s2
+    of degree n.  residual_sup is the larger |P(s_i)| over m^2, m the largest of
+    |s1|, |s2|, |N-2+c|, sqrt|b + lambda_n| and 1; each term is divided by m^2
+    before the sum, so none overflows (analytically zero; rounding only).  Near 0,
+    |u| ~ r^{-Re s2}, so ||x|^{alpha-2} u||_p is finite iff (alpha - 2 - Re s2) p + N > 0,
+    or alpha - 2 - Re s2 >= 0 at p = inf: norm_finite.  Conjugate roots a -/+ i w
+    make u i times the real witness -2 r^{-a} sin(w log r), and merged ones the limit
+    r^{-s2} log r: the same residual and exponent.  `active` flags alpha > alpha_n^+
+    of ``critical_alphas``; the two agree except at that threshold.  OutOfRange
+    where the roots leave float range.
     """
     check_p(p)
-    D = discriminant(params)
-    if D < 0:
-        raise UnsupportedRegime("boundary witness needs real indicial roots (D >= 0)")
-    k = params.N - 2.0 + params.c
-    roots = [s.real for s in indicial_roots(params, 0)]
-    m = max(*map(abs, roots), abs(k), math.sqrt(abs(params.b)), 1.0)
-    residual = max(abs((s / m) ** 2 - k / m * (s / m) - params.b / m / m) for s in roots)
-    e = alpha - 2.0 - roots[1]
+    k, bl = params.N - 2.0 + params.c, params.b + eigen_lambda(params.N, n)
+    roots = indicial_roots(params, n)
+    m = max(*map(abs, roots), abs(k), math.sqrt(abs(bl)), 1.0)
+    residual = max(abs((s / m) ** 2 - k / m * (s / m) - bl / m / m) for s in roots)
+    if not math.isfinite(residual):
+        raise OutOfRange(f"the indicial roots of degree {n} are beyond float range")
+    e = alpha - 2.0 - roots[1].real
     norm_finite = e >= 0 if math.isinf(p) else e * p + params.N > 0
-    return BoundaryReport(residual, norm_finite, alpha > base_alpha(params, p) + math.sqrt(D))
+    return BoundaryReport(residual, norm_finite, alpha > critical_alphas(params, p, n)[1])
 
 
 def fit_loglog_slope(eps_values, ratios) -> float:

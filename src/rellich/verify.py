@@ -25,7 +25,6 @@ from .errors import (
     NonFiniteIntegrand,
     OutOfRange,
     PreconditionViolated,
-    UnsupportedRegime,
 )
 from .params import (
     DEFAULT_TOL,
@@ -88,9 +87,11 @@ def verify_rellich(
     """Verify the Rellich decision numerically on a separable corpus.
 
     When the decision holds with a certified constant C, every sample
-    ratio must be >= C (slack 1e-3, limit-approach).  When it fails at a
-    critical alpha with real indicial roots, the explicit family must
-    decay to zero monotonically with log-log slope near 1.  The ratios of
+    ratio must be >= C (relative slack 1e-3, limit-approach).  When it fails
+    past the ball's boundary threshold, the witness of the failing degree
+    must solve Lu = 0 to rounding and have a finite weighted norm.  When it
+    fails at a critical alpha with real indicial roots, the explicit family
+    must decay to zero monotonically with log-log slope near 1.  The ratios of
     the whole corpus come from one ``lp_norm`` call, as do the critical
     family's.  domain is a DomainKind or the value of one; any other is
     ``decide``'s ValueError.
@@ -118,7 +119,7 @@ def verify_rellich(
             C = 0.0
             report.notes = "verdict holds; no certified constant, ratios reported"
         else:
-            report.tolerance = SLACK_LIMIT
+            report.tolerance = SLACK_LIMIT * C  # relative: the ratios grow with C
             report.notes = f"verdict holds with certified constant C={C}"
         for (n, v), r in zip(corpus, rellich_ratios(work_params, p, work_alpha, corpus)):
             report.add(f"n={n} {v.label}", r.ratio, C, r.ratio - C)
@@ -130,18 +131,14 @@ def verify_rellich(
         # verification runs: exterior plus-exclusions are ball minus ones
         branch = Branch.MINUS if branch == Branch.PLUS else branch
     if branch == Branch.BOUNDARY:
-        thr = critical_alphas(work_params, p, n_fail)[1]
-        if work_alpha > thr + tol:
-            # strictly past the threshold: the harmonic witness applies
-            if n_fail != 0:
-                raise UnsupportedRegime(
-                    "no explicit witness for a subspace boundary obstruction"
-                )
-            rep = boundary_counterexample(work_params, work_alpha, p)
+        if work_alpha > critical_alphas(work_params, p, n_fail)[1] + tol:
+            # strictly past the threshold: the harmonic witness of degree n_fail
+            # applies, and its weighted norm must be finite
+            rep = boundary_counterexample(work_params, work_alpha, p, n_fail)
             report.notes = "boundary obstruction: harmonic witness checked"
             report.add("residual_rel", rep.residual_sup, 1e-8, 1e-8 - rep.residual_sup)
-            report.add("active", 1.0 if rep.active else 0.0, 1.0,
-                       0.0 if rep.active else -1.0)
+            report.add("norm_finite", float(rep.norm_finite), 1.0,
+                       0.0 if rep.norm_finite else -1.0)
             return report
         # at the threshold itself the failure is the free plus-branch
         # counterexample; fall through to the decay verification

@@ -197,6 +197,14 @@ class TestCounterexample:
         assert code == 0
         assert doc["residual_sup"] <= 1e-14 and doc["active"] is doc["norm_finite"] is active
 
+    @pytest.mark.parametrize("alpha, past", [("4", False), ("5", True)])
+    def test_boundary_report_of_degree_two(self, capsys, alpha, past):
+        # --n is the witness's degree: at N = 5 degree 2 has the threshold 4.5
+        code, out = run_cli(capsys, "counterexample", "--N", "5", "--p", "2",
+                            "--mode", "boundary", "--alpha", alpha, "--n", "2")
+        doc = _strict_json(out.strip())
+        assert code == 0 and doc["active"] is doc["norm_finite"] is past
+
     def test_unsupported_regime_exit3(self, capsys):
         code, out = run_cli(capsys, "counterexample", "--N", "5", "--b", "-3",
                             "--p", "2", "--n", "0", "--mode", "minus")
@@ -219,6 +227,22 @@ class TestVerify:
                             "--domain", "rn")
         doc = last_json(out)
         assert code == 0 and doc["passed"] and doc["seed"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--N", "5", "--p", "2", "--alpha", "5", "--domain", "ball", "--J", "ge:2",
+         "--harmonics", "2,3"],
+        ["--N", "3", "--b=-2", "--p", "2", "--alpha", "1.5", "--domain", "ball"],
+        ["--N", "5", "--b", "1e14", "--p", "1", "--alpha", "0"],
+        ["--N", "5", "--b", "1e20", "--p", "2", "--alpha", "0"],
+    ], ids=["ball-subspace-boundary", "ball-conjugate-roots", "large-b-p1", "large-b-p2"])
+    def test_rellich_passes_strict(self, capsys, argv):
+        # the boundary witness of degree j0 = 2 and one of conjugate roots, checked
+        # by their norm_finite; large constants, checked at a slack relative to C
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, "verify", "rellich", *argv)
+        doc = _strict_json(out.strip())
+        assert code == 0 and doc["passed"]
 
     def test_remainder_reports_constant(self, capsys):
         code, out = run_cli(capsys, "verify", "remainder", "--N", "5", "--p", "2",

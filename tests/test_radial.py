@@ -12,6 +12,7 @@ from rellich import (
     HarmonicSet,
     NonFiniteIntegrand,
     OperatorParams,
+    OutOfRange,
     PreconditionViolated,
     UnsupportedRegime,
     boundary_counterexample,
@@ -262,9 +263,16 @@ class TestBoundaryCounterexample:
         rep = boundary_counterexample(P5, -3.0, 2)
         assert not rep.norm_finite
 
-    def test_complex_roots_refused(self):
-        with pytest.raises(UnsupportedRegime):
-            boundary_counterexample(OperatorParams(5, 0, -3), 3.0, 2)
+    def test_complex_roots_past_the_base(self):
+        # D = -0.75: the roots 1.5 -/+ i sqrt(0.75) are conjugate, and the threshold
+        # is base = 2.5; u is i times the real witness -2 r^-1.5 sin(sqrt(0.75) log r)
+        rep = boundary_counterexample(OperatorParams(5, 0, -3), 3.0, 2)
+        assert rep.norm_finite and rep.active and rep.residual_sup <= 1e-14
+
+    def test_roots_beyond_float_range(self):
+        # D + lambda_n overflows, so both roots are infinite
+        with pytest.raises(OutOfRange):
+            boundary_counterexample(OperatorParams(5, 2.4e154, 0.0), 3.0, 2, 10**154)
 
     def test_drifted_operator(self):
         P = OperatorParams(4, 1.5, 2.0)
@@ -291,23 +299,27 @@ class TestBoundaryCounterexample:
         assert report.passed and "boundary" in report.notes
 
     def test_flags_agree_with_the_decider_off_the_threshold(self):
-        # off the threshold base + sqrt(D), the witness's norm is finite exactly
-        # where the ball's decision fails at the boundary and the Green tail
-        # exponent is not integrable; its residual is rounding
-        rng = np.random.default_rng(22)
+        # off the threshold alpha_n^+, for either sign of D + lambda_n, the witness of
+        # degree n has a finite norm exactly where the ball's decision for J = {j >= n}
+        # fails at (n, boundary_obstruction), and, for n = 0 and D >= 0 (its domain),
+        # where the Green tail exponent is not integrable; its residual is rounding
+        rng = np.random.default_rng(23)
         mismatches = []
         for _ in range(20_000):
-            N, c, D = int(rng.integers(2, 11)), float(rng.uniform(-4, 4)), float(rng.uniform(0, 9))
+            N, c, D = int(rng.integers(2, 11)), float(rng.uniform(-4, 4)), float(rng.uniform(-9, 9))
+            n = int(rng.integers(0, 6))
             p = (1.0, 1.5, 2.0, 3.0, INF)[int(rng.integers(5))]
             P = OperatorParams(N, c, D - ((N - 2 + c) / 2) ** 2)
-            alpha = critical_alphas(P, p, 0)[1] + float(rng.choice([-1.0, 1.0])) * 10.0 ** float(
+            alpha = critical_alphas(P, p, n)[1] + float(rng.choice([-1.0, 1.0])) * 10.0 ** float(
                 rng.uniform(-6, 1))
-            rep = boundary_counterexample(P, alpha, p)
-            failing = decide(P, p, alpha, DomainKind.UNIT_BALL, HarmonicSet.all()).failing_modes
-            flags = (rep.norm_finite, rep.active, (0, Branch.BOUNDARY) in failing,
-                     not tail_exponent_integrable(P, p, alpha))
+            rep = boundary_counterexample(P, alpha, p, n)
+            J = HarmonicSet.at_least(n)
+            failing = decide(P, p, alpha, DomainKind.UNIT_BALL, J).failing_modes
+            flags = [rep.norm_finite, rep.active, (n, Branch.BOUNDARY) in failing]
+            if n == 0 and D >= 0:
+                flags.append(not tail_exponent_integrable(P, p, alpha))
             if len(set(flags)) > 1 or not rep.residual_sup <= 1e-14:
-                mismatches.append((P, p, alpha, rep))
+                mismatches.append((P, n, p, alpha, rep))
         assert mismatches == [], (len(mismatches), mismatches[:3])
 
 
