@@ -18,10 +18,10 @@ from .errors import DZero
 from .params import (
     DEFAULT_TOL,
     OperatorParams,
-    base_alpha,
     check_tol,
     conjugate_exponent,
     discriminant,
+    indicial_roots,
 )
 
 
@@ -115,21 +115,13 @@ def heat_kernel_bound(
 
 
 def tail_exponent_integrable(params: OperatorParams, p: float, alpha: float) -> bool:
-    """Integrability of |y|^{(sqrt(D)-(N-2)/2+c/2-alpha) p'} near the origin.
-
-    This is the exponent comparison that closes the bounded-domain proof:
-    finiteness holds iff alpha < base + sqrt(D).  Requires D >= 0.
-    """
+    """Integrability of |y|^{e p'} near the origin, e = Re s2 - (N-2) - alpha, s2 the
+    larger of the ``indicial_roots`` of degree 0: the exponent comparison that closes the
+    bounded-domain proof, finite iff alpha < alpha_0^+ = base + sqrt(D).  Requires D >= 0."""
     D = discriminant(params)
     if D < 0:
         raise DZero(f"tail exponent test needs D >= 0, got D={D}")
-    e = math.sqrt(D) - (params.N - 2.0) / 2.0 + params.c / 2.0 - alpha
+    e = indicial_roots(params, 0)[1].real - (params.N - 2.0) - alpha
     pprime = conjugate_exponent(p)
-    if math.isinf(pprime):
-        # p = 1 pairs with the sup norm: |y|^e bounded near 0 iff e >= 0
-        return e >= 0
-    finite = e * pprime > -params.N
-    assert finite == (alpha < base_alpha(params, p) + math.sqrt(D)), (
-        "exponent comparison drifted from the closed-form characterization"
-    )
-    return finite
+    # p = 1 pairs with the sup norm: |y|^e bounded near 0 iff e >= 0
+    return e >= 0 if math.isinf(pprime) else e * pprime > -params.N

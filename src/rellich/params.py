@@ -144,31 +144,47 @@ def degree_at_most(N: int, x: float) -> int:
     return -1 if x < 0.0 else (math.isqrt(4 * math.floor(x) + (int(N) - 2) ** 2) - int(N) + 2) // 2
 
 
-def indicial_roots(params: OperatorParams, n: int) -> tuple[complex, complex]:
-    """Roots (s1, s2) of -s^2 + (N-2+c)s + b + lambda_n = 0.
+def _real_roots(params: OperatorParams, n: int) -> tuple[float, float, float]:
+    """(D + lambda_n, Re s1, Re s2) in floats, Re s1 <= h = (N-2+c)/2 <= Re s2: the root of
+    larger size, h -/+ sqrt(D + lambda_n) with the sign of h, does not cancel, the other is
+    -(b + lambda_n) over it; both are h where D + lambda_n <= 0, infinite where it overflows."""
+    lam, h = eigen_lambda(params.N, n), (params.N - 2 + params.c) / 2.0
+    z = params.b + h**2 + lam  # discriminant(params) + lam, to the bit
+    if z <= 0.0:
+        return z, h, h
+    if z == INF:
+        return z, -z, z
+    if h < 0.0:
+        s1 = h - math.sqrt(z)
+        s2 = -(params.b + lam) / s1
+        return z, s1, s2 if s2 > h else h
+    s2 = h + math.sqrt(z)
+    s1 = -(params.b + lam) / s2
+    return z, s1 if s1 < h else h, s2
 
-    s_{1,2} = (N-2+c)/2 -/+ sqrt(D + lambda_n), with the nonnegative-real-part
-    square root; r^{-s1} P_n and r^{-s2} P_n are annihilated by L.
-    """
-    half = (params.N - 2 + params.c) / 2.0
-    w = sqrt_nonneg_re(discriminant(params) + eigen_lambda(params.N, n))
-    return half - w, half + w
+
+def indicial_roots(params: OperatorParams, n: int) -> tuple[complex, complex]:
+    """Roots (s1, s2) of -s^2 + (N-2+c)s + b + lambda_n = 0, free of cancellation.
+
+    s_{1,2} = (N-2+c)/2 -/+ sqrt(D + lambda_n), with the nonnegative-real-part square
+    root; r^{-s1} P_n and r^{-s2} P_n are annihilated by L."""
+    z, re1, re2 = _real_roots(params, n)
+    w = math.sqrt(-z) if z < 0.0 else 0.0
+    return complex(re1, 0.0 - w), complex(re2, w)  # 0.0 - w: no -0.0 for real roots
 
 
 def base_alpha(params: OperatorParams, p: float) -> float:
-    """The recurring offset N(1/2 - 1/p) + 1 + c/2."""
-    return params.N * (0.5 - inv_p(p)) + 1.0 + params.c / 2.0
+    """The offset N(1/2 - 1/p) + 1 + c/2, summed as 2 - N/p + (N-2+c)/2: both of
+    ``critical_alphas`` to the bit where D + lambda_n <= 0."""
+    return 2.0 - params.N / check_p(p) + (params.N - 2 + params.c) / 2.0
 
 
 def critical_alphas(params: OperatorParams, p: float, n: int) -> tuple[float, float]:
-    """(alpha_n^-, alpha_n^+) = base -/+ Re sqrt(D + lambda_n).
-
-    When D + lambda_n <= 0 the real part vanishes and both coincide with
-    the base offset.
-    """
-    base = base_alpha(params, p)
-    re_root = sqrt_nonneg_re(discriminant(params) + eigen_lambda(params.N, n)).real
-    return base - re_root, base + re_root
+    """(alpha_n^-, alpha_n^+) = 2 - N/p + Re s_{1,2} of ``indicial_roots``, in floats: base
+    -/+ Re sqrt(D + lambda_n), and ``base_alpha`` bit for bit where D + lambda_n <= 0."""
+    _, re1, re2 = _real_roots(params, n)
+    shift = 2.0 - params.N / check_p(p)  # N / inf = 0
+    return shift + re1, shift + re2
 
 
 def gamma_p(N: int, p: float, alpha: float, c: float) -> float:

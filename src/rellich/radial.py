@@ -172,23 +172,16 @@ def _rellich_rows(params: OperatorParams, p: float, alpha: float, n: int):
     return (1.0, rc.beta, -rc.lambda_red), (0.0, 0.0, 1.0)
 
 
-def counterexample_gamma(params: OperatorParams, n: int, branch: str) -> float:
-    """The exponent gamma = -Re s_1^n (minus branch) or -Re s_2^n (plus)."""
+def counterexample_drift(params: OperatorParams, n: int, branch: str) -> float:
+    """The drift 2 gamma + N - 2 + c = +-Re(s2 - s1) (+ on the minus branch, gamma = -Re s1)
+    of the critical family's reduced operator, s the ``indicial_roots`` of degree n: it is
+    +-2 Re sqrt(D + lambda_n) and vanishes where the indicial roots collide."""
     s1, s2 = indicial_roots(params, n)
     if branch == "minus":
-        return -s1.real
+        return s2.real - s1.real
     if branch == "plus":
-        return -s2.real
+        return s1.real - s2.real
     raise ValueError(f"branch must be 'minus' or 'plus', got {branch!r}")
-
-
-def counterexample_drift(params: OperatorParams, n: int, branch: str) -> float:
-    """The drift 2 gamma + N - 2 + c of the critical family's reduced operator.
-
-    It is +-2 Re sqrt(D + lambda_n) (+ on the minus branch) and vanishes
-    where the indicial roots collide.
-    """
-    return 2.0 * counterexample_gamma(params, n, branch) + params.N - 2.0 + params.c
 
 
 def counterexample_ratio(

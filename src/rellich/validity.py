@@ -5,8 +5,9 @@ fails depending only on (N, c, b, p, alpha), on the domain kind, and on
 the spherical-harmonic subspace J.  One function, decide, holds the closed-form
 rule of every domain kind: failure at critical exponents alpha_j^+- (free
 counterexamples at the origin) and, in the ball, for all alpha at or above
-base + Re sqrt(D + lambda_{j0}) (boundary obstruction); a bounded smooth domain
-follows the ball, an exterior domain the ball for its Kelvin image.
+alpha_{j0}^+ (boundary obstruction); a bounded smooth domain follows the ball,
+an exterior domain the ball for its Kelvin image.  Every threshold is read from
+``critical_alphas``.
 
 All comparisons against critical values use an explicit tolerance since
 exact-real input is impossible.  Inverting lambda_j = j(N+j-2) finds the degrees
@@ -29,6 +30,7 @@ from .params import (
     check_inner_p,
     check_p,
     check_tol,
+    critical_alphas,
     degree_at_most,
     discriminant,
     eigen_lambda,
@@ -163,14 +165,13 @@ class Verdict:
 
 
 def best_constant(params: OperatorParams, p: float, alpha: float) -> float | None:
-    """b + gamma_p(alpha, c) when D > 0 and |base - alpha| < sqrt(D), else None.
+    """b + gamma_p(alpha, c) when alpha_0^- < alpha < alpha_0^+, else None.
 
-    Inside that symmetric range the constant is optimal; outside it the
-    best constant is not known in general.
+    Inside that symmetric range, empty where D <= 0, the constant is optimal;
+    outside it the best constant is not known in general.
     """
-    check_p(p)
-    D = discriminant(params)
-    if D <= 0 or abs(base_alpha(params, p) - alpha) >= math.sqrt(D):
+    alpha_minus, alpha_plus = critical_alphas(params, p, 0)  # checks p
+    if not alpha_minus < alpha < alpha_plus:
         return None
     return params.b + gamma_p(params.N, p, alpha, params.c)
 
@@ -179,7 +180,7 @@ def _hits(params: OperatorParams, p: float, alpha: float, J: HarmonicSet,
           tol: float) -> list[tuple[int, Branch]]:
     """The modes j in J whose alpha_j^- or alpha_j^+ lies within tol of alpha."""
     base = base_alpha(params, p)
-    # a hit needs r = Re sqrt(D + lambda_j) within tol of gap; pad covers rounding
+    # a hit needs Re sqrt(D + lambda_j) within tol of gap; pad covers rounding
     gap, D, size = abs(alpha - base), discriminant(params), abs(alpha) + abs(base) + 1.0
     pad = 4e-15 * (size * (gap + tol + 1.0) + abs(D))
     lo = (gap - tol) * (gap - tol) - D if gap > tol else -math.inf
@@ -188,13 +189,13 @@ def _hits(params: OperatorParams, p: float, alpha: float, J: HarmonicSet,
         raise OutOfRange(f"|alpha - base| = {gap:.6g} puts the degree window beyond float range")
     modes: list[tuple[int, Branch]] = []
     for j in J.members_with_lambda_between(params.N, lo, hi, pad):
-        r = sqrt_nonneg_re(D + eigen_lambda(params.N, j)).real
-        minus_hit = abs(alpha - (base - r)) <= tol
-        plus_hit = abs(alpha - (base + r)) <= tol
+        alpha_minus, alpha_plus = critical_alphas(params, p, j)
+        minus_hit = abs(alpha - alpha_minus) <= tol
+        plus_hit = abs(alpha - alpha_plus) <= tol
         if minus_hit:
             modes.append((j, Branch.MINUS))
         # when D + lambda_j <= 0 the branches collapse; report the hit once
-        if plus_hit and not (minus_hit and r <= tol):
+        if plus_hit and not (minus_hit and alpha_plus - alpha_minus <= 2.0 * tol):
             modes.append((j, Branch.PLUS))
     return modes
 
@@ -202,11 +203,9 @@ def _hits(params: OperatorParams, p: float, alpha: float, J: HarmonicSet,
 def _ball(params: OperatorParams, p: float, alpha: float, J: HarmonicSet,
           tol: float) -> list[tuple[int, Branch]]:
     """The boundary obstruction on j0 = min J, then the minus hits of J."""
-    base = base_alpha(params, p)
     j0 = J.min_index
-    upper = base + sqrt_nonneg_re(discriminant(params) + eigen_lambda(params.N, j0)).real
-    modes = [(j0, Branch.BOUNDARY)] if alpha >= upper - tol else []
-    if alpha - base <= tol:  # alpha_j^- <= base: the whole space's minus exclusions
+    modes = [(j0, Branch.BOUNDARY)] if alpha >= critical_alphas(params, p, j0)[1] - tol else []
+    if alpha - base_alpha(params, p) <= tol:  # alpha_j^- <= base: the whole space's minus hits
         modes += [m for m in _hits(params, p, alpha, J, tol) if m[1] == Branch.MINUS]
     return modes
 
@@ -222,11 +221,10 @@ def decide(
     """Decide the inequality on a domain of the given kind, for the subspace J.
 
     Whole space: holds iff alpha avoids every alpha_j^+-, j in J.  Unit ball:
-    holds iff alpha < base + Re sqrt(D + lambda_{j0}), j0 = min J (else a boundary
-    obstruction on j0), and alpha avoids every alpha_j^-, j in J.  A bounded
-    smooth domain containing 0 follows the ball, an exterior domain the ball for
-    its Kelvin image; both take J = all alone, the smooth ones 1 < p < inf and
-    D >= 0.  Where it holds for J = all, best_constant is certified, except on a
+    holds iff alpha < alpha_{j0}^+, j0 = min J (else a boundary obstruction on
+    j0), and alpha avoids every alpha_j^-, j in J.  A bounded smooth domain
+    containing 0 follows the ball, an exterior domain the ball for its Kelvin
+    image; both take J = all alone, the smooth ones 1 < p < inf and D >= 0.  Where it holds for J = all, best_constant is certified, except on a
     smooth exterior domain.  ValueError for a domain that is not a DomainKind or
     the value of one.
     """
@@ -245,7 +243,7 @@ def decide(
     check_tol(tol)
     if exterior:
         # the ball's alpha_j^- exclusions for the Kelvin image are the exterior
-        # problem's alpha_j^+ ones, its boundary obstruction alpha <= base - Re sqrt(D)
+        # problem's alpha_j^+ ones, its boundary obstruction alpha <= alpha_0^-
         params, alpha = kelvin_transform(params, p, alpha)
         modes = [(j, Branch.PLUS if b == Branch.MINUS else b)
                  for j, b in _ball(params, p, alpha, J, tol)]

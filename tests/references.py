@@ -9,8 +9,10 @@ integer p exactly, between the roots of P.  ``log_squeezed`` is the
 critical family phi(e^{-eps s}) as a profile in the log variable s, on a
 support that moves with eps: the form in which its reduced norms are
 defined, against which the library's rows on the support of phi are checked.
+``exact_critical_alphas`` is the pair alpha_n^-+ in 60-digit decimal arithmetic.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -80,3 +82,16 @@ def log_squeezed(phi, eps):
 
     return Profile1D(jet, (-math.log(b0) / eps, -math.log(a0) / eps),
                      f"{phi.label}(r^eps), eps={eps:g}")
+
+
+def exact_critical_alphas(P, p, n):
+    """(alpha_n^-, alpha_n^+) = 2 - N/p + Re(h -/+ sqrt(D + lambda_n)), h = (N-2+c)/2,
+    as Decimals: 60-digit arithmetic on the exact values of P's float inputs."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        N, c, b = map(decimal.Decimal, (P.N, P.c, P.b))
+        h = (N - 2 + c) / 2
+        z = b + h * h + n * (N + n - 2)
+        w = z.sqrt() if z > 0 else decimal.Decimal(0)
+        shift = 2 - (0 if math.isinf(p) else N / decimal.Decimal(p))
+        return shift + h - w, shift + h + w

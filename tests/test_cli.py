@@ -57,6 +57,14 @@ class TestCheck:
         assert code == 2
         assert doc["failing_modes"] == [{"n": 0, "branch": "boundary_obstruction"}]
 
+    @pytest.mark.parametrize("alpha,code", [("0.0976", 0), ("0.1076", 2)])
+    def test_ball_threshold_of_huge_coefficients(self, capsys, alpha, code):
+        # alpha_0^+ = 0.1025641...: base + sqrt(D) cancels to 0.09375 here, which
+        # once failed the first argv
+        got, out = run_cli(capsys, "check", "--N", "2", "--c=-2.6e14", "--b=-3.2e14",
+                           "--p", "3", "--alpha", alpha, "--domain", "ball")
+        assert got == code and last_json(out)["holds"] == (code == 0)
+
     def test_precondition_exit1(self, capsys):
         code, out = run_cli(capsys, "check", "--N", "5", "--p", "1",
                             "--alpha", "0", "--domain", "bounded")

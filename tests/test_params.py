@@ -1,6 +1,8 @@
 """Closed-form parameter arithmetic: frozen values and algebraic identities."""
 
 import math
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from rellich import (
     parse_p,
     sqrt_nonneg_re,
 )
+
+from references import exact_critical_alphas
 
 INF = math.inf
 
@@ -69,6 +73,32 @@ def test_indicial_roots_values():
     assert abs(s2 - (1.5 + 1j * math.sqrt(0.75))) < 1e-12
     s1, s2 = indicial_roots(OperatorParams(5, 0, 0), 1)
     assert s1 == -1 and s2 == 4
+    # D + lambda_1 = 0 exactly: equal roots, where the product form puts s1 an ulp above s2
+    P = OperatorParams(2, 0.9821080655846943, -1.2411340631216277)
+    assert discriminant(P) + eigen_lambda(2, 1) == 0.0
+    s1, s2 = indicial_roots(P, 1)
+    assert s1 == s2
+
+
+def test_exponents_match_an_exact_reference():
+    # 60-digit decimal arithmetic from the same float inputs, with |c| and |b| up to
+    # 1e15, where base -/+ sqrt(D + lambda_n) cancels: each alpha_n^-+ lies within
+    # 4 eps (|2 - N/p| + |Re s|) of the exact value, and so does 2 - N/p + Re s,
+    # which makes alpha_n^- - 2 - Re s1 = -N/p to rounding
+    eps = sys.float_info.epsilon
+    rng = np.random.default_rng(24)
+    for _ in range(5_000):
+        N, n = int(rng.integers(2, 11)), int(rng.integers(0, 6))
+        p = (1.0, 1.5, 2.0, 3.0, INF)[int(rng.integers(5))]
+        c, b = (float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 15)) for _ in range(2))
+        P = OperatorParams(N, c, b)
+        roots = indicial_roots(P, n)
+        assert roots[0].real <= roots[1].real, (P, n)
+        shift = 2.0 - N / p
+        for got, want, s in zip(critical_alphas(P, p, n), exact_critical_alphas(P, p, n), roots):
+            slack = 4 * eps * (abs(shift) + abs(s.real))
+            assert abs(Decimal(got) - want) <= slack, (P, p, n, got, want)
+            assert abs(Decimal(shift + s.real) - want) <= slack, (P, p, n, s, want)
 
 
 def test_base_alpha_values():
@@ -84,6 +114,12 @@ def test_critical_alphas_values():
     assert critical_alphas(P, 2, 1) == (-1.5, 3.5)
     Pneg = OperatorParams(5, 0, -3)
     assert critical_alphas(Pneg, 2, 0) == (1.0, 1.0)
+    # where D + lambda_n <= 0 both are base_alpha bit for bit, which the ball's
+    # gate alpha - base <= tol relies on
+    for P, n in ((Pneg, 0), (OperatorParams(3, 0.3, -9.0), 2),
+                 (OperatorParams(2, 0.9821080655846943, -1.2411340631216277), 1)):
+        for p in P_GRID:
+            assert critical_alphas(P, p, n) == (base_alpha(P, p),) * 2
 
 
 def test_gamma_p_values():

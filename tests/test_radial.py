@@ -32,11 +32,10 @@ from rellich import (
     verify_rellich,
 )
 from rellich.quadrature import REL_TOL, lp_norm
-from rellich.radial import (CUTOFF, PHI_SUPPORT, corpus_norms, counterexample_drift,
-                            counterexample_gamma)
+from rellich.radial import CUTOFF, PHI_SUPPORT, corpus_norms, counterexample_drift
 from rellich.verify import EPS_LADDER
 
-from references import log_squeezed, reference_lp_integral
+from references import exact_critical_alphas, log_squeezed, reference_lp_integral
 
 P5 = OperatorParams(5, 0, 0)
 INF = math.inf
@@ -149,23 +148,6 @@ class TestCounterexampleRatio:
     def test_slope_needs_two_distinct_eps(self, eps):
         with pytest.raises(PreconditionViolated):
             fit_loglog_slope(eps, [1.0] * len(eps))
-
-    def test_gamma_relation(self):
-        # alpha_n^- - 2 + gamma = -N/p exactly
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            N = int(rng.integers(2, 11))
-            c = float(rng.uniform(-3, 3))
-            b = float(rng.uniform(-1, 4))
-            n = int(rng.integers(0, 4))
-            P = OperatorParams(N, c, b)
-            if discriminant(P) + eigen_lambda(N, n) < 0:
-                continue
-            for p in (1.0, 2.0, 3.0, INF):
-                am, _ = critical_alphas(P, p, n)
-                g = counterexample_gamma(P, n, "minus")
-                target = 0.0 if math.isinf(p) else -N / p
-                assert abs(am - 2 + g - target) < 1e-10 * (1 + N)
 
     def test_drift_is_twice_the_root_gap(self):
         # 2 gamma + N - 2 + c = +-2 Re sqrt(D + lambda_n), + on the minus
@@ -302,25 +284,58 @@ class TestBoundaryCounterexample:
         # off the threshold alpha_n^+, for either sign of D + lambda_n, the witness of
         # degree n has a finite norm exactly where the ball's decision for J = {j >= n}
         # fails at (n, boundary_obstruction), and, for n = 0 and D >= 0 (its domain),
-        # where the Green tail exponent is not integrable; its residual is rounding
+        # where the Green tail exponent is not integrable; its residual is rounding.
+        # The second range draws |c| and |b| up to 1e15, where base +- sqrt(D + lambda_n)
+        # cancels, and puts alpha a relative 1e-8 to 1e-1 from the exact alpha_n^+,
+        # whose side of alpha is a fourth answer
         rng = np.random.default_rng(23)
         mismatches = []
-        for _ in range(20_000):
-            N, c, D = int(rng.integers(2, 11)), float(rng.uniform(-4, 4)), float(rng.uniform(-9, 9))
-            n = int(rng.integers(0, 6))
-            p = (1.0, 1.5, 2.0, 3.0, INF)[int(rng.integers(5))]
-            P = OperatorParams(N, c, D - ((N - 2 + c) / 2) ** 2)
-            alpha = critical_alphas(P, p, n)[1] + float(rng.choice([-1.0, 1.0])) * 10.0 ** float(
-                rng.uniform(-6, 1))
+        for k in range(26_000):
+            if k < 20_000:
+                N = int(rng.integers(2, 11))
+                c, D = float(rng.uniform(-4, 4)), float(rng.uniform(-9, 9))
+                n = int(rng.integers(0, 6))
+                p = (1.0, 1.5, 2.0, 3.0, INF)[int(rng.integers(5))]
+                P = OperatorParams(N, c, D - ((N - 2 + c) / 2) ** 2)
+                alpha = critical_alphas(P, p, n)[1] + float(rng.choice([-1.0, 1.0])) \
+                    * 10.0 ** float(rng.uniform(-6, 1))
+                truth = None
+            else:
+                N, n = int(rng.integers(2, 11)), int(rng.integers(0, 6))
+                p = (1.0, 1.5, 2.0, 3.0, INF)[int(rng.integers(5))]
+                c, b = (float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 15))
+                        for _ in range(2))
+                P = OperatorParams(N, c, b)
+                D, exact = discriminant(P), exact_critical_alphas(P, p, n)[1]
+                alpha = float(exact) + float(rng.choice([-1.0, 1.0])) * (abs(float(exact)) + 1) \
+                    * 10.0 ** float(rng.uniform(-8, -1))
+                truth = alpha > exact
             rep = boundary_counterexample(P, alpha, p, n)
             J = HarmonicSet.at_least(n)
             failing = decide(P, p, alpha, DomainKind.UNIT_BALL, J).failing_modes
             flags = [rep.norm_finite, rep.active, (n, Branch.BOUNDARY) in failing]
+            if truth is not None:
+                flags.append(truth)
             if n == 0 and D >= 0:
                 flags.append(not tail_exponent_integrable(P, p, alpha))
             if len(set(flags)) > 1 or not rep.residual_sup <= 1e-14:
                 mismatches.append((P, n, p, alpha, rep))
         assert mismatches == [], (len(mismatches), mismatches[:3])
+
+    def test_tail_exponent_at_its_threshold(self):
+        # alpha within 4 ulps of alpha_0^+ = base + sqrt(D): each input gets a bool
+        # (no restated closed form that can disagree with the exponent in rounding)
+        assert isinstance(tail_exponent_integrable(OperatorParams(3, 1.0, 2.0), INF,
+                                                   4.732050807568877), bool)
+        rng = np.random.default_rng(24)
+        for _ in range(2_000):
+            N, c = int(rng.integers(2, 11)), float(rng.uniform(-4, 4))
+            P = OperatorParams(N, c, float(rng.uniform(0, 9)) - ((N - 2 + c) / 2) ** 2)
+            p = (1.0, 1.5, 2.0, 3.0, INF)[int(rng.integers(5))]
+            alpha, steps = critical_alphas(P, p, 0)[1], int(rng.integers(-4, 5))
+            for _ in range(abs(steps)):
+                alpha = math.nextafter(alpha, math.copysign(INF, steps))
+            assert isinstance(tail_exponent_integrable(P, p, alpha), bool)
 
 
 def _sweep_critical_cases(count, seed=1):

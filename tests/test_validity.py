@@ -31,7 +31,6 @@ from rellich import (
     lemma_parameters_flags,
     on_parabola,
     region_section3,
-    sqrt_nonneg_re,
 )
 
 P5 = OperatorParams(5, 0, 0)
@@ -392,41 +391,37 @@ def scan_members(J, stop):
     return out
 
 
-def re_root(P, j):
-    return sqrt_nonneg_re(discriminant(P) + eigen_lambda(P.N, j)).real
-
-
+# the scans walk the degrees one by one to their own stop rule, and read each
+# threshold from critical_alphas, whose accuracy test_params checks against an
+# exact reference; a restated base -/+ root would differ from it in rounding
 def scan_whole_space(P, p, alpha, J, tol):
-    base = base_alpha(P, p)
-
     def stop(j):
-        r = re_root(P, j)
-        return (base - r < alpha - 1.0) and (base + r > alpha + 1.0)
+        a_minus, a_plus = critical_alphas(P, p, j)
+        return a_minus < alpha - 1.0 and a_plus > alpha + 1.0
 
     modes = []
     for j in scan_members(J, stop):
-        r = re_root(P, j)
-        minus_hit = abs(alpha - (base - r)) <= tol
-        plus_hit = abs(alpha - (base + r)) <= tol
+        a_minus, a_plus = critical_alphas(P, p, j)
+        minus_hit = abs(alpha - a_minus) <= tol
+        plus_hit = abs(alpha - a_plus) <= tol
         if minus_hit:
             modes.append((j, Branch.MINUS))
-        if plus_hit and not (minus_hit and r <= tol):
+        if plus_hit and not (minus_hit and a_plus - a_minus <= 2 * tol):
             modes.append((j, Branch.PLUS))
     return modes
 
 
 def scan_unit_ball(P, p, alpha, J, tol):
-    base = base_alpha(P, p)
     j0 = J.min_index
     modes = []
-    if alpha >= base + re_root(P, j0) - tol:
+    if alpha >= critical_alphas(P, p, j0)[1] - tol:
         modes.append((j0, Branch.BOUNDARY))
 
     def stop(j):
-        return base - re_root(P, j) < alpha - 1.0
+        return critical_alphas(P, p, j)[0] < alpha - 1.0
 
     for j in scan_members(J, stop):
-        if abs(alpha - (base - re_root(P, j))) <= tol:
+        if abs(alpha - critical_alphas(P, p, j)[0]) <= tol:
             modes.append((j, Branch.MINUS))
     return modes
 
