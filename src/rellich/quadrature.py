@@ -36,9 +36,11 @@ the graded pass over the pieces of every split row, the sup candidates).
 The first pass calls every part at the shared nodes; later passes go
 through one sampler, which gives each piece the values of its own row and
 calls a part only at the pieces of its own rows, so that a stack of many
-parts costs each what it costs alone.  The Gauss nodes of a pass come from
-one cached layout on [-1, 1], mapped onto every piece at once.  No row's
-result depends on the rows around it.
+parts costs each what it costs alone.  A stack that can pick, one with a
+method ``pick(x, rows)``, evaluates each piece's own row alone; any other
+is evaluated in every row at every piece, and each piece takes its own.
+The Gauss nodes of a pass come from one cached layout on [-1, 1], mapped
+onto every piece at once.  No row's result depends on the rows around it.
 """
 
 from __future__ import annotations
@@ -122,20 +124,25 @@ def _layout(parts) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _checked(vals: np.ndarray, pts: np.ndarray, stack: int | None,
-             offset: int = 0) -> np.ndarray:
-    """vals as a (rows, len(pts)) array: they must be finite floats of the shape of pts,
-    or of (stack, *pts.shape) for f that returns a stack of rows.  NonFiniteIntegrand
-    names the rows that are not, counted from offset, the position of vals' first row
-    in a stack of parts."""
+def _shaped(vals, pts: np.ndarray, stack: int | None) -> np.ndarray:
+    """vals, f's floats at the 1-D pts, as a (rows, len(pts)) array: they must be of the
+    shape of pts, or of (stack, *pts.shape) for f that returns a stack of rows."""
+    vals = np.asarray(vals, dtype=float)
     if vals.shape != (pts.shape if stack is None else (stack, *pts.shape)):
         raise PreconditionViolated(f"an integrand must map an array to an array of its shape "
                                    f"(for lp_norm, or to a stack of them, as at its first call): "
                                    f"got shape {vals.shape} for nodes of shape {pts.shape}")
-    vals = vals.reshape(1 if stack is None else stack, len(pts))
+    return vals.reshape(1 if stack is None else stack, len(pts))
+
+
+def _finite(vals: np.ndarray, rows: np.ndarray, offset: int) -> np.ndarray:
+    """vals, whose entry i holds values of row rows[i], if they are finite: else
+    NonFiniteIntegrand names the rows of the entries that are not, counted from offset,
+    the position of the first row of f in a stack of parts."""
     if not np.isfinite(vals).all():
-        bad = offset + np.flatnonzero(~np.isfinite(vals).all(axis=1))
-        raise NonFiniteIntegrand("integrand returned non-finite values", tuple(bad.tolist()))
+        bad = ~np.isfinite(vals.reshape(len(rows), -1)).all(axis=1)
+        raise NonFiniteIntegrand("integrand returned non-finite values",
+                                 tuple((offset + np.unique(rows[bad])).tolist()))
     return vals
 
 
@@ -144,14 +151,26 @@ def _sampler(f, stack: int | None, offset: int = 0):
     first of them row offset of a stack of parts, as NonFiniteIntegrand names it.
 
     S gives, for each entry i of the int array rows, row rows[i] of f's stack
-    at x[i] (a point, or a piece's row of nodes), in the shape of x: one call
-    of f at every point of x, then a take of each entry's own row.  The
-    sampler of several parts (``_first_pass``) gives them in x's own memory.
+    at x[i] (a point, or a piece's row of nodes), in the shape of x.  A stack
+    that can pick, one with a method ``f.pick(x, rows)`` that returns just
+    that, is asked for it, so each entry's own row alone is evaluated; any
+    other f is called at every point of x, and each entry takes its own row.
+    Only the entries' own values must be finite.  The sampler of several
+    parts (``_first_pass``) gives them in x's own memory.
     """
+    pick = getattr(f, "pick", None) if stack is not None else None
+    if pick is None:
+        def pick(x, rows):
+            pts = x.ravel()
+            v = _shaped(f(pts), pts, stack)
+            return v.reshape(len(v), *x.shape)[rows, np.arange(len(rows))]
+
     def S(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        pts = x.ravel()
-        v = _checked(np.asarray(f(pts), dtype=float), pts, stack, offset)
-        return v.reshape(len(v), *x.shape)[rows, np.arange(len(rows))]
+        v = np.asarray(pick(x, rows), dtype=float)
+        if v.shape != x.shape:
+            raise PreconditionViolated(f"a stack's pick(x, rows) must return an array of the "
+                                       f"shape of x {x.shape}, got shape {v.shape}")
+        return _finite(v, rows, offset)
 
     return S
 
@@ -174,7 +193,8 @@ def _first_pass(f, pts: np.ndarray):
     for part in [f] if one else f:
         first = np.asarray(part(pts), dtype=float)
         stack = len(first) if first.ndim == 2 else None
-        vals.append(_checked(first, pts, stack, offsets[-1]))
+        first = _shaped(first, pts, stack)
+        vals.append(_finite(first, np.arange(len(first)), offsets[-1]))
         samplers.append(_sampler(part, stack, offsets[-1]))
         offsets.append(offsets[-1] + len(vals[-1]))
     if len(samplers) == 1:  # one part needs no routing, which costs a one-part call 7%

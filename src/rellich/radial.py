@@ -234,28 +234,52 @@ def critical_rows(g: float, lam: float, eps: Sequence[float], kappa: float | Non
     locates their sign changes on series of that degree.  g is the drift of
     ``counterexample_drift``; lam = min(0, D + lambda_n) makes this the
     reduced Rellich operator at the critical exponent.
+
+    The stack can pick: ``rows.pick(x, which)`` gives row which[i] at x[i]
+    alone, from one jet call at every point and the same operations, in the
+    same order, as the whole stack, so its values are the stack's bit for bit.
+    ``lp_norm`` samples each split row at its own pieces through it.
     """
     e = np.asarray(eps, dtype=float)
+    k = len(e)
     # each row's coefficients of x^2 phi'', x phi' and phi, phi's own row last, as
     # (rows, 1) columns: an outer product of one term is exact, so no row's values
     # depend on the rows around it or on the number of points
     c2, c1, c0 = (np.append(c, last)[:, None] for c, last in
                   ((e * e, 0.0), (e * (g + e), 0.0), (np.full_like(e, -lam), 1.0)))
 
-    def rows(x):
+    def jet(x):
         v0, v1, v2 = CUTOFF.jet(x)
         v2 *= x * x
         v1 *= x
-        out = c2 @ v2[None]
-        out += c1 @ v1[None]
-        out += c0 @ v0[None]
-        if kappa is None:
-            return out
+        return v0, v1, v2
+
+    def weighted(v0, x, e):
         # a factor (-log(x) / eps)^{-kappa} that overflows is lp_norm's
         # NonFiniteIntegrand of its rows
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.concatenate((out, v0 * (-np.log(x) / e[:, None]) ** -kappa))
+            return v0 * (-np.log(x) / e) ** -kappa
 
+    def rows(x):
+        v0, v1, v2 = jet(x)
+        out = c2 @ v2[None]
+        out += c1 @ v1[None]
+        out += c0 @ v0[None]
+        return out if kappa is None else np.concatenate((out, weighted(v0, x, e[:, None])))
+
+    def pick(x, which):
+        v0, v1, v2 = jet(x)
+        col = (-1,) + (1,) * (x.ndim - 1)  # an entry's coefficient, against its points
+        at = np.minimum(which, k)
+        out = c2[at].reshape(col) * v2
+        out += c1[at].reshape(col) * v1
+        out += c0[at].reshape(col) * v0
+        w = which > k  # the weighted rows; none without kappa
+        if w.any():
+            out[w] = weighted(v0[w], x[w], e[which[w] - k - 1].reshape(col))
+        return out
+
+    rows.pick = pick
     return rows
 
 

@@ -427,8 +427,8 @@ def verify_critical_log(
     The unweighted ratio, reported alongside, tends to zero.  All of them
     are one ``lp_norm`` call of ``radial.critical_rows`` in the measure dx/x
     (``radial.CRITICAL_MEASURE``); OutOfRange where a weighted norm
-    overflows or underflows to 0, or where |f|^p of a row sums beyond float
-    range.
+    overflows or underflows to 0, where |f|^p of a row sums beyond float
+    range, or where a weighted or unweighted ratio overflows.
     """
     check_p(p)
     check_finite("log_eps", log_eps)
@@ -445,6 +445,9 @@ def verify_critical_log(
                             kappa, dict.fromkeys(range(k + 1, 2 * k + 1), k))
     weighted = [num / den_w for num, den_w in zip(norms, norms[k + 1:])]
     unweighted = [num / norms[k] for num in norms[:k]]
+    for what, ratios in (("weighted", weighted), ("unweighted", unweighted)):
+        if not all(map(math.isfinite, ratios)):
+            raise OutOfRange(f"the {what} ratio of the critical family overflows at p={p}")
     for e, rw in zip(EPS_LADDER, weighted):
         report.add(f"eps={e} weighted", rw, POS_FLOOR, rw - POS_FLOOR)
     report.notes = (

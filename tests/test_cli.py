@@ -453,6 +453,22 @@ def test_overflow_outside_the_weight_is_not_named_by_kappa(capsys, argv):
     assert "beyond float range" in line["error"] and "kappa" not in line["error"]
 
 
+@pytest.mark.parametrize("mode", ["minus", "plus"])
+def test_a_critical_ratio_that_overflows_is_out_of_range(capsys, mode):
+    # at p = inf the numerators of b = -1e308 have norms near 1e308, and the
+    # weighted ratio, about 1e308 / 0.08, overflows: exit 1 with a strict JSON
+    # line, not a passing report of Infinity.  At b = -1e300 the report is made
+    code = main(["verify", "critical", "--N", "3", "--b=-1e308", "--p", "inf", "--n", "0",
+                 "--mode", mode])
+    line = _strict_json(capsys.readouterr().out.strip())
+    assert code == 1 and line["kind"] == "OutOfRange", line
+    assert "weighted ratio" in line["error"], line
+    code = main(["verify", "critical", "--N", "3", "--b=-1e300", "--p", "inf", "--n", "0",
+                 "--mode", mode])
+    line = _strict_json(capsys.readouterr().out.strip())
+    assert code == 0 and line["passed"] and math.isfinite(line["min_margin"]), line
+
+
 @pytest.mark.parametrize("log_eps", ["-2.5", "-1e5"], ids=["kappa-neg-0.5", "kappa-neg-99999"])
 def test_at_p1_a_huge_numerator_stays_in_range(capsys, log_eps):
     # at p = 1 the numerators of b = -1e308, about 1e308 phi, have norms in

@@ -218,6 +218,81 @@ def test_a_critical_stack_takes_one_eigvals_call_per_degree(monkeypatch, p):
     assert len(calls) == located
 
 
+def _picking_spy(f, seen):
+    """f, a stack that can pick, recording for each row r in seen[r] the sorted points
+    of each call that evaluates it: every point of a call of f, its own entries'
+    points in a call of f.pick."""
+    def g(s):
+        for row in seen:
+            row.append(np.sort(np.ravel(s)))
+        return f(s)
+
+    def pick(x, rows):
+        for r in np.unique(rows).tolist():
+            seen[r].append(np.sort(x[rows == r].ravel()))
+        return f.pick(x, rows)
+
+    g.pick = pick
+    return g
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+@pytest.mark.parametrize("N, c, b, n, branch", [(5, 0.0, 0.0, 0, "minus"),
+                                                (3, 0.0, -2.0, 0, "minus")])
+def test_a_stack_that_picks_samples_each_row_at_its_own_pieces(p, N, c, b, n, branch):
+    # a critical stack, with and without weighted rows, in dx/x and in dx: its
+    # pairs are bit for bit those of the same stack without the hook, and each
+    # row is evaluated at exactly the points that its one-row run samples
+    from rellich import OperatorParams
+    from rellich.radial import CRITICAL_MEASURE, PHI_SUPPORT, counterexample_drift, critical_rows
+    from rellich.verify import EPS_LADDER
+
+    params = OperatorParams(N, c, b)
+    g = counterexample_drift(params, n, branch)
+    for kappa in (None, 1.5):
+        f = critical_rows(g, min(0.0, b), EPS_LADDER, kappa)
+        k = len(f(np.array(PHI_SUPPORT)))
+        for weight in (CRITICAL_MEASURE, None):
+            seen = [[] for _ in range(k)]
+            stack = lp_norm(_picking_spy(f, seen), PHI_SUPPORT, p, weight)
+            assert stack == lp_norm(lambda s: f(s), PHI_SUPPORT, p, weight), (p, kappa, weight)
+            for i in range(k):
+                alone = []
+                assert lp_norm(_spy(lambda s, i=i: f(s)[i], alone), PHI_SUPPORT, p,
+                               weight) == stack[i]
+                assert len(seen[i]) == len(alone), (p, kappa, weight, i)
+                assert all(map(np.array_equal, seen[i], alone)), (p, kappa, weight, i)
+            assert max(map(len, seen)) > 1  # some row was picked
+
+
+def test_a_stack_that_picks_names_the_rows_non_finite_at_their_own_pieces():
+    # at kappa = -200 the weighted row of eps = 0.025, row 8, overflows where
+    # x < 0.419 and no other row does.  Through the hook, as without it, only
+    # the rows whose own entries are not finite are named: row 8 on a piece in
+    # (0.26, 0.3), not on one in (0.45, 0.5), nor row 2 on a piece in (0.26, 0.3)
+    from rellich.radial import CRITICAL_MEASURE, PHI_SUPPORT, critical_rows
+    from rellich.verify import EPS_LADDER
+
+    f = critical_rows(1.0, 0.0, EPS_LADDER, -200.0)
+    x = quadrature._rule(np.array([[0.26], [0.45], [0.26]]), np.array([[0.3], [0.5], [0.3]]),
+                         quadrature._GRADED)[0]
+    every = f(x.ravel()).reshape(9, *x.shape)
+    assert not np.isfinite(every[8, 0]).all() and np.isfinite(every[:8]).all()
+    for h in (f, lambda s: f(s)):
+        S = quadrature._sampler(h, 9)
+        with pytest.raises(NonFiniteIntegrand) as err:
+            S(x, np.array([8, 8, 2]))
+        assert err.value.rows == (8,)
+        assert np.array_equal(S(x[1:], np.array([8, 2])), every[[8, 2], [1, 2]])
+    with pytest.raises(NonFiniteIntegrand) as err:
+        lp_norm(f, PHI_SUPPORT, 1.5, CRITICAL_MEASURE)
+    assert err.value.rows == (8,)
+    bad = lambda s: f(s)  # noqa: E731
+    bad.pick = lambda x, rows: f.pick(x, rows)[:, :1]
+    with pytest.raises(PreconditionViolated, match="pick"):
+        quadrature._sampler(bad, 9)(x, np.array([0, 1, 2]))
+
+
 def _weighted_cases():
     """The weight (1 + s^2) / s on (0.5, 3), and a callable, a stack and parts: rows with
     sign changes and rows without."""
