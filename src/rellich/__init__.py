@@ -7,7 +7,7 @@ A = |x|^2 Delta + c x . grad, generate counterexample families, and
 verify everything numerically by exact one-dimensional reduction plus
 quadrature.
 
-The closed-form layer (errors, params, spectral, validity, green) loads
+The closed-form layer (errors, params, spectral, validity) loads
 with the package, without numpy.  The numeric layer (profiles,
 quadrature, radial, verify) and numpy load together on the first access
 to any of their names or modules, through a module __getattr__ (PEP
@@ -26,12 +26,6 @@ from .errors import (
     PreconditionViolated,
     RellichError,
     UnsupportedRegime,
-)
-from .green import (
-    GreenBoundInput,
-    g0,
-    heat_kernel_bound,
-    tail_exponent_integrable,
 )
 from .params import (
     DEFAULT_TOL,
@@ -73,14 +67,14 @@ from .validity import (
     best_constant,
     decide,
     lemma_parameters_flags,
+    tail_exponent_integrable,
 )
 
 __version__ = "0.1.0"
 
 #: the numeric layer, module -> exported names; all of it loads at once
 _NUMERIC = {
-    "profiles": ("Profile1D", "bump", "bump_corpus", "check_derivatives", "plateau_profile",
-                 "radial_power_bump"),
+    "profiles": ("Profile1D", "bump", "bump_corpus", "plateau_profile", "radial_power_bump"),
     "quadrature": ("integrate", "lp_norm"),
     "radial": ("BoundaryReport", "RatioReport", "ReducedCoefficients",
                "boundary_counterexample", "counterexample_ratio", "fit_loglog_slope",

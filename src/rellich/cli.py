@@ -18,8 +18,9 @@ with a --J other than all, a --sweep-alpha count above 100000, a
 --seed, --seed-q or --harmonics degree, a --lambda of more than two
 parts, a verify rellich or dissipativity corpus (--harmonics degrees
 times --count) above 5000 profiles, an empty corpus, fewer than two
-distinct --eps values, a Hardy constant beyond float range, or a p so
-large that a power of the verified inequality or an integral of |f|^p
+distinct --eps values, an --eps so small that a counterexample ratio's
+numerator underflows to 0, a Hardy constant beyond float range, or a p
+so large that a power of the verified inequality or an integral of |f|^p
 overflows), 2 fail, 3 unsupported regime, 64 usage.  The ranges are
 checked before anything is allocated.  --tol sets the decision
 tolerance (default 1e-9).

@@ -116,35 +116,6 @@ def radial_power_bump(q: float, T: float) -> Profile1D:
     return Profile1D(jet, (math.exp(-T), math.exp(T)), f"r^-{q:g}*bump(T={T:g})")
 
 
-def check_derivatives(v: Profile1D, points: int = 100, rel_tol: float = 1e-6) -> float:
-    """Spot-check v', v'' against central finite differences at interior points.
-
-    A test oracle for the profiles that are not polynomial.  Returns the
-    worst relative error; raises AssertionError beyond rel_tol.
-    """
-    a, b = v.support
-    # per-point steps proportional to |s| handle multiscale profiles
-    # (radial ones compress features near r -> 0); the factor ladder
-    # brackets the truncation/roundoff sweet spot
-    pad = (b - a) * 1e-3
-    s = np.linspace(a + pad, b - pad, points)
-    v0, v1, v2 = v.jet(s)
-    scale1 = float(np.max(np.abs(v1))) + 1e-30
-    scale2 = float(np.max(np.abs(v2))) + 1e-30
-    worst = math.inf
-    for factor in (2e-4, 5e-5, 1.25e-5, 3e-6):
-        h = factor * (np.abs(s) + (b - a) * 0.05)
-        up, down = v(s + h), v(s - h)
-        err1 = float(np.max(np.abs((up - down) / (2 * h) - v1))) / scale1
-        err2 = float(np.max(np.abs((up - 2 * v0 + down) / h**2 - v2))) / scale2
-        worst = min(worst, max(err1, err2))
-    if worst > rel_tol:
-        raise AssertionError(
-            f"analytic derivatives disagree with finite differences: {worst:.3e}"
-        )
-    return worst
-
-
 def bump_corpus(seed: int, count: int,
                 center_range: tuple[float, float] = (1.5, 10.0),
                 left_min: float = 0.0) -> list[Profile1D]:

@@ -206,6 +206,7 @@ def counterexample_ratio(
     numerator and denominator are those norms.
 
     Requires D + lambda_n >= 0: the display presumes real indicial roots.
+    OutOfRange where an eps is so small that a numerator norm underflows to 0.
     """
     check_p(p)
     for e in eps:
@@ -218,6 +219,10 @@ def counterexample_ratio(
         )
     g = counterexample_drift(params, n, branch)
     *nums, den = lp_norm(critical_rows(g, 0.0, eps), PHI_SUPPORT, p, CRITICAL_MEASURE)
+    for e, (num, _) in zip(eps, nums):
+        # the exact numerator never vanishes: a 0 is |f|^p underflowing
+        if num == 0:
+            raise OutOfRange(f"the numerator norm underflows to 0 at eps={e:g}, p={p:g}")
     return [_ratio(num, den) for num in nums]
 
 

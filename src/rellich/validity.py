@@ -21,7 +21,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import OutOfRange, PreconditionViolated
+from .errors import DZero, OutOfRange, PreconditionViolated
 from .params import (
     DEFAULT_TOL,
     OperatorParams,
@@ -30,11 +30,13 @@ from .params import (
     check_inner_p,
     check_p,
     check_tol,
+    conjugate_exponent,
     critical_alphas,
     degree_at_most,
     discriminant,
     eigen_lambda,
     gamma_p,
+    indicial_roots,
     kelvin_transform,
     mu_shift,
     sqrt_nonneg_re,
@@ -176,6 +178,19 @@ def best_constant(params: OperatorParams, p: float, alpha: float) -> float | Non
     return params.b + gamma_p(params.N, p, alpha, params.c)
 
 
+def tail_exponent_integrable(params: OperatorParams, p: float, alpha: float) -> bool:
+    """Integrability of |y|^{e p'} near the origin, e = Re s2 - (N-2) - alpha, s2 the
+    larger of the ``indicial_roots`` of degree 0: the exponent comparison that closes the
+    bounded-domain proof, finite iff alpha < alpha_0^+ = base + sqrt(D).  Requires D >= 0."""
+    D = discriminant(params)
+    if D < 0:
+        raise DZero(f"tail exponent test needs D >= 0, got D={D}")
+    e = indicial_roots(params, 0)[1].real - (params.N - 2.0) - alpha
+    pprime = conjugate_exponent(p)
+    # p = 1 pairs with the sup norm: |y|^e bounded near 0 iff e >= 0
+    return e >= 0 if math.isinf(pprime) else e * pprime > -params.N
+
+
 def _hits(params: OperatorParams, p: float, alpha: float, J: HarmonicSet,
           tol: float) -> list[tuple[int, Branch]]:
     """The modes j in J whose alpha_j^- or alpha_j^+ lies within tol of alpha."""
@@ -224,9 +239,10 @@ def decide(
     holds iff alpha < alpha_{j0}^+, j0 = min J (else a boundary obstruction on
     j0), and alpha avoids every alpha_j^-, j in J.  A bounded smooth domain
     containing 0 follows the ball, an exterior domain the ball for its Kelvin
-    image; both take J = all alone, the smooth ones 1 < p < inf and D >= 0.  Where it holds for J = all, best_constant is certified, except on a
-    smooth exterior domain.  ValueError for a domain that is not a DomainKind or
-    the value of one.
+    image; both take J = all alone, the smooth ones 1 < p < inf and D >= 0.
+    Where it holds for J = all, best_constant is certified, except on a smooth
+    exterior domain.  ValueError for a domain that is not a DomainKind or the
+    value of one.
     """
     smooth, exterior = domain in _SMOOTH, domain in _EXTERIOR
     if J.kind != "all" and (smooth or exterior):

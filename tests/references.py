@@ -1,9 +1,11 @@
-"""Independent references for L^p norms, written apart from rellich.quadrature.
+"""Independent references for L^p norms, written apart from rellich.quadrature,
+and for profile derivatives.
 
 ``reference_roots`` finds the sign changes of f by brentq and
 ``reference_lp_integral`` integrates |f|^p by scipy's quad between them;
 ``reference_sup`` takes the largest |f| of a dense grid and refines each
 near-top local maximum on three finer grids;
+``check_derivatives`` compares a profile's jet with central finite differences;
 ``exact_lp_integral`` integrates |P|^p for a numpy polynomial P and an
 integer p exactly, between the roots of P.  ``log_squeezed`` is the
 critical family phi(e^{-eps s}) as a profile in the log variable s, on a
@@ -57,6 +59,35 @@ def reference_sup(f, a, b, points=100_001):
             c, width = xs[np.argmax(ys)], width / 1000
             top = max(top, float(ys.max()))
     return top
+
+
+def check_derivatives(v, points: int = 100, rel_tol: float = 1e-6) -> float:
+    """Spot-check v', v'' against central finite differences at interior points.
+
+    A test oracle for the profiles that are not polynomial.  Returns the
+    worst relative error; raises AssertionError beyond rel_tol.
+    """
+    a, b = v.support
+    # per-point steps proportional to |s| handle multiscale profiles
+    # (radial ones compress features near r -> 0); the factor ladder
+    # brackets the truncation/roundoff sweet spot
+    pad = (b - a) * 1e-3
+    s = np.linspace(a + pad, b - pad, points)
+    v0, v1, v2 = v.jet(s)
+    scale1 = float(np.max(np.abs(v1))) + 1e-30
+    scale2 = float(np.max(np.abs(v2))) + 1e-30
+    worst = math.inf
+    for factor in (2e-4, 5e-5, 1.25e-5, 3e-6):
+        h = factor * (np.abs(s) + (b - a) * 0.05)
+        up, down = v(s + h), v(s - h)
+        err1 = float(np.max(np.abs((up - down) / (2 * h) - v1))) / scale1
+        err2 = float(np.max(np.abs((up - 2 * v0 + down) / h**2 - v2))) / scale2
+        worst = min(worst, max(err1, err2))
+    if worst > rel_tol:
+        raise AssertionError(
+            f"analytic derivatives disagree with finite differences: {worst:.3e}"
+        )
+    return worst
 
 
 def exact_lp_integral(P, a, b, p):

@@ -469,6 +469,16 @@ def test_a_critical_ratio_that_overflows_is_out_of_range(capsys, mode):
     assert code == 0 and line["passed"] and math.isfinite(line["min_margin"]), line
 
 
+@pytest.mark.parametrize("p, eps", [("2", "1e-300"), ("3", "1e-150")])
+def test_a_counterexample_numerator_that_underflows_is_out_of_range(capsys, p, eps):
+    # |f|^p of the numerator underflows to 0 where the exact family does not
+    # vanish: exit 1 with a strict JSON line, not a ratio of 0 and a NaN slope
+    code = main(["counterexample", "--N", "5", "--p", p, "--mode", "minus", f"--eps={eps},0.1"])
+    line = _strict_json(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 1 and line["kind"] == "OutOfRange", line
+    assert f"eps={float(eps):g}, p={p}" in line["error"], line
+
+
 @pytest.mark.parametrize("log_eps", ["-2.5", "-1e5"], ids=["kappa-neg-0.5", "kappa-neg-99999"])
 def test_at_p1_a_huge_numerator_stays_in_range(capsys, log_eps):
     # at p = 1 the numerators of b = -1e308, about 1e308 phi, have norms in
@@ -536,6 +546,7 @@ def fuzz_argv(draw):
 @example(argv=["verify", "aux", "--N", "5", "--p", "1e300", "--lambda", "2"])
 @example(argv=["verify", "remainder", "--N", "5", "--b", "10", "--p", "1e300", "--alpha", "1"])
 @example(argv=["verify", "dissipativity", "--N", "5", "--p", "1e300"])
+@example(argv=["counterexample", "--N", "5", "--mode", "minus", "--eps=1e-300,0.1"])
 def test_fuzzed_argv_ends_in_one_documented_answer(argv):
     # an exit code of the docstring, a JSON last line on stdout and no
     # exception (a RuntimeWarning is one in this suite), in bounded time
@@ -662,14 +673,14 @@ def test_numpy_loaded_only_by_numeric_commands(argv, code, needs_numpy):
 # the public names of the package as a parent of its lazy loading exposed them
 PUBLIC_NAMES = """
 ADomain BetaZero BoundaryReport Branch CorpusOutsideSubspace DEFAULT_TOL DZero
-DegenerateWeight DomainKind GammaInterval GreenBoundInput HarmonicSet
+DegenerateWeight DomainKind GammaInterval HarmonicSet
 NonFiniteIntegrand OperatorParams OutOfRange ParabolicRegion
 PreconditionViolated Profile1D RatioReport ReducedCoefficients RellichError
 SpectralClassification UnsupportedRegime Verdict VerificationReport
-base_alpha best_constant boundary_counterexample bump bump_corpus check_derivatives
+base_alpha best_constant boundary_counterexample bump bump_corpus
 classify_A classify_gamma classify_halfline_ode conjugate_exponent counterexample_ratio
 critical_alphas decide discriminant dist_to_parabola eigen_lambda errors fit_loglog_slope
-g0 gamma_p green heat_kernel_bound in_region indicial_roots integrate
+gamma_p in_region indicial_roots integrate
 kelvin_transform lemma_parameters_flags lp_norm mu_shift ode_roots omega_p
 on_parabola oned_green_reconstruct params parse_p plateau_profile profiles quadrature
 radial radial_power_bump reduced_coefficients region_section3 region_section4

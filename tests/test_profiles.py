@@ -11,12 +11,11 @@ from rellich import (
     Profile1D,
     bump,
     bump_corpus,
-    check_derivatives,
     plateau_profile,
     radial_power_bump,
 )
 
-from references import log_squeezed
+from references import check_derivatives, log_squeezed
 
 #: (1 - t^2)^3, the bump on [-1, 1], as numpy expands it
 _BUMP = Polynomial([1.0, 0.0, -1.0]) ** 3

@@ -31,7 +31,9 @@ from rellich import (
     lemma_parameters_flags,
     on_parabola,
     region_section3,
+    tail_exponent_integrable,
 )
+from rellich.quadrature import integrate
 
 P5 = OperatorParams(5, 0, 0)
 INF = math.inf
@@ -251,6 +253,35 @@ class TestBestConstant:
 
     def test_no_constant_when_D_nonpositive(self):
         assert best_constant(OperatorParams(2, 0, 0), 2, 0.1) is None
+
+
+class TestTailExponent:
+    def test_matches_threshold(self):
+        # finite iff alpha < base + sqrt(D); base + sqrt(D) = 2.5 here
+        assert tail_exponent_integrable(P5, 2, 2.4)
+        assert not tail_exponent_integrable(P5, 2, 2.6)
+
+    def test_quadrature_divergence_cross_check(self):
+        # 1-D model integral over (0,1): integral r^{e p' + N - 1} dr
+        from rellich.params import conjugate_exponent
+
+        for alpha in (2.0, 2.4, 2.6, 3.0):
+            e = math.sqrt(2.25) - 1.5 + 0.0 - alpha
+            pp = conjugate_exponent(2.0)
+            exponent = e * pp + 5 - 1
+            claimed = tail_exponent_integrable(P5, 2, alpha)
+            # integrate on shrinking inner cutoffs; for a convergent tail
+            # the increments shrink, for a divergent one they grow
+            parts = []
+            for cut in (1e-2, 1e-4, 1e-6):
+                val, err = integrate(lambda r: r**exponent, cut, 1.0)
+                # each integral is resolved, and err says so
+                exact = (1.0 - cut ** (exponent + 1)) / (exponent + 1)
+                assert abs(val - exact) <= 1e-12 * abs(exact), (alpha, cut, val, exact)
+                assert err <= 1e-12 * abs(val), (alpha, cut, err, val)
+                parts.append(val)
+            diverges = (parts[2] - parts[1]) > (parts[1] - parts[0])
+            assert claimed == (not diverges), (alpha, parts)
 
 
 class TestLemmaParameters:
