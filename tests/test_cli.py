@@ -644,6 +644,14 @@ def test_import_leaves_numpy_unloaded(module):
                 "rellich.verify"} & set(loaded)
 
 
+def test_tail_exponent_test_leaves_numpy_unloaded():
+    # the exponent comparison that closes the bounded-domain proof is closed form
+    out = _child("import sys, rellich\n"
+                 "print(rellich.tail_exponent_integrable(rellich.OperatorParams(5), 2, 2.4),"
+                 " 'numpy' in sys.modules)")
+    assert out.split() == ["True", "False"]
+
+
 # argv, documented exit code, whether the command needs numpy
 NUMPY_BOUNDARY = [
     (["check", "--N", "5", "--p", "2", "--alpha", "0"], 0, False),

@@ -47,6 +47,21 @@ def test_derivative_spot_check(profile):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_oracle_rejects_a_wrong_jet(order):
+    # the finite-difference oracle of the non-polynomial profiles can fail: a
+    # jet whose v' or v'' is off by 1e-4 of its size is refused
+    v = radial_power_bump(1.5, 2.0)
+
+    def jet(s):
+        out = list(v.jet(s))
+        out[order] = out[order] * (1 + 1e-4)
+        return tuple(out)
+
+    with pytest.raises(AssertionError, match="finite differences"):
+        check_derivatives(Profile1D(jet, v.support), points=100, rel_tol=1e-6)
+
+
 @pytest.mark.parametrize("support", [(1.0, 3.0), (-200.0, 200.0)])
 def test_jet_keeps_its_digits_near_the_ends(support):
     # v, v', v'' from 1e-12 to 1e-1 of the width from either end, against

@@ -179,6 +179,23 @@ class TestCounterexampleRatio:
         with pytest.raises(ValueError):
             counterexample_ratio(P5, 2, 0, "minus", [0.1, 0.0])
 
+    @pytest.mark.parametrize("p, eps", [(1.5, 1e-300), (2.0, 1e-200), (3.0, 1e-150)])
+    def test_a_numerator_that_underflows_is_out_of_range(self, p, eps):
+        # |f|^p of the numerator underflows to 0 where the exact family does
+        # not vanish; one such eps in a ladder refuses the whole ladder
+        for branch in ("minus", "plus"):
+            with pytest.raises(OutOfRange, match=f"eps={eps:g}, p={p:g}"):
+                counterexample_ratio(P5, p, 0, branch, [0.1, eps])
+
+    @pytest.mark.parametrize("p", [1.0, INF])
+    def test_a_tiny_eps_stays_in_range_where_nothing_is_raised_to_p(self, p):
+        # at p = 1 and p = inf no power of |f| is taken: ratio / eps at 1e-300
+        # is the one at 1e-100
+        for branch in ("minus", "plus"):
+            small, tiny = counterexample_ratio(P5, p, 0, branch, [1e-100, 1e-300])
+            assert abs(tiny.ratio / 1e-300 - small.ratio / 1e-100) \
+                <= 1e-12 * (small.ratio / 1e-100), (branch, small, tiny)
+
     def test_reduces_to_the_separable_ratio(self, monkeypatch):
         # the collapsed display, and the weighted and unweighted ratios of
         # verify_critical_log, equal the reduced ratios of the reference

@@ -14,6 +14,7 @@ from rellich import (
     ADomain,
     Branch,
     DomainKind,
+    DZero,
     HarmonicSet,
     OperatorParams,
     OutOfRange,
@@ -282,6 +283,34 @@ class TestTailExponent:
                 parts.append(val)
             diverges = (parts[2] - parts[1]) > (parts[1] - parts[0])
             assert claimed == (not diverges), (alpha, parts)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+    def test_finite_below_alpha0_plus_only(self, p):
+        # the exponent comparison is alpha < alpha_0^+ of critical_alphas;
+        # at p = 1 it pairs with the sup norm, |y|^e bounded iff e >= 0
+        rng = np.random.default_rng(26)
+        for _ in range(500):
+            N, c = int(rng.integers(2, 11)), float(rng.uniform(-4, 4))
+            P = OperatorParams(N, c, float(rng.uniform(0, 9)) - ((N - 2 + c) / 2) ** 2)
+            thr = critical_alphas(P, p, 0)[1]
+            gap = (abs(thr) + 1) * 10.0 ** float(rng.uniform(-9, 1))
+            assert tail_exponent_integrable(P, p, thr - gap), (P, p, thr, gap)
+            assert not tail_exponent_integrable(P, p, thr + gap), (P, p, thr, gap)
+
+    def test_at_D_zero_the_threshold_is_the_base(self):
+        P = OperatorParams(3, 1, -1)  # D = 0, s1 = s2 = 1
+        assert discriminant(P) == 0
+        for p in (1.5, 2.0, 3.0):
+            base = base_alpha(P, p)
+            assert tail_exponent_integrable(P, p, base - 1e-9)
+            assert not tail_exponent_integrable(P, p, base + 1e-9)
+
+    def test_negative_D_raises(self):
+        for D in (-1e-3, -1e-12, -4.0):
+            P = OperatorParams(3, 1, -1 + D)
+            assert discriminant(P) < 0
+            with pytest.raises(DZero):
+                tail_exponent_integrable(P, 2, 0.0)
 
 
 class TestLemmaParameters:
