@@ -4,10 +4,10 @@
 support, p, weight=None)`` the norm ||f||_{L^p(support, weight dx)},
 1 <= p <= inf, computed from the signed f.  Both return (value, err).  An
 integrand maps an array of points to an array of the same shape; for
-``lp_norm`` it may also be a stack of rows, or a sequence of parts, as its
-docstring says.  Any other result raises PreconditionViolated, as does a
-limit that is not finite, and a non-finite value NonFiniteIntegrand, which
-names rows of the whole stack.
+``lp_norm`` it may also be a stack of rows, as its docstring says.  Any
+other integrand or result raises PreconditionViolated, as does a limit that
+is not finite, and a non-finite value NonFiniteIntegrand, which names rows
+of the stack.
 
 Both read f as chebfun does (Battles & Trefethen, SISC 2004): the Legendre
 series of the polynomial that interpolates f at the ``NODES`` Gauss nodes
@@ -31,14 +31,13 @@ critical points, the real roots of the series' derivative.
 
 A stack is read as a whole, every row alike: one ``_resolve`` of all the
 rows that need one, one ``eigvals`` call per degree of their series, and
-one call of each part per pass (the first pass, each round of halving,
+one call of the stack per pass (the first pass, each round of halving,
 the graded pass over the pieces of every split row, the sup candidates).
-The first pass calls every part at the shared nodes; later passes go
-through one sampler, which gives each piece the values of its own row and
-calls a part only at the pieces of its own rows, so that a stack of many
-parts costs each what it costs alone.  A stack that can pick, one with a
-method ``pick(x, rows)``, evaluates each piece's own row alone; any other
-is evaluated in every row at every piece, and each piece takes its own.
+The first pass calls it at the shared nodes; later passes go through one
+sampler, which gives each piece the values of its own row.  A stack that
+can pick, one with a method ``pick(x, rows)``, evaluates each piece's own
+row alone; any other is evaluated in every row at every piece, and each
+piece takes its own.
 The Gauss nodes of a pass come from one cached layout on [-1, 1], mapped
 onto every piece at once.  No row's result depends on the rows around it.
 """
@@ -90,7 +89,7 @@ class _Pieces(NamedTuple):
     scale: np.ndarray  # the exponent of its largest |value|, as np.frexp gives it
 
 
-#: the node layouts of the passes, as (panels, graded) parts: the plain
+#: the node layouts of the passes, as (panels, graded) rules: the plain
 #: 1-panel rule (the resolver's samples, the sup's first pass), the finite-p
 #: first pass and the graded pass over split pieces
 _PLAIN = ((1, False),)
@@ -102,15 +101,15 @@ _RESOLVED = NODES - NODES // 4
 
 
 @lru_cache(maxsize=8)
-def _layout(parts) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, weights) on [-1, 1] of the rules of parts, concatenated; ``_rule`` maps them.
+def _layout(rules) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) on [-1, 1] of rules, concatenated; ``_rule`` maps them.
 
-    A part (k, graded) is k NODES-point Gauss-Legendre panels; graded maps
+    A rule (k, graded) is k NODES-point Gauss-Legendre panels; graded maps
     their nodes through t = 3u^2 - 2u^3 of u = (x + 1) / 2, weights times 6u(1 - u).
     """
     x0, w0 = np.polynomial.legendre.leggauss(NODES)
     xs, ws = [], []
-    for k, graded in parts:
+    for k, graded in rules:
         centres = (2.0 * np.arange(k) + 1.0 - k) / k
         x, w = (centres[:, None] + x0 / k).ravel(), np.tile(w0 / k, k)
         if graded:
@@ -135,28 +134,33 @@ def _shaped(vals, pts: np.ndarray, stack: int | None) -> np.ndarray:
     return vals.reshape(1 if stack is None else stack, len(pts))
 
 
-def _finite(vals: np.ndarray, rows: np.ndarray, offset: int) -> np.ndarray:
+def _finite(vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """vals, whose entry i holds values of row rows[i], if they are finite: else
-    NonFiniteIntegrand names the rows of the entries that are not, counted from offset,
-    the position of the first row of f in a stack of parts."""
+    NonFiniteIntegrand names the rows of the entries that are not."""
     if not np.isfinite(vals).all():
         bad = ~np.isfinite(vals.reshape(len(rows), -1)).all(axis=1)
         raise NonFiniteIntegrand("integrand returned non-finite values",
-                                 tuple((offset + np.unique(rows[bad])).tolist()))
+                                 tuple(np.unique(rows[bad]).tolist()))
     return vals
 
 
-def _sampler(f, stack: int | None, offset: int = 0):
-    """S(x, rows) for f, whose result is a stack of stack rows (None: one row), the
-    first of them row offset of a stack of parts, as NonFiniteIntegrand names it.
+def _check_integrand(f) -> None:
+    """PreconditionViolated unless f is callable, as both forms of an integrand are."""
+    if not callable(f):
+        raise PreconditionViolated(f"an integrand must be a callable of one row, or for lp_norm "
+                                   f"of one row or a stack of rows: got {type(f).__name__}")
+
+
+def _sampler(f, stack: int | None):
+    """S(x, rows) for f, whose result is a stack of stack rows (None: one row).
 
     S gives, for each entry i of the int array rows, row rows[i] of f's stack
     at x[i] (a point, or a piece's row of nodes), in the shape of x.  A stack
     that can pick, one with a method ``f.pick(x, rows)`` that returns just
     that, is asked for it, so each entry's own row alone is evaluated; any
     other f is called at every point of x, and each entry takes its own row.
-    Only the entries' own values must be finite.  The sampler of several
-    parts (``_first_pass``) gives them in x's own memory.
+    Only the entries' own values must be finite.  A pick may write them over
+    x, which is the sampler's to spend.
     """
     pick = getattr(f, "pick", None) if stack is not None else None
     if pick is None:
@@ -170,54 +174,19 @@ def _sampler(f, stack: int | None, offset: int = 0):
         if v.shape != x.shape:
             raise PreconditionViolated(f"a stack's pick(x, rows) must return an array of the "
                                        f"shape of x {x.shape}, got shape {v.shape}")
-        return _finite(v, rows, offset)
+        return _finite(v, rows)
 
     return S
 
 
-def _first_pass(f, pts: np.ndarray):
-    """(vals, S, stacked): the checked (rows, len(pts)) first pass of the integrand f
-    of ``lp_norm`` at the shared nodes pts, its sampler S and whether its result is a
-    list of pairs.
-
-    f is one callable, read as a sequence of that one part, or a sequence of parts,
-    each a callable of one row or a stack, whose rows in order make the stack.  The
-    sampler of one part is its ``_sampler``.  That of several takes rows in ascending
-    order, so that the entries of each part are one slice of x; it calls each part
-    once, through its ``_sampler``, at that slice alone, so no part is sampled at the
-    pieces of another, and writes the values over x: for the pieces of a corpus, x
-    is large.
-    """
-    one = callable(f)
-    vals, samplers, offsets = [], [], [0]
-    for part in [f] if one else f:
-        first = np.asarray(part(pts), dtype=float)
-        stack = len(first) if first.ndim == 2 else None
-        first = _shaped(first, pts, stack)
-        vals.append(_finite(first, np.arange(len(first)), offsets[-1]))
-        samplers.append(_sampler(part, stack, offsets[-1]))
-        offsets.append(offsets[-1] + len(vals[-1]))
-    if len(samplers) == 1:  # one part needs no routing, which costs a one-part call 7%
-        return vals[0], samplers[0], not one or stack is not None
-
-    def S(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        cuts = np.searchsorted(rows, offsets).tolist()  # rows ascend: each part's entries
-        for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            if lo < hi:
-                x[lo:hi] = samplers[j](x[lo:hi], rows[lo:hi] - offsets[j])
-        return x
-
-    return np.concatenate(vals) if vals else np.empty((0, len(pts))), S, True
-
-
-def _rule(lo, hi, parts) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, weights) of the layout of parts mapped onto [lo, hi]: the one
+def _rule(lo, hi, rules) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the layout of rules mapped onto [lo, hi]: the one
     place where Gauss nodes are mapped onto an interval.
 
     lo and hi are floats, or (m, 1) arrays for m pieces, one row of nodes
     and weights each.
     """
-    x, w = _layout(parts)
+    x, w = _layout(rules)
     half = 0.5 * (hi - lo)
     return 0.5 * (lo + hi) + half * x, half * w
 
@@ -270,7 +239,7 @@ def _resolve(S, a: float, b: float, vals: np.ndarray, rows) -> _Pieces:
     its degree, without the trailing coefficients below _CHOP of the
     largest, is resolved below _RESOLVED.  Unresolved pieces are halved, the
     halves of every row sampled by one call of the sampler S (see
-    ``_first_pass``), while the row has sampled at most _MAX_PIECES pieces.
+    ``_sampler``), while the row has sampled at most _MAX_PIECES pieces.
     """
     T = _legendre()[0]
     k = len(vals)
@@ -370,6 +339,7 @@ def integrate(f, a: float, b):
     unresolved at the cap makes it large, and the rounding of each Gauss
     sum, ``_ROUNDING`` times the sum of its terms' sizes.
     """
+    _check_integrand(f)
     check_finite("the lower limit", a)
     if not np.isfinite(b).all():
         raise PreconditionViolated(f"the upper limit must be finite, got {b}")
@@ -401,7 +371,7 @@ def _sup_at(S, a: float, b: float, found: list) -> list[tuple[float, float]]:
     stack, found holding each row's (xs, bound) from ``_locate``.
 
     a, b and the candidates of every row are sampled by one call of the
-    sampler S, each point in its own row, the points of a row together.
+    sampler S, each point in its own row.
     Each critical point also gets neighbours at +-h = sqrt(eps) (b - a),
     inside [a, b] since ``_locate`` keeps the points _NEAR_REAL (b - a)
     inside.  The computed point lies far within h/2 of the exact one, so the
@@ -415,10 +385,7 @@ def _sup_at(S, a: float, b: float, found: list) -> list[tuple[float, float]]:
     xs = np.concatenate([x for x, _ in found])
     owner = np.repeat(np.arange(k), [len(x) for x, _ in found])
     rows = np.concatenate((np.arange(k), np.arange(k), owner, owner, owner))
-    order = np.argsort(rows, kind="stable")  # S takes each row's entries together
-    v = np.empty(len(rows))
-    v[order] = np.abs(S(np.concatenate(([a] * k, [b] * k, xs - h, xs, xs + h))[order],
-                        rows[order]))
+    v = np.abs(S(np.concatenate(([a] * k, [b] * k, xs - h, xs, xs + h)), rows))
     top = np.maximum(v[:k], v[k:2 * k]).tolist()
     bound = top.copy()
     trios = v[2 * k:].reshape(3, len(xs)).T.tolist()
@@ -443,19 +410,18 @@ def lp_norm(f, support: tuple[float, float], p: float,
 
     f, the signed function, maps an array of points to an array of the
     same shape, or to a stack of k such rows, shape (k, *points.shape),
-    for which the result is a list of k (norm, err) pairs.  f may also be a
-    sequence of parts, each a callable of either kind: the stack is their
-    rows in order, and the result a list of pairs.  Each row gets what it
-    would get alone, its own first pass, split points and sup candidates,
-    though the rows share every pass (see the module docstring).  For finite
-    p the estimate is the change from the plain 1- to the graded 2-panel sum
-    on the support, or from the graded 1- to 2-panel sum on each piece, plus
-    their rounding; for p = inf it is the spread of |f| around the sup.  An
-    empty support (b <= a) gives zeros.  A weight, a callable like f of one
-    row, multiplies the Gauss weights of the first pass and of the graded
-    pass; the sup ignores it, as any positive weight leaves the ess sup as it
-    is.  ValueError for p outside [1, inf], PreconditionViolated for an end
-    of the support that is not finite or a weight that is not finite and
+    for which the result is a list of k (norm, err) pairs; a stack may pick
+    (see the module docstring).  Each row gets what it would get alone, its
+    own first pass, split points and sup candidates, though the rows share
+    every pass.  For finite p the estimate is the change from the plain 1-
+    to the graded 2-panel sum on the support, or from the graded 1- to
+    2-panel sum on each piece, plus their rounding; for p = inf it is the
+    spread of |f| around the sup.  An empty support (b <= a) gives zeros.
+    A weight, a callable like f of one row, multiplies the Gauss weights of
+    the first pass and of the graded pass; the sup ignores it, as any
+    positive weight leaves the ess sup as it is.  ValueError for p outside
+    [1, inf], PreconditionViolated for an f that is not callable, an end of
+    the support that is not finite or a weight that is not finite and
     positive at the nodes, OutOfRange where the integral of |f|^p is beyond
     float range.
     """
@@ -463,18 +429,22 @@ def lp_norm(f, support: tuple[float, float], p: float,
     a, b = support
     check_finite("the lower end of the support", a)
     check_finite("the upper end of the support", b)
+    _check_integrand(f)
     sup = math.isinf(p)
     pts, wts = _rule(a, b, _PLAIN if sup else _FIRST) if b > a else (np.empty(0), None)
     if weight is not None and not sup and b > a:
         wts = wts * _weight_at(weight, pts)
-    vals, S, stacked = _first_pass(f, pts)
+    vals = np.asarray(f(pts), dtype=float)
+    stack = len(vals) if vals.ndim == 2 else None
+    vals = _finite(_shaped(vals, pts, stack), np.arange(1 if stack is None else stack))
+    S = _sampler(f, stack)
     if b <= a or not len(vals):
         out = [(0.0, 0.0)] * len(vals)
     elif sup:
         out = _sup_at(S, a, b, _locate(S, a, b, vals, range(len(vals)), sup=True))
     else:
         out = _lp_sums(S, a, b, p, vals, wts, weight)
-    return out if stacked else out[0]
+    return out[0] if stack is None else out
 
 
 def _lp_sums(S, a: float, b: float, p: float, vals, wts,

@@ -11,7 +11,7 @@ with beta the reduced drift of ``params.reduced_drift`` and
 lambda_red = gamma_p(alpha, c) + b + lambda_n.  The spherical factor
 S_P = integral |P|^p cancels in every ratio and is never computed.
 Every reduced norm of a profile comes from ``corpus_norms``, which reads
-a corpus in blocks of bounded size, one ``lp_norm`` stack each.  ``critical_rows``
+a corpus in blocks of bounded size, one ``lp_norm`` stack each that picks.  ``critical_rows``
 builds the critical family u_eps = r^gamma phi(r^eps) of a whole eps
 ladder, read on phi's fixed support in x = r^eps with the measure dx/x
 (``CRITICAL_MEASURE``), so that its numerator rows stay polynomials of
@@ -94,11 +94,11 @@ def corpus_norms(p: float, terms: Sequence[tuple]):
     the L^p norms of s^power (a2 v'' + a1 v' + a0 v) on the support, v's own by default.
 
     One term is ``lp_norm(v.integrand(*rows), support, p)`` itself.  Several are cut
-    into blocks of at most _CORPUS_ROWS rows (a longer term alone), one ``lp_norm``
-    call each, in which a term is one part on t in (-1, 1), through s = mid + half t:
-    sampled at its own pieces alone, its pairs, times half^(1/p) (1 at p = inf), do
-    not depend on the block.  A support empty after cutting has zero width and gives
-    zeros.  A ``NonFiniteIntegrand`` names rows of the whole corpus, in order.
+    into blocks of at most _CORPUS_ROWS rows (a longer term alone), each one ``lp_norm``
+    call of its ``_block_stack`` on t in (-1, 1).  A term is sampled at its own pieces
+    alone, so its pairs, times half^(1/p) (1 at p = inf), do not depend on the block.
+    A support empty after cutting has zero width and gives zeros.  A
+    ``NonFiniteIntegrand`` names rows of the whole corpus, in order.
     """
     terms = [(v, rows, support[0] if support else v.support) for v, rows, *support in terms]
     if len(terms) == 1:
@@ -106,18 +106,13 @@ def corpus_norms(p: float, terms: Sequence[tuple]):
         return [lp_norm(v.integrand(*rows), support, p)]
     q, out, offset = inv_p(p), [], 0
     for block in _blocks(terms):
-        parts, scales = [], []
-        for v, rows, (a, b) in block:
-            b = max(a, b)
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            parts.append(lambda t, f=v.integrand(*rows), mid=mid, half=half: f(mid + half * t))
-            scales.append(half**q if b > a else 0.0)
         try:
-            pairs = iter(lp_norm(parts, (-1.0, 1.0), p))
+            pairs = iter(lp_norm(_block_stack(block), (-1.0, 1.0), p))
         except NonFiniteIntegrand as err:
             err.rows = tuple(offset + r for r in err.rows)
             raise
-        for (_, rows, _), k in zip(block, scales):
+        for _, rows, (a, b) in block:
+            k = (0.5 * (b - a)) ** q if b > a else 0.0
             mine = [(norm * k, err * k) for norm, err in islice(pairs, len(rows))]
             out.append(mine if len(rows) > 1 else mine[0])
             offset += len(rows)
@@ -132,7 +127,40 @@ def _blocks(terms):
             yield terms[start:i]
             start, size = i, 0
         size += len(rows)
-    yield terms[start:]
+    if terms:
+        yield terms[start:]
+
+
+def _block_stack(block):
+    """The rows of the terms (v, rows, (a, b)) of block in order: one stack of t in (-1, 1),
+    each term's through s = mid + half t on its support, of zero width where b <= a.  Its
+    ``pick(x, which)`` groups the entries by term with one stable argsort, so which may
+    come in any order, and writes each entry's own row over x from one call of its
+    term's integrand at that term's entries alone."""
+    terms, starts = [], [0]
+    for v, rows, (a, b) in block:
+        b = max(a, b)
+        terms.append((v.integrand(*rows), 0.5 * (a + b), 0.5 * (b - a), len(rows)))
+        starts.append(starts[-1] + len(rows))
+
+    def stack(t):
+        return np.concatenate([np.reshape(f(mid + half * t), (k, *t.shape))
+                               for f, mid, half, k in terms])
+
+    def pick(x, which):
+        term = np.searchsorted(starts, which, "right") - 1
+        order = np.argsort(term, kind="stable")
+        cuts = np.searchsorted(term[order], np.arange(len(starts))).tolist()
+        for (f, mid, half, k), start, lo, hi in zip(terms, starts, cuts, cuts[1:]):
+            if lo < hi:
+                mine = order[lo:hi]
+                y = x[mine]
+                v = np.reshape(f(mid + half * y.ravel()), (k, *y.shape))
+                x[mine] = v[which[mine] - start, np.arange(len(mine))]
+        return x
+
+    stack.pick = pick
+    return stack
 
 
 def _ratio(num: tuple[float, float], den: tuple[float, float]) -> RatioReport:

@@ -294,15 +294,15 @@ def test_a_stack_that_picks_names_the_rows_non_finite_at_their_own_pieces():
 
 
 def _weighted_cases():
-    """The weight (1 + s^2) / s on (0.5, 3), and a callable, a stack and parts: rows with
-    sign changes and rows without."""
+    """The weight (1 + s^2) / s on (0.5, 3), and a callable and a stack: rows with sign
+    changes and rows without."""
     from rellich import bump
 
     def one(s):
         return (s - 1.1) * (s - 2.3) * np.exp(-s)
 
     stack = bump(0.5, 3.0).integrand((1.0, 0.5, -2.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0, -1.0))
-    return (lambda s: (1.0 + s * s) / s), [one, stack, [one, stack]]
+    return (lambda s: (1.0 + s * s) / s), [one, stack]
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -316,7 +316,7 @@ def test_a_weight_gives_the_norm_of_f_times_its_pth_root(p):
 
     for f in cases:
         got = lp_norm(f, (0.5, 3.0), p, weight)
-        want = lp_norm([scaled(g) for g in f] if isinstance(f, list) else scaled(f), (0.5, 3.0), p)
+        want = lp_norm(scaled(f), (0.5, 3.0), p)
         for (norm, _), (want_norm, _) in zip(*((got, want) if isinstance(got, list)
                                                else ([got], [want]))):
             assert abs(norm - want_norm) <= 1e-14 * want_norm, (f, p, norm, want_norm)
@@ -336,11 +336,67 @@ def test_the_sup_ignores_the_weight():
     lambda s: np.ones(3),
 ], ids=["zero", "negative", "nan", "inf", "shape"])
 def test_a_weight_must_be_finite_and_positive_at_the_nodes(weight):
-    for f in (lambda s: s - 0.5, [lambda s: s - 0.5, lambda s: np.stack((s, s * s))]):
+    for f in (lambda s: s - 0.5, lambda s: np.stack((s - 0.5, s, s * s))):
         for p in (1.0, 2.5):
             with pytest.raises(PreconditionViolated, match="weight"):
                 lp_norm(f, (0.0, 2.0), p, weight)
         lp_norm(f, (0.0, 2.0), math.inf, weight)  # the sup does not read it
+
+
+@pytest.mark.parametrize("f", [[lambda s: s], (lambda s: s,), None], ids=["list", "tuple", "none"])
+def test_an_integrand_that_is_not_callable_is_refused(f):
+    # a sequence of callables is not a stack: both forms of an integrand are callables
+    for p in (1.5, math.inf):
+        with pytest.raises(PreconditionViolated, match="callable of one row.*stack of rows"):
+            lp_norm(f, (0.0, 1.0), p)
+    with pytest.raises(PreconditionViolated, match="callable of one row"):
+        integrate(f, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, math.inf])
+def test_a_stack_of_no_rows_gives_no_pairs(p):
+    assert lp_norm(lambda s: np.empty((0, *np.shape(s))), (0.0, 1.0), p) == []
+
+
+def _sorting(f, k):
+    """The stack f of k rows, with a pick that hands f's sampler each row's entries
+    together, rows ascending."""
+    S = quadrature._sampler(f, k)
+
+    def g(s):
+        return f(s)
+
+    def pick(x, rows):
+        order = np.argsort(rows, kind="stable")
+        v = np.empty(x.shape)
+        v[order] = S(x[order], rows[order])
+        return v
+
+    g.pick = pick
+    return g
+
+
+def test_the_sup_needs_no_order_of_its_candidates():
+    # the sup samples every row's ends and candidates in one call, unsorted:
+    # each pair is bit for bit the one of a sampler that sees each row's
+    # entries together, for a block of a corpus, a plain stack and a critical
+    # stack that picks
+    from rellich import OperatorParams, bump
+    from rellich.radial import (CRITICAL_MEASURE, PHI_SUPPORT, _block_stack,
+                                counterexample_drift, critical_rows)
+
+    v = bump(0.5, 3.0)
+    rows = (1.0, 0.5, -2.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0, -1.0)
+    block = _block_stack([(v, rows, v.support), (bump(1.0, 4.0), rows[:1], (1.0, 4.0)),
+                          (v, rows[1:], (1.0, 2.5))])
+    g = counterexample_drift(OperatorParams(5), 0, "minus")
+    for f, support, weight in ((block, (-1.0, 1.0), None),
+                               (v.integrand(*rows), v.support, None),
+                               (critical_rows(g, 0.0, (0.2, 0.1, 0.05), 1.5), PHI_SUPPORT,
+                                CRITICAL_MEASURE)):
+        k = len(f(np.array(support)))
+        got = lp_norm(f, support, math.inf, weight)
+        assert got == lp_norm(_sorting(f, k), support, math.inf, weight) and len(got) == k
 
 
 def test_a_stack_on_an_empty_support_gives_zero_pairs():
@@ -761,35 +817,11 @@ def _spy(f, seen):
     return g
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
-def test_parts_are_each_sampled_at_their_own_pieces(p):
-    # parts of one row or a stack: a smooth row, rows with sign changes,
-    # rows that halve (one beyond the cap).  Each part gets exactly the pairs
-    # it gets alone, from exactly the points it is sampled at alone: the
-    # shared first pass, then in each round of halving, on the graded pass
-    # and at the sup candidates the nodes of its own rows' pieces only
-    parts = [lambda s: 2.0 + np.cos(s),
-             lambda s: np.stack((s - 1.3, (s - 0.4) * (s - 2.2), np.exp(-s))),
-             lambda s: np.sin(40.0 * s) * np.exp(-s),
-             lambda s: np.stack((np.sin(2000.0 * s) * (1.0 + 0.1 * s), s * s - 1.0))]
-    alone, seen_alone = [], []
-    for f in parts:
-        seen_alone.append([])
-        out = lp_norm(_spy(f, seen_alone[-1]), (0.0, 3.0), p)
-        alone += out if isinstance(out, list) else [out]
-    assert lp_norm(parts[:1], (0.0, 3.0), p) == alone[:1]  # one part: a list of its pairs
-    seen = [[] for _ in parts]
-    assert lp_norm([_spy(f, s) for f, s in zip(parts, seen)], (0.0, 3.0), p) == alone
-    for got, want in zip(seen, seen_alone):
-        assert len(got) == len(want) and all(map(np.array_equal, got, want)), p
-    assert max(map(len, seen)) > 2 and len(seen[0]) == (1 if p < math.inf else 2)
-
-
 @pytest.mark.parametrize("p", [1.5, math.inf])
-def test_a_part_is_sampled_alike_in_a_small_and_a_large_corpus(p):
+def test_a_term_is_sampled_alike_in_a_small_and_a_large_corpus(p):
     # a corpus of ten profiles, and one of 400 that repeats them (up to the
-    # placement of the support): the most points any part is sampled at is
-    # the same, as no part is sampled at the pieces of another
+    # placement of the support): the most points any term is sampled at is
+    # the same, as no term is sampled at the pieces of another
     from rellich import Profile1D, bump
     from rellich.radial import corpus_norms
 

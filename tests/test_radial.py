@@ -14,6 +14,7 @@ from rellich import (
     OperatorParams,
     OutOfRange,
     PreconditionViolated,
+    Profile1D,
     UnsupportedRegime,
     boundary_counterexample,
     bump,
@@ -32,7 +33,8 @@ from rellich import (
     verify_rellich,
 )
 from rellich.quadrature import REL_TOL, lp_norm
-from rellich.radial import CUTOFF, PHI_SUPPORT, corpus_norms, counterexample_drift
+from rellich.radial import (CUTOFF, PHI_SUPPORT, _block_stack, corpus_norms,
+                            counterexample_drift, rellich_ratios)
 from rellich.verify import EPS_LADDER
 
 from references import exact_critical_alphas, log_squeezed, reference_lp_integral
@@ -543,14 +545,15 @@ def test_corpus_overflow_names_rows_of_the_whole_stack():
 
 def _blocked(monkeypatch, rows, call):
     """call() with corpus_norms cut into blocks of at most rows rows, and the number of
-    parts of each of its lp_norm calls."""
+    rows of the stack of each of its lp_norm calls."""
     import rellich.radial as radial_mod
 
     calls = []
 
     def counted(*args):
-        calls.append(len(args[0]))
-        return lp_norm(*args)
+        out = lp_norm(*args)
+        calls.append(len(out) if isinstance(out, list) else 1)
+        return out
 
     with monkeypatch.context() as m:
         m.setattr(radial_mod, "_CORPUS_ROWS", rows)
@@ -572,11 +575,12 @@ def test_blocks_give_the_pairs_of_one_stack(monkeypatch, p):
     # a corpus cut into blocks, a term longer than the budget alone, gives
     # bit for bit the pairs of one stack of the whole corpus.  Its terms have
     # 2, 3, 1, 2, 2, 2 and 1 rows, three times over: blocks of 3 rows at most
-    # are (2), (3), (1, 2), (2) and (2, 1) each time
+    # are (2), (3), (1, 2), (2) and (2, 1) each time, stacks of 2, 3, 3, 2 and 3 rows
     terms = (CORPUS_TERMS + OWN_SUPPORT_TERMS) * 3
     one, calls = _blocked(monkeypatch, 10**9, lambda: corpus_norms(p, terms))
-    assert calls == [len(terms)]
-    for rows, blocks in ((1, [1] * 21), (3, [1, 1, 2, 1, 2] * 3), (5, [2, 3, 3, 2, 2, 3, 2, 2, 2])):
+    assert calls == [39]
+    for rows, blocks in ((1, [2, 3, 1, 2, 2, 2, 1] * 3), (3, [2, 3, 3, 2, 3] * 3),
+                         (5, [5, 5, 5, 4, 4, 5, 4, 4, 3])):
         got, calls = _blocked(monkeypatch, rows, lambda: corpus_norms(p, terms))
         assert got == one and calls == blocks, (rows, calls)
 
@@ -593,6 +597,70 @@ def test_terms_on_their_own_supports(p):
         for (norm, err), (norm0, err0) in zip(*([x] if len(rows) == 1 else x
                                                 for x in (pairs, want))):
             assert abs(norm - norm0) <= 1e-14 * norm0 and abs(err - err0) <= 1e-14 * norm0
+
+
+def _jet_profile(jet, support):
+    """The profile of jet on support, a jet recording the sorted points of each call in
+    jet.seen."""
+    def spied(s):
+        spied.seen.append(np.sort(np.ravel(s)))
+        return jet(s)
+
+    spied.seen = []
+    return Profile1D(spied, support)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, INF])
+def test_each_term_of_a_block_is_sampled_at_its_own_pieces(monkeypatch, p):
+    # terms of one row or several: a smooth row, rows with sign changes, a row
+    # that halves and, on a support of its own, rows that halve past the cap.
+    # In one block each term gets exactly the pairs it gets in a block alone,
+    # from exactly the points its jet is sampled at there: the shared first
+    # pass, then in each round of halving, on the graded pass and at the sup
+    # candidates the points of its own rows' pieces only
+    def terms():
+        return [(_jet_profile(lambda s: (2.0 + np.cos(s), -np.sin(s), -np.cos(s)), (0.0, 3.0)),
+                 ((0.0, 0.0, 1.0),)),
+                (_jet_profile(bump(0.0, 3.0).jet, (0.0, 3.0)),
+                 ((1.0, 0.5, -2.0), (0.0, 0.0, 1.0), (0.0, 1.0))),
+                (_jet_profile(lambda s: (np.sin(40.0 * s), 40.0 * np.cos(40.0 * s),
+                                         -1600.0 * np.sin(40.0 * s)), (0.0, 3.0)),
+                 ((0.0, 0.0, 1.0),)),
+                (_jet_profile(lambda s: (np.sin(2000.0 * s), 2000.0 * np.cos(2000.0 * s),
+                                         -4e6 * np.sin(2000.0 * s)), (0.0, 3.0)),
+                 ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0, 1.0)), (0.5, 2.5))]
+
+    alone, together = terms(), terms()
+    want, calls = _blocked(monkeypatch, 1, lambda: corpus_norms(p, alone))
+    assert calls == [1, 3, 1, 2]
+    got, calls = _blocked(monkeypatch, 10**9, lambda: corpus_norms(p, together))
+    assert calls == [7] and got == want
+    seen = [v.jet.seen for v, *_ in together]
+    for mine, (v, *_) in zip(seen, alone):
+        assert len(mine) == len(v.jet.seen) and all(map(np.array_equal, mine, v.jet.seen)), p
+    assert max(map(len, seen)) > 2 and len(seen[0]) == (1 if p < INF else 2)
+
+
+def test_a_block_stack_picks_rows_in_any_order():
+    # pick(x, which) gives each entry its own row of the whole stack at its
+    # points, bit for bit, whatever the order of which, for points in rows of
+    # nodes (pieces) and one each (sup candidates)
+    stack = _block_stack([(v, rows, v.support) for v, rows in CORPUS_TERMS] + OWN_SUPPORT_TERMS)
+    k = len(stack(np.zeros(1)))
+    rng = np.random.default_rng(3)
+    which = np.sort(rng.integers(0, k, 60))
+    for x in (rng.uniform(-1.0, 1.0, (60, 7)), rng.uniform(-1.0, 1.0, 60)):
+        whole = stack(x.ravel()).reshape(k, *x.shape)[which, np.arange(60)]
+        assert np.array_equal(stack.pick(x.copy(), which), whole)
+        for _ in range(5):
+            order = rng.permutation(60)
+            assert np.array_equal(stack.pick(x[order], which[order]), whole[order])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, INF])
+def test_an_empty_corpus_gives_no_pairs(p):
+    assert corpus_norms(p, []) == []
+    assert rellich_ratios(P5, p, 0.0, []) == []
 
 
 def test_corpus_overflow_names_rows_across_blocks(monkeypatch):

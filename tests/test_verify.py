@@ -130,15 +130,16 @@ class TestVerifyRellich:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
     def test_a_holds_case_makes_one_lp_norm_call(self, monkeypatch, p):
-        # the ratios of the whole corpus are one stack, each profile one part
+        # the ratios of the whole corpus are one stack, each profile two rows
         import rellich.radial as radial_mod
         import rellich.verify as verify_mod
 
         calls, reports = [], []
 
         def counted(f, support, p):
-            calls.append(f)
-            return lp_norm(f, support, p)
+            out = lp_norm(f, support, p)
+            calls.append(len(out))
+            return out
 
         def reported(*args, **kwargs):
             reports.append((args[3:5], rellich_ratio_separable(*args, **kwargs)))
@@ -151,7 +152,7 @@ class TestVerifyRellich:
         monkeypatch.setattr(radial_mod, "rellich_ratio_separable", reported)
         rep = verify_rellich(P5, p, alpha, DomainKind.WHOLE_SPACE, ALL, small_corpus())
         assert rep.passed and "certified constant" in rep.notes
-        assert len(calls) == 1 and len(calls[0]) == len(small_corpus())
+        assert calls == [2 * len(small_corpus())]
         assert [(n, v.support) for (n, v), _ in reports] == [(n, v.support)
                                                              for n, v in small_corpus()]
         monkeypatch.undo()
@@ -371,15 +372,17 @@ class TestRemainder:
 
 
 def _counted_lp_norm(monkeypatch):
-    """The parts (or stack) of each lp_norm call of radial and verify from here on."""
+    """The number of rows of the stack of each lp_norm call of radial and verify from
+    here on."""
     import rellich.radial as radial_mod
     import rellich.verify as verify_mod
 
     calls = []
 
     def counted(*args):
-        calls.append(args[0])
-        return lp_norm(*args)
+        out = lp_norm(*args)
+        calls.append(len(out) if isinstance(out, list) else 1)
+        return out
 
     for mod in (radial_mod, verify_mod):
         monkeypatch.setattr(mod, "lp_norm", counted)
@@ -406,7 +409,7 @@ class TestOneCorpusCall:
         corpus = bump_corpus(0, 3) + [bump(1.0, 3.0), bump(4.0, 8.0), bump(6.0, 9.0)]
         calls = _counted_lp_norm(monkeypatch)
         rep = verify_oned_inequality(1.0, p, a, 0.5, corpus)
-        assert len(calls) == 1 and len(calls[0]) == 2 * len(corpus)
+        assert calls == [3 * len(corpus)]  # each profile's numerator and two denominators
         monkeypatch.undo()
         kappa = 1.0 + (0.5 if p == 1 else 0.0)  # the default at beta != 0, eps = 0.5
         for v, (_, ratio, _, _) in zip(corpus, rep.samples):
@@ -423,7 +426,7 @@ class TestOneCorpusCall:
         alpha = base_alpha(P5, p)  # the middle of the symmetric range
         calls = _counted_lp_norm(monkeypatch)
         rep = verify_remainder(P5, p, alpha, corpus)
-        assert len(calls) == 1 and len(calls[0]) == len(corpus) and rep.passed
+        assert calls == [3 * len(corpus)] and rep.passed
         monkeypatch.undo()
         C, beta = best_constant(P5, p, alpha), reduced_drift(P5, p, alpha)
         for v, (_, lhs, rhs, _) in zip(corpus, rep.samples):
@@ -526,7 +529,7 @@ class TestDissipativity:
         assert rep.passed
 
     def test_one_lp_norm_call_per_corpus(self, monkeypatch):
-        # each profile's two norms, one part of the corpus's stack, are those it gets alone
+        # each profile's two norms, two rows of the corpus's stack, are those it gets alone
         import rellich.radial as radial_mod
 
         calls = []
