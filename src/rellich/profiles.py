@@ -2,11 +2,11 @@
 
 A Profile1D carries one callable, ``jet(s) -> (v, v', v'')``, evaluated
 in one pass, on a compact support interval; all quadrature-based
-verification is built on these.  ``Profile1D.integrand`` builds the
-linear combinations s^power (a2 v'' + a1 v' + a0 v) that the reductions
-integrate, one row each, as one plain callable that stacks the rows from
-one jet call: ``lp_norm`` locates their sign changes and critical points
-from their values, whatever the profile.
+verification is built on these.  ``jet_rows`` builds the rows w (a2 v'' +
+a1 v' + a0 v) of a jet that the reductions integrate as one stack from one
+jet call, which can pick each entry's own row for ``lp_norm``'s sampler;
+``Profile1D.integrand`` builds a profile's, w = s^power.  ``lp_norm`` locates
+their sign changes and critical points from their values, whatever the profile.
 
 Every profile here is built on the bump psi(t) = (1 - t^2)^3, with t the
 affine variable that maps the support onto [-1, 1]; psi vanishes to
@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import PreconditionViolated
 
 
 @dataclass(frozen=True)
@@ -43,28 +45,53 @@ class Profile1D:
     def integrand(self, *rows):
         """f(s) = s^power (a2 v''(s) + a1 v'(s) + a0 v(s)) for each row (a2, a1, a0, power).
 
-        A row may leave out its trailing zeros: (1.0, beta) is v'' + beta v'.
-        One row gives an array of the shape of s; k rows give the stack of
-        shape (k, *s.shape) that ``lp_norm`` takes, from one jet call.
+        A row may leave out its trailing zeros: (1.0, beta) is v'' + beta v'.  The
+        ``jet_rows`` stack of the rows, with the weight s^power where power is not 0.
         """
-        plans = []
-        for row in rows:
-            a2, a1, a0, power = (*row, *(0.0,) * (4 - len(row)))
-            plans.append(([(a, k) for k, a in enumerate((a0, a1, a2)) if a != 0.0], power))
+        rows = [(*row, *(0.0,) * (4 - len(row))) for row in rows]
+        return jet_rows(self.jet, [(a2, a1, a0, (lambda s, q=power: s**q) if power else None)
+                                   for a2, a1, a0, power in rows])
 
-        def f(s):
-            s = np.asarray(s, dtype=float)
-            jet = self.jet(s)
-            out = np.empty((len(plans), *s.shape))
-            for row, (terms, power) in zip(out, plans):
-                row[...] = sum(a * jet[k] for a, k in terms) if terms else 0.0
-                if power:
-                    # a weight that overflows is lp_norm's NonFiniteIntegrand of its row
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        row *= s**power
-            return out[0] if len(plans) == 1 else out
 
-        return f
+def jet_rows(jet, rows):
+    """The rows w (a2 v'' + a1 v' + a0 v) of the jet (v, v', v''), one per row (a2, a1, a0, w)
+    with w a callable weight or None: one stack from one jet call, of the shape of s for
+    one row, else (k, *s.shape).  Its ``pick(x, which)``, row which[i] at x[i] alone in the
+    shape of x, takes a0 v, adds a1 v' and a2 v'' and multiplies by w as the stack does, so
+    its values are the stack's bit for bit.  A weight that overflows is ``lp_norm``'s
+    NonFiniteIntegrand of its row.  PreconditionViolated for no rows.
+    """
+    if not rows:
+        raise PreconditionViolated("a stack of rows needs at least one row (a2, a1, a0, w)")
+    *coefficients, ws = zip(*rows)
+    c2, c1, c0 = np.array(coefficients, dtype=float)
+    weights = [(i, w) for i, w in enumerate(ws) if w is not None]
+
+    def at(x, which, col):
+        v0, v1, v2 = jet(x)
+        out = c0[which].reshape(col) * v0
+        out += c1[which].reshape(col) * v1
+        out += c2[which].reshape(col) * v2
+        return out
+
+    def stack(s):
+        s = np.asarray(s, dtype=float)
+        out = at(s, slice(None), (-1,) + (1,) * s.ndim)
+        for i, w in weights:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[i] *= w(s)
+        return out[0] if len(rows) == 1 else out
+
+    def pick(x, which):
+        out = at(x, which, (-1,) + (1,) * (x.ndim - 1))
+        for i, w in weights:
+            mine = which == i
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[mine] *= w(x[mine])
+        return out
+
+    stack.pick = pick
+    return stack
 
 
 def bump(a: float, b: float, label: str = "") -> Profile1D:

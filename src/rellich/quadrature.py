@@ -35,9 +35,10 @@ one call of the stack per pass (the first pass, each round of halving,
 the graded pass over the pieces of every split row, the sup candidates).
 The first pass calls it at the shared nodes; later passes go through one
 sampler, which gives each piece the values of its own row.  A stack that
-can pick, one with a method ``pick(x, rows)``, evaluates each piece's own
-row alone; any other is evaluated in every row at every piece, and each
-piece takes its own.
+can pick, one with a method ``pick(x, rows)``, as every stack of the package
+can (``profiles.jet_rows``, the blocks of ``radial.corpus_norms``), evaluates
+each piece's own row alone; a stack from outside without one is evaluated
+in every row at every piece, and each piece takes its own.
 The Gauss nodes of a pass come from one cached layout on [-1, 1], mapped
 onto every piece at once.  No row's result depends on the rows around it.
 """
@@ -157,8 +158,9 @@ def _sampler(f, stack: int | None):
     S gives, for each entry i of the int array rows, row rows[i] of f's stack
     at x[i] (a point, or a piece's row of nodes), in the shape of x.  A stack
     that can pick, one with a method ``f.pick(x, rows)`` that returns just
-    that, is asked for it, so each entry's own row alone is evaluated; any
-    other f is called at every point of x, and each entry takes its own row.
+    that, as every stack of the package does, is asked for it, so each entry's
+    own row alone is evaluated; any other f, a stack from outside the package,
+    is called at every point of x, and each entry takes its own row.
     Only the entries' own values must be finite.  A pick may write them over
     x, which is the sampler's to spend.
     """

@@ -41,7 +41,7 @@ from .params import (
     inv_p,
     reduced_drift,
 )
-from .profiles import Profile1D, bump
+from .profiles import Profile1D, bump, jet_rows
 from .quadrature import lp_norm
 
 #: Support of the counterexample cutoff phi; the reduced-norm identity
@@ -97,8 +97,8 @@ def corpus_norms(p: float, terms: Sequence[tuple]):
     into blocks of at most _CORPUS_ROWS rows (a longer term alone), each one ``lp_norm``
     call of its ``_block_stack`` on t in (-1, 1).  A term is sampled at its own pieces
     alone, so its pairs, times half^(1/p) (1 at p = inf), do not depend on the block.
-    A support empty after cutting has zero width and gives zeros.  A
-    ``NonFiniteIntegrand`` names rows of the whole corpus, in order.
+    A support empty after cutting has zero width and gives zeros, a term of no rows
+    PreconditionViolated.  A ``NonFiniteIntegrand`` names rows of the whole corpus, in order.
     """
     terms = [(v, rows, support[0] if support else v.support) for v, rows, *support in terms]
     if len(terms) == 1:
@@ -135,8 +135,8 @@ def _block_stack(block):
     """The rows of the terms (v, rows, (a, b)) of block in order: one stack of t in (-1, 1),
     each term's through s = mid + half t on its support, of zero width where b <= a.  Its
     ``pick(x, which)`` groups the entries by term with one stable argsort, so which may
-    come in any order, and writes each entry's own row over x from one call of its
-    term's integrand at that term's entries alone."""
+    come in any order, and writes each entry's own row over x from one pick of its
+    term's ``jet_rows`` stack at that term's entries alone."""
     terms, starts = [], [0]
     for v, rows, (a, b) in block:
         b = max(a, b)
@@ -154,9 +154,7 @@ def _block_stack(block):
         for (f, mid, half, k), start, lo, hi in zip(terms, starts, cuts, cuts[1:]):
             if lo < hi:
                 mine = order[lo:hi]
-                y = x[mine]
-                v = np.reshape(f(mid + half * y.ravel()), (k, *y.shape))
-                x[mine] = v[which[mine] - start, np.arange(len(mine))]
+                x[mine] = f.pick(mid + half * x[mine], which[mine] - start)
         return x
 
     stack.pick = pick
@@ -268,52 +266,19 @@ def critical_rows(g: float, lam: float, eps: Sequence[float], kappa: float | Non
     ``counterexample_drift``; lam = min(0, D + lambda_n) makes this the
     reduced Rellich operator at the critical exponent.
 
-    The stack can pick: ``rows.pick(x, which)`` gives row which[i] at x[i]
-    alone, from one jet call at every point and the same operations, in the
-    same order, as the whole stack, so its values are the stack's bit for bit.
-    ``lp_norm`` samples each split row at its own pieces through it.
+    The stack is the ``jet_rows`` stack of phi's Euler jet (phi, x phi', x^2 phi''),
+    the weighted rows weighted by (-log(x) / eps)^{-kappa}: its ``pick(x, which)``
+    gives row which[i] at x[i] alone, the stack's values bit for bit, so
+    ``lp_norm`` samples each split row at its own pieces.
     """
-    e = np.asarray(eps, dtype=float)
-    k = len(e)
-    # each row's coefficients of x^2 phi'', x phi' and phi, phi's own row last, as
-    # (rows, 1) columns: an outer product of one term is exact, so no row's values
-    # depend on the rows around it or on the number of points
-    c2, c1, c0 = (np.append(c, last)[:, None] for c, last in
-                  ((e * e, 0.0), (e * (g + e), 0.0), (np.full_like(e, -lam), 1.0)))
-
     def jet(x):
         v0, v1, v2 = CUTOFF.jet(x)
-        v2 *= x * x
-        v1 *= x
-        return v0, v1, v2
+        return v0, x * v1, x * x * v2
 
-    def weighted(v0, x, e):
-        # a factor (-log(x) / eps)^{-kappa} that overflows is lp_norm's
-        # NonFiniteIntegrand of its rows
-        with np.errstate(over="ignore", invalid="ignore"):
-            return v0 * (-np.log(x) / e) ** -kappa
-
-    def rows(x):
-        v0, v1, v2 = jet(x)
-        out = c2 @ v2[None]
-        out += c1 @ v1[None]
-        out += c0 @ v0[None]
-        return out if kappa is None else np.concatenate((out, weighted(v0, x, e[:, None])))
-
-    def pick(x, which):
-        v0, v1, v2 = jet(x)
-        col = (-1,) + (1,) * (x.ndim - 1)  # an entry's coefficient, against its points
-        at = np.minimum(which, k)
-        out = c2[at].reshape(col) * v2
-        out += c1[at].reshape(col) * v1
-        out += c0[at].reshape(col) * v0
-        w = which > k  # the weighted rows; none without kappa
-        if w.any():
-            out[w] = weighted(v0[w], x[w], e[which[w] - k - 1].reshape(col))
-        return out
-
-    rows.pick = pick
-    return rows
+    rows = [(e * e, e * (g + e), -lam, None) for e in eps] + [(0.0, 0.0, 1.0, None)]
+    if kappa is not None:
+        rows += [(0.0, 0.0, 1.0, lambda x, e=e: (-np.log(x) / e) ** -kappa) for e in eps]
+    return jet_rows(jet, rows)
 
 
 @dataclass(frozen=True)

@@ -236,33 +236,53 @@ def _picking_spy(f, seen):
     return g
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
-@pytest.mark.parametrize("N, c, b, n, branch", [(5, 0.0, 0.0, 0, "minus"),
-                                                (3, 0.0, -2.0, 0, "minus")])
-def test_a_stack_that_picks_samples_each_row_at_its_own_pieces(p, N, c, b, n, branch):
-    # a critical stack, with and without weighted rows, in dx/x and in dx: its
-    # pairs are bit for bit those of the same stack without the hook, and each
-    # row is evaluated at exactly the points that its one-row run samples
-    from rellich import OperatorParams
+def _picking_stacks(case):
+    """(stack, support, weight) of a case of the test below: the critical stacks of
+    (N, c, b, n, branch), with and without weighted rows, in dx/x and in dx, or profile
+    stacks.  The Rellich rows on the plateau split their numerator at p = 1 and 1.5,
+    as about a third of ratio-smooth's p = 1.5, n = 0 ratios do; the rows on the bump
+    inside (0, inf) include one weighted by s^-1.5."""
+    from rellich import OperatorParams, bump, plateau_profile
     from rellich.radial import CRITICAL_MEASURE, PHI_SUPPORT, counterexample_drift, critical_rows
     from rellich.verify import EPS_LADDER
 
-    params = OperatorParams(N, c, b)
-    g = counterexample_drift(params, n, branch)
-    for kappa in (None, 1.5):
-        f = critical_rows(g, min(0.0, b), EPS_LADDER, kappa)
-        k = len(f(np.array(PHI_SUPPORT)))
-        for weight in (CRITICAL_MEASURE, None):
-            seen = [[] for _ in range(k)]
-            stack = lp_norm(_picking_spy(f, seen), PHI_SUPPORT, p, weight)
-            assert stack == lp_norm(lambda s: f(s), PHI_SUPPORT, p, weight), (p, kappa, weight)
-            for i in range(k):
-                alone = []
-                assert lp_norm(_spy(lambda s, i=i: f(s)[i], alone), PHI_SUPPORT, p,
-                               weight) == stack[i]
-                assert len(seen[i]) == len(alone), (p, kappa, weight, i)
-                assert all(map(np.array_equal, seen[i], alone)), (p, kappa, weight, i)
-            assert max(map(len, seen)) > 1  # some row was picked
+    if case == "profiles":
+        v, w = plateau_profile(83.1), bump(0.5, 3.0)
+        return [(v.integrand((1.0, -2.19, -2.5), (0.0, 0.0, 1.0)), v.support, None),
+                (w.integrand((1.0, 0.5, -2.0), (0.0, 0.0, 1.0, -1.5)), w.support, None)]
+    N, c, b, n, branch = case
+    g = counterexample_drift(OperatorParams(N, c, b), n, branch)
+    return [(critical_rows(g, min(0.0, b), EPS_LADDER, kappa), PHI_SUPPORT, weight)
+            for kappa in (None, 1.5) for weight in (CRITICAL_MEASURE, None)]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+@pytest.mark.parametrize("case", [(5, 0.0, 0.0, 0, "minus"), (3, 0.0, -2.0, 0, "minus"),
+                                  "profiles"], ids=["5-0.0-0.0-0-minus", "3-0.0--2.0-0-minus",
+                                                    "profiles"])
+def test_a_stack_that_picks_samples_each_row_at_its_own_pieces(p, case):
+    # the pairs of a stack that picks are bit for bit those of the same stack
+    # without the hook, each row is evaluated at exactly the points that its
+    # one-row run samples, and a pick of rows in shuffled order gives the
+    # stack's values bit for bit
+    rng = np.random.default_rng(7)
+    for f, support, weight in _picking_stacks(case):
+        k = len(f(np.array(support)))
+        seen = [[] for _ in range(k)]
+        stack = lp_norm(_picking_spy(f, seen), support, p, weight)
+        assert stack == lp_norm(lambda s: f(s), support, p, weight), (p, support, weight)
+        for i in range(k):
+            alone = []
+            assert lp_norm(_spy(lambda s, i=i: f(s)[i], alone), support, p, weight) == stack[i]
+            assert len(seen[i]) == len(alone), (p, support, weight, i)
+            assert all(map(np.array_equal, seen[i], alone)), (p, support, weight, i)
+        # some row was picked; at p = 3 no row on the plateau splits
+        assert max(map(len, seen)) > 1 or p == 3.0 and support == (-83.1, 83.1)
+        which = rng.permutation(np.repeat(np.arange(k), 3))
+        edges = np.linspace(*support, len(which) + 1)
+        x = quadrature._rule(edges[:-1, None], edges[1:, None], quadrature._GRADED)[0]
+        every = f(x.ravel()).reshape(k, *x.shape)
+        assert np.array_equal(f.pick(x, which), every[which, np.arange(len(which))])
 
 
 def test_a_stack_that_picks_names_the_rows_non_finite_at_their_own_pieces():

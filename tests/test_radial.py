@@ -663,6 +663,21 @@ def test_an_empty_corpus_gives_no_pairs(p):
     assert rellich_ratios(P5, p, 0.0, []) == []
 
 
+@pytest.mark.parametrize("at", ["first", "middle", "last", "only"])
+def test_a_term_of_no_rows_is_refused(at):
+    # a term with no rows has no pairs to give: it is refused wherever it
+    # stands, as its stack is, not an IndexError or a [] among the pairs
+    v, one = bump(1.0, 3.0), ((0.0, 0.0, 1.0),)
+    empty, full = (v, ()), [(v, one), (bump(2.0, 6.0), one)]
+    terms = {"first": [empty, *full], "middle": [full[0], empty, full[1]],
+             "last": [*full, empty], "only": [empty]}[at]
+    for p in (1.0, 1.5, INF):
+        with pytest.raises(PreconditionViolated, match="at least one row"):
+            corpus_norms(p, terms)
+    with pytest.raises(PreconditionViolated, match="at least one row"):
+        v.integrand()
+
+
 def test_corpus_overflow_names_rows_across_blocks(monkeypatch):
     # the overflowing row is row 3 of a corpus cut into blocks of 2 rows,
     # and row 301 of one of 151 terms, whose last block starts at row 256
